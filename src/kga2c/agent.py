@@ -4,8 +4,9 @@ Four GRU observation encoders (one per text channel, hidden carried across
 steps), a multi-head graph-attention embedding of the belief graph, a binary
 score encoding, and a graph-masked two-stage action decoder (template head,
 then a shared object GRU conditioned by attention over everything decoded so
-far).  A critic head and the three-head Q baseline share the same state
-embedding.
+far).  A critic head shares the same state embedding.  The ``seq``
+ablation swaps the template decoder for a word-by-word one; each ablation
+allocates only the parameters it uses.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class ActionDistribution:
     object_logits: list[nm.Tensor]  # pre-mask, one per blank
     object_probs: list[nm.Tensor]  # post-mask, one per blank
     mask_array: np.ndarray  # bool over V as applied to the object decoder
-    mask_word_ids: tuple[int, ...]  # supporting word ids (the graph mask)
 
 
 def score_encode(score: int, width: int) -> np.ndarray:
@@ -117,8 +117,9 @@ class KgA2CAgent:
         self.cfg = cfg
         self.n_templates = len(space.templates)
         self.n_vocab = len(space.vocabulary)
+        if params is not None:
+            self._check_params(params)
         self.params = params if params is not None else self._build(seed)
-        self.gat_calls = 0  # ablation bookkeeping: no-gat must never embed
         self._encode_cache: dict[str, tuple[int, ...]] = {}
         self._feature_cache: dict[tuple, nm.Tensor] = {}
 
@@ -137,34 +138,52 @@ class KgA2CAgent:
             p.add(f"gat.h{k}.p", (2 * cfg.emb_dim,))
         p.add("gat.out.W", (cfg.gat_heads * cfg.emb_dim, cfg.gat_dim))
         p.add("gat.out.b", (cfg.gat_dim,), "bias")
+        # gat.* stays allocated under a2c/no-gat: every init draws from one
+        # RNG in allocation order, so skipping it would shift all later ones.
         s_dim = cfg.state_dim
-        p.gru("dec.tmpl.gru", s_dim, cfg.dec_hidden)
-        p.add("dec.tmpl.W", (cfg.dec_hidden, self.n_templates))
-        p.add("dec.tmpl.b", (self.n_templates,), "bias")
-        p.gru("dec.obj.gru", cfg.dec_hidden, cfg.dec_hidden)
-        p.add("dec.obj.W", (cfg.dec_hidden, self.n_vocab))
-        p.add("dec.obj.b", (self.n_vocab,), "bias")
-        p.add("dec.tmpl_emb", (self.n_templates, cfg.dec_hidden), "embedding")
-        p.add("dec.obj_emb", (self.n_vocab, cfg.dec_hidden), "embedding")
-        p.add("dec.ctx.W", (s_dim, cfg.dec_hidden))
-        p.add("dec.query.W", (s_dim, cfg.dec_hidden))
+        seq = cfg.ablation == "seq"
+        if not seq:
+            p.gru("dec.tmpl.gru", s_dim, cfg.dec_hidden)
+            p.add("dec.tmpl.W", (cfg.dec_hidden, self.n_templates))
+            p.add("dec.tmpl.b", (self.n_templates,), "bias")
+            p.gru("dec.obj.gru", cfg.dec_hidden, cfg.dec_hidden)
+            p.add("dec.obj.W", (cfg.dec_hidden, self.n_vocab))
+            p.add("dec.obj.b", (self.n_vocab,), "bias")
+            p.add("dec.tmpl_emb", (self.n_templates, cfg.dec_hidden), "embedding")
+            p.add("dec.obj_emb", (self.n_vocab, cfg.dec_hidden), "embedding")
+            p.add("dec.ctx.W", (s_dim, cfg.dec_hidden))
+            p.add("dec.query.W", (s_dim, cfg.dec_hidden))
         p.add("critic.W1", (s_dim, cfg.dec_hidden))
         p.add("critic.b1", (cfg.dec_hidden,), "bias")
         p.add("critic.w2", (cfg.dec_hidden,))
         p.add("critic.b2", (), "bias")
-        p.add("tdqn.tmpl.W", (s_dim, self.n_templates))
-        p.add("tdqn.tmpl.b", (self.n_templates,), "bias")
-        p.add("tdqn.obj1.W", (s_dim, self.n_vocab))
-        p.add("tdqn.obj1.b", (self.n_vocab,), "bias")
-        p.add("tdqn.obj2.W", (s_dim, self.n_vocab))
-        p.add("tdqn.obj2.b", (self.n_vocab,), "bias")
-        p.add("seq.init.W", (s_dim, cfg.dec_hidden))
-        p.add("seq.init.b", (cfg.dec_hidden,), "bias")
-        p.gru("seq.gru", cfg.dec_hidden, cfg.dec_hidden)
-        p.add("seq.emb", (self.n_vocab + 1, cfg.dec_hidden), "embedding")
-        p.add("seq.W", (cfg.dec_hidden, self.n_vocab + 1))
-        p.add("seq.b", (self.n_vocab + 1,), "bias")
+        if seq:
+            p.add("seq.init.W", (s_dim, cfg.dec_hidden))
+            p.add("seq.init.b", (cfg.dec_hidden,), "bias")
+            p.gru("seq.gru", cfg.dec_hidden, cfg.dec_hidden)
+            p.add("seq.emb", (self.n_vocab + 1, cfg.dec_hidden), "embedding")
+            p.add("seq.W", (cfg.dec_hidden, self.n_vocab + 1))
+            p.add("seq.b", (self.n_vocab + 1,), "bias")
         return p
+
+    def _check_params(self, params: nm.ParameterSet) -> None:
+        """Raise ValueError naming the first parameter (in name order) that
+        is missing, unexpected or shaped unlike what ``_build`` allocates."""
+        want = {n: t.data.shape for n, t in self._build(0).tensors.items()}
+        have = {n: t.data.shape for n, t in params.tensors.items()}
+        for name in sorted(want.keys() | have.keys()):
+            if name not in have:
+                problem = "is missing"
+            elif name not in want:
+                problem = "is unexpected"
+            elif have[name] != want[name]:
+                problem = f"has shape {have[name]}, expected {want[name]}"
+            else:
+                continue
+            raise ValueError(
+                f"parameters do not fit the {self.cfg.ablation!r} agent: "
+                f"{name!r} {problem}"
+            )
 
     # -- encoders ---------------------------------------------------------
 
@@ -245,7 +264,6 @@ class KgA2CAgent:
         p[:F] . u_i + p[F:] . u_j, which is the same bilinear form without
         per-edge concatenation.
         """
-        self.gat_calls += 1
         cfg = self.cfg
         p = self.params
         nodes = sorted(graph.nodes())
@@ -299,16 +317,13 @@ class KgA2CAgent:
 
     # -- decoders ----------------------------------------------------------
 
-    def _decoder_mask(self, mask: GraphMask) -> tuple[np.ndarray, tuple[int, ...]]:
-        word_ids = tuple(
-            sorted(self.space.word_id(w) for w in mask.words)
-        )
+    def _decoder_mask(self, mask: GraphMask) -> np.ndarray:
+        if not self.cfg.use_mask:
+            return np.ones(self.n_vocab, dtype=bool)
+        word_ids = self.space.word_ids
         arr = np.zeros(self.n_vocab, dtype=bool)
-        if self.cfg.use_mask:
-            arr[list(word_ids)] = True
-        else:
-            arr[:] = True
-        return arr, word_ids
+        arr[[word_ids[w] for w in mask.words]] = True
+        return arr
 
     def decode_action(
         self,
@@ -334,7 +349,7 @@ class KgA2CAgent:
         tid = self._choose(t_probs.data, rng, mode)
         log_prob = nm.log(nm.pick(t_probs, tid))
 
-        mask_arr, mask_ids = self._decoder_mask(mask)
+        mask_arr = self._decoder_mask(mask)
         template = self.space.templates[tid]
         context = [
             nm.matmul(s_t, p["dec.ctx.W"]),
@@ -373,7 +388,6 @@ class KgA2CAgent:
             object_logits=object_logits,
             object_probs=object_probs,
             mask_array=mask_arr,
-            mask_word_ids=mask_ids,
         )
 
     @staticmethod
@@ -387,25 +401,6 @@ class KgA2CAgent:
         p = self.params
         h = nm.tanh(nm.add(nm.matmul(s_t, p["critic.W1"]), p["critic.b1"]))
         return nm.add(nm.matmul(h, p["critic.w2"]), p["critic.b2"])
-
-    def tdqn_heads(self, s_t: nm.Tensor) -> tuple[nm.Tensor, nm.Tensor, nm.Tensor]:
-        """Q over templates and over the vocabulary for each of two blanks."""
-        p = self.params
-        q_t = nm.add(nm.matmul(s_t, p["tdqn.tmpl.W"]), p["tdqn.tmpl.b"])
-        q_1 = nm.add(nm.matmul(s_t, p["tdqn.obj1.W"]), p["tdqn.obj1.b"])
-        q_2 = nm.add(nm.matmul(s_t, p["tdqn.obj2.W"]), p["tdqn.obj2.b"])
-        return q_t, q_1, q_2
-
-    def tdqn_greedy_action(self, s_t: nm.Tensor) -> str:
-        q_t, q_1, q_2 = self.tdqn_heads(s_t)
-        tid = int(np.argmax(q_t.data))
-        template = self.space.templates[tid]
-        slot_qs = (q_1, q_2)
-        words = [
-            self.space.vocabulary[int(np.argmax(slot_qs[i].data))]
-            for i in range(template.blanks)
-        ]
-        return self.space.instantiate(tid, words)
 
     # -- word-by-word decoder (seq ablation) --------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import BUNDLED_GAMES, bundled_corpus_lines, bundled_game_text
 from . import engine, kg, numerics as nm, oracle, tokenizer as tok, trainer
-from .agent import ABLATIONS, AgentConfig, EncoderState, KgA2CAgent
+from .agent import ABLATIONS, KgA2CAgent
 
 log = logging.getLogger("kga2c")
 
@@ -77,19 +77,9 @@ def cmd_play(args) -> int:
     corpus = _load_corpus(args.corpus)
     freq = trainer.FrequencyTable.from_lines(corpus)
     space = trainer.build_action_space(spec.templates, spec.vocabulary, freq)
-    env = engine.Engine(spec, args.seed or 0)
-    graph = kg.KnowledgeGraph()
-    prev = engine.SENTINEL_PREV_ACTION
-
-    def sync_graph() -> None:
-        nonlocal graph
-        detected = kg.detect_interactive_objects(env.obs, env.state, spec)
-        graph = kg.update_graph(
-            graph, env.obs, prev, env.state.room, detected, spec, env.state.turn
-        )
-
-    sync_graph()
-    print(env.obs.o_desc)
+    ep = trainer.Episode(spec, args.seed or 0)
+    ep.observe(space.vocabulary, 0.0, 0)
+    print(ep.obs.o_desc)
     out = sys.stdout
     while True:
         out.write("> ")
@@ -103,43 +93,42 @@ def cmd_play(args) -> int:
         if command == ":quit":
             break
         if command == ":valid":
-            valid = oracle.valid_actions(env.state, spec, space, budget=None)
+            valid = oracle.valid_actions(ep.state, spec, space, budget=None)
             for action in valid.actions:
                 print(action)
             continue
         if command == ":graph":
-            print(kg.export_graph(graph, "dot"))
+            print(kg.export_graph(ep.graph, "dot"))
             continue
         if command.startswith(":save"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
-            Path(path).write_bytes(engine.snapshot(env.state))
+            Path(path).write_bytes(engine.snapshot(ep.state))
             print(f"Saved to {path}.")
             continue
         if command.startswith(":load"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
-            env.state = engine.restore(Path(path).read_bytes())
-            env.obs = engine.Observation(
-                o_desc=engine.render_look(env.state, spec),
-                o_game=engine.render_look(env.state, spec),
-                o_inv=engine.render_inventory(env.state, spec),
+            ep.state = engine.restore(Path(path).read_bytes())
+            ep.obs = engine.Observation(
+                o_desc=engine.render_look(ep.state, spec),
+                o_game=engine.render_look(ep.state, spec),
+                o_inv=engine.render_inventory(ep.state, spec),
                 a_prev=engine.SENTINEL_PREV_ACTION,
-                score=env.state.score,
+                score=ep.state.score,
             )
             print(f"Restored from {path}.")
             continue
-        obs, reward, done = env.step(command)
-        prev = command
-        sync_graph()
-        print(obs.o_game)
+        reward = ep.act(command)
+        print(ep.obs.o_game)
         if args.dump_valid:
-            valid = oracle.valid_actions(env.state, spec, space, budget=None)
+            valid = oracle.valid_actions(ep.state, spec, space, budget=None)
             print("valid:", " | ".join(valid.actions))
         if reward:
-            print(f"[Your score just went up by {reward}. Total: {obs.score}]")
-        if done:
-            print(f"*** The game is over. Final score: {obs.score} ***")
+            print(f"[Your score just went up by {reward}. Total: {ep.obs.score}]")
+        if ep.done:
+            print(f"*** The game is over. Final score: {ep.obs.score} ***")
             return 0
-    print(f"Final score: {env.obs.score}")
+        ep.observe(space.vocabulary, 0.0, 0)
+    print(f"Final score: {ep.obs.score}")
     return 0
 
 
@@ -333,24 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        engine.GameError,
-        engine.SnapshotError,
-        nm.CheckpointError,
-        tok.TokenizerError,
-        FileNotFoundError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # str() of a KeyError is only the key; its repr names the type too
+        detail = repr(exc) if isinstance(exc, LookupError) else str(exc)
+        print(f"error: {detail}", file=sys.stderr)
         log.debug("failure detail", exc_info=True)
         return 2
 

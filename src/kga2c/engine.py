@@ -1068,32 +1068,3 @@ def _victory_holds(state: WorldState, spec: GameSpec) -> bool:
     if not spec.victory:
         return False
     return all(_holds_state(pred, state, spec) for pred in spec.victory)
-
-
-# ---------------------------------------------------------------------------
-# Convenience stateful wrapper
-
-
-class Engine:
-    """Mutable convenience wrapper holding a live (spec, state, observation)."""
-
-    def __init__(self, spec: GameSpec, seed: int = 0):
-        self.spec = spec
-        self.state, self.obs = reset(spec, seed)
-        self.done = False
-        self.last_reward = 0
-
-    def step(self, action: str) -> tuple[Observation, int, bool]:
-        self.state, self.obs, self.last_reward, self.done = step(
-            self.state, action, self.spec
-        )
-        return self.obs, self.last_reward, self.done
-
-    def reset(self, seed: int = 0) -> Observation:
-        self.state, self.obs = reset(self.spec, seed)
-        self.done = False
-        self.last_reward = 0
-        return self.obs
-
-    def digest(self) -> str:
-        return digest(self.state)

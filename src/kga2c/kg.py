@@ -69,8 +69,6 @@ class GraphMask:
     """Vocabulary subset the object decoder may emit."""
 
     words: frozenset[str]
-    p_m: float
-    seed: int | None = None
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -246,7 +244,6 @@ def graph_mask(
     """
     if not 0.0 <= p_m <= 1.0:
         raise ValueError(f"p_m must be in [0, 1], got {p_m}")
-    seed = rng if isinstance(rng, int) else None
     r = random.Random(rng) if not isinstance(rng, random.Random) else rng
     vocab = set(vocabulary)
     base = graph.entities() & vocab
@@ -260,7 +257,7 @@ def graph_mask(
         words = set(in_scope) & vocab
     if not words and vocabulary:
         words = set(vocab)
-    return GraphMask(words=frozenset(words), p_m=p_m, seed=seed)
+    return GraphMask(frozenset(words))
 
 
 def export_graph(graph: KnowledgeGraph, format: str = "triples") -> str:

@@ -174,11 +174,6 @@ class FrequencyTable:
             counts.update(line.lower().split())
         return cls(counts)
 
-    @classmethod
-    def from_file(cls, path) -> "FrequencyTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh)
-
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
 

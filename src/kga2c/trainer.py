@@ -1,17 +1,18 @@
 """Advantage actor-critic training over parallel game environments.
 
-Workers are independent environment pipelines (engine + knowledge graph +
-valid-action oracle + encoder state) advanced between updates; they run on a
-deterministic schedule so fixed seeds give bitwise-identical metrics.  The
-loss combines the policy-gradient term, the critic regression, the two
-supervised valid-action terms, and an entropy term over the valid supports,
-with per-ablation adjustments.
+Workers are independent environment pipelines advanced between updates;
+each owns an ``Episode`` (engine state, knowledge graph, encoder state) and
+shares the valid-action cache.  They run on a deterministic schedule so fixed
+seeds give bitwise-identical metrics.  The loss combines the policy-gradient
+term, the critic regression, the two supervised valid-action terms, and an
+entropy term over the valid supports, with per-ablation adjustments.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,10 @@ from .agent import (
     EncoderState,
     KgA2CAgent,
 )
-from .templates import ActionSpace, FrequencyTable, build_action_space
+from .templates import (ActionSpace, FrequencyTable, OutOfVocabularyError,
+                        build_action_space)
+
+log = logging.getLogger(__name__)
 
 METRIC_KEYS = (
     "update", "steps", "episodes", "loss_total", "loss_actor", "loss_critic",
@@ -65,6 +69,11 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
+        if self.ablation != self.agent.ablation:
+            raise ValueError(
+                f"ablation {self.ablation!r} differs from the agent's "
+                f"{self.agent.ablation!r}; use with_ablation"
+            )
         for name in ("lambda_critic", "lambda_template", "lambda_object",
                      "lambda_entropy"):
             if getattr(self, name) < 0:
@@ -199,7 +208,6 @@ class StepRecord:
     seq_logits: list[nm.Tensor] = field(default_factory=list)
     seq_targets: list[int] = field(default_factory=list)
     seq_log_prob: nm.Tensor | None = None
-    seq_len: int = 0
     seq_executed_valid: bool = False
 
 
@@ -210,8 +218,44 @@ class RolloutBatch:
     degraded_workers: int = 0
 
 
+class Episode:
+    """One episode's belief loop: engine state and observation, the graph
+    built from them, encoder hiddens and the last action.  Call ``observe``
+    once before each ``act``."""
+
+    def __init__(self, spec: engine.GameSpec, seed: int,
+                 gru_hidden: int = AgentConfig.gru_hidden):
+        self.spec = spec
+        self.state, self.obs = engine.reset(spec, seed)
+        self.graph = kg.KnowledgeGraph()
+        self.enc = EncoderState.zeros(gru_hidden)
+        self.prev_action = engine.SENTINEL_PREV_ACTION
+        self.done = False
+
+    def observe(
+        self, vocabulary: tuple[str, ...], p_m: float, rng: random.Random | int
+    ) -> tuple[kg.GraphMask, tuple[str, ...]]:
+        """Detect objects, update the graph, then mask V by it; returns the
+        mask and the in-scope words."""
+        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
+        self.graph = kg.update_graph(
+            self.graph, self.obs, self.prev_action, self.state.room, detected,
+            self.spec, self.state.turn,
+        )
+        in_scope = engine.in_scope_words(self.state, self.spec)
+        mask = kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
+        return mask, in_scope
+
+    def act(self, action: str) -> int:
+        self.state, self.obs, reward, self.done = engine.step(
+            self.state, action, self.spec
+        )
+        self.prev_action = action
+        return reward
+
+
 class Worker:
-    """One environment pipeline: engine, graph, oracle cache, encoder state."""
+    """One environment pipeline: an episode, its RNGs, the memoized step."""
 
     def __init__(self, idx: int, pipeline: "Pipeline", cfg: TrainConfig):
         self.idx = idx
@@ -220,33 +264,22 @@ class Worker:
         self.rng = np.random.default_rng(cfg.seed * 10_007 + idx)
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
+        self.pending: dict | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
-        self.state, self.obs = engine.reset(self.pipe.spec, self.cfg.seed + self.idx)
-        self.graph = kg.KnowledgeGraph()
-        self.enc = EncoderState.zeros(self.cfg.agent.gru_hidden)
-        self.prev_action = engine.SENTINEL_PREV_ACTION
-        self.score = 0
-        self.pending: dict | None = None
+        self.ep = Episode(self.pipe.spec, self.cfg.seed + self.idx,
+                          self.cfg.agent.gru_hidden)
 
     def prepare(self, agent: KgA2CAgent) -> dict:
         """Graph update, mask, valid set, state embedding and value for the
         current observation; memoized until the next step consumes it."""
         if self.pending is not None:
             return self.pending
-        pipe, cfg = self.pipe, self.cfg
-        detected = kg.detect_interactive_objects(self.obs, self.state, pipe.spec)
-        self.graph = kg.update_graph(
-            self.graph, self.obs, self.prev_action, self.state.room, detected,
-            pipe.spec, self.state.turn,
-        )
-        in_scope = engine.in_scope_words(self.state, pipe.spec)
-        mask = kg.graph_mask(
-            self.graph, pipe.space.vocabulary, cfg.p_m, self.mask_rng, in_scope
-        )
-        valid = pipe.valid_set(self.state, mask.words, in_scope)
-        s_t, enc2 = agent.state_embedding(self.obs, self.graph, self.enc)
+        pipe, ep = self.pipe, self.ep
+        mask, in_scope = ep.observe(pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
+        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        s_t, enc2 = agent.state_embedding(ep.obs, ep.graph, ep.enc)
         value = agent.critic_value(s_t)
         y_tau = np.zeros(len(pipe.space.templates))
         for tid in oracle.valid_templates(valid):
@@ -296,19 +329,14 @@ class Worker:
             action = dist.action
 
         record.executed_valid = action in prep["valid"]
-        self.state, self.obs, reward, done = engine.step(
-            self.state, action, self.pipe.spec
-        )
-        self.prev_action = action
-        self.enc = prep["enc2"]
-        self.score = self.state.score
-        record.reward = float(reward)
-        record.done = done
+        record.reward = float(self.ep.act(action))
+        record.done = self.ep.done
+        self.ep.enc = prep["enc2"]
         self.pipe.mask_violations += violations
 
         final_score: int | None = None
-        if done:
-            final_score = self.score
+        if record.done:
+            final_score = self.ep.state.score
             self._begin_episode()
         return record, final_score
 
@@ -326,7 +354,6 @@ class Worker:
         action = teacher if use_teacher else decoded
         record.seq_logits = logits_seq
         record.seq_log_prob = log_prob
-        record.seq_len = len(words)
         record.seq_executed_valid = bool(use_teacher or (decoded in valid))
         if teacher is not None:
             stop_id = len(self.pipe.space.vocabulary)
@@ -334,7 +361,7 @@ class Worker:
             for w in teacher.split()[: cfg.agent.max_seq_words]:
                 try:
                     ids.append(self.pipe.space.word_id(w))
-                except Exception:
+                except OutOfVocabularyError:
                     ids.append(stop_id)
             ids.append(stop_id)
             record.seq_targets = ids
@@ -395,6 +422,8 @@ def run_rollouts(
         except Exception:
             if cfg.workers == 1:
                 raise
+            log.exception("worker %d failed at state %s; dropping it",
+                          worker.idx, engine.digest(worker.ep.state))
             worker.failed = True
             degraded += 1
     return RolloutBatch(records, finished, degraded)
@@ -659,20 +688,11 @@ def evaluate(
         raise ValueError("episodes must be positive")
     rng = np.random.default_rng(seed)
     scores: list[int] = []
-    for ep in range(episodes):
-        state, obs = engine.reset(pipe.spec, seed + ep)
-        graph = kg.KnowledgeGraph()
-        enc = EncoderState.zeros(agent.cfg.gru_hidden)
-        prev = engine.SENTINEL_PREV_ACTION
-        done = False
-        while not done:
-            detected = kg.detect_interactive_objects(obs, state, pipe.spec)
-            graph = kg.update_graph(
-                graph, obs, prev, state.room, detected, pipe.spec, state.turn
-            )
-            in_scope = engine.in_scope_words(state, pipe.spec)
-            mask = kg.graph_mask(graph, pipe.space.vocabulary, 0.0, 0, in_scope)
-            s_t, enc = agent.state_embedding(obs, graph, enc)
+    for i in range(episodes):
+        ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
+        while not ep.done:
+            mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+            s_t, ep.enc = agent.state_embedding(ep.obs, ep.graph, ep.enc)
             if agent.cfg.ablation == "seq":
                 words, _, _ = agent.seq_decode(
                     s_t, rng, "sample" if mode == "sample" else "greedy"
@@ -685,9 +705,8 @@ def evaluate(
                 action = dist.action
                 if trace is not None:
                     trace.append(_trace_row(agent, dist, mask, action))
-            state, obs, _, done = engine.step(state, action, pipe.spec)
-            prev = action
-        scores.append(state.score)
+            ep.act(action)
+        scores.append(ep.state.score)
     mean = float(np.mean(scores))
     std = float(np.std(scores))
     return mean, std, scores
@@ -727,27 +746,18 @@ def random_valid_baseline(
     scores: list[int] = []
     steps = 0
     while steps < max_steps:
-        state, obs = engine.reset(spec, seed)
-        graph = kg.KnowledgeGraph()
-        prev = engine.SENTINEL_PREV_ACTION
-        done = False
-        while not done and steps < max_steps:
-            detected = kg.detect_interactive_objects(obs, state, spec)
-            graph = kg.update_graph(
-                graph, obs, prev, state.room, detected, spec, state.turn
-            )
-            in_scope = engine.in_scope_words(state, spec)
-            mask = kg.graph_mask(graph, pipe.space.vocabulary, cfg.p_m, mask_rng, in_scope)
-            valid = pipe.valid_set(state, mask.words, in_scope)
+        ep = Episode(spec, seed)
+        while not ep.done and steps < max_steps:
+            mask, in_scope = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
+            valid = pipe.valid_set(ep.state, mask.words, in_scope)
             if len(valid):
                 action = valid.actions[rng.integers(len(valid))]
             else:
                 action = "look"
-            state, obs, _, done = engine.step(state, action, spec)
-            prev = action
+            ep.act(action)
             steps += 1
-        if done:
-            scores.append(state.score)
+        if ep.done:
+            scores.append(ep.state.score)
     if not scores:
         scores = [0]
     return float(np.mean(scores)), scores

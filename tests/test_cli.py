@@ -1,0 +1,69 @@
+"""CLI exit codes: 0 success, 1 usage error, 2 runtime failure."""
+
+import io
+
+import pytest
+
+from kga2c import bundled_corpus_lines, cli, numerics as nm, trainer
+from kga2c.agent import KgA2CAgent
+
+
+def _save_checkpoint(spec, ablation, path):
+    cfg = trainer.TrainConfig().with_ablation(ablation)
+    pipe = trainer.build_pipeline(spec, bundled_corpus_lines(), cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent)
+    nm.save_checkpoint(agent.params, path)
+    return agent
+
+
+def test_malformed_valid_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("{}\n")
+    assert cli.main(["inspect", "valid-trace", str(path)]) == 2
+    assert "KeyError" in capsys.readouterr().err
+
+
+def test_bad_flag_exits_1(capsys):
+    assert cli.main(["train", "--game", "corridor", "--no-such-flag"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_inspect_checkpoint_exits_0(corridor, tmp_path, capsys):
+    path = tmp_path / "checkpoint.bin"
+    agent = _save_checkpoint(corridor, "full", path)
+    assert cli.main(["inspect", "checkpoint", str(path)]) == 0
+    out = capsys.readouterr().out
+    total = sum(agent.params[n].data.size for n in agent.params.names())
+    assert out.splitlines()[-1].split() == ["total", str(total)]
+    assert "dec.tmpl.W" in out and "tdqn" not in out
+
+
+def test_eval_refuses_checkpoint_of_another_ablation(corridor, tmp_path, capsys):
+    path = tmp_path / "seq.bin"
+    _save_checkpoint(corridor, "seq", path)
+    argv = ["eval", "--game", "corridor", "--checkpoint", str(path), "--episodes", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'dec.ctx.W' is missing" in err and "'full'" in err
+
+
+def test_agent_refuses_unexpected_parameter(corridor, tmp_path):
+    path = tmp_path / "old.bin"
+    agent = _save_checkpoint(corridor, "full", path)
+    params = nm.load_checkpoint(path)
+    params.add("tdqn.tmpl.W", (4, 4))
+    with pytest.raises(ValueError, match="'tdqn.tmpl.W' is unexpected"):
+        KgA2CAgent(agent.space, agent.model, agent.cfg, params=params)
+    params = nm.load_checkpoint(path)
+    params.tensors["critic.b1"] = nm.Tensor(params["critic.b1"].data[:3])
+    with pytest.raises(ValueError, match="'critic.b1' has shape"):
+        KgA2CAgent(agent.space, agent.model, agent.cfg, params=params)
+
+
+def test_scripted_play_session(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("take key\n:graph\n:quit\n"))
+    assert cli.main(["play", "--game", "microzork"]) == 0
+    out = capsys.readouterr().out
+    assert "Taken." in out
+    assert "digraph" in out
+    assert '"you" -> "key" [label="have"];' in out

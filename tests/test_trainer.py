@@ -1,0 +1,117 @@
+"""Trainer: fixed-seed determinism, per-ablation smoke runs and parameters,
+loud worker failures, and the episode belief loop."""
+
+import logging
+import math
+from dataclasses import replace
+
+import pytest
+
+from kga2c import engine, tokenizer as tok, trainer
+from kga2c.agent import ABLATIONS, KgA2CAgent
+
+SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
+
+
+@pytest.fixture(scope="module")
+def short_corridor(corridor):
+    return replace(corridor, turn_cap=30)
+
+
+def _run(spec, corpus, cfg, updates):
+    """(pipeline, agent, train_step rows, rollout batches) of a short run."""
+    pipe = trainer.build_pipeline(spec, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    rows, batches = [], []
+    for _ in range(updates):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+        rows.append(trainer.train_step(batch, agent, cfg))
+        batches.append(batch)
+    return pipe, agent, rows, batches
+
+
+def test_fixed_seed_rows_are_bitwise_identical(short_corridor, corpus):
+    _, _, first, _ = _run(short_corridor, corpus, SMALL, 3)
+    _, _, second, _ = _run(short_corridor, corpus, SMALL, 3)
+    assert first == second
+    _, _, other, _ = _run(short_corridor, corpus, replace(SMALL, seed=6), 3)
+    assert other != first
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_two_update_smoke_run(short_corridor, corpus, ablation):
+    cfg = SMALL.with_ablation(ablation)
+    pipe, agent, rows, batches = _run(short_corridor, corpus, cfg, 2)
+    for row in rows:
+        losses = [v for k, v in row.items() if k.startswith("loss_")]
+        assert losses and all(math.isfinite(v) for v in losses)
+    assert all(b.degraded_workers == 0 for b in batches)
+    mean, _, scores = trainer.evaluate(agent, pipe, 1, seed=cfg.seed)
+    assert len(scores) == 1 and 0 <= mean <= short_corridor.max_score
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_parameters_per_ablation(microzork_space, ablation):
+    model = tok.train_unigram(["take key", "go north"], 64)
+    agent = KgA2CAgent(microzork_space, model, replace(SMALL.agent, ablation=ablation))
+    names = agent.params.names()
+    assert not any(n.startswith("tdqn.") for n in names)
+    assert any(n.startswith("seq.") for n in names) == (ablation == "seq")
+    assert any(n.startswith("dec.") for n in names) == (ablation != "seq")
+
+
+@pytest.mark.parametrize("ablation", ["a2c", "no-gat"])
+def test_gatless_ablations_never_embed_the_graph(
+    short_corridor, corpus, ablation, monkeypatch
+):
+    def forbidden(self, graph):
+        raise AssertionError("gat_embed called under " + ablation)
+
+    monkeypatch.setattr(KgA2CAgent, "gat_embed", forbidden)
+    cfg = SMALL.with_ablation(ablation)
+    pipe, agent, rows, _ = _run(short_corridor, corpus, cfg, 2)
+    assert len(rows) == 2
+    trainer.evaluate(agent, pipe, 1)
+
+
+def test_ablation_must_match_agent():
+    with pytest.raises(ValueError, match="with_ablation"):
+        trainer.TrainConfig(ablation="seq")
+    assert trainer.TrainConfig().with_ablation("seq").agent.ablation == "seq"
+
+
+def test_failing_worker_is_logged_and_dropped(short_corridor, corpus, caplog):
+    pipe = trainer.build_pipeline(short_corridor, corpus, SMALL)
+    cfg = replace(SMALL, workers=3)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+
+    def broken(agent):
+        raise RuntimeError("engine exploded")
+
+    workers[1].step = broken
+    with caplog.at_level(logging.ERROR, logger="kga2c.trainer"):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+    assert batch.degraded_workers == 1
+    assert sorted({r.worker for r in batch.records}) == [0, 2]
+    assert len(batch.records) == 2 * cfg.unroll
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1
+    message = errors[0].getMessage()
+    assert "worker 1" in message
+    assert engine.digest(workers[1].ep.state) in message
+    assert "engine exploded" in errors[0].exc_text
+
+
+def test_episode_observe_at_microzork_start(microzork, microzork_space):
+    ep = trainer.Episode(microzork, 0)
+    mask, in_scope = ep.observe(microzork_space.vocabulary, 0.0, 0)
+    assert ("field", "has", "key") in ep.graph.triples
+    assert "key" in mask
+    assert "key" in in_scope
+    assert ep.prev_action == "<start>" and not ep.done
+    ep.act("take key")
+    assert ep.prev_action == "take key"
+    ep.observe(microzork_space.vocabulary, 0.0, 0)
+    assert ("you", "have", "key") in ep.graph.triples
