@@ -662,6 +662,20 @@ def _parser_index(spec: GameSpec) -> dict[str, list[Template]]:
     return index
 
 
+def parser_words(spec: GameSpec) -> frozenset[str]:
+    """Every word the parser can read outside an object span (cached on the
+    spec): the verb and preposition words of the game and builtin templates,
+    the articles it strips from spans, and the ``go <direction>`` words."""
+    words = getattr(spec, "_parser_words", None)
+    if words is None:
+        found: set[str] = set(_ARTICLES) | {"go"} | set(DIRECTIONS)
+        for template in tuple(spec.templates) + _get_builtins():
+            found |= template.words()
+        words = frozenset(found)
+        object.__setattr__(spec, "_parser_words", words)
+    return words
+
+
 def _strip_articles(words: Sequence[str]) -> tuple[str, ...]:
     return tuple(w for w in words if w not in _ARTICLES)
 

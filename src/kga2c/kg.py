@@ -24,22 +24,18 @@ _WORD = re.compile(r"[a-z][a-z'-]*")
 
 
 class KnowledgeGraph:
-    """Triple store with a distinguished "you" node and per-node provenance."""
+    """Triple store with a distinguished "you" node."""
 
     def __init__(self) -> None:
         self.triples: set[tuple[str, str, str]] = set()
-        self.provenance: dict[str, tuple[str, int]] = {YOU: ("init", 0)}
 
     def copy(self) -> "KnowledgeGraph":
         g = KnowledgeGraph()
         g.triples = set(self.triples)
-        g.provenance = dict(self.provenance)
         return g
 
-    def add(self, subj: str, rel: str, obj: str, rule: str, step: int) -> None:
+    def add(self, subj: str, rel: str, obj: str) -> None:
         self.triples.add((subj, rel, obj))
-        for node in (subj, obj):
-            self.provenance.setdefault(node, (rule, step))
 
     def discard(self, subj: str, rel: str, obj: str) -> None:
         self.triples.discard((subj, rel, obj))
@@ -149,7 +145,6 @@ def update_graph(
     current_room: str,
     detected: list[str],
     spec: engine.GameSpec,
-    step_no: int = 0,
 ) -> KnowledgeGraph:
     """Apply the update rules for one new observation; returns a new graph.
 
@@ -162,28 +157,28 @@ def update_graph(
     prev_room = _current_room_node(graph)
     direction = _movement_direction(prev_action)
     if direction and prev_room is not None and prev_room != room:
-        g.add(prev_room, direction, room, "navigation", step_no)
+        g.add(prev_room, direction, room)
 
     for s, r, o in list(g.triples):
         if s == YOU and r == "in":
             g.discard(s, r, o)
-    g.add(YOU, "in", room, "location", step_no)
+    g.add(YOU, "in", room)
 
     inventory_words = set(_tagged_words(obs.o_inv, spec))
     for word in detected:
         if word in inventory_words:
-            g.add(YOU, "have", word, "inventory", step_no)
+            g.add(YOU, "have", word)
             g.discard(room, "has", word)
         else:
             if word != room:
-                g.add(room, "has", word, "interactive", step_no)
-            g.add(YOU, "surrounded_by", word, "interactive", step_no)
+                g.add(room, "has", word)
+            g.add(YOU, "surrounded_by", word)
     for word in sorted(inventory_words):
-        g.add(YOU, "have", word, "inventory", step_no)
+        g.add(YOU, "have", word)
         g.discard(room, "has", word)
 
     for subj, rel, obj in _clause_triples(obs.o_desc, room, spec):
-        g.add(subj, rel, obj, "clause", step_no)
+        g.add(subj, rel, obj)
     return g
 
 
@@ -284,5 +279,5 @@ def import_triples(text: str) -> KnowledgeGraph:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        g.add(parts[0], parts[1], parts[2], "import", 0)
+        g.add(parts[0], parts[1], parts[2])
     return g

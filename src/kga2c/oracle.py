@@ -2,15 +2,31 @@
 
 An action is valid in a state iff executing it changes the canonical state
 digest.  The oracle enumerates canonical template instantiations over a
-candidate word set, probes each one against a scratch copy of the state, and
-returns exactly the world-changing ones, leaving the caller's state untouched.
+candidate word set, probes each one against the state with the render-free
+``engine.step_core``, and returns exactly the world-changing ones, leaving
+the caller's state untouched.
+
+Only fillers that can change the world are probed: the candidates whose
+every token is an in-scope word (``engine.in_scope_words``, computed here
+from the state) or a parser word (``engine.parser_words``).  A token of a
+world-changing command lands in one of three places, and each is covered:
+
+* an object span, which resolves only to the reference words of an in-scope
+  object, so an out-of-scope word never changes the world there;
+* a fixed verb or preposition token, or the ``go <direction>`` rewrite,
+  whose words are all parser words;
+* an article stripped from a span, and the articles are parser words.
+
+So every pruned grounding leaves the world unchanged, and the product over
+the kept words, in candidate order, keeps the order of the groundings that
+survive: the result equals probing every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import engine
 from .templates import ActionSpace, OutOfVocabularyError
@@ -34,6 +50,25 @@ class ValidSet:
         return action in self.actions
 
 
+def probe_words(
+    state: engine.WorldState,
+    spec: engine.GameSpec,
+    space: ActionSpace,
+    candidates: Iterable[str] | None = None,
+) -> tuple[str, ...]:
+    """The candidate words (default: full V, else sorted) that can change the
+    world in ``state``, in candidate order.  Raises on a word outside V."""
+    if candidates is None:
+        words: Iterable[str] = space.vocabulary
+    else:
+        words = sorted(set(candidates))
+        for w in words:
+            if w not in space.word_ids:
+                raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
+    keep = engine.parser_words(spec).union(engine.in_scope_words(state, spec))
+    return tuple(w for w in words if keep.issuperset(w.lower().split()))
+
+
 def valid_actions(
     state: engine.WorldState,
     spec: engine.GameSpec,
@@ -41,21 +76,16 @@ def valid_actions(
     candidates: Iterable[str] | None = None,
     budget: int | None = DEFAULT_PROBE_BUDGET,
 ) -> ValidSet:
-    """Probe every canonical instantiation over `candidates` (default: full V).
+    """Probe every canonical instantiation over the ``probe_words`` of
+    ``candidates`` (default: full V).
 
-    The probe budget bounds latency; when it is hit the result is flagged
-    truncated rather than failing.  The engine state is unchanged on return.
+    The probe budget bounds the groundings tried, and so latency; when it is
+    hit the result is flagged truncated rather than failing.  The engine
+    state is unchanged on return.
     """
-    if candidates is None:
-        words: tuple[str, ...] = space.vocabulary
-    else:
-        vocab = set(space.vocabulary)
-        words = tuple(sorted(set(candidates)))
-        for w in words:
-            if w not in vocab:
-                raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
+    words = probe_words(state, spec, space, candidates)
 
-    # Snapshot guards the caller's state; step is pure, and the trailing
+    # Snapshot guards the caller's state; step_core is pure, and the trailing
     # assert plus the guard re-check make non-perturbation observable.
     guard = engine.snapshot(state)
     before = engine.digest(state)
@@ -78,8 +108,9 @@ def valid_actions(
             action = space.instantiate(tid, list(combo))
             if action in seen:
                 continue
-            after, _, _, _ = engine.step(state, action, spec)
-            if engine.world_changed(before, engine.digest(after)):
+            # step_core counts a step valid exactly when the digest changed.
+            after, _, _, _ = engine.step_core(state, action, spec)
+            if after.valid_steps != state.valid_steps:
                 seen.add(action)
                 actions.append(action)
                 template_ids.append(tid)

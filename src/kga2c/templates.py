@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Container, Iterable, Sequence
 
 BLANK = "OBJ"
 
@@ -201,7 +202,7 @@ def canonicalize(t: Template, freq: FrequencyTable) -> Template:
 
 
 def instantiate(
-    t: Template, objects: Sequence[str], vocabulary: set[str] | None = None
+    t: Template, objects: Sequence[str], vocabulary: Container[str] | None = None
 ) -> str:
     """Fill the template's blanks, in order, with the given words."""
     if len(objects) != t.blanks:
@@ -231,8 +232,9 @@ class ActionSpace:
                     f"template {t.pattern!r} uses words outside V: {sorted(missing)}"
                 )
 
-    @property
+    @cached_property
     def word_ids(self) -> dict[str, int]:
+        """Word -> id; built once per space and shared, so do not mutate it."""
         return {w: i for i, w in enumerate(self.vocabulary)}
 
     def word_id(self, word: str) -> int:
@@ -242,9 +244,7 @@ class ActionSpace:
             raise OutOfVocabularyError(f"word not in vocabulary: {word!r}") from None
 
     def instantiate(self, template_id: int, objects: Sequence[str]) -> str:
-        return instantiate(
-            self.templates[template_id], objects, set(self.vocabulary)
-        )
+        return instantiate(self.templates[template_id], objects, self.word_ids)
 
 
 def build_action_space(

@@ -39,6 +39,9 @@ METRIC_KEYS = (
     "loss_template", "loss_object", "loss_entropy", "loss_seq_valid",
     "grad_norm", "mean_score", "mean_valid_actions", "mean_mask_size",
     "mask_violations", "sampled_valid_rate", "seq_valid_rate",
+    # health counters, per update except the cache size
+    "degraded_workers", "valid_cache_hit_rate", "valid_cache_entries",
+    "oracle_truncated",
 )
 
 
@@ -240,7 +243,7 @@ class Episode:
         detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
         self.graph = kg.update_graph(
             self.graph, self.obs, self.prev_action, self.state.room, detected,
-            self.spec, self.state.turn,
+            self.spec,
         )
         in_scope = engine.in_scope_words(self.state, self.spec)
         mask = kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
@@ -379,16 +382,26 @@ class Pipeline:
         self.probe_budget = probe_budget
         self._valid_cache: dict[tuple, oracle.ValidSet] = {}
         self.mask_violations = 0
+        self.valid_hits = 0
+        self.valid_misses = 0
+        self.oracle_truncated = 0
 
     def valid_set(self, state, mask_words, in_scope) -> oracle.ValidSet:
+        """The valid set over the mask and in-scope words, cached on the
+        words the oracle would probe: candidates it prunes split no entries."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
-        key = (engine.digest(state), candidates)
+        words = oracle.probe_words(state, self.spec, self.space, candidates)
+        key = (engine.digest(state), words)
         hit = self._valid_cache.get(key)
-        if hit is None:
-            hit = oracle.valid_actions(
-                state, self.spec, self.space, candidates, self.probe_budget
-            )
-            self._valid_cache[key] = hit
+        if hit is not None:
+            self.valid_hits += 1
+            return hit
+        self.valid_misses += 1
+        hit = oracle.valid_actions(
+            state, self.spec, self.space, words, self.probe_budget
+        )
+        self.oracle_truncated += hit.truncated
+        self._valid_cache[key] = hit
         return hit
 
 
@@ -629,7 +642,11 @@ def train(
     last_mean_score = 0.0
     try:
         for update in range(cfg.updates):
+            hits, misses, truncated = (
+                pipe.valid_hits, pipe.valid_misses, pipe.oracle_truncated)
             batch = run_rollouts(workers, agent, cfg)
+            hits = pipe.valid_hits - hits
+            requests = hits + pipe.valid_misses - misses
             steps += len(batch.records)
             episodes += len(batch.episodes_finished)
             if batch.episodes_finished:
@@ -641,6 +658,10 @@ def train(
                 episodes=episodes,
                 mean_score=last_mean_score,
                 mask_violations=pipe.mask_violations,
+                degraded_workers=batch.degraded_workers,
+                valid_cache_hit_rate=hits / requests if requests else 0.0,
+                valid_cache_entries=len(pipe._valid_cache),
+                oracle_truncated=pipe.oracle_truncated - truncated,
             )
             row = {k: row[k] for k in METRIC_KEYS}
             metrics.append(row)

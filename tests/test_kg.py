@@ -118,12 +118,12 @@ class TestUpdateGraph:
         graph = KnowledgeGraph()
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, spec)
-        graph = update_graph(graph, obs, prev, state.room, detected, spec, 0)
+        graph = update_graph(graph, obs, prev, state.room, detected, spec)
         for i, action in enumerate(actions, start=1):
             state, obs, _, _ = step(state, action, spec)
             detected = detect_interactive_objects(obs, state, spec)
             graph = update_graph(
-                graph, obs, action, state.room, detected, spec, i
+                graph, obs, action, state.room, detected, spec
             )
         return state, obs, graph
 
@@ -146,7 +146,7 @@ class TestUpdateGraph:
         state, obs, graph = self.walk(microzork, ["look"])
         detected = detect_interactive_objects(obs, state, microzork)
         again = update_graph(
-            graph, obs, "look", state.room, detected, microzork, 99
+            graph, obs, "look", state.room, detected, microzork
         )
         assert again == graph
 
@@ -160,13 +160,13 @@ class TestUpdateGraph:
         graph = KnowledgeGraph()
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, microzork)
-        graph = update_graph(graph, obs, prev, state.room, detected, microzork, 0)
+        graph = update_graph(graph, obs, prev, state.room, detected, microzork)
         actions = ["take key", "north", "north", "open chest with key", "take coin"]
         for i, action in enumerate(actions, start=1):
             state, obs, _, _ = step(state, action, microzork)
             detected = detect_interactive_objects(obs, state, microzork)
             new_graph = update_graph(
-                graph, obs, action, state.room, detected, microzork, i
+                graph, obs, action, state.room, detected, microzork
             )
             removed = graph.triples - new_graph.triples
             for s, r, o in removed:
@@ -209,7 +209,7 @@ class TestGraphMask:
     def graph_with(self, *entities):
         g = KnowledgeGraph()
         for e in entities:
-            g.add("you", "surrounded_by", e, "test", 0)
+            g.add("you", "surrounded_by", e)
         return g
 
     def test_pm_zero_exact(self, microzork_space):
@@ -267,8 +267,8 @@ class TestExport:
 
     def test_triples_sorted_lines(self):
         g = KnowledgeGraph()
-        g.add("kitchen", "down", "cellar", "nav", 1)
-        g.add("you", "in", "kitchen", "loc", 1)
+        g.add("kitchen", "down", "cellar")
+        g.add("you", "in", "kitchen")
         text = export_graph(g, "triples")
         assert text.splitlines() == sorted(text.splitlines())
         assert "kitchen\tdown\tcellar" in text
@@ -282,7 +282,6 @@ class TestExport:
             state.room,
             detect_interactive_objects(obs, state, microzork),
             microzork,
-            0,
         )
         assert import_triples(export_graph(g, "triples")) == g
 
@@ -301,7 +300,6 @@ class TestExport:
                 state.room,
                 detect_interactive_objects(obs, state, microzork),
                 microzork,
-                0,
             )
             outs.add(export_graph(g, "dot"))
         assert len(outs) == 1

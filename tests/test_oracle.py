@@ -1,17 +1,22 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kga2c import engine, oracle
-from kga2c.engine import digest, reset, step
-from kga2c.templates import OutOfVocabularyError
+from kga2c import bundled_game_text, engine, oracle, trainer
+from kga2c.engine import digest, load_game, reset, step
+from kga2c.templates import (FrequencyTable, OutOfVocabularyError,
+                             action_space_size, build_action_space)
 
 
-def brute_force_valid(state, spec, space, words):
+def brute_force_map(state, spec, space, words):
     """Independent enumeration: every template grounding over `words`,
-    validity = digest change. The reference the oracle must match."""
+    validity = digest change after a full ``engine.step``.  Maps each valid
+    action to the (template id, fillers) that first produce it.  The
+    reference the oracle must match."""
     before = digest(state)
-    found = []
+    found = {}
     seen = set()
     for tid, template in enumerate(space.templates):
         for combo in product(words, repeat=template.blanks):
@@ -21,8 +26,26 @@ def brute_force_valid(state, spec, space, words):
             seen.add(action)
             after, _, _, _ = step(state, action, spec)
             if digest(after) != before:
-                found.append(action)
-    return sorted(found)
+                found[action] = (tid, combo)
+    return found
+
+
+def brute_force_valid(state, spec, space, words):
+    return sorted(brute_force_map(state, spec, space, words))
+
+
+def as_map(valid):
+    return {a: (t, f) for a, t, f in zip(valid.actions, valid.template_ids,
+                                         valid.fillers)}
+
+
+@pytest.fixture(scope="module")
+def spaces(microzork, corridor, pantry, corpus):
+    freq = FrequencyTable.from_lines(corpus)
+    return {
+        spec.name: (spec, build_action_space(spec.templates, spec.vocabulary, freq))
+        for spec in (microzork, corridor, pantry)
+    }
 
 
 class TestValidActions:
@@ -172,3 +195,78 @@ class TestCompleteness:
             state, microzork, microzork_space, microzork_space.vocabulary
         )
         assert sorted(valid.actions) == expected
+
+
+class TestPruning:
+    """Probing only in-scope and parser words gives the brute-force result."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        game=st.sampled_from(["microzork", "corridor", "pantry"]),
+        seed=st.integers(0, 2**32 - 1),
+        walk=st.integers(0, 12),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_equals_brute_force_on_random_walks(self, spaces, game, seed, walk,
+                                                share):
+        spec, space = spaces[game]
+        rng = random.Random(seed)
+        state, _ = reset(spec, 0)
+        for _ in range(walk):
+            moves = oracle.valid_actions(
+                state, spec, space, engine.in_scope_words(state, spec)
+            ).actions
+            action = rng.choice(moves) if moves else "look"
+            state, _, _, _ = step(state, action, spec)
+        words = [w for w in space.vocabulary if rng.random() < share]
+        valid = oracle.valid_actions(state, spec, space, words)
+        assert not valid.truncated
+        assert as_map(valid) == brute_force_map(state, spec, space, sorted(words))
+
+    def test_go_direction_template_is_kept(self, corpus):
+        # "north" is no object's word: pruning to in-scope words alone
+        # would never probe "go north".
+        text = bundled_game_text("microzork") + (
+            "\n[template]\npattern: go OBJ\n"
+            "\n[template]\npattern: [put] OBJ [in] OBJ\n"
+        )
+        spec = load_game(text)
+        space = build_action_space(
+            spec.templates, spec.vocabulary, FrequencyTable.from_lines(corpus)
+        )
+        go = [t.pattern for t in space.templates].index("go OBJ")
+        state, _ = reset(spec, 0)
+        valid = oracle.valid_actions(state, spec, space, budget=None)
+        assert as_map(valid)["go north"] == (go, ("north",))
+        assert as_map(valid) == brute_force_map(state, spec, space, space.vocabulary)
+
+    def test_probes_fewer_than_groundings_without_rendering(
+        self, microzork, microzork_space, monkeypatch
+    ):
+        calls = []
+        for name in ("step", "step_core"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(
+                engine, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a)
+            )
+        state, _ = reset(microzork, 0)
+        oracle.valid_actions(state, microzork, microzork_space, budget=None)
+        assert "step" not in calls
+        assert 0 < calls.count("step_core") < action_space_size(microzork_space)
+
+    def test_pruned_words_share_a_cache_entry(self, microzork, corpus, monkeypatch):
+        pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
+        state, _ = reset(microzork, 0)
+        in_scope = engine.in_scope_words(state, microzork)
+        assert "chest" not in in_scope
+        assert "chest" not in engine.parser_words(microzork)
+        calls = []
+        real = oracle.valid_actions
+        monkeypatch.setattr(
+            oracle, "valid_actions", lambda *a: calls.append(a) or real(*a)
+        )
+        first = pipe.valid_set(state, {"key"}, in_scope)
+        second = pipe.valid_set(state, {"key", "chest"}, in_scope)
+        assert len(calls) == 1
+        assert second is first
+        assert (pipe.valid_hits, pipe.valid_misses) == (1, 1)

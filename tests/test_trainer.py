@@ -1,6 +1,8 @@
 """Trainer: fixed-seed determinism, per-ablation smoke runs and parameters,
 loud worker failures, and the episode belief loop."""
 
+import csv
+import json
 import logging
 import math
 from dataclasses import replace
@@ -115,3 +117,25 @@ def test_episode_observe_at_microzork_start(microzork, microzork_space):
     assert ep.prev_action == "take key"
     ep.observe(microzork_space.vocabulary, 0.0, 0)
     assert ("you", "have", "key") in ep.graph.triples
+
+
+def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
+    cfg = replace(SMALL, updates=2, eval_episodes=1)
+    result = trainer.train(short_corridor, corpus, cfg, out_dir=tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert len(rows) == 2
+    assert all(set(row) == set(trainer.METRIC_KEYS) for row in rows)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == list(trainer.METRIC_KEYS)
+    for row in rows:
+        assert row["degraded_workers"] == 0
+        assert row["oracle_truncated"] == 0
+        assert 0.0 <= row["valid_cache_hit_rate"] <= 1.0
+    pipe = result.pipeline
+    assert rows[-1]["valid_cache_entries"] == len(pipe._valid_cache) == pipe.valid_misses
+    assert rows[0]["valid_cache_entries"] <= rows[1]["valid_cache_entries"]
+    # the counters ride along: train_step's own fields are unchanged
+    _, _, step_rows, _ = _run(short_corridor, corpus, cfg, 2)
+    for row, step_row in zip(rows, step_rows):
+        assert {k: row[k] for k in step_row} == step_row
