@@ -1,12 +1,14 @@
 """The knowledge-graph actor-critic network.
 
 Four GRU observation encoders (one per text channel, hidden carried across
-steps), a multi-head graph-attention embedding of the belief graph, a binary
-score encoding, and a graph-masked two-stage action decoder (template head,
-then a shared object GRU conditioned by attention over everything decoded so
-far).  A critic head shares the same state embedding.  The ``seq``
-ablation swaps the template decoder for a word-by-word one; each ablation
-allocates only the parameters it uses.
+steps), a dense multi-head graph-attention embedding of the belief graph
+(Velickovic et al. 2018, arXiv 1710.10903: per head one projection, one N x N
+score matrix and one row-wise masked softmax), a binary score encoding, and
+a graph-masked two-stage action decoder (template head, then a shared object
+GRU conditioned by attention over everything decoded so far).  A critic head
+shares the same state embedding.  The ``seq`` ablation swaps the template
+decoder for a word-by-word one; each ablation allocates only the parameters
+it uses.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class KgA2CAgent:
             self._check_params(params)
         self.params = params if params is not None else self._build(seed)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
-        self._feature_cache: dict[tuple, nm.Tensor] = {}
 
     # -- parameters ------------------------------------------------------
 
@@ -224,80 +225,53 @@ class KgA2CAgent:
         )
         return o_t, EncoderState(new_hiddens)
 
-    def clear_step_caches(self) -> None:
-        """Drop cached feature subgraphs; call after every parameter update."""
-        self._feature_cache: dict[tuple, nm.Tensor] = {}
-
-    def _node_feature(self, node: str, graph: KnowledgeGraph) -> nm.Tensor:
-        """Average subword embeddings of the entity plus the averaged
-        embeddings of its incoming relations.  Cached per parameter version:
-        the same node with the same incoming relations repeats across workers
-        and steps within one update, and sharing the subgraph accumulates
-        gradient correctly."""
-        rels = tuple(sorted(rel for _, rel, o in graph.in_edges(node)))
-        key = (node, rels)
-        cached = self._feature_cache.get(key)
-        if cached is not None:
-            return cached
-        emb = self.params["emb"]
-        ids = self._token_ids(node)
-        ent = (
-            nm.mean(nm.embedding(emb, ids), axis=0)
-            if ids
-            else nm.Tensor(np.zeros(self.cfg.emb_dim))
-        )
-        rel_vecs = []
-        for rel in rels:
-            rel_ids = self._token_ids(rel.replace("_", " "))
-            if rel_ids:
-                rel_vecs.append(nm.mean(nm.embedding(emb, rel_ids), axis=0))
-        feat = nm.add(ent, nm.mean(nm.stack0(rel_vecs), axis=0)) if rel_vecs else ent
-        self._feature_cache[key] = feat
-        return feat
-
     def gat_embed(self, graph: KnowledgeGraph) -> nm.Tensor:
-        """Multi-head attention over the graph neighbourhood (directed edges
-        plus self-loops), head outputs concatenated, mean-pooled over nodes,
-        then one linear layer under tanh.
+        """Dense multi-head graph attention (Velickovic et al. 2018, arXiv
+        1710.10903) over the graph's nodes, head outputs mean-pooled over
+        nodes and concatenated, then one linear layer under tanh.
 
-        e_ij = LeakyReLU(p . (W h_i (+) W h_j)) is computed as
-        p[:F] . u_i + p[F:] . u_j, which is the same bilinear form without
-        per-edge concatenation.
+        A node's feature averages the subword embeddings of its name, plus
+        the mean over its incoming triples of each relation's averaged
+        embeddings.  Node i attends to itself and to the subject of every
+        triple whose object it is.  Per head k, with u = feats @ W_k, the
+        score e_ij = LeakyReLU(p . (u_i (+) u_j)) is computed for all pairs
+        at once as column(u @ p[:F]) + u @ p[F:], a row-wise masked softmax
+        over the adjacency turns it into alpha, and the head's node outputs
+        are sigmoid(alpha @ u).
         """
         cfg = self.cfg
         p = self.params
         nodes = sorted(graph.nodes())
-        feats = nm.stack0([self._node_feature(n, graph) for n in nodes])
         index = {n: i for i, n in enumerate(nodes)}
-        neighbors: list[list[int]] = [[i] for i in range(len(nodes))]
-        for s, _, o in sorted(graph.triples):
-            j, i = index[s], index[o]
-            if j not in neighbors[i]:
-                neighbors[i].append(j)
+        adj = np.eye(len(nodes), dtype=bool)  # adj[i, j]: node i attends to j
+        incoming: list[list[str]] = [[] for _ in nodes]
+        # sorted: set order follows the hash seed, and the sums below must not
+        for s, rel, o in sorted(graph.triples):
+            adj[index[o], index[s]] = True
+            incoming[index[o]].append(rel)
+        avg = np.zeros((len(nodes), len(self.model)))  # feats = avg @ emb
+        for i, node in enumerate(nodes):
+            ids = self._token_ids(node)
+            if ids:
+                np.add.at(avg[i], list(ids), 1.0 / len(ids))
+            rels = [r for r in (self._token_ids(rel.replace("_", " "))
+                                for rel in incoming[i]) if r]
+            for r in rels:
+                np.add.at(avg[i], list(r), 1.0 / (len(r) * len(rels)))
+        pieces = np.flatnonzero(avg.any(axis=0))
+        feats = nm.matmul(nm.Tensor(avg[:, pieces]), nm.embedding(p["emb"], pieces))
 
-        per_head: list[list[nm.Tensor]] = []
+        heads = []
         dim = cfg.emb_dim
         for k in range(cfg.gat_heads):
             u = nm.matmul(feats, p[f"gat.h{k}.W"])  # (N, F)
             pk = p[f"gat.h{k}.p"]
             a_self = nm.matmul(u, nm.slice1d(pk, 0, dim))  # (N,)
             a_peer = nm.matmul(u, nm.slice1d(pk, dim, 2 * dim))  # (N,)
-            outs = []
-            for i in range(len(nodes)):
-                nbrs = neighbors[i]
-                e = nm.leaky_relu(
-                    nm.add(nm.gather(a_peer, nbrs), nm.pick(a_self, i)),
-                    cfg.leaky_slope,
-                )
-                alpha = nm.softmax(e)
-                outs.append(nm.sigmoid(nm.matmul(alpha, nm.embedding(u, nbrs))))
-            per_head.append(outs)
-
-        per_node = [
-            nm.concat([per_head[k][i] for k in range(cfg.gat_heads)])
-            for i in range(len(nodes))
-        ]
-        pooled = nm.mean(nm.stack0(per_node), axis=0)
+            e = nm.leaky_relu(nm.add(nm.column(a_self), a_peer), cfg.leaky_slope)
+            alpha = nm.softmax(e, mask=adj)  # (N, N)
+            heads.append(nm.mean(nm.sigmoid(nm.matmul(alpha, u)), axis=0))
+        pooled = nm.concat(heads)
         return nm.tanh(nm.add(nm.matmul(pooled, p["gat.out.W"]), p["gat.out.b"]))
 
     def state_embedding(

@@ -50,9 +50,6 @@ class KnowledgeGraph:
     def entities(self) -> set[str]:
         return self.nodes() - {YOU}
 
-    def in_edges(self, node: str) -> list[tuple[str, str, str]]:
-        return sorted(t for t in self.triples if t[2] == node)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, KnowledgeGraph) and self.triples == other.triples
 

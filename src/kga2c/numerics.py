@@ -47,9 +47,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -317,6 +314,17 @@ def row(x: Tensor, i: int) -> Tensor:
     return _make(x.data[i], (x,), backward)
 
 
+def column(x: Tensor) -> Tensor:
+    """A vector as an (n, 1) matrix, which broadcasts across columns."""
+    if x.data.ndim != 1:
+        raise ShapeError("column expects a vector")
+
+    def backward(g, grads):
+        grads[0] = g[:, 0]
+
+    return _make(x.data[:, None], (x,), backward)
+
+
 def vector(scalars: Sequence[Tensor]) -> Tensor:
     """Stack scalar tensors into a vector."""
     scalars = tuple(scalars)
@@ -350,29 +358,33 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Probabilities over a vector; masked-out entries are exactly zero and
-    the rest renormalize.  ``mask`` is boolean, True = allowed."""
-    if x.data.ndim != 1:
-        raise ShapeError("softmax expects a vector")
+    """Probabilities over a vector, or over each row of a matrix; masked-out
+    entries are exactly zero and the rest renormalize.  ``mask`` is boolean,
+    True = allowed, and must allow at least one entry per row."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError("softmax expects a vector or a matrix")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.data.shape:
             raise ShapeError(
                 f"softmax mask shape {mask.shape} != logits shape {x.data.shape}"
             )
-        if not mask.any():
-            raise ShapeError("softmax mask excludes every entry")
+        if not mask.any(axis=-1).all():
+            raise ShapeError("softmax mask excludes every entry of a row")
         shifted = x.data + np.where(mask, 0.0, MASK_NEG)
     else:
         shifted = x.data
-    z = shifted - shifted.max()
+    z = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(z)
     if mask is not None:
         e = np.where(mask, e, 0.0)  # exact zeros outside the mask
-    y = e / e.sum()
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g, grads):
-        grads[0] = y * (g - float(g @ y))
+        if y.ndim == 1:
+            grads[0] = y * (g - float(g @ y))
+        else:
+            grads[0] = y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _make(y, (x,), backward)
 

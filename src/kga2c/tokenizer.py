@@ -47,10 +47,6 @@ class SubwordModel:
         return len(self.pieces)
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def unk_id(self) -> int:
         return 1
 

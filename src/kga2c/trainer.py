@@ -536,7 +536,6 @@ def train_step(
     grad_norm = nm.adam_step(
         agent.params, lr=cfg.lr, grad_clip=cfg.grad_clip
     )
-    agent.clear_step_caches()  # cached feature subgraphs are now stale
     return {
         "loss_total": total.item(),
         "loss_actor": l_actor.item(),

@@ -89,10 +89,26 @@ class TestCoreOps:
         finite_difference_check(
             lambda: nm.sum_(nm.mul(nm.softmax(x, mask=mask), y)), [x, y]
         )
+        # row-wise over a matrix whose logits broadcast a column, as in the GAT
+        c = rand(rng, 3)
+        X = rand(rng, 3, 4)
+        Y = rand(rng, 3, 4)
+        mask = np.array([[True, False, True, True],
+                         [False, True, False, False],
+                         [True, True, True, True]])
+
+        def f():
+            probs = nm.softmax(nm.add(nm.column(c), X), mask=mask)
+            return nm.sum_(nm.mul(probs, Y))
+
+        finite_difference_check(f, [c, X, Y])
 
     def test_fully_masked_softmax_rejected(self):
         with pytest.raises(nm.ShapeError):
             nm.softmax(nm.Tensor(np.zeros(3)), mask=np.zeros(3, dtype=bool))
+        one_row_empty = np.array([[True, False], [False, False]])
+        with pytest.raises(nm.ShapeError, match="excludes every entry"):
+            nm.softmax(nm.Tensor(np.zeros((2, 2))), mask=one_row_empty)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_losses(self, seed):
