@@ -274,43 +274,42 @@ class Worker:
         self.ep = Episode(self.pipe.spec, self.cfg.seed + self.idx,
                           self.cfg.agent.gru_hidden)
 
-    def prepare(self, agent: KgA2CAgent) -> dict:
-        """Graph update, mask, valid set, state embedding and value for the
-        current observation; memoized until the next step consumes it."""
+    def prepare(self) -> dict:
+        """Graph update, mask, valid set and supervision targets for the
+        current observation; memoized until the next step consumes it, so
+        the mask RNG and the oracle run once per environment step."""
         if self.pending is not None:
             return self.pending
         pipe, ep = self.pipe, self.ep
         mask, in_scope = ep.observe(pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
         valid = pipe.valid_set(ep.state, mask.words, in_scope)
-        s_t, enc2 = agent.state_embedding(ep.obs, ep.graph, ep.enc)
-        value = agent.critic_value(s_t)
         y_tau = np.zeros(len(pipe.space.templates))
         for tid in oracle.valid_templates(valid):
             y_tau[tid] = 1.0
         y_o = np.zeros(len(pipe.space.vocabulary))
         for wid in oracle.valid_objects(mask.words, pipe.space):
             y_o[wid] = 1.0
-        self.pending = {
-            "s_t": s_t,
-            "enc2": enc2,
-            "value": value,
-            "mask": mask,
-            "valid": valid,
-            "y_tau": y_tau,
-            "y_o": y_o,
-        }
+        self.pending = {"mask": mask, "valid": valid, "y_tau": y_tau, "y_o": y_o}
         return self.pending
+
+    def value(self, agent: KgA2CAgent) -> float:
+        """V of the current observation under the current parameters."""
+        self.prepare()  # brings the graph up to date
+        s_t, _ = agent.state_embedding(self.ep.obs, self.ep.graph, self.ep.enc)
+        return agent.critic_value(s_t).item()
 
     def step(self, agent: KgA2CAgent) -> tuple[StepRecord, int | None]:
         """Advance one environment step; returns the record and, when an
-        episode finished, its final score."""
+        episode finished, its final score.  The forward pass runs here, not
+        in ``prepare``, so it always sees the current parameters."""
         cfg = self.cfg
-        prep = self.prepare(agent)
+        prep = self.prepare()
         self.pending = None
+        s_t, enc2 = agent.state_embedding(self.ep.obs, self.ep.graph, self.ep.enc)
         record = StepRecord(
             worker=self.idx,
             dist=None,
-            value=prep["value"],
+            value=agent.critic_value(s_t),
             reward=0.0,
             done=False,
             v_next=0.0,
@@ -322,9 +321,9 @@ class Worker:
         )
 
         if cfg.ablation == "seq":
-            action, violations = self._seq_action(agent, prep, record)
+            action, violations = self._seq_action(agent, s_t, prep, record)
         else:
-            dist = agent.decode_action(prep["s_t"], prep["mask"], self.rng, "sample")
+            dist = agent.decode_action(s_t, prep["mask"], self.rng, "sample")
             record.dist = dist
             violations = sum(
                 1 for oid in dist.object_ids if not dist.mask_array[oid]
@@ -334,7 +333,7 @@ class Worker:
         record.executed_valid = action in prep["valid"]
         record.reward = float(self.ep.act(action))
         record.done = self.ep.done
-        self.ep.enc = prep["enc2"]
+        self.ep.enc = enc2
         self.pipe.mask_violations += violations
 
         final_score: int | None = None
@@ -344,10 +343,10 @@ class Worker:
         return record, final_score
 
     def _seq_action(
-        self, agent: KgA2CAgent, prep: dict, record: StepRecord
+        self, agent: KgA2CAgent, s_t: nm.Tensor, prep: dict, record: StepRecord
     ) -> tuple[str, int]:
         cfg = self.cfg
-        words, logits_seq, log_prob = agent.seq_decode(prep["s_t"], self.rng, "sample")
+        words, logits_seq, log_prob = agent.seq_decode(s_t, self.rng, "sample")
         decoded = agent.seq_action_text(words)
         valid: oracle.ValidSet = prep["valid"]
         teacher = None
@@ -430,7 +429,7 @@ def run_rollouts(
                 elif i + 1 < len(worker_records):
                     record.v_next = worker_records[i + 1].value.item()
                 else:
-                    record.v_next = worker.prepare(agent)["value"].item()
+                    record.v_next = worker.value(agent)
             records.extend(worker_records)
         except Exception:
             if cfg.workers == 1:

@@ -77,6 +77,24 @@ def test_gatless_ablations_never_embed_the_graph(
     trainer.evaluate(agent, pipe, 1)
 
 
+def test_first_step_of_an_update_uses_the_updated_parameters(short_corridor, corpus):
+    pipe = trainer.build_pipeline(short_corridor, corpus, SMALL)
+    agent = KgA2CAgent(pipe.space, pipe.model, SMALL.agent, seed=SMALL.seed)
+    workers = [trainer.Worker(i, pipe, SMALL) for i in range(SMALL.workers)]
+    batch = trainer.run_rollouts(workers, agent, SMALL)
+    trainer.train_step(batch, agent, SMALL)
+    expected = {}
+    for w in workers:
+        w.prepare()  # the observation the next step acts on
+        s_t, _ = agent.state_embedding(w.ep.obs, w.ep.graph, w.ep.enc)
+        expected[w.idx] = agent.critic_value(s_t).item()
+    stale = {r.worker: r.v_next for r in batch.records[SMALL.unroll - 1::SMALL.unroll]}
+    assert stale != expected  # the update moved V, so a stale pass would show
+    batch = trainer.run_rollouts(workers, agent, SMALL)
+    first = {r.worker: r.value.item() for r in batch.records[::SMALL.unroll]}
+    assert first == expected
+
+
 def test_ablation_must_match_agent():
     with pytest.raises(ValueError, match="with_ablation"):
         trainer.TrainConfig(ablation="seq")
