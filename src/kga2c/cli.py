@@ -229,6 +229,10 @@ def cmd_inspect(args) -> int:
                 oprobs = ", ".join(f"{n}: {p}" for n, p in slot)
                 print(f"  Object probs [{i}]: {oprobs}")
             print(f"  Mask size: {row['mask_size']}")
+            if "mask" in row:
+                print(f"  Mask: {' '.join(row['mask'])}")
+            if "graph" in row:
+                print(f"  Graph: {'; '.join(' '.join(t) for t in row['graph'])}")
             print(f"  Action: {row['action']}")
     else:
         raise UsageError(f"unknown artifact kind {kind!r}")

@@ -723,7 +723,7 @@ def evaluate(
                 )
                 action = dist.action
                 if trace is not None:
-                    trace.append(_trace_row(agent, dist, mask, action))
+                    trace.append(_trace_row(agent, dist, mask, ep.graph, action))
             ep.act(action)
         scores.append(ep.state.score)
     mean = float(np.mean(scores))
@@ -731,7 +731,8 @@ def evaluate(
     return mean, std, scores
 
 
-def _trace_row(agent: KgA2CAgent, dist: ActionDistribution, mask, action: str) -> dict:
+def _trace_row(agent: KgA2CAgent, dist: ActionDistribution, mask: kg.GraphMask,
+               graph: kg.KnowledgeGraph, action: str) -> dict:
     def top5(probs: np.ndarray, names) -> list[tuple[str, float]]:
         ids = np.argsort(-probs)[:5]
         return [(str(names[i]), round(float(probs[i]), 4)) for i in ids]
@@ -745,6 +746,8 @@ def _trace_row(agent: KgA2CAgent, dist: ActionDistribution, mask, action: str) -
             top5(p.data, agent.space.vocabulary) for p in dist.object_probs
         ],
         "mask_size": len(mask),
+        "mask": sorted(mask.words),
+        "graph": sorted(graph.triples),
         "action": action,
     }
     return row

@@ -1,6 +1,7 @@
 """CLI exit codes: 0 success, 1 usage error, 2 runtime failure."""
 
 import io
+import json
 
 import pytest
 
@@ -67,3 +68,32 @@ def test_scripted_play_session(monkeypatch, capsys):
     assert "Taken." in out
     assert "digraph" in out
     assert '"you" -> "key" [label="have"];' in out
+
+
+def test_eval_trace_round_trips_through_inspect(corridor, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    _save_checkpoint(corridor, "full", ckpt)
+    trace = tmp_path / "trace.jsonl"
+    argv = ["eval", "--game", "corridor", "--checkpoint", str(ckpt),
+            "--episodes", "1", "--trace", str(trace)]
+    assert cli.main(argv) == 0
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert rows
+    for row in rows:
+        assert row["mask"] == sorted(row["mask"]) and len(row["mask"]) == row["mask_size"]
+        assert row["graph"] == sorted(row["graph"])
+        assert any(s == "you" and r == "in" for s, r, _ in row["graph"])
+    capsys.readouterr()
+    assert cli.main(["inspect", "valid-trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    last = rows[-1]
+    assert out.count("  Graph: ") == out.count("  Mask: ") == len(rows)
+    assert f"  Mask: {' '.join(last['mask'])}\n" in out
+    assert f"  Graph: {'; '.join(' '.join(t) for t in last['graph'])}\n" in out
+    # a trace written before rows carried the graph and the mask still prints
+    old = {k: v for k, v in last.items() if k not in ("graph", "mask")}
+    trace.write_text(json.dumps(old) + "\n")
+    assert cli.main(["inspect", "valid-trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert f"  Action: {last['action']}" in out
+    assert "Graph" not in out and "Mask:" not in out

@@ -89,7 +89,7 @@ class TestCoreOps:
         finite_difference_check(
             lambda: nm.sum_(nm.mul(nm.softmax(x, mask=mask), y)), [x, y]
         )
-        # row-wise over a matrix whose logits broadcast a column, as in the GAT
+        # row-wise over a matrix whose logits scale each row by a column
         c = rand(rng, 3)
         X = rand(rng, 3, 4)
         Y = rand(rng, 3, 4)
@@ -98,7 +98,7 @@ class TestCoreOps:
                          [True, True, True, True]])
 
         def f():
-            probs = nm.softmax(nm.add(nm.column(c), X), mask=mask)
+            probs = nm.softmax(nm.mul(nm.column(c), X), mask=mask)
             return nm.sum_(nm.mul(probs, Y))
 
         finite_difference_check(f, [c, X, Y])

@@ -157,3 +157,29 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
     _, _, step_rows, _ = _run(short_corridor, corpus, cfg, 2)
     for row, step_row in zip(rows, step_rows):
         assert {k: row[k] for k in step_row} == step_row
+
+
+def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
+    corridor, corpus, monkeypatch
+):
+    first = trainer.random_valid_baseline(corridor, corpus, SMALL, 60, seed=2)
+    valid_at = {}
+    valid_set, act = trainer.Pipeline.valid_set, trainer.Episode.act
+
+    def recorded(pipe, state, mask_words, in_scope):
+        valid_at[engine.digest(state)] = result = valid_set(
+            pipe, state, mask_words, in_scope)
+        return result
+
+    played = []
+
+    def checked(ep, action):
+        played.append(action)
+        assert action in valid_at[engine.digest(ep.state)]
+        return act(ep, action)
+
+    monkeypatch.setattr(trainer.Pipeline, "valid_set", recorded)
+    monkeypatch.setattr(trainer.Episode, "act", checked)
+    second = trainer.random_valid_baseline(corridor, corpus, SMALL, 60, seed=2)
+    assert second == first
+    assert len(played) == 60 and len(first[1]) >= 1
