@@ -134,7 +134,6 @@ class RewardRule:
 class GameSpec:
     name: str
     start: str
-    gamma: float
     max_score: int
     rooms: dict[str, RoomDef]
     exits: dict[tuple[str, str], str]
@@ -147,7 +146,6 @@ class GameSpec:
     adjectives: frozenset[str]
     valid_step_cap: int = 100
     turn_cap: int = 1000
-    stochastic: bool = False
 
 
 @dataclass(frozen=True)
@@ -209,11 +207,6 @@ def digest(state: WorldState) -> str:
         (state.room, state.locations, state.flags, state.score, sorted(state.collected))
     ).encode("utf-8")
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
-
-
-def world_changed(before: str, after: str) -> bool:
-    """True iff two state digests differ."""
-    return before != after
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +404,9 @@ def load_game(text: str) -> GameSpec:
     else:
         vocabulary = tuple(sorted(required))
 
-    gamma = float(meta.get("gamma", "0.9"))
-    if not (0.0 < gamma <= 1.0):
-        raise GameParseError(0, f"gamma must be in (0, 1], got {gamma}")
-
     return GameSpec(
         name=meta.get("name", "game"),
         start=start,
-        gamma=gamma,
         max_score=int(meta.get("max-score", "0")),
         rooms=rooms,
         exits=exits,
@@ -431,7 +419,6 @@ def load_game(text: str) -> GameSpec:
         adjectives=frozenset(adjectives),
         valid_step_cap=int(meta.get("valid-step-cap", "100")),
         turn_cap=int(meta.get("turn-cap", "1000")),
-        stochastic=meta.get("stochastic", "no").lower() in ("yes", "true", "1"),
     )
 
 
@@ -466,8 +453,8 @@ def load_game_file(path) -> GameSpec:
 
 
 def reset(spec: GameSpec, seed: int = 0) -> tuple[WorldState, Observation]:
-    """Initial state and observation.  Bundled games are deterministic, so the
-    seed only matters for specs that declare stochastic behaviour."""
+    """Initial state and observation.  Games are deterministic: the seed is
+    accepted for interface symmetry and does not change the result."""
     locations = {o.id: _normalize_loc(o.location) for o in spec.objects.values()}
     flags = [f"visited:{spec.start}"]
     for o in spec.objects.values():
@@ -628,18 +615,7 @@ _ARTICLES = ("a", "an", "the")
 _BUILTIN_PATTERNS = ("look", "inventory", "examine OBJ", "wait")
 
 
-def _builtin_templates() -> tuple[Template, ...]:
-    return tuple(parse_template(p) for p in _BUILTIN_PATTERNS)
-
-
-_BUILTINS = None
-
-
-def _get_builtins() -> tuple[Template, ...]:
-    global _BUILTINS
-    if _BUILTINS is None:
-        _BUILTINS = _builtin_templates()
-    return _BUILTINS
+_BUILTINS = tuple(parse_template(p) for p in _BUILTIN_PATTERNS)
 
 
 def _verb_meaning(template: Template) -> str | None:
@@ -655,7 +631,7 @@ def _parser_index(spec: GameSpec) -> dict[str, list[Template]]:
     index = getattr(spec, "_first_word_index", None)
     if index is None:
         index = {}
-        for template in tuple(spec.templates) + _get_builtins():
+        for template in spec.templates + _BUILTINS:
             for alias in template.verbs:
                 index.setdefault(alias.split()[0], []).append(template)
         object.__setattr__(spec, "_first_word_index", index)
@@ -669,7 +645,7 @@ def parser_words(spec: GameSpec) -> frozenset[str]:
     words = getattr(spec, "_parser_words", None)
     if words is None:
         found: set[str] = set(_ARTICLES) | {"go"} | set(DIRECTIONS)
-        for template in tuple(spec.templates) + _get_builtins():
+        for template in spec.templates + _BUILTINS:
             found |= template.words()
         words = frozenset(found)
         object.__setattr__(spec, "_parser_words", words)
@@ -787,7 +763,7 @@ def step_core(
             after = replace(
                 after, score=after.score + reward, collected=after.collected | fired
             )
-        changed = world_changed(digest(state), digest(after))
+        changed = digest(state) != digest(after)
     after = replace(
         after,
         turn=state.turn + 1,

@@ -17,7 +17,6 @@ from kga2c.engine import (
     restore,
     snapshot,
     step,
-    world_changed,
 )
 
 from conftest import MICROZORK_WALKTHROUGH, PANTRY_WALKTHROUGH, CORRIDOR_WALKTHROUGH
@@ -111,9 +110,6 @@ class TestLoadGame:
         for obj in microzork.objects.values():
             for alias in (obj.name,) + obj.aliases:
                 assert set(alias.split()) <= vocab
-
-    def test_gamma_in_range(self, microzork):
-        assert 0.0 < microzork.gamma <= 1.0
 
 
 class TestReset:
@@ -316,17 +312,17 @@ class TestWorldChanged:
     def test_take_changes_world(self, microzork):
         state, _ = reset(microzork, 0)
         after, _, _, _ = step(state, "take key", microzork)
-        assert world_changed(digest(state), digest(after))
+        assert digest(state) != digest(after)
 
     def test_look_does_not_change_world(self, microzork):
         state, _ = reset(microzork, 0)
         after, _, _, _ = step(state, "look", microzork)
-        assert not world_changed(digest(state), digest(after))
+        assert digest(state) == digest(after)
 
     def test_walking_into_wall_does_not_change_world(self, microzork):
         state, _ = reset(microzork, 0)
         after, _, _, _ = step(state, "south", microzork)
-        assert not world_changed(digest(state), digest(after))
+        assert digest(state) == digest(after)
 
 
 class TestInvariants:
