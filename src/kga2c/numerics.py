@@ -704,6 +704,11 @@ def load_checkpoint(path, seed: int = 0) -> ParameterSet:
                 off += 4
                 shape.append(dim)
             size = int(np.prod(shape)) if shape else 1
+            if off + 8 * size > len(blob) - 4:
+                raise CheckpointError(
+                    f"truncated checkpoint: {name!r} needs {8 * size} bytes, "
+                    f"{len(blob) - 4 - off} left"
+                )
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
             off += size * 8
             t = Tensor(data.astype(np.float64), requires_grad=True)

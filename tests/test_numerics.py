@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -327,6 +330,17 @@ class TestCheckpoint:
         blob[10] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(nm.CheckpointError):
+            nm.load_checkpoint(path)
+
+    def test_shape_larger_than_payload_rejected(self, tmp_path):
+        """A valid CRC over a shape header that claims more data than the
+        blob holds: one tensor of shape (4,) with 16 payload bytes."""
+        body = struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+        body += struct.pack("<B", 1) + struct.pack("<I", 4) + bytes(16)
+        blob = nm.CHECKPOINT_MAGIC + struct.pack("<H", nm.CHECKPOINT_VERSION) + body
+        path = tmp_path / "short.bin"
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(nm.CheckpointError, match="truncated checkpoint"):
             nm.load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
