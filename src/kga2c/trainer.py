@@ -3,9 +3,17 @@
 Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, knowledge graph, encoder state) and
 shares the valid-action cache.  They run on a deterministic schedule so fixed
-seeds give bitwise-identical metrics.  The loss combines the policy-gradient
-term, the critic regression, the two supervised valid-action terms, and an
-entropy term over the valid supports, with per-ablation adjustments.
+seeds give bitwise-identical metrics.
+
+Every step builds the loss terms its ablation trains; ``train_step`` adds the
+policy-gradient and critic terms and combines the rest in one fixed order:
+
+    ablation                       decoder       trained terms
+    full, a2c, no-gat, no-mask     template      template, object, entropy
+                                                 over the valid templates
+    unsupervised                   template      entropy over all templates
+    seq                            word by word  seq_valid, entropy per
+                                                 decoded position
 """
 
 from __future__ import annotations
@@ -17,13 +25,12 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import engine, kg, numerics as nm, oracle, tokenizer as tok
 from .agent import (
-    ABLATIONS,
     ActionDistribution,
     AgentConfig,
     EncoderState,
@@ -57,7 +64,6 @@ class TrainConfig:
     lambda_entropy: float = 0.01
     p_m: float = 0.05
     p_valid: float = 0.5
-    ablation: str = "full"
     grad_clip: float = 5.0
     probe_budget: int = oracle.DEFAULT_PROBE_BUDGET
     updates: int = 100
@@ -70,13 +76,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}")
-        if self.ablation != self.agent.ablation:
-            raise ValueError(
-                f"ablation {self.ablation!r} differs from the agent's "
-                f"{self.agent.ablation!r}; use with_ablation"
-            )
         for name in ("lambda_critic", "lambda_template", "lambda_object",
                      "lambda_entropy"):
             if getattr(self, name) < 0:
@@ -85,12 +84,12 @@ class TrainConfig:
             raise ValueError("workers, unroll must be positive; updates >= 0")
 
     def with_ablation(self, ablation: str) -> "TrainConfig":
-        return replace(self, ablation=ablation,
-                       agent=replace(self.agent, ablation=ablation))
+        return replace(self, agent=replace(self.agent, ablation=ablation))
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """JSON object or simple ``key = value`` lines."""
+        """JSON object or simple ``key = value`` lines.  A top-level
+        ``ablation`` sets ``agent.ablation`` and must agree with it."""
         text = Path(path).read_text(encoding="utf-8")
         stripped = text.strip()
         data: dict = {}
@@ -105,7 +104,14 @@ class TrainConfig:
                     raise ValueError(f"config line {lineno}: expected key = value")
                 key, value = (s.strip() for s in line.split("=", 1))
                 data[key] = value
-        agent_data = data.pop("agent", {})
+        agent_data = dict(data.pop("agent", {}))
+        if "ablation" in data:
+            ablation = data.pop("ablation")
+            if agent_data.setdefault("ablation", ablation) != ablation:
+                raise ValueError(
+                    f"ablation {ablation!r} differs from agent.ablation "
+                    f"{agent_data['ablation']!r}"
+                )
         cfg_fields = {f.name: f.type for f in cls.__dataclass_fields__.values()}
         problems = [k for k in data if k not in cfg_fields]
         agent_fields = set(AgentConfig.__dataclass_fields__)
@@ -114,8 +120,6 @@ class TrainConfig:
             raise ValueError(f"unknown config keys: {', '.join(sorted(problems))}")
         kwargs = {k: _coerce_field(cls, k, v) for k, v in data.items()}
         agent_kwargs = {k: _coerce_field(AgentConfig, k, v) for k, v in agent_data.items()}
-        ablation = kwargs.get("ablation", "full")
-        agent_kwargs.setdefault("ablation", ablation)
         return cls(agent=AgentConfig(**agent_kwargs), **kwargs)
 
 
@@ -134,24 +138,9 @@ def _coerce_field(cls, name: str, value):
 # Losses (Eqs. of the update rule)
 
 
-def advantage(r: float, v_t: float, v_next: float, done: bool, gamma: float) -> float:
-    """A = Q - V with Q = r + gamma * V(s') on non-terminal steps."""
-    q = r + gamma * v_next * (0.0 if done else 1.0)
-    return q - v_t
-
-
-def template_loss(template_logits: nm.Tensor, y_tau: np.ndarray) -> nm.Tensor:
-    """Multi-label BCE against the valid-template indicator, mean over |T|."""
-    return nm.binary_cross_entropy(template_logits, y_tau)
-
-
 def object_loss(object_logits: list[nm.Tensor], y_o: np.ndarray) -> nm.Tensor:
     """Sum over decoding steps of mean BCE against the valid-object indicator."""
-    total: nm.Tensor | None = None
-    for logits in object_logits:
-        term = nm.binary_cross_entropy(logits, y_o)
-        total = term if total is None else nm.add(total, term)
-    return total if total is not None else nm.Tensor(0.0)
+    return _sum([nm.binary_cross_entropy(logits, y_o) for logits in object_logits])
 
 
 def actor_loss(log_prob: nm.Tensor, adv: float) -> nm.Tensor:
@@ -165,23 +154,17 @@ def critic_loss(v_t: nm.Tensor, q_t: float) -> nm.Tensor:
     return nm.mul(nm.Tensor(0.5), nm.mul(diff, diff))
 
 
-def entropy_loss(
-    dist: ActionDistribution, valid_template_ids: frozenset[int], full_set: bool
-) -> nm.Tensor:
-    """Sum of p*log(p) per decoder component, restricted to valid supports
-    (all templates / every nonzero object probability when full_set)."""
-    if full_set:
-        t_support = list(range(dist.template_probs.data.shape[0]))
-    else:
-        t_support = sorted(valid_template_ids)
-    total = _plogp(dist.template_probs, t_support)
+def entropy_loss(dist: ActionDistribution, template_support: Iterable[int]) -> nm.Tensor:
+    """Sum of p*log(p) per decoder component: the template head over
+    ``template_support``, each object head over its nonzero probabilities."""
+    total = _plogp(dist.template_probs, template_support)
     for probs in dist.object_probs:
         support = [int(i) for i in np.nonzero(probs.data)[0]]
         total = nm.add(total, _plogp(probs, support))
     return total
 
 
-def _plogp(probs: nm.Tensor, support: list[int]) -> nm.Tensor:
+def _plogp(probs: nm.Tensor, support: Iterable[int]) -> nm.Tensor:
     support = [i for i in support if probs.data[i] > 0.0]
     if not support:
         return nm.Tensor(0.0)
@@ -189,29 +172,38 @@ def _plogp(probs: nm.Tensor, support: list[int]) -> nm.Tensor:
     return nm.sum_(nm.mul(p, nm.log(p)))
 
 
+def _sum(terms: list[nm.Tensor]) -> nm.Tensor:
+    """Left-to-right sum; the order fixes the float result."""
+    if not terms:
+        return nm.Tensor(0.0)
+    total = terms[0]
+    for t in terms[1:]:
+        total = nm.add(total, t)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Rollouts
+
+
+def _indicator(size: int, ids: Iterable[int]) -> np.ndarray:
+    y = np.zeros(size)
+    y[sorted(ids)] = 1.0
+    return y
 
 
 @dataclass
 class StepRecord:
     worker: int
-    dist: ActionDistribution | None  # template-action path
     value: nm.Tensor
+    log_prob: nm.Tensor  # joint log-prob of the decoded action
+    terms: dict[str, list[nm.Tensor]]  # the supervised and entropy terms trained
     reward: float
     done: bool
-    v_next: float
-    y_tau: np.ndarray
-    y_o: np.ndarray
-    valid_template_ids: frozenset[int]
     valid_count: int
     mask_size: int
-    executed_valid: bool = False
-    # seq-ablation extras
-    seq_logits: list[nm.Tensor] = field(default_factory=list)
-    seq_targets: list[int] = field(default_factory=list)
-    seq_log_prob: nm.Tensor | None = None
-    seq_executed_valid: bool = False
+    executed_valid: bool
+    v_next: float = 0.0
 
 
 @dataclass
@@ -267,29 +259,22 @@ class Worker:
         self.rng = np.random.default_rng(cfg.seed * 10_007 + idx)
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
-        self.pending: dict | None = None
+        self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
         self.ep = Episode(self.pipe.spec, self.cfg.seed + self.idx,
                           self.cfg.agent.gru_hidden)
 
-    def prepare(self) -> dict:
-        """Graph update, mask, valid set and supervision targets for the
-        current observation; memoized until the next step consumes it, so
-        the mask RNG and the oracle run once per environment step."""
-        if self.pending is not None:
-            return self.pending
-        pipe, ep = self.pipe, self.ep
-        mask, in_scope = ep.observe(pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
-        valid = pipe.valid_set(ep.state, mask.words, in_scope)
-        y_tau = np.zeros(len(pipe.space.templates))
-        for tid in oracle.valid_templates(valid):
-            y_tau[tid] = 1.0
-        y_o = np.zeros(len(pipe.space.vocabulary))
-        for wid in oracle.valid_objects(mask.words, pipe.space):
-            y_o[wid] = 1.0
-        self.pending = {"mask": mask, "valid": valid, "y_tau": y_tau, "y_o": y_o}
+    def prepare(self) -> tuple[kg.GraphMask, oracle.ValidSet]:
+        """Graph update, mask and valid set for the current observation;
+        memoized until the next step consumes it, so the mask RNG and the
+        oracle run once per environment step."""
+        if self.pending is None:
+            mask, in_scope = self.ep.observe(
+                self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
+            valid = self.pipe.valid_set(self.ep.state, mask.words, in_scope)
+            self.pending = mask, valid
         return self.pending
 
     def value(self, agent: KgA2CAgent) -> float:
@@ -302,39 +287,18 @@ class Worker:
         """Advance one environment step; returns the record and, when an
         episode finished, its final score.  The forward pass runs here, not
         in ``prepare``, so it always sees the current parameters."""
-        cfg = self.cfg
-        prep = self.prepare()
+        mask, valid = self.prepare()
         self.pending = None
         s_t, enc2 = agent.state_embedding(self.ep.obs, self.ep.graph, self.ep.enc)
-        record = StepRecord(
-            worker=self.idx,
-            dist=None,
-            value=agent.critic_value(s_t),
-            reward=0.0,
-            done=False,
-            v_next=0.0,
-            y_tau=prep["y_tau"],
-            y_o=prep["y_o"],
-            valid_template_ids=oracle.valid_templates(prep["valid"]),
-            valid_count=len(prep["valid"]),
-            mask_size=len(prep["mask"]),
-        )
-
-        if cfg.ablation == "seq":
-            action, violations = self._seq_action(agent, s_t, prep, record)
+        value = agent.critic_value(s_t)
+        if agent.cfg.ablation == "seq":
+            action, log_prob, terms = self._seq_terms(agent, s_t, valid)
         else:
-            dist = agent.decode_action(s_t, prep["mask"], self.rng, "sample")
-            record.dist = dist
-            violations = sum(
-                1 for oid in dist.object_ids if not dist.mask_array[oid]
-            )
-            action = dist.action
-
-        record.executed_valid = action in prep["valid"]
-        record.reward = float(self.ep.act(action))
-        record.done = self.ep.done
+            action, log_prob, terms = self._template_terms(agent, s_t, mask, valid)
+        reward = float(self.ep.act(action))
+        record = StepRecord(self.idx, value, log_prob, terms, reward, self.ep.done,
+                            len(valid), len(mask), action in valid)
         self.ep.enc = enc2
-        self.pipe.mask_violations += violations
 
         final_score: int | None = None
         if record.done:
@@ -342,32 +306,58 @@ class Worker:
             self._begin_episode()
         return record, final_score
 
-    def _seq_action(
-        self, agent: KgA2CAgent, s_t: nm.Tensor, prep: dict, record: StepRecord
-    ) -> tuple[str, int]:
-        cfg = self.cfg
+    def _template_terms(
+        self, agent: KgA2CAgent, s_t: nm.Tensor, mask: kg.GraphMask,
+        valid: oracle.ValidSet,
+    ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
+        """Sample from the template decoder.  The supervised ablations train
+        both BCE terms and the entropy over the valid templates;
+        ``unsupervised`` trains only the entropy, over every template."""
+        dist = agent.decode_action(s_t, mask, self.rng, "sample")
+        self.pipe.mask_violations += sum(
+            1 for oid in dist.object_ids if not dist.mask_array[oid])
+        if agent.cfg.ablation == "unsupervised":
+            terms = {"entropy": [entropy_loss(dist, range(agent.n_templates))]}
+            return dist.action, dist.log_prob, terms
+        valid_templates = oracle.valid_templates(valid)
+        y_tau = _indicator(agent.n_templates, valid_templates)
+        y_o = _indicator(agent.n_vocab, oracle.valid_objects(mask.words, agent.space))
+        terms = {
+            "template": [nm.binary_cross_entropy(dist.template_logits, y_tau)],
+            "object": [object_loss(dist.object_logits, y_o)],
+            "entropy": [entropy_loss(dist, sorted(valid_templates))],
+        }
+        return dist.action, dist.log_prob, terms
+
+    def _seq_terms(
+        self, agent: KgA2CAgent, s_t: nm.Tensor, valid: oracle.ValidSet
+    ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
+        """Sample word by word; with probability ``p_valid`` execute a random
+        valid action instead.  Trains cross-entropy towards that valid action
+        (when there is one) and the entropy at every decoded position."""
         words, logits_seq, log_prob = agent.seq_decode(s_t, self.rng, "sample")
-        decoded = agent.seq_action_text(words)
-        valid: oracle.ValidSet = prep["valid"]
         teacher = None
         if len(valid):
             teacher = valid.actions[self.rng.integers(len(valid))]
-        use_teacher = teacher is not None and self.rng.random() < cfg.p_valid
-        action = teacher if use_teacher else decoded
-        record.seq_logits = logits_seq
-        record.seq_log_prob = log_prob
-        record.seq_executed_valid = bool(use_teacher or (decoded in valid))
+        use_teacher = teacher is not None and self.rng.random() < self.cfg.p_valid
+        action = teacher if use_teacher else agent.seq_action_text(words)
+        terms: dict[str, list[nm.Tensor]] = {"seq_valid": [], "entropy": [
+            _plogp(nm.softmax(logits), range(agent.n_vocab + 1))
+            for logits in logits_seq
+        ]}
         if teacher is not None:
-            stop_id = len(self.pipe.space.vocabulary)
+            stop_id = agent.n_vocab
             ids = []
-            for w in teacher.split()[: cfg.agent.max_seq_words]:
+            for w in teacher.split()[: agent.cfg.max_seq_words]:
                 try:
-                    ids.append(self.pipe.space.word_id(w))
+                    ids.append(agent.space.word_id(w))
                 except OutOfVocabularyError:
                     ids.append(stop_id)
             ids.append(stop_id)
-            record.seq_targets = ids
-        return action or "look", 0
+            ce = [nm.cross_entropy_with_logits(logits, target)
+                  for logits, target in zip(logits_seq, ids)]
+            terms["seq_valid"].append(_sum(ce))
+        return action or "look", log_prob, terms
 
 
 class Pipeline:
@@ -445,85 +435,42 @@ def run_rollouts(
 # Updates
 
 
+def combined_loss(
+    records: list[StepRecord], cfg: TrainConfig
+) -> tuple[nm.Tensor, dict[str, nm.Tensor]]:
+    """The batch loss and its parts, each averaged over the records.  The
+    actor and critic terms use Q = r + gamma * V(s') on non-terminal steps;
+    the other parts are the terms the records carry, added in a fixed order,
+    so a term no record carries contributes zero."""
+    terms: dict[str, list[nm.Tensor]] = {"actor": [], "critic": []}
+    for r in records:
+        q = r.reward + cfg.gamma * r.v_next * (0.0 if r.done else 1.0)
+        terms["actor"].append(actor_loss(r.log_prob, q - r.value.item()))
+        terms["critic"].append(critic_loss(r.value, q))
+    for name in ("template", "object", "seq_valid", "entropy"):
+        terms[name] = [t for r in records for t in r.terms.get(name, ())]
+    scale = nm.Tensor(1.0 / len(records))
+    parts = {name: nm.mul(_sum(ts), scale) for name, ts in terms.items()}
+    total = parts["actor"]
+    for name, weight in (
+        ("critic", cfg.lambda_critic), ("template", cfg.lambda_template),
+        ("object", cfg.lambda_object), ("seq_valid", cfg.lambda_template),
+        ("entropy", cfg.lambda_entropy),
+    ):
+        total = nm.add(total, nm.mul(nm.Tensor(weight), parts[name]))
+    return total, parts
+
+
 def train_step(
     batch: RolloutBatch, agent: KgA2CAgent, cfg: TrainConfig
 ) -> dict[str, float]:
     """One combined loss over the batch, one Adam step, scalar metrics."""
-    if not batch.records:
+    records = batch.records
+    if not records:
         raise ValueError("empty rollout batch")
-    n = float(len(batch.records))
-    unsupervised = cfg.ablation == "unsupervised"
-    seq = cfg.ablation == "seq"
-
-    actor_terms: list[nm.Tensor] = []
-    critic_terms: list[nm.Tensor] = []
-    template_terms: list[nm.Tensor] = []
-    object_terms: list[nm.Tensor] = []
-    entropy_terms: list[nm.Tensor] = []
-    seq_terms: list[nm.Tensor] = []
-
-    for record in batch.records:
-        adv = advantage(
-            record.reward, record.value.item(), record.v_next, record.done, cfg.gamma
-        )
-        q_target = record.reward + cfg.gamma * record.v_next * (
-            0.0 if record.done else 1.0
-        )
-        critic_terms.append(critic_loss(record.value, q_target))
-        if seq:
-            assert record.seq_log_prob is not None
-            actor_terms.append(actor_loss(record.seq_log_prob, adv))
-            if record.seq_targets:
-                ce: nm.Tensor | None = None
-                for logits, target in zip(record.seq_logits, record.seq_targets):
-                    term = nm.cross_entropy_with_logits(logits, target)
-                    ce = term if ce is None else nm.add(ce, term)
-                if ce is not None:
-                    seq_terms.append(ce)
-            for logits in record.seq_logits:
-                probs = nm.softmax(logits)
-                entropy_terms.append(
-                    _plogp(probs, list(range(probs.data.shape[0])))
-                )
-        else:
-            dist = record.dist
-            assert dist is not None
-            actor_terms.append(actor_loss(dist.log_prob, adv))
-            if not unsupervised:
-                template_terms.append(template_loss(dist.template_logits, record.y_tau))
-                object_terms.append(object_loss(dist.object_logits, record.y_o))
-            entropy_terms.append(
-                entropy_loss(dist, record.valid_template_ids, full_set=unsupervised)
-            )
-
-    def mean_of(terms: list[nm.Tensor]) -> nm.Tensor:
-        if not terms:
-            return nm.Tensor(0.0)
-        total = terms[0]
-        for t in terms[1:]:
-            total = nm.add(total, t)
-        return nm.mul(total, nm.Tensor(1.0 / n))
-
-    l_actor = mean_of(actor_terms)
-    l_critic = mean_of(critic_terms)
-    l_template = mean_of(template_terms)
-    l_object = mean_of(object_terms)
-    l_entropy = mean_of(entropy_terms)
-    l_seq = mean_of(seq_terms)
-
-    total = nm.add(l_actor, nm.mul(nm.Tensor(cfg.lambda_critic), l_critic))
-    if not seq and not unsupervised:
-        total = nm.add(total, nm.mul(nm.Tensor(cfg.lambda_template), l_template))
-        total = nm.add(total, nm.mul(nm.Tensor(cfg.lambda_object), l_object))
-    if seq:
-        total = nm.add(total, nm.mul(nm.Tensor(cfg.lambda_template), l_seq))
-    total = nm.add(total, nm.mul(nm.Tensor(cfg.lambda_entropy), l_entropy))
-
+    total, parts = combined_loss(records, cfg)
     if not math.isfinite(total.item()):
-        worst = max(
-            batch.records,
-            key=lambda r: abs(r.value.item()) + abs(r.reward),
-        )
+        worst = max(records, key=lambda r: abs(r.value.item()) + abs(r.reward))
         raise RuntimeError(
             "non-finite loss; offending record: "
             f"worker={worst.worker} reward={worst.reward} value={worst.value.item()} "
@@ -532,29 +479,19 @@ def train_step(
 
     agent.params.zero_grad()
     nm.backward(total)
-    grad_norm = nm.adam_step(
-        agent.params, lr=cfg.lr, grad_clip=cfg.grad_clip
+    grad_norm = nm.adam_step(agent.params, lr=cfg.lr, grad_clip=cfg.grad_clip)
+    row = {f"loss_{name}": t.item() for name, t in parts.items()}
+    row.update(
+        loss_total=total.item(),
+        grad_norm=grad_norm,
+        mean_valid_actions=float(np.mean([r.valid_count for r in records])),
+        mean_mask_size=float(np.mean([r.mask_size for r in records])),
+        sampled_valid_rate=float(np.mean([r.executed_valid for r in records])),
+        # the steps decoded word by word are those that carry seq_valid
+        seq_valid_rate=float(np.mean(
+            [r.executed_valid and "seq_valid" in r.terms for r in records])),
     )
-    return {
-        "loss_total": total.item(),
-        "loss_actor": l_actor.item(),
-        "loss_critic": l_critic.item(),
-        "loss_template": l_template.item(),
-        "loss_object": l_object.item(),
-        "loss_entropy": l_entropy.item(),
-        "loss_seq_valid": l_seq.item(),
-        "grad_norm": grad_norm,
-        "mean_valid_actions": float(
-            np.mean([r.valid_count for r in batch.records])
-        ),
-        "mean_mask_size": float(np.mean([r.mask_size for r in batch.records])),
-        "sampled_valid_rate": float(
-            np.mean([r.executed_valid for r in batch.records])
-        ),
-        "seq_valid_rate": float(
-            np.mean([r.seq_executed_valid for r in batch.records])
-        ) if seq else 0.0,
-    }
+    return row
 
 
 # ---------------------------------------------------------------------------

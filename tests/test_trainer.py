@@ -1,5 +1,6 @@
-"""Trainer: fixed-seed determinism, per-ablation smoke runs and parameters,
-loud worker failures, and the episode belief loop."""
+"""Trainer: fixed-seed determinism, per-ablation smoke runs, parameters and
+loss terms, the combined loss's gradient, config files, loud worker failures,
+and the episode belief loop."""
 
 import csv
 import json
@@ -8,9 +9,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from gradcheck import finite_difference_check
 
 from kga2c import engine, tokenizer as tok, trainer
-from kga2c.agent import ABLATIONS, KgA2CAgent
+from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
 
@@ -18,6 +20,11 @@ SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
 @pytest.fixture(scope="module")
 def short_corridor(corridor):
     return replace(corridor, turn_cap=30)
+
+
+@pytest.fixture(scope="module")
+def short_microzork(microzork):
+    return replace(microzork, turn_cap=30)
 
 
 def _run(spec, corpus, cfg, updates):
@@ -95,10 +102,110 @@ def test_first_step_of_an_update_uses_the_updated_parameters(short_corridor, cor
     assert first == expected
 
 
-def test_ablation_must_match_agent():
-    with pytest.raises(ValueError, match="with_ablation"):
-        trainer.TrainConfig(ablation="seq")
-    assert trainer.TrainConfig().with_ablation("seq").agent.ablation == "seq"
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_loss_rows_combine_the_terms_each_ablation_trains(
+    short_microzork, corpus, ablation
+):
+    cfg = SMALL.with_ablation(ablation)
+    _, _, rows, _ = _run(short_microzork, corpus, cfg, 2)
+    supervised = ablation not in ("unsupervised", "seq")
+    for row in rows:
+        expected = (
+            row["loss_actor"] + cfg.lambda_critic * row["loss_critic"]
+            + cfg.lambda_template * (row["loss_template"] + row["loss_seq_valid"])
+            + cfg.lambda_object * row["loss_object"]
+            + cfg.lambda_entropy * row["loss_entropy"]
+        )
+        assert abs(row["loss_total"] - expected) <= 1e-12
+        assert (row["loss_template"] != 0.0) == supervised
+        assert (row["loss_object"] != 0.0) == supervised
+        assert (row["loss_seq_valid"] != 0.0) == (ablation == "seq")
+        if ablation == "seq":
+            assert row["seq_valid_rate"] == row["sampled_valid_rate"]
+        else:
+            assert row["seq_valid_rate"] == 0.0
+
+
+@pytest.mark.parametrize("ablation", ["full", "seq"])
+def test_combined_loss_gradcheck(microzork, corpus, ablation, monkeypatch):
+    """Finite differences of the whole batch loss of one step at microzork
+    start: actor, critic and entropy, plus both BCE terms (full) or the
+    valid-action cross-entropy (seq), each built by the worker's own code."""
+    agent_cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2,
+                            gat_dim=4, score_width=4, dec_hidden=4)
+    # seed 0: the first sampled action under full has an object ("take field")
+    cfg = replace(SMALL, workers=1, seed=0, agent=agent_cfg).with_ablation(ablation)
+    pipe = trainer.build_pipeline(microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=3)
+    # The advantage is a constant of the loss, so the finite differences hold
+    # it at its unperturbed value too.
+    advantages = []
+    actor_loss = trainer.actor_loss
+
+    def held_actor_loss(log_prob, adv):
+        advantages.append(adv)
+        return actor_loss(log_prob, advantages[0])
+
+    monkeypatch.setattr(trainer, "actor_loss", held_actor_loss)
+    parts = {}
+
+    def loss():
+        record, _ = trainer.Worker(0, pipe, cfg).step(agent)
+        record.v_next = 0.5
+        total, terms = trainer.combined_loss([record], cfg)
+        parts.update((name, t.item()) for name, t in terms.items())
+        return total
+
+    heads = ("dec.tmpl.W", "dec.tmpl.b", "dec.obj.b") if ablation == "full" else (
+        "seq.W", "seq.b")
+    names = list(heads) + ["critic.w2", "critic.b2", "enc.combine.b", "gat.out.b"]
+    finite_difference_check(loss, [agent.params[n] for n in names])
+    trained = (("template", "object") if ablation == "full" else ("seq_valid",))
+    assert all(parts[name] != 0.0 for name in ("actor", "critic", "entropy") + trained)
+
+
+def test_config_file_json(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"workers": 2, "lr": 0.01, "gamma": 1,
+                                "agent": {"emb_dim": 8, "ablation": "no-gat"}}))
+    cfg = trainer.TrainConfig.from_file(path)
+    assert (cfg.workers, cfg.lr, cfg.gamma) == (2, 0.01, 1)
+    assert (cfg.agent.emb_dim, cfg.agent.ablation) == (8, "no-gat")
+
+
+def test_config_file_key_value_coerces_and_sets_the_agent_ablation(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\nworkers = 3\ngamma = 1  # trailing\n\n"
+                    "lambda_entropy = 1e-2\nablation = seq\n")
+    cfg = trainer.TrainConfig.from_file(path)
+    assert cfg.workers == 3 and isinstance(cfg.workers, int)
+    assert cfg.gamma == 1.0 and isinstance(cfg.gamma, float)
+    assert cfg.lambda_entropy == 0.01
+    assert cfg.agent.ablation == "seq"
+    assert cfg == trainer.TrainConfig(workers=3, gamma=1.0, lambda_entropy=0.01
+                                      ).with_ablation("seq")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("wrokers = 2\n", "wrokers"),
+    (json.dumps({"agent": {"emb": 3}, "lr": 0.1}), "agent.emb"),
+    (json.dumps({"seed": 1, "bogus": 2, "agent": {"hidden": 3}}),
+     "agent.hidden, bogus"),
+])
+def test_config_file_unknown_keys_are_named(tmp_path, text, named):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"unknown config keys: {named}$"):
+        trainer.TrainConfig.from_file(path)
+
+
+def test_config_file_ablation_must_agree_with_the_agent(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"ablation": "seq", "agent": {"ablation": "full"}}))
+    with pytest.raises(ValueError, match="differs from agent.ablation"):
+        trainer.TrainConfig.from_file(path)
+    path.write_text(json.dumps({"ablation": "seq", "agent": {"ablation": "seq"}}))
+    assert trainer.TrainConfig.from_file(path).agent.ablation == "seq"
 
 
 def test_failing_worker_is_logged_and_dropped(short_corridor, corpus, caplog):
