@@ -8,7 +8,8 @@ a graph-masked two-stage action decoder (template head, then a shared object
 GRU conditioned by attention over everything decoded so far).  A critic head
 shares the same state embedding.  The ``seq`` ablation swaps the template
 decoder for a word-by-word one; each ablation allocates only the parameters
-it uses.
+it uses.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U`` and
+``.b`` that ``numerics.ParameterSet.gru`` allocates.
 """
 
 from __future__ import annotations

@@ -368,9 +368,10 @@ def load_game(text: str) -> GameSpec:
                 f"object {obj.id!r} keyed by undeclared object {obj.key!r}"
             )
     for rule in rewards:
-        _check_predicate_refs(rule.trigger, rooms, objects, f"reward {rule.id!r}")
+        _check_predicate(rule.trigger, _REWARD_ARITY, rooms, objects,
+                         f"[reward] {rule.id!r}")
     for pred in victory:
-        _check_predicate_refs(pred, rooms, objects, "victory condition")
+        _check_predicate(pred, _VICTORY_ARITY, rooms, objects, "[victory]")
 
     nouns: set[str] = set()
     adjectives: set[str] = set()
@@ -422,23 +423,34 @@ def load_game(text: str) -> GameSpec:
     )
 
 
-_PREDICATE_ARITY = {
-    "take": 1, "open": 1, "visit": 1, "enter": 1, "bring": 2, "in": 2,
-    "has": 1, "at": 1, "score": 1, "unlock": 1, "drop": 1,
+# Arity of each predicate kind a section accepts: a reward fires on a
+# transition (``_holds_transition``), victory tests a state (``_holds_state``).
+_REWARD_ARITY = {
+    "take": 1, "drop": 1, "open": 1, "unlock": 1, "visit": 1, "enter": 1,
+    "bring": 2, "in": 2,
 }
+_VICTORY_ARITY = {"has": 1, "at": 1, "open": 1, "in": 2, "score": 1, "visit": 1}
 
 
-def _check_predicate_refs(pred: tuple[str, ...], rooms, objects, where: str) -> None:
-    if not pred or pred[0] not in _PREDICATE_ARITY:
-        raise GameParseError(0, f"{where}: unknown predicate {' '.join(pred)!r}")
+def _check_predicate(pred: tuple[str, ...], arity: dict[str, int], rooms,
+                     objects, where: str) -> None:
+    if not pred or pred[0] not in arity:
+        raise GameParseError(
+            0, f"{where}: unknown predicate {' '.join(pred)!r}, expected one "
+            f"of {', '.join(arity)}")
     kind, *args = pred
-    if len(args) != _PREDICATE_ARITY[kind]:
+    if len(args) != arity[kind]:
         raise GameParseError(0, f"{where}: predicate {kind!r} takes "
-                             f"{_PREDICATE_ARITY[kind]} argument(s)")
+                             f"{arity[kind]} argument(s)")
+    if kind == "score":
+        try:
+            int(args[0])
+        except ValueError:
+            raise GameParseError(
+                0, f"{where}: score takes an integer, got {args[0]!r}") from None
+        return
     ids = set(rooms) | set(objects)
     for a in args:
-        if kind == "score":
-            continue
         if a not in ids:
             raise GameReferenceError(f"{where}: unknown room/object {a!r}")
 

@@ -5,13 +5,16 @@ agent needs.  Each op records a backward closure; ``backward`` walks the tape
 in reverse topological order with a fixed accumulation order, so repeated
 backward passes over the same graph are bitwise repeatable and gradients
 accumulate until explicitly zeroed.
+
+A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
+gate blocks in z, r, n order; ``gru_cell`` is one tape node whose backward
+sends one gradient to each of them.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,36 +55,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
-
-    # Operator sugar; every dunder defers to the module-level ops.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
@@ -325,25 +298,6 @@ def column(x: Tensor) -> Tensor:
     return _make(x.data[:, None], (x,), backward)
 
 
-def vector(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a vector."""
-    scalars = tuple(scalars)
-    for t in scalars:
-        if t.data.ndim != 0:
-            raise ShapeError("vector expects scalars")
-    n = len(scalars)
-
-    def backward(g, grads):
-        for i in range(n):
-            grads[i] = g[i]
-
-    return _make(
-        np.array([t.data for t in scalars], dtype=np.float64),
-        scalars,
-        backward,
-    )
-
-
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be 2-D")
@@ -428,69 +382,50 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
 # GRU cell
 
 
-@dataclass
-class GRUParams:
-    Wz: Tensor
-    Uz: Tensor
-    bz: Tensor
-    Wr: Tensor
-    Ur: Tensor
-    br: Tensor
-    Wn: Tensor
-    Un: Tensor
-    bn: Tensor
+GRU = tuple[Tensor, Tensor, Tensor]  # (W, U, b), see ParameterSet.gru
 
 
-def gru_cell(x: Tensor, h: Tensor, p: GRUParams) -> Tensor:
-    """Standard gated update: h' = (1-z)*h + z*n.
+def gru_cell(x: Tensor, h: Tensor, p: GRU) -> Tensor:
+    """Standard gated update (Cho et al. 2014): h' = (1-z)*h + z*n, with
+    z, r and n read as H-wide blocks of one x @ W and one h @ U.
 
     Fused into a single tape node; the cell runs once per token so the
     per-node overhead of composing it from primitives dominates training
     time otherwise.
     """
+    W, U, b = p
     xd, hd = x.data, h.data
     if xd.ndim != 1 or hd.ndim != 1:
         raise ShapeError("gru_cell expects vector inputs")
-    if xd.shape[0] != p.Wz.data.shape[0] or hd.shape[0] != p.Uz.data.shape[0]:
+    H = hd.shape[0]
+    if xd.shape[0] != W.data.shape[0] or U.data.shape != (H, 3 * H):
         raise ShapeError(
             f"gru_cell: x {xd.shape} / h {hd.shape} disagree with params "
-            f"{p.Wz.data.shape} / {p.Uz.data.shape}"
+            f"{W.data.shape} / {U.data.shape}"
         )
-    z = 1.0 / (1.0 + np.exp(-(xd @ p.Wz.data + hd @ p.Uz.data + p.bz.data)))
-    r = 1.0 / (1.0 + np.exp(-(xd @ p.Wr.data + hd @ p.Ur.data + p.br.data)))
-    hUn = hd @ p.Un.data
-    n = np.tanh(xd @ p.Wn.data + r * hUn + p.bn.data)
+    xW, hU, bd = xd @ W.data, hd @ U.data, b.data
+    z = 1.0 / (1.0 + np.exp(-(xW[:H] + hU[:H] + bd[:H])))
+    r = 1.0 / (1.0 + np.exp(-(xW[H:2 * H] + hU[H:2 * H] + bd[H:2 * H])))
+    hUn = hU[2 * H:].copy()  # a view would keep all of hU alive on the tape
+    n = np.tanh(xW[2 * H:] + r * hUn + bd[2 * H:])
     out = hd + z * (n - hd)
 
     def backward(g, grads):
-        dn = g * z
         dz = g * (n - hd) * z * (1.0 - z)
-        dan = dn * (1.0 - n * n)
-        dr = dan * hUn
-        dar = dr * r * (1.0 - r)
-        dhUn = dan * r
-        grads[0] = dz @ p.Wz.data.T + dar @ p.Wr.data.T + dan @ p.Wn.data.T
-        grads[1] = (
-            g * (1.0 - z)
-            + dz @ p.Uz.data.T
-            + dar @ p.Ur.data.T
-            + dhUn @ p.Un.data.T
-        )
-        grads[2] = np.outer(xd, dz)
-        grads[3] = np.outer(hd, dz)
-        grads[4] = dz
-        grads[5] = np.outer(xd, dar)
-        grads[6] = np.outer(hd, dar)
-        grads[7] = dar
-        grads[8] = np.outer(xd, dan)
-        grads[9] = np.outer(hd, dhUn)
-        grads[10] = dan
+        dan = g * z * (1.0 - n * n)
+        dar = dan * hUn * r * (1.0 - r)
+        dxW = np.concatenate([dz, dar, dan])  # d/d(x @ W), also d/db
+        dhU = np.concatenate([dz, dar, dan * r])  # d/d(h @ U)
+        grads[0] = dxW @ W.data.T
+        grads[1] = g * (1.0 - z) + dhU @ U.data.T
+        grads[2] = np.outer(xd, dxW)
+        grads[3] = np.outer(hd, dhU)
+        grads[4] = dxW
 
-    parents = (x, h, p.Wz, p.Uz, p.bz, p.Wr, p.Ur, p.br, p.Wn, p.Un, p.bn)
-    return _make(out, parents, backward)
+    return _make(out, (x, h, W, U, b), backward)
 
 
-def gru_sequence(xs: Iterable[Tensor], h0: Tensor, p: GRUParams) -> Tensor:
+def gru_sequence(xs: Iterable[Tensor], h0: Tensor, p: GRU) -> Tensor:
     """Run the cell over a sequence; an empty sequence returns h0 unchanged."""
     h = h0
     for x in xs:
@@ -561,20 +496,22 @@ class ParameterSet:
     def add(self, name: str, shape: tuple[int, ...], kind: str = "weight") -> Tensor:
         """kind: weight (uniform +-1/sqrt(fan_in)), bias (zeros), embedding
         (uniform +-1/sqrt(dim))."""
+        if kind == "bias":
+            return self._put(name, np.zeros(shape))
+        fan = shape[-1] if kind == "embedding" else shape[0]
+        return self._put(name, self._uniform(shape, fan))
+
+    def _uniform(self, shape: tuple[int, ...], fan: int) -> np.ndarray:
+        bound = 1.0 / np.sqrt(fan)
+        return self.rng.uniform(-bound, bound, size=shape)
+
+    def _put(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if kind == "bias":
-            data = np.zeros(shape)
-        elif kind == "embedding":
-            bound = 1.0 / np.sqrt(shape[-1])
-            data = self.rng.uniform(-bound, bound, size=shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            data = self.rng.uniform(-bound, bound, size=shape)
         t = Tensor(data, requires_grad=True)
         self.tensors[name] = t
-        self.adam_m[name] = np.zeros(shape)
-        self.adam_v[name] = np.zeros(shape)
+        self.adam_m[name] = np.zeros(t.data.shape)
+        self.adam_v[name] = np.zeros(t.data.shape)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -590,24 +527,24 @@ class ParameterSet:
         for t in self.tensors.values():
             t.grad = None
 
-    def gru(self, prefix: str, in_dim: int, hid_dim: int) -> GRUParams:
-        return GRUParams(
-            Wz=self.add(f"{prefix}.Wz", (in_dim, hid_dim)),
-            Uz=self.add(f"{prefix}.Uz", (hid_dim, hid_dim)),
-            bz=self.add(f"{prefix}.bz", (hid_dim,), "bias"),
-            Wr=self.add(f"{prefix}.Wr", (in_dim, hid_dim)),
-            Ur=self.add(f"{prefix}.Ur", (hid_dim, hid_dim)),
-            br=self.add(f"{prefix}.br", (hid_dim,), "bias"),
-            Wn=self.add(f"{prefix}.Wn", (in_dim, hid_dim)),
-            Un=self.add(f"{prefix}.Un", (hid_dim, hid_dim)),
-            bn=self.add(f"{prefix}.bn", (hid_dim,), "bias"),
-        )
+    def gru(self, prefix: str, in_dim: int, hid_dim: int) -> GRU:
+        """One GRU as three packed tensors, ``prefix.W`` (in_dim, 3H),
+        ``prefix.U`` (H, 3H) and ``prefix.b`` (3H,), gate blocks in z, r, n
+        order.  The six weight blocks draw from the RNG in the order Wz, Uz,
+        Wr, Ur, Wn, Un, each bounded by its own fan-in, so every parameter
+        starts as it did when each block was a tensor of its own."""
+        W = np.empty((in_dim, 3 * hid_dim))
+        U = np.empty((hid_dim, 3 * hid_dim))
+        for k in range(3):
+            block = slice(k * hid_dim, (k + 1) * hid_dim)
+            W[:, block] = self._uniform((in_dim, hid_dim), in_dim)
+            U[:, block] = self._uniform((hid_dim, hid_dim), hid_dim)
+        return (self._put(f"{prefix}.W", W), self._put(f"{prefix}.U", U),
+                self._put(f"{prefix}.b", np.zeros(3 * hid_dim)))
 
-    def gru_params(self, prefix: str) -> GRUParams:
-        return GRUParams(
-            **{f: self.tensors[f"{prefix}.{f}"] for f in
-               ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")}
-        )
+    def gru_params(self, prefix: str) -> GRU:
+        t = self.tensors
+        return t[f"{prefix}.W"], t[f"{prefix}.U"], t[f"{prefix}.b"]
 
     def grad_norm(self) -> float:
         total = 0.0
@@ -711,10 +648,7 @@ def load_checkpoint(path, seed: int = 0) -> ParameterSet:
                 )
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
             off += size * 8
-            t = Tensor(data.astype(np.float64), requires_grad=True)
-            params.tensors[name] = t
-            params.adam_m[name] = np.zeros(t.data.shape)
-            params.adam_v[name] = np.zeros(t.data.shape)
+            params._put(name, data.astype(np.float64))
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint: {exc}") from exc
     if off != len(blob) - 4:

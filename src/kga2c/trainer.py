@@ -635,14 +635,13 @@ def evaluate(
     pipe: Pipeline,
     episodes: int,
     seed: int = 0,
-    mode: str = "greedy",
     trace: list | None = None,
 ) -> tuple[float, float, list[int]]:
     """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
-    p_m = 0 so evaluation is deterministic."""
+    p_m = 0 so evaluation is deterministic.  With ``trace``, one row per step
+    is appended to it (see ``_trace_row``)."""
     if episodes <= 0:
         raise ValueError("episodes must be positive")
-    rng = np.random.default_rng(seed)
     scores: list[int] = []
     for i in range(episodes):
         ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
@@ -650,17 +649,15 @@ def evaluate(
             mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
             s_t, ep.enc = agent.state_embedding(ep.obs, ep.graph, ep.enc)
             if agent.cfg.ablation == "seq":
-                words, _, _ = agent.seq_decode(
-                    s_t, rng, "sample" if mode == "sample" else "greedy"
-                )
+                words, logits, _ = agent.seq_decode(s_t, mode="greedy")
                 action = agent.seq_action_text(words) or "look"
+                t_probs, o_probs = None, [nm.softmax(x) for x in logits]
             else:
-                dist = agent.decode_action(
-                    s_t, mask, rng if mode == "sample" else None, mode
-                )
+                dist = agent.decode_action(s_t, mask, mode="greedy")
                 action = dist.action
-                if trace is not None:
-                    trace.append(_trace_row(agent, dist, mask, ep.graph, action))
+                t_probs, o_probs = dist.template_probs, dist.object_probs
+            if trace is not None:
+                trace.append(_trace_row(agent, t_probs, o_probs, mask, ep.graph, action))
             ep.act(action)
         scores.append(ep.state.score)
     mean = float(np.mean(scores))
@@ -668,26 +665,30 @@ def evaluate(
     return mean, std, scores
 
 
-def _trace_row(agent: KgA2CAgent, dist: ActionDistribution, mask: kg.GraphMask,
+STOP_WORD = "<stop>"  # the seq decoder's end-of-action token, as traces name it
+
+
+def _trace_row(agent: KgA2CAgent, template_probs: nm.Tensor | None,
+               object_probs: list[nm.Tensor], mask: kg.GraphMask,
                graph: kg.KnowledgeGraph, action: str) -> dict:
+    """The top-5 templates, and the top-5 words at each object blank or, under
+    ``seq``, at each decoded position (where the template list is empty and
+    the words include the stop token), with the mask, graph and action."""
     def top5(probs: np.ndarray, names) -> list[tuple[str, float]]:
         ids = np.argsort(-probs)[:5]
         return [(str(names[i]), round(float(probs[i]), 4)) for i in ids]
 
-    row = {
-        "template_probs": top5(
-            dist.template_probs.data,
-            [t.pattern for t in agent.space.templates],
-        ),
-        "object_probs": [
-            top5(p.data, agent.space.vocabulary) for p in dist.object_probs
-        ],
+    words = tuple(agent.space.vocabulary) + (STOP_WORD,)
+    patterns = [t.pattern for t in agent.space.templates]
+    return {
+        "template_probs": [] if template_probs is None
+        else top5(template_probs.data, patterns),
+        "object_probs": [top5(p.data, words) for p in object_probs],
         "mask_size": len(mask),
         "mask": sorted(mask.words),
         "graph": sorted(graph.triples),
         "action": action,
     }
-    return row
 
 
 def random_valid_baseline(

@@ -11,7 +11,7 @@ import pytest
 from gradcheck import finite_difference_check
 
 from kga2c import numerics as nm, trainer
-from kga2c.agent import AgentConfig, KgA2CAgent
+from kga2c.agent import CHANNELS, AgentConfig, KgA2CAgent
 
 
 def loop_gat_embed(agent, graph):
@@ -135,20 +135,36 @@ def test_dense_gat_is_bitwise_independent_of_the_hash_seed():
 
 def test_whole_agent_gradcheck(pipe):
     """Finite differences through the state embedding (encoders and GAT),
-    the greedy decode's log-prob and the critic."""
+    the greedy decode's log-prob and the critic, over every GRU tensor."""
     cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
                       score_width=4, dec_hidden=4)
-    agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=3)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
     ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
+    ep.observe(pipe.space.vocabulary, 0.0, 0)
+    # one step first, so the encoders start from carried, non-zero hiddens
+    _, ep.enc = agent.state_embedding(ep.obs, ep.graph, ep.enc)
+    ep.act("open mailbox")
     mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
     assert len(ep.graph.nodes()) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
-    def scalar():
+    def decode():
         s_t, _ = agent.state_embedding(ep.obs, ep.graph, ep.enc)
-        dist = agent.decode_action(s_t, mask, mode="greedy")
+        return s_t, agent.decode_action(s_t, mask, mode="greedy")
+
+    def scalar():
+        s_t, dist = decode()
         return nm.add(dist.log_prob, agent.critic_value(s_t))
 
+    # two blanks: the object GRU's second step starts from a non-zero hidden,
+    # so its U is reached
+    assert len(decode()[1].object_ids) == 2
     names = [n for n in agent.params.names()
-             if n.startswith(("gat.", "enc.combine.", "critic.")) or n == "dec.ctx.W"]
+             if n.startswith(("gat.", "enc.combine.", "critic.")) or n == "dec.ctx.W"
+             or ".gru." in n]
     assert sum(n.startswith("gat.h") for n in names) == 2 * cfg.gat_heads
+    assert sum(".gru." in n for n in names) == 3 * (len(CHANNELS) + 2)
     finite_difference_check(scalar, [agent.params[n] for n in names])
+    # a tensor the scalar never reaches would pass as zeros; only the template
+    # GRU's U is unreachable, since that GRU runs one step from a zero hidden
+    unreached = [n for n in names if not np.any(agent.params[n].grad)]
+    assert unreached == ["dec.tmpl.gru.U"]

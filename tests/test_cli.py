@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,54 @@ def test_agent_refuses_unexpected_parameter(corridor, tmp_path):
     params.tensors["critic.b1"] = nm.Tensor(params["critic.b1"].data[:3])
     with pytest.raises(ValueError, match="'critic.b1' has shape"):
         KgA2CAgent(agent.space, agent.model, agent.cfg, params=params)
+
+
+def test_eval_refuses_nine_tensor_gru_checkpoint(corridor, tmp_path, capsys):
+    """A checkpoint from before GRUs were packed holds each as nine tensors,
+    ``*.gru.{Wz,Uz,bz,...,bn}``; it is refused, naming a missing tensor."""
+    agent = _save_checkpoint(corridor, "full", tmp_path / "packed.bin")
+    old = nm.ParameterSet()
+    for name in agent.params.names():
+        data = agent.params[name].data
+        prefix, _, kind = name.rpartition(".")
+        if not prefix.endswith(".gru"):
+            old.tensors[name] = nm.Tensor(data)
+            continue
+        hid = data.shape[-1] // 3
+        for k, gate in enumerate("zrn"):
+            old.tensors[f"{prefix}.{kind}{gate}"] = nm.Tensor(data[..., k * hid:(k + 1) * hid])
+    path = tmp_path / "nine.bin"
+    nm.save_checkpoint(old, path)
+    argv = ["eval", "--game", "corridor", "--checkpoint", str(path), "--episodes", "1"]
+    assert cli.main(argv) == 2
+    assert "'dec.obj.gru.U' is missing" in capsys.readouterr().err
+
+
+def test_seq_eval_trace_has_a_row_per_step(corridor, corpus, tmp_path, capsys):
+    """Under seq a trace row has no templates, and its object list is the
+    word decoder's top words at each position, stop token included."""
+    spec = replace(corridor, turn_cap=20)
+    cfg = trainer.TrainConfig().with_ablation("seq")
+    pipe = trainer.build_pipeline(spec, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent)
+    trace: list = []
+    trainer.evaluate(agent, pipe, 1, trace=trace)
+    ep = trainer.Episode(spec, 0)
+    for row in trace:  # replaying the traced actions ends the episode exactly
+        assert not ep.done
+        ep.act(row["action"])
+    assert ep.done and trace
+    for row in trace:
+        assert row["template_probs"] == []
+        greedy = [slot[0][0] for slot in row["object_probs"]]
+        words = [w for w in greedy if w != trainer.STOP_WORD]
+        assert greedy[len(words):] in ([], [trainer.STOP_WORD])
+        assert row["action"] == (" ".join(words) or "look")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in trace))
+    assert cli.main(["inspect", "valid-trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("  Action: ") == out.count("  Object probs [0]: ") == len(trace)
 
 
 def test_scripted_play_session(monkeypatch, capsys):

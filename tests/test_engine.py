@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,20 @@ class TestLoadGame:
         )
         with pytest.raises(GameParseError):
             load_game(bad)
+
+    @pytest.mark.parametrize("old, new, section", [
+        ("when: enter sanctum", "when: at sanctum", "[reward]"),
+        ("when: at sanctum", "when: enter sanctum", "[victory]"),
+        ("when: at sanctum", "when: score lots", "[victory]"),
+    ], ids=["state-as-reward", "transition-as-victory", "score-not-an-integer"])
+    def test_predicate_that_cannot_hold_in_its_section_rejected(self, old, new, section):
+        """A reward fires on a transition and victory tests a state, so a
+        state predicate as a reward never fires, a transition as victory
+        never holds, and score needs an integer."""
+        text = bundled_game_text("corridor")
+        assert text.count(old) == 1
+        with pytest.raises(GameParseError, match=re.escape(section)):
+            load_game(text.replace(old, new))
 
     def test_incomplete_declared_vocabulary(self):
         bad = TINY_GAME + "\n[vocab]\nwords: north, take\n"

@@ -38,7 +38,7 @@ class TestCoreOps:
         def f():
             m = nm.matmul(A, B)  # (3,2)
             lhs = nm.matmul(v, m)  # (2,)
-            return nm.sum_(lhs) + nm.matmul(nm.matmul(A, u), v)
+            return nm.add(nm.sum_(lhs), nm.matmul(nm.matmul(A, u), v))
 
         finite_difference_check(f, [A, B, v, u])
 
@@ -133,10 +133,9 @@ class TestCoreOps:
             a = nm.mean(e, axis=0)
             b = nm.row(e, 1)
             s = nm.slice1d(v, 1, 4)
-            return (
-                nm.pick(nm.mul(a, b), 2)
-                + nm.sum_(nm.gather(v, [0, 5, 5]))
-                + nm.sum_(nm.mul(s, a))
+            return nm.add(
+                nm.add(nm.pick(nm.mul(a, b), 2), nm.sum_(nm.gather(v, [0, 5, 5]))),
+                nm.sum_(nm.mul(s, a)),
             )
 
         finite_difference_check(f, [T, v])
@@ -152,8 +151,8 @@ class TestCoreOps:
             m = nm.stack0([a, b, nm.mul(a, b)])
             pooled = nm.mean(m, axis=0)
             flat = nm.concat([pooled, c])
-            scalars = nm.vector([nm.sum_(a), nm.mean(c), nm.pick(flat, 0)])
-            return nm.sum_(nm.mul(flat, flat)) + nm.sum_(scalars)
+            scalars = nm.add(nm.add(nm.sum_(a), nm.mean(c)), nm.pick(flat, 0))
+            return nm.add(nm.sum_(nm.mul(flat, flat)), scalars)
 
         finite_difference_check(f, [a, b, c])
 
@@ -169,14 +168,42 @@ class TestGRU:
         rng = np.random.default_rng(0)
         x = nm.Tensor(rng.normal(size=4))
         h = nm.Tensor(rng.normal(size=3))
-        zeros = {
-            name: nm.Tensor(
-                np.zeros((4, 3) if name.startswith("W") else (3, 3) if name.startswith("U") else (3,))
-            )
-            for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
-        }
-        out = nm.gru_cell(x, h, nm.GRUParams(**zeros))
+        zeros = (nm.Tensor(np.zeros((4, 9))), nm.Tensor(np.zeros((3, 9))),
+                 nm.Tensor(np.zeros(9)))
+        out = nm.gru_cell(x, h, zeros)
         assert np.allclose(out.data, 0.5 * h.data)
+
+    def test_packed_blocks_match_separate_gates(self):
+        """W, U and b hold the z, r, n gates in that order, each block drawn
+        as its own weight tensor would be, in the order Wz, Uz, Wr, Ur, Wn,
+        Un; the cell is the textbook GRU over those blocks."""
+        params = nm.ParameterSet(3)
+        W, U, b = params.gru("g", 4, 3)
+        assert params.names() == ["g.U", "g.W", "g.b"]
+        ref = nm.ParameterSet(3)
+        blocks = {}
+        for gate in "zrn":
+            blocks[f"W{gate}"] = ref.add(f"W{gate}", (4, 3)).data
+            blocks[f"U{gate}"] = ref.add(f"U{gate}", (3, 3)).data
+        for k, gate in enumerate("zrn"):
+            cols = slice(3 * k, 3 * k + 3)
+            assert np.array_equal(W.data[:, cols], blocks[f"W{gate}"])
+            assert np.array_equal(U.data[:, cols], blocks[f"U{gate}"])
+        assert params.rng.random() == ref.rng.random()  # no extra draws
+
+        rng = np.random.default_rng(0)
+        b.data = rng.normal(size=9)
+        bz, br, bn = b.data[:3], b.data[3:6], b.data[6:]
+        x, h = rng.normal(size=4), rng.normal(size=3)
+
+        def sigmoid(a):
+            return 1.0 / (1.0 + np.exp(-a))
+
+        z = sigmoid(x @ blocks["Wz"] + h @ blocks["Uz"] + bz)
+        r = sigmoid(x @ blocks["Wr"] + h @ blocks["Ur"] + br)
+        n = np.tanh(x @ blocks["Wn"] + r * (h @ blocks["Un"]) + bn)
+        out = nm.gru_cell(nm.Tensor(x), nm.Tensor(h), (W, U, b))
+        assert np.allclose(out.data, (1 - z) * h + z * n, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients(self, seed):

@@ -3,18 +3,31 @@
 Usage, from the root of a checkout:
 
     python3 tools/behaviour_hash.py
+    python3 tools/behaviour_hash.py --dump runs.json
+    python3 tools/behaviour_hash.py --compare parent.json change.json
 
 For each game and ablation it trains 4 updates (seed 3, 2 workers, unroll 4)
 and then plays one greedy eval episode with trace rows, with the game's turn
 cap at 40.  Each output line is ``game ablation hash``, where the hash is a
 blake2b digest of the ``train_step`` rows, the eval result and the trace.  A
 refactor that claims unchanged behaviour prints the same lines as its parent.
+
+``--dump FILE`` prints the same lines and also writes every run's unhashed
+rows, eval result and trace to FILE as JSON.  ``--compare PARENT CHANGE``
+reads two such files, runs nothing, and prints per game and ablation the
+worst relative difference over the rows' values and whether the eval results
+and the traces' actions are equal; a trace that is empty in the parent is
+skipped.  It exits 1 if a row value differs by more than 1e-12 relative, or
+if any eval result or action differs, so a refactor whose arithmetic changes
+only by round-off passes where its hashes do not.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,9 +39,10 @@ from kga2c import engine, trainer  # noqa: E402
 from kga2c.agent import ABLATIONS, KgA2CAgent  # noqa: E402
 
 SEED, WORKERS, UNROLL, UPDATES, TURN_CAP = 3, 2, 4, 4, 40
+ROW_RTOL = 1e-12
 
 
-def behaviour_hash(spec: engine.GameSpec, corpus: list[str], ablation: str) -> str:
+def behaviour_run(spec: engine.GameSpec, corpus: list[str], ablation: str) -> dict:
     cfg = trainer.TrainConfig(workers=WORKERS, unroll=UNROLL, seed=SEED)
     cfg = cfg.with_ablation(ablation)
     pipe = trainer.build_pipeline(spec, corpus, cfg)
@@ -40,17 +54,82 @@ def behaviour_hash(spec: engine.GameSpec, corpus: list[str], ablation: str) -> s
         rows.append(trainer.train_step(batch, agent, cfg))
     trace: list = []
     result = trainer.evaluate(agent, pipe, 1, seed=cfg.seed, trace=trace)
-    blob = json.dumps({"rows": rows, "eval": result, "trace": trace}, sort_keys=True)
+    return {"rows": rows, "eval": result, "trace": trace}
+
+
+def behaviour_hash(run: dict) -> str:
+    blob = json.dumps(run, sort_keys=True)
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def main() -> None:
+def relative_difference(a, b) -> float:
+    """|a - b| over the larger magnitude; inf for unequal non-numbers."""
+    if a == b:
+        return 0.0
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(a - b) / max(abs(a), abs(b))
+    return math.inf
+
+
+def worst_row_difference(parent: list[dict], change: list[dict]) -> float:
+    if len(parent) != len(change):
+        return math.inf
+    worst = 0.0
+    for p, c in zip(parent, change):
+        if p.keys() != c.keys():
+            return math.inf
+        for key in p:
+            worst = max(worst, relative_difference(p[key], c[key]))
+    return worst
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    parent = json.loads(Path(parent_path).read_text())
+    change = json.loads(Path(change_path).read_text())
+    failed = False
+    for game, runs in parent.items():
+        for ablation, p in runs.items():
+            c = change.get(game, {}).get(ablation)
+            if c is None:
+                print(game, ablation, "missing from", change_path)
+                failed = True
+                continue
+            worst = worst_row_difference(p["rows"], c["rows"])
+            eval_equal = p["eval"] == c["eval"]
+            if p["trace"]:
+                actions_equal = ([r["action"] for r in p["trace"]]
+                                 == [r["action"] for r in c["trace"]])
+                actions = "equal" if actions_equal else "DIFFER"
+            else:
+                actions_equal, actions = True, "skipped (empty in parent)"
+            print(f"{game} {ablation} rows_rel={worst:.2g} "
+                  f"eval={'equal' if eval_equal else 'DIFFERS'} actions={actions}")
+            failed |= not (worst <= ROW_RTOL and eval_equal and actions_equal)
+    return 1 if failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", metavar="FILE",
+                       help="also write the unhashed runs to FILE as JSON")
+    group.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                       help="compare two --dump files within round-off")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     corpus = bundled_corpus_lines()
+    runs: dict[str, dict[str, dict]] = {}
     for game in BUNDLED_GAMES:
         spec = replace(engine.load_game(bundled_game_text(game)), turn_cap=TURN_CAP)
         for ablation in ABLATIONS:
-            print(game, ablation, behaviour_hash(spec, corpus, ablation), flush=True)
+            run = behaviour_run(spec, corpus, ablation)
+            runs.setdefault(game, {})[ablation] = run
+            print(game, ablation, behaviour_hash(run), flush=True)
+    if args.dump:
+        Path(args.dump).write_text(json.dumps(runs, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
