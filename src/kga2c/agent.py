@@ -9,7 +9,11 @@ GRU conditioned by attention over everything decoded so far).  A critic head
 shares the same state embedding.  The ``seq`` ablation swaps the template
 decoder for a word-by-word one; each ablation allocates only the parameters
 it uses.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U`` and
-``.b`` that ``numerics.ParameterSet.gru`` allocates.
+``.b`` that ``numerics.ParameterSet.gru`` allocates.  Each observation channel
+is one ``numerics.gru_sequence`` tape node over its token embeddings, which
+does backpropagation through time in its own backward, so a step adds four
+GRU nodes to the tape however long its texts are; the decoders' one-step
+GRUs are the same kernel with T = 1.
 """
 
 from __future__ import annotations
@@ -200,7 +204,9 @@ class KgA2CAgent:
         self, obs: Observation, enc: EncoderState
     ) -> tuple[nm.Tensor, EncoderState]:
         """Per-channel GRU over subword embeddings, carried hidden in, new
-        hidden out; concatenated finals go through one linear layer."""
+        hidden out; concatenated finals go through one linear layer.  Each
+        channel is one ``nm.gru_sequence`` node over its (T, emb) matrix; an
+        empty text gives T = 0, which carries the hidden unchanged."""
         p = self.params
         emb = p["emb"]
         finals = []
@@ -213,12 +219,8 @@ class KgA2CAgent:
         }
         for ch in CHANNELS:
             ids = self._token_ids(texts[ch])
-            h = nm.Tensor(enc.hiddens[ch])
-            gp = p.gru_params(f"enc.{ch}.gru")
-            if ids:
-                rows = nm.embedding(emb, ids)
-                xs = [nm.row(rows, i) for i in range(len(ids))]
-                h = nm.gru_sequence(xs, h, gp)
+            h = nm.gru_sequence(nm.embedding(emb, ids), nm.Tensor(enc.hiddens[ch]),
+                                p.gru_params(f"enc.{ch}.gru"))
             finals.append(h)
             new_hiddens[ch] = h.data.copy()
         o_t = nm.add(
@@ -406,7 +408,7 @@ class KgA2CAgent:
             if wid == stop_id:
                 break
             words.append(wid)
-            h = nm.gru_cell(nm.row(nm.embedding(p["seq.emb"], [wid]), 0), h, gp)
+            h = nm.gru_sequence(nm.embedding(p["seq.emb"], [wid]), h, gp)
         assert log_prob is not None
         return words, logits_seq, log_prob
 

@@ -115,6 +115,11 @@ def cmd_play(args) -> int:
                 a_prev=engine.SENTINEL_PREV_ACTION,
                 score=ep.state.score,
             )
+            # the graph and the last action belong to the abandoned timeline
+            ep.graph = kg.KnowledgeGraph()
+            ep.prev_action = engine.SENTINEL_PREV_ACTION
+            ep.done = False
+            ep.observe(space.vocabulary, 0.0, 0)
             print(f"Restored from {path}.")
             continue
         reward = ep.act(command)

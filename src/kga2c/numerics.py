@@ -7,15 +7,20 @@ backward passes over the same graph are bitwise repeatable and gradients
 accumulate until explicitly zeroed.
 
 A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
-gate blocks in z, r, n order; ``gru_cell`` is one tape node whose backward
-sends one gradient to each of them.
+gate blocks in z, r, n order.  ``gru_sequence`` is the one GRU tape node: it
+runs the recurrence over the T rows of a (T, in) input matrix, and its
+backward does backpropagation through time in one reverse loop, then sends
+one gradient each to X, h0, W, U and b; ``gru_cell`` is its T = 1 case.  The
+input projection x_t @ W stays one product per token, because a single
+X @ W sums in another order and would change every forward pass by
+round-off.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,7 +179,7 @@ def stack0(tensors: Sequence[Tensor]) -> Tensor:
         for i in range(n):
             grads[i] = g[i]
 
-    return _make(np.stack([t.data for t in tensors]), tensors, backward)
+    return _make(np.array([t.data for t in tensors]), tensors, backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -379,58 +384,83 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 
 
 GRU = tuple[Tensor, Tensor, Tensor]  # (W, U, b), see ParameterSet.gru
 
 
-def gru_cell(x: Tensor, h: Tensor, p: GRU) -> Tensor:
-    """Standard gated update (Cho et al. 2014): h' = (1-z)*h + z*n, with
-    z, r and n read as H-wide blocks of one x @ W and one h @ U.
+def gru_sequence(X: Tensor, h0: Tensor, p: GRU) -> Tensor:
+    """The standard gated update (Cho et al. 2014), h' = (1-z)*h + z*n with
+    z, r and n read as H-wide blocks of x_t @ W and h @ U, run over the T
+    rows of X from h0; returns the last hidden, or h0 itself when T = 0.
 
-    Fused into a single tape node; the cell runs once per token so the
-    per-node overhead of composing it from primitives dominates training
-    time otherwise.
+    The forward keeps each step's gates, h @ U and the hidden it read; the
+    backward stacks them into arrays, runs backpropagation through time in
+    one reverse loop that fills d(x_t @ W) and d(h_t @ U), and then takes one
+    matmul per input.
     """
     W, U, b = p
-    xd, hd = x.data, h.data
-    if xd.ndim != 1 or hd.ndim != 1:
-        raise ShapeError("gru_cell expects vector inputs")
-    H = hd.shape[0]
-    if xd.shape[0] != W.data.shape[0] or U.data.shape != (H, 3 * H):
+    Xd, hd = X.data, h0.data
+    if Xd.ndim != 2 or hd.ndim != 1:
         raise ShapeError(
-            f"gru_cell: x {xd.shape} / h {hd.shape} disagree with params "
+            f"gru_sequence expects a (T, in) matrix and a hidden vector, got "
+            f"{Xd.shape} and {hd.shape}"
+        )
+    T, H = Xd.shape[0], hd.shape[0]
+    if Xd.shape[1] != W.data.shape[0] or U.data.shape != (H, 3 * H):
+        raise ShapeError(
+            f"gru_sequence: X {Xd.shape} / h {hd.shape} disagree with params "
             f"{W.data.shape} / {U.data.shape}"
         )
-    xW, hU, bd = xd @ W.data, hd @ U.data, b.data
-    z = 1.0 / (1.0 + np.exp(-(xW[:H] + hU[:H] + bd[:H])))
-    r = 1.0 / (1.0 + np.exp(-(xW[H:2 * H] + hU[H:2 * H] + bd[H:2 * H])))
-    hUn = hU[2 * H:].copy()  # a view would keep all of hU alive on the tape
-    n = np.tanh(xW[2 * H:] + r * hUn + bd[2 * H:])
-    out = hd + z * (n - hd)
+    if T == 0:
+        return h0
+    Wd, Ud = W.data, U.data
+    b_zr, b_n = b.data[:2 * H], b.data[2 * H:]
+    zrs, ns, hUs, hs = [], [], [], []
+    h = hd
+    for x in Xd:
+        xW, hU = x @ Wd, h @ Ud
+        zr = 1.0 / (1.0 + np.exp(-(xW[:2 * H] + hU[:2 * H] + b_zr)))  # z, r
+        n = np.tanh(xW[2 * H:] + zr[H:] * hU[2 * H:] + b_n)
+        zrs.append(zr)
+        ns.append(n)
+        hUs.append(hU)
+        hs.append(h)
+        h = h + zr[:H] * (n - h)
 
     def backward(g, grads):
-        dz = g * (n - hd) * z * (1.0 - z)
-        dan = g * z * (1.0 - n * n)
-        dar = dan * hUn * r * (1.0 - r)
-        dxW = np.concatenate([dz, dar, dan])  # d/d(x @ W), also d/db
-        dhU = np.concatenate([dz, dar, dan * r])  # d/d(h @ U)
-        grads[0] = dxW @ W.data.T
-        grads[1] = g * (1.0 - z) + dhU @ U.data.T
-        grads[2] = np.outer(xd, dxW)
-        grads[3] = np.outer(hd, dhU)
-        grads[4] = dxW
+        ZR, N, HU, Hp = np.array(zrs), np.array(ns), np.array(hUs), np.array(hs)
+        Z, R, HUn = ZR[:, :H], ZR[:, H:], HU[:, 2 * H:]
+        # dh_t times fxw[t] gives the (z, r, n) blocks of d(x_t @ W), and
+        # times fhu[t] those of d(h_t @ U), which reaches n through r.
+        fxw = np.empty((T, 3, H))
+        fxw[:, 0] = (N - Hp) * Z * (1.0 - Z)
+        fxw[:, 2] = Z * (1.0 - N * N)
+        fxw[:, 1] = fxw[:, 2] * HUn * R * (1.0 - R)
+        fhu = fxw.copy()
+        fhu[:, 2] *= R
+        keep = 1.0 - Z
+        dXW = np.empty((T, 3 * H))  # also d/db
+        dHU = np.empty((T, 3 * H))
+        dXW3, dHU3, UT = dXW.reshape(T, 3, H), dHU.reshape(T, 3, H), Ud.T
+        dh = g
+        for t in range(T - 1, -1, -1):
+            np.multiply(dh, fxw[t], out=dXW3[t])
+            np.multiply(dh, fhu[t], out=dHU3[t])
+            dh = dh * keep[t] + dHU[t] @ UT
+        grads[0] = dXW @ Wd.T
+        grads[1] = dh
+        grads[2] = Xd.T @ dXW
+        grads[3] = Hp.T @ dHU
+        grads[4] = dXW.sum(axis=0)
 
-    return _make(out, (x, h, W, U, b), backward)
+    return _make(h, (X, h0, W, U, b), backward)
 
 
-def gru_sequence(xs: Iterable[Tensor], h0: Tensor, p: GRU) -> Tensor:
-    """Run the cell over a sequence; an empty sequence returns h0 unchanged."""
-    h = h0
-    for x in xs:
-        h = gru_cell(x, h, p)
-    return h
+def gru_cell(x: Tensor, h: Tensor, p: GRU) -> Tensor:
+    """One GRU step: ``gru_sequence`` over the one-row matrix of x."""
+    return gru_sequence(stack0([x]), h, p)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,21 @@ def test_scripted_play_session(monkeypatch, capsys):
     assert '"you" -> "key" [label="have"];' in out
 
 
+def test_play_load_starts_a_fresh_graph(monkeypatch, capsys, tmp_path):
+    """After :load the graph is the loaded state's alone: the move made
+    from the restored room adds no edge from the room left behind."""
+    save = tmp_path / "s.bin"
+    script = f":save {save}\neast\neast\n:load {save}\neast\n:graph\n:quit\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    assert cli.main(["play", "--game", "corridor"]) == 0
+    out = capsys.readouterr().out
+    graph = out[out.index("digraph"):]
+    assert '"gate" -> "hall" [label="east"];' in graph
+    assert '"you" -> "hall" [label="in"];' in graph
+    assert '"bend" -> "hall"' not in graph
+    assert '"you" -> "bend"' not in graph
+
+
 def test_eval_trace_round_trips_through_inspect(corridor, tmp_path, capsys):
     ckpt = tmp_path / "checkpoint.bin"
     _save_checkpoint(corridor, "full", ckpt)

@@ -225,13 +225,80 @@ class TestGRU:
         params = nm.ParameterSet(0)
         gp = params.gru("g", 4, 3)
         h0 = nm.Tensor(np.array([1.0, -2.0, 3.0]))
-        assert nm.gru_sequence([], h0, gp) is h0
+        assert nm.gru_sequence(nm.Tensor(np.zeros((0, 4))), h0, gp) is h0
 
     def test_shape_mismatch_rejected(self):
         params = nm.ParameterSet(0)
         gp = params.gru("g", 4, 3)
+        h = nm.Tensor(np.zeros(3))
+        with pytest.raises(nm.ShapeError):  # X is a vector, not (T, in)
+            nm.gru_sequence(nm.Tensor(np.zeros(4)), h, gp)
+        with pytest.raises(nm.ShapeError):  # in-dim disagrees with W
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 5))), h, gp)
+        with pytest.raises(nm.ShapeError):  # hidden size disagrees with U
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 4))), nm.Tensor(np.zeros(4)), gp)
         with pytest.raises(nm.ShapeError):
-            nm.gru_cell(nm.Tensor(np.zeros(5)), nm.Tensor(np.zeros(3)), gp)
+            nm.gru_cell(nm.Tensor(np.zeros(5)), h, gp)
+
+    @staticmethod
+    def reference_sequence(X, h, p):
+        """The textbook per-token GRU composed from primitive tape nodes, in
+        the kernel's order of operations: h + z * (n - h), which is
+        (1 - z) * h + z * n."""
+        W, U, b = p
+        H = h.data.shape[0]
+
+        def gate(k, pre):
+            return nm.slice1d(pre, k * H, (k + 1) * H)
+
+        for t in range(X.data.shape[0]):
+            xW, hU = nm.matmul(nm.row(X, t), W), nm.matmul(h, U)
+            z = nm.sigmoid(nm.add(nm.add(gate(0, xW), gate(0, hU)), gate(0, b)))
+            r = nm.sigmoid(nm.add(nm.add(gate(1, xW), gate(1, hU)), gate(1, b)))
+            n = nm.tanh(nm.add(nm.add(gate(2, xW), nm.mul(r, gate(2, hU))),
+                               gate(2, b)))
+            h = nm.add(h, nm.mul(z, nm.sub(n, h)))
+        return h
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sequence_matches_per_token_reference(self, T, seed):
+        """Outputs bitwise equal to the primitive-node GRU; gradients of X,
+        h0, W, U and b equal to 1e-12 of each tensor's largest entry."""
+        rng = np.random.default_rng(100 * T + seed)
+        params = nm.ParameterSet(seed)
+        gp = params.gru("g", 6, 5)
+        gp[2].data = rng.normal(size=15)
+        X = rand(rng, T, 6)
+        h0 = rand(rng, 5)
+        y = nm.Tensor(rng.normal(size=5))
+        tensors = [X, h0, *gp]
+
+        def run(fn):
+            out = fn(X, h0, gp)
+            for t in tensors:
+                t.zero_grad()
+            nm.backward(nm.sum_(nm.mul(out, y)))
+            return out.data, [t.grad.copy() for t in tensors]
+
+        out, grads = run(nm.gru_sequence)
+        ref_out, ref_grads = run(self.reference_sequence)
+        assert np.array_equal(out, ref_out)
+        for name, g, ref in zip(["X", "h0", "W", "U", "b"], grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_sequence_gradients(self, T):
+        rng = np.random.default_rng(T)
+        params = nm.ParameterSet(T)
+        gp = params.gru("g", 4, 3)
+        gp[2].data = rng.normal(size=9)
+        X = rand(rng, T, 4)
+        h0 = rand(rng, 3)
+        y = nm.Tensor(rng.normal(size=3))
+        finite_difference_check(
+            lambda: nm.sum_(nm.mul(nm.gru_sequence(X, h0, gp), y)), [X, h0, *gp]
+        )
 
 
 class TestBackward:
