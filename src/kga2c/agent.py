@@ -11,9 +11,9 @@ decoder for a word-by-word one; each ablation allocates only the parameters
 it uses.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U`` and
 ``.b`` that ``numerics.ParameterSet.gru`` allocates.  Each observation channel
 is one ``numerics.gru_sequence`` tape node over its token embeddings, which
-does backpropagation through time in its own backward, so a step adds four
-GRU nodes to the tape however long its texts are; the decoders' one-step
-GRUs are the same kernel with T = 1.
+does backpropagation through time in its own backward, so the encoders add
+at most four GRU nodes to the tape per step, however long the texts are; the
+decoders' one-step GRUs are the same kernel with T = 1.
 """
 
 from __future__ import annotations
