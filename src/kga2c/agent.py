@@ -83,7 +83,6 @@ class EncoderState:
 class ActionDistribution:
     """Everything the trainer needs about one decoded action."""
 
-    template_id: int
     object_ids: tuple[int, ...]
     action: str
     log_prob: nm.Tensor  # joint: log pi_T + sum_i log pi_Oi
@@ -219,7 +218,7 @@ class KgA2CAgent:
         }
         for ch in CHANNELS:
             ids = self._token_ids(texts[ch])
-            h = nm.gru_sequence(nm.embedding(emb, ids), nm.Tensor(enc.hiddens[ch]),
+            h = nm.gru_sequence(nm.take(emb, ids), nm.Tensor(enc.hiddens[ch]),
                                 p.gru_params(f"enc.{ch}.gru"))
             finals.append(h)
             new_hiddens[ch] = h.data.copy()
@@ -262,15 +261,15 @@ class KgA2CAgent:
             for r in rels:
                 np.add.at(avg[i], list(r), 1.0 / (len(r) * len(rels)))
         pieces = np.flatnonzero(avg.any(axis=0))
-        feats = nm.matmul(nm.Tensor(avg[:, pieces]), nm.embedding(p["emb"], pieces))
+        feats = nm.matmul(nm.Tensor(avg[:, pieces]), nm.take(p["emb"], pieces))
 
         heads = []
         dim = cfg.emb_dim
         for k in range(cfg.gat_heads):
             u = nm.matmul(feats, p[f"gat.h{k}.W"])  # (N, F)
             pk = p[f"gat.h{k}.p"]
-            a_self = nm.matmul(u, nm.slice1d(pk, 0, dim))  # (N,)
-            a_peer = nm.matmul(u, nm.slice1d(pk, dim, 2 * dim))  # (N,)
+            a_self = nm.matmul(u, nm.take(pk, slice(0, dim)))  # (N,)
+            a_peer = nm.matmul(u, nm.take(pk, slice(dim, 2 * dim)))  # (N,)
             e = nm.leaky_relu(nm.add(nm.column(a_self), a_peer), cfg.leaky_slope)
             alpha = nm.softmax(e, mask=adj)  # (N, N)
             heads.append(nm.mean(nm.sigmoid(nm.matmul(alpha, u)), axis=0))
@@ -324,13 +323,13 @@ class KgA2CAgent:
         t_logits = nm.add(nm.matmul(h_t, p["dec.tmpl.W"]), p["dec.tmpl.b"])
         t_probs = nm.softmax(t_logits)
         tid = self._choose(t_probs.data, rng, mode)
-        log_prob = nm.log(nm.pick(t_probs, tid))
+        log_prob = nm.log(nm.take(t_probs, tid))
 
         mask_arr = self._decoder_mask(mask)
         template = self.space.templates[tid]
         context = [
             nm.matmul(s_t, p["dec.ctx.W"]),
-            nm.row(nm.embedding(p["dec.tmpl_emb"], [tid]), 0),
+            nm.take(p["dec.tmpl_emb"], tid),
         ]
         query = nm.matmul(s_t, p["dec.query.W"])
         scale = 1.0 / np.sqrt(cfg.dec_hidden)
@@ -348,15 +347,14 @@ class KgA2CAgent:
             o_logits = nm.add(nm.matmul(h_o, p["dec.obj.W"]), p["dec.obj.b"])
             o_probs = nm.softmax(o_logits, mask=mask_arr)
             oid = self._choose(o_probs.data, rng, mode)
-            log_prob = nm.add(log_prob, nm.log(nm.pick(o_probs, oid)))
+            log_prob = nm.add(log_prob, nm.log(nm.take(o_probs, oid)))
             object_ids.append(oid)
             object_logits.append(o_logits)
             object_probs.append(o_probs)
-            context.append(nm.row(nm.embedding(p["dec.obj_emb"], [oid]), 0))
+            context.append(nm.take(p["dec.obj_emb"], oid))
 
         words = [self.space.vocabulary[i] for i in object_ids]
         return ActionDistribution(
-            template_id=tid,
             object_ids=tuple(object_ids),
             action=self.space.instantiate(tid, words),
             log_prob=log_prob,
@@ -403,12 +401,12 @@ class KgA2CAgent:
             probs = nm.softmax(logits)
             wid = self._choose(probs.data, rng, mode)
             logits_seq.append(logits)
-            lp = nm.log(nm.pick(probs, wid))
+            lp = nm.log(nm.take(probs, wid))
             log_prob = lp if log_prob is None else nm.add(log_prob, lp)
             if wid == stop_id:
                 break
             words.append(wid)
-            h = nm.gru_sequence(nm.embedding(p["seq.emb"], [wid]), h, gp)
+            h = nm.gru_sequence(nm.take(p["seq.emb"], [wid]), h, gp)
         assert log_prob is not None
         return words, logits_seq, log_prob
 

@@ -14,6 +14,10 @@ one gradient each to X, h0, W, U and b; ``gru_cell`` is its T = 1 case.  The
 input projection x_t @ W stays one product per token, because a single
 X @ W sums in another order and would change every forward pass by
 round-off.
+
+``take`` is the one indexed read: an element, a slice or rows of a tensor
+along axis 0.  Its backward is the one scatter-add, ``np.add.at`` into a
+zero buffer the size of the whole input.
 """
 
 from __future__ import annotations
@@ -240,56 +244,21 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
     return _make(x.data.sum(axis=axis), (x,), backward)
 
 
-def gather(x: Tensor, ids: Sequence[int]) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError("gather expects a vector")
-    idx = np.asarray(ids, dtype=np.intp)
+def take(x: Tensor, index) -> Tensor:
+    """``x.data[index]`` along axis 0 of a vector or a matrix.  ``index`` is
+    an int, a slice or a sequence of ints; the backward scatter-adds into
+    zeros, so a repeated index sums its gradients."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"take expects a vector or a matrix, got shape {x.data.shape}")
+    if not isinstance(index, (int, np.integer, slice)):
+        index = np.asarray(index, dtype=np.intp)
 
     def backward(g, grads):
         buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
+        np.add.at(buf, index, g)
         grads[0] = buf
 
-    return _make(x.data[idx], (x,), backward)
-
-
-def pick(x: Tensor, i: int) -> Tensor:
-    """Scalar element of a vector."""
-    if x.data.ndim != 1:
-        raise ShapeError("pick expects a vector")
-
-    def backward(g, grads):
-        buf = np.zeros_like(x.data)
-        buf[i] = float(g)
-        grads[0] = buf
-
-    return _make(x.data[i], (x,), backward)
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a vector."""
-    if x.data.ndim != 1:
-        raise ShapeError("slice1d expects a vector")
-
-    def backward(g, grads):
-        buf = np.zeros_like(x.data)
-        buf[start:stop] = g
-        grads[0] = buf
-
-    return _make(x.data[start:stop], (x,), backward)
-
-
-def row(x: Tensor, i: int) -> Tensor:
-    """One row of a matrix as a vector."""
-    if x.data.ndim != 2:
-        raise ShapeError("row expects a matrix")
-
-    def backward(g, grads):
-        buf = np.zeros_like(x.data)
-        buf[i] = g
-        grads[0] = buf
-
-    return _make(x.data[i], (x,), backward)
+    return _make(x.data[index], (x,), backward)
 
 
 def column(x: Tensor) -> Tensor:
@@ -301,19 +270,6 @@ def column(x: Tensor) -> Tensor:
         grads[0] = g[:, 0]
 
     return _make(x.data[:, None], (x,), backward)
-
-
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    if table.data.ndim != 2:
-        raise ShapeError("embedding table must be 2-D")
-    idx = np.asarray(ids, dtype=np.intp)
-
-    def backward(g, grads):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        grads[0] = buf
-
-    return _make(table.data[idx], (table,), backward)
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -546,9 +502,6 @@ class ParameterSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
     def names(self) -> list[str]:
         return sorted(self.tensors)

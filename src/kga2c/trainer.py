@@ -82,6 +82,18 @@ class TrainConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.workers < 1 or self.unroll < 1 or self.updates < 0:
             raise ValueError("workers, unroll must be positive; updates >= 0")
+        # written as "not (valid)" so that NaN is rejected too
+        for name in ("p_m", "p_valid"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.lr >= 0.0:  # lr = 0 is the untrained-agent control
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        if not self.grad_clip > 0.0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+        for name, low in (("probe_budget", 1), ("eval_episodes", 1),
+                          ("checkpoint_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def with_ablation(self, ablation: str) -> "TrainConfig":
         return replace(self, agent=replace(self.agent, ablation=ablation))
@@ -168,7 +180,7 @@ def _plogp(probs: nm.Tensor, support: Iterable[int]) -> nm.Tensor:
     support = [i for i in support if probs.data[i] > 0.0]
     if not support:
         return nm.Tensor(0.0)
-    p = nm.gather(probs, support)
+    p = nm.take(probs, support)
     return nm.sum_(nm.mul(p, nm.log(p)))
 
 

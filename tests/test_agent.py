@@ -22,13 +22,13 @@ def loop_gat_embed(agent, graph):
 
     def feature(node):
         ids = agent._token_ids(node)
-        ent = (nm.mean(nm.embedding(emb, ids), axis=0) if ids
+        ent = (nm.mean(nm.take(emb, ids), axis=0) if ids
                else nm.Tensor(np.zeros(cfg.emb_dim)))
         rel_vecs = []
         for rel in sorted(r for _, r, o in graph.triples if o == node):
             rel_ids = agent._token_ids(rel.replace("_", " "))
             if rel_ids:
-                rel_vecs.append(nm.mean(nm.embedding(emb, rel_ids), axis=0))
+                rel_vecs.append(nm.mean(nm.take(emb, rel_ids), axis=0))
         return nm.add(ent, nm.mean(nm.stack0(rel_vecs), axis=0)) if rel_vecs else ent
 
     nodes = sorted(graph.nodes())
@@ -45,15 +45,15 @@ def loop_gat_embed(agent, graph):
     for k in range(cfg.gat_heads):
         u = nm.matmul(feats, p[f"gat.h{k}.W"])
         pk = p[f"gat.h{k}.p"]
-        a_self = nm.matmul(u, nm.slice1d(pk, 0, dim))
-        a_peer = nm.matmul(u, nm.slice1d(pk, dim, 2 * dim))
+        a_self = nm.matmul(u, nm.take(pk, slice(0, dim)))
+        a_peer = nm.matmul(u, nm.take(pk, slice(dim, 2 * dim)))
         outs = []
         for i, nbrs in enumerate(neighbors):
             e = nm.leaky_relu(
-                nm.add(nm.gather(a_peer, nbrs), nm.pick(a_self, i)), cfg.leaky_slope
+                nm.add(nm.take(a_peer, nbrs), nm.take(a_self, i)), cfg.leaky_slope
             )
             alpha = nm.softmax(e)
-            outs.append(nm.sigmoid(nm.matmul(alpha, nm.embedding(u, nbrs))))
+            outs.append(nm.sigmoid(nm.matmul(alpha, nm.take(u, nbrs))))
         per_head.append(outs)
     per_node = [nm.concat([h[i] for h in per_head]) for i in range(len(nodes))]
     pooled = nm.mean(nm.stack0(per_node), axis=0)

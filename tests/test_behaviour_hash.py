@@ -1,0 +1,90 @@
+"""``tools/behaviour_hash.py --compare`` on small synthetic dumps: round-off
+passes; a larger difference, a non-finite value, a changed action or eval
+result, and a missing run fail."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "behaviour_hash.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("behaviour_hash", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dump():
+    run = {
+        "rows": [{"loss_total": 1.25, "grad_norm": 3.5, "steps": 8},
+                 {"loss_total": -0.75, "grad_norm": 2.0, "steps": 8}],
+        "eval": [2.0, 0.0, [2]],
+        "trace": [{"action": "north"}, {"action": "take key"}],
+    }
+    return {"corridor": {"full": run, "a2c": json.loads(json.dumps(run))}}
+
+
+def scale_grad_norm(factor):
+    def edit(d):
+        d["corridor"]["full"]["rows"][1]["grad_norm"] *= factor
+    return edit
+
+
+def set_grad_norm(value):
+    def edit(d):
+        d["corridor"]["a2c"]["rows"][0]["grad_norm"] = value
+    return edit
+
+
+def change_action(d):
+    d["corridor"]["full"]["trace"][1]["action"] = "take lamp"
+
+
+def change_eval(d):
+    d["corridor"]["a2c"]["eval"][0] = 1.0
+
+
+def drop_run(d):
+    del d["corridor"]["a2c"]
+
+
+def run_compare(tool, tmp_path, edit):
+    parent, change = dump(), dump()
+    if edit is not None:
+        edit(change)
+    paths = []
+    for name, data in (("parent.json", parent), ("change.json", change)):
+        path = tmp_path / name
+        path.write_text(json.dumps(data, sort_keys=True))
+        paths.append(str(path))
+    return tool.compare(*paths)
+
+
+@pytest.mark.parametrize("edit", [None, scale_grad_norm(1 + 1e-13)],
+                         ids=["identical", "rel-1e-13"])
+def test_compare_passes_round_off(tool, tmp_path, capsys, edit):
+    assert run_compare(tool, tmp_path, edit) == 0
+    assert "DIFFER" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit", [
+    scale_grad_norm(1 + 1e-9),
+    set_grad_norm(float("nan")),
+    set_grad_norm(float("inf")),
+    change_action,
+    change_eval,
+    drop_run,
+], ids=["rel-1e-9", "nan", "inf", "action", "eval", "missing"])
+def test_compare_fails_real_differences(tool, tmp_path, edit):
+    assert run_compare(tool, tmp_path, edit) == 1
+
+
+def test_relative_difference_of_non_finite_values(tool):
+    assert tool.relative_difference(float("inf"), float("inf")) == 0.0
+    assert tool.relative_difference(1.0, float("nan")) == float("inf")
+    assert tool.relative_difference(float("-inf"), float("inf")) == float("inf")

@@ -30,6 +30,16 @@ def test_bad_flag_exits_1(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_out_of_range_p_m_exits_2_before_any_worker_runs(tmp_path, capsys, caplog):
+    argv = ["train", "--game", "corridor", "--updates", "1", "--p-m", "1.5",
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "p_m" in err
+    assert "Traceback" not in err + caplog.text
+    assert not (tmp_path / "run").exists()
+
+
 def test_inspect_checkpoint_exits_0(corridor, tmp_path, capsys):
     path = tmp_path / "checkpoint.bin"
     agent = _save_checkpoint(corridor, "full", path)

@@ -122,23 +122,48 @@ class TestCoreOps:
         finite_difference_check(lambda: nm.binary_cross_entropy(x, targets), [x])
         finite_difference_check(lambda: nm.cross_entropy_with_logits(x, 3), [x])
 
+    @pytest.mark.parametrize("shape, index", [
+        ((6,), 2),
+        ((6,), slice(1, 4)),
+        ((6,), [0, 5, 5, 2]),
+        ((5, 3), 4),
+        ((5, 3), np.array([0, 4, 4, 1])),
+    ], ids=["vector-int", "vector-slice", "vector-list", "matrix-int", "matrix-array"])
+    def test_take(self, shape, index):
+        """Forward is x.data[index]; the gradient is a numpy scatter-add of
+        the upstream gradient, so a repeated index sums."""
+        rng = np.random.default_rng(0)
+        x = rand(rng, *shape)
+        out = nm.take(x, index)
+        assert np.array_equal(out.data, x.data[index])
+        y = rng.normal(size=out.data.shape)
+        x.zero_grad()
+        nm.backward(nm.sum_(nm.mul(out, nm.Tensor(y))))
+        ref = np.zeros(shape)
+        np.add.at(ref, index, y)
+        assert np.array_equal(x.grad, ref)
+
     @pytest.mark.parametrize("seed", range(3))
-    def test_gather_pick_row_slice_embedding(self, seed):
+    def test_take_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
         T = rand(rng, 5, 3)
         v = rand(rng, 6)
 
         def f():
-            e = nm.embedding(T, [0, 4, 4])
+            e = nm.take(T, [0, 4, 4])
             a = nm.mean(e, axis=0)
-            b = nm.row(e, 1)
-            s = nm.slice1d(v, 1, 4)
+            b = nm.take(e, 1)
+            s = nm.take(v, slice(1, 4))
             return nm.add(
-                nm.add(nm.pick(nm.mul(a, b), 2), nm.sum_(nm.gather(v, [0, 5, 5]))),
+                nm.add(nm.take(nm.mul(a, b), 2), nm.sum_(nm.take(v, [0, 5, 5]))),
                 nm.sum_(nm.mul(s, a)),
             )
 
         finite_difference_check(f, [T, v])
+
+    def test_take_rejects_rank0(self):
+        with pytest.raises(nm.ShapeError, match="vector or a matrix"):
+            nm.take(nm.Tensor(1.5), 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_concat_stack_vector_mean(self, seed):
@@ -151,7 +176,7 @@ class TestCoreOps:
             m = nm.stack0([a, b, nm.mul(a, b)])
             pooled = nm.mean(m, axis=0)
             flat = nm.concat([pooled, c])
-            scalars = nm.add(nm.add(nm.sum_(a), nm.mean(c)), nm.pick(flat, 0))
+            scalars = nm.add(nm.add(nm.sum_(a), nm.mean(c)), nm.take(flat, 0))
             return nm.add(nm.sum_(nm.mul(flat, flat)), scalars)
 
         finite_difference_check(f, [a, b, c])
@@ -249,10 +274,10 @@ class TestGRU:
         H = h.data.shape[0]
 
         def gate(k, pre):
-            return nm.slice1d(pre, k * H, (k + 1) * H)
+            return nm.take(pre, slice(k * H, (k + 1) * H))
 
         for t in range(X.data.shape[0]):
-            xW, hU = nm.matmul(nm.row(X, t), W), nm.matmul(h, U)
+            xW, hU = nm.matmul(nm.take(X, t), W), nm.matmul(h, U)
             z = nm.sigmoid(nm.add(nm.add(gate(0, xW), gate(0, hU)), gate(0, b)))
             r = nm.sigmoid(nm.add(nm.add(gate(1, xW), gate(1, hU)), gate(1, b)))
             n = nm.tanh(nm.add(nm.add(gate(2, xW), nm.mul(r, gate(2, hU))),

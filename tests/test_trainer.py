@@ -290,3 +290,22 @@ def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
     second = trainer.random_valid_baseline(corridor, corpus, SMALL, 60, seed=2)
     assert second == first
     assert len(played) == 60 and len(first[1]) >= 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p_m", 1.5), ("p_m", -0.1), ("p_m", float("nan")),
+    ("p_valid", 2.0), ("p_valid", -1.0),
+    ("lr", -1.0), ("lr", float("nan")),
+    ("grad_clip", 0.0), ("grad_clip", -1.0),
+    ("probe_budget", 0),
+    ("eval_episodes", 0),
+    ("checkpoint_every", -1),
+])
+def test_config_rejects_values_that_break_a_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        trainer.TrainConfig(**{field: value})
+
+
+def test_config_keeps_zero_learning_rate_and_edge_probabilities():
+    cfg = trainer.TrainConfig(lr=0.0, p_m=1.0, p_valid=0.0, checkpoint_every=0)
+    assert (cfg.lr, cfg.p_m, cfg.p_valid) == (0.0, 1.0, 0.0)

@@ -17,9 +17,10 @@ rows, eval result and trace to FILE as JSON.  ``--compare PARENT CHANGE``
 reads two such files, runs nothing, and prints per game and ablation the
 worst relative difference over the rows' values and whether the eval results
 and the traces' actions are equal; a trace that is empty in the parent is
-skipped.  It exits 1 if a row value differs by more than 1e-12 relative, or
-if any eval result or action differs, so a refactor whose arithmetic changes
-only by round-off passes where its hashes do not.
+skipped.  It exits 1 if a row value differs by more than 1e-12 relative, if
+a NaN or an infinity stands where the parent has another value, if a run is
+missing, or if any eval result or action differs, so a refactor whose
+arithmetic changes only by round-off passes where its hashes do not.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def behaviour_hash(run: dict) -> str:
 
 
 def relative_difference(a, b) -> float:
-    """|a - b| over the larger magnitude; inf for unequal non-numbers."""
+    """|a - b| over the larger magnitude; inf for unequal non-numbers, and
+    for a NaN or an infinity that does not equal the other value."""
     if a == b:
         return 0.0
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+    if (isinstance(a, (int, float)) and isinstance(b, (int, float))
+            and math.isfinite(a) and math.isfinite(b)):
         return abs(a - b) / max(abs(a), abs(b))
     return math.inf
 
