@@ -108,13 +108,7 @@ def cmd_play(args) -> int:
         if command.startswith(":load"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
             ep.state = engine.restore(Path(path).read_bytes())
-            ep.obs = engine.Observation(
-                o_desc=engine.render_look(ep.state, spec),
-                o_game=engine.render_look(ep.state, spec),
-                o_inv=engine.render_inventory(ep.state, spec),
-                a_prev=engine.SENTINEL_PREV_ACTION,
-                score=ep.state.score,
-            )
+            ep.obs = engine.observation(ep.state, spec)
             # the graph and the last action belong to the abandoned timeline
             ep.graph = kg.KnowledgeGraph()
             ep.prev_action = engine.SENTINEL_PREV_ACTION

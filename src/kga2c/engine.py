@@ -4,6 +4,12 @@ Exposes the full environment loop (load/reset/step), pure side-effect-free
 renderers for the look and inventory handicaps, snapshot/restore, and a
 canonical state digest used for world-change detection.  All parser failures
 are in-fiction text responses; step never raises on player input.
+
+What is fixed per game is built once, on first use, as cached properties of
+the definition: the parser's first-word index and word set
+(``GameSpec.verb_index``, ``GameSpec.parser_words``) and each object's and
+room's reference words.  Rewards and victory are stated as data: one table
+per section maps a predicate kind to its arity and its state test.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .templates import Template, TemplateError, parse_template
 
@@ -91,8 +98,9 @@ class RoomDef:
     name: str
     desc: str
 
-    def words(self) -> set[str]:
-        return set(self.id.lower().split("-")) | set(self.name.lower().split())
+    @cached_property
+    def words(self) -> frozenset[str]:
+        return frozenset(self.id.lower().split("-")) | frozenset(self.name.lower().split())
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,7 @@ class ObjectDef:
     text: str = ""
     desc: str = ""
 
+    @cached_property
     def reference_words(self) -> tuple[str, ...]:
         """Words that may refer to this object, longest aliases first."""
         refs = [self.name.lower()] + [a.lower() for a in self.aliases]
@@ -147,6 +156,31 @@ class GameSpec:
     valid_step_cap: int = 100
     turn_cap: int = 1000
 
+    @cached_property
+    def verb_index(self) -> dict[str, tuple[tuple[Template, str | None], ...]]:
+        """First word -> (template, verb meaning) over the game and builtin
+        templates, most slots first: the most structured reading wins ("open
+        chest with key" binds the two-blank template, not "open OBJ" with a
+        three-word span).  The sort is stable, so filtering an entry by the
+        tokens afterwards gives the order that sorting the matches would."""
+        index: dict[str, list[tuple[Template, str | None]]] = {}
+        for template in self.templates + _BUILTINS:
+            for alias in template.verbs:
+                index.setdefault(alias.split()[0], []).append(
+                    (template, _verb_meaning(template)))
+        return {first: tuple(sorted(entries, key=lambda e: len(e[0].slots), reverse=True))
+                for first, entries in index.items()}
+
+    @cached_property
+    def parser_words(self) -> frozenset[str]:
+        """Every word the parser can read outside an object span: the verb and
+        preposition words of the game and builtin templates, the articles it
+        strips from spans, and the ``go <direction>`` words."""
+        found: set[str] = set(ARTICLES) | {"go"} | set(DIRECTIONS)
+        for template in self.templates + _BUILTINS:
+            found |= template.words()
+        return frozenset(found)
+
 
 @dataclass(frozen=True)
 class WorldState:
@@ -158,11 +192,12 @@ class WorldState:
     turn: int = 0
     valid_steps: int = 0
 
-    def location_of(self, obj: str) -> str:
+    def location_of(self, obj: str) -> str | None:
+        """Where object ``obj`` is; None for an id that names no object."""
         for oid, place in self.locations:
             if oid == obj:
                 return place
-        raise KeyError(obj)
+        return None
 
     def flag(self, name: str) -> bool:
         return name in self.flags
@@ -175,26 +210,6 @@ class Observation:
     o_inv: str
     a_prev: str
     score: int
-
-
-def _pack_state(
-    room: str,
-    locations: dict[str, str],
-    flags: Iterable[str],
-    score: int,
-    collected: frozenset[str],
-    turn: int = 0,
-    valid_steps: int = 0,
-) -> WorldState:
-    return WorldState(
-        room=room,
-        locations=tuple(sorted(locations.items())),
-        flags=tuple(sorted(set(flags))),
-        score=score,
-        collected=collected,
-        turn=turn,
-        valid_steps=valid_steps,
-    )
 
 
 def digest(state: WorldState) -> str:
@@ -368,15 +383,14 @@ def load_game(text: str) -> GameSpec:
                 f"object {obj.id!r} keyed by undeclared object {obj.key!r}"
             )
     for rule in rewards:
-        _check_predicate(rule.trigger, _REWARD_ARITY, rooms, objects,
-                         f"[reward] {rule.id!r}")
+        _check_predicate(rule.trigger, REWARDS, rooms, objects, f"[reward] {rule.id!r}")
     for pred in victory:
-        _check_predicate(pred, _VICTORY_ARITY, rooms, objects, "[victory]")
+        _check_predicate(pred, VICTORY, rooms, objects, "[victory]")
 
     nouns: set[str] = set()
     adjectives: set[str] = set()
     for room in rooms.values():
-        nouns.update(room.words())
+        nouns.update(room.words)
     for obj in objects.values():
         for alias in (obj.name,) + obj.aliases:
             words = alias.split()
@@ -393,7 +407,7 @@ def load_game(text: str) -> GameSpec:
     for obj in objects.values():
         for alias in (obj.name,) + obj.aliases:
             required.update(alias.split())
-    required.update(w for room in rooms.values() for w in room.words())
+    required.update(w for room in rooms.values() for w in room.words)
 
     if declared_vocab is not None:
         missing = required - set(declared_vocab)
@@ -423,25 +437,44 @@ def load_game(text: str) -> GameSpec:
     )
 
 
-# Arity of each predicate kind a section accepts: a reward fires on a
-# transition (``_holds_transition``), victory tests a state (``_holds_state``).
-_REWARD_ARITY = {
-    "take": 1, "drop": 1, "open": 1, "unlock": 1, "visit": 1, "enter": 1,
-    "bring": 2, "in": 2,
+# Each predicate kind a section accepts -> (arity, test(state, *args)).  A
+# victory conjunction holds while all its tests hold; a reward fires on the
+# step that turns its test true.  Arguments are any room or object ids, so an
+# object test given a room id is false, never an error.
+Predicate = tuple[int, Callable[..., bool]]
+
+VICTORY: dict[str, Predicate] = {
+    "has": (1, lambda state, obj: state.location_of(obj) == INVENTORY),
+    "at": (1, lambda state, room: state.room == room),
+    "open": (1, lambda state, obj: state.flag(f"open:{obj}")),
+    "in": (2, lambda state, obj, holder: state.location_of(obj) == f"in {holder}"),
+    "score": (1, lambda state, points: state.score >= int(points)),
+    "visit": (1, lambda state, room: state.flag(f"visited:{room}")),
 }
-_VICTORY_ARITY = {"has": 1, "at": 1, "open": 1, "in": 2, "score": 1, "visit": 1}
+REWARDS: dict[str, Predicate] = {
+    "take": VICTORY["has"],
+    "drop": (1, lambda state, obj: state.location_of(obj) != INVENTORY),
+    "open": VICTORY["open"],
+    "unlock": (1, lambda state, obj: not state.flag(f"locked:{obj}")),
+    "visit": VICTORY["visit"],
+    "enter": VICTORY["at"],
+    "bring": (2, lambda state, obj, room: (state.room == room
+                                           and state.location_of(obj) == INVENTORY)),
+    "in": VICTORY["in"],
+}
 
 
-def _check_predicate(pred: tuple[str, ...], arity: dict[str, int], rooms,
+def _check_predicate(pred: tuple[str, ...], table: dict[str, Predicate], rooms,
                      objects, where: str) -> None:
-    if not pred or pred[0] not in arity:
+    if not pred or pred[0] not in table:
         raise GameParseError(
             0, f"{where}: unknown predicate {' '.join(pred)!r}, expected one "
-            f"of {', '.join(arity)}")
+            f"of {', '.join(table)}")
     kind, *args = pred
-    if len(args) != arity[kind]:
+    arity = table[kind][0]
+    if len(args) != arity:
         raise GameParseError(0, f"{where}: predicate {kind!r} takes "
-                             f"{arity[kind]} argument(s)")
+                             f"{arity} argument(s)")
     if kind == "score":
         try:
             int(args[0])
@@ -474,16 +507,23 @@ def reset(spec: GameSpec, seed: int = 0) -> tuple[WorldState, Observation]:
             flags.append(f"open:{o.id}")
         if o.locked:
             flags.append(f"locked:{o.id}")
-    state = _pack_state(spec.start, locations, flags, 0, frozenset())
+    state = WorldState(room=spec.start, locations=tuple(sorted(locations.items())),
+                       flags=tuple(sorted(set(flags))), score=0, collected=frozenset())
+    return state, observation(state, spec)
+
+
+def observation(state: WorldState, spec: GameSpec, o_game: str | None = None,
+                a_prev: str = SENTINEL_PREV_ACTION) -> Observation:
+    """The observation of ``state``.  ``o_game`` is the parser's response to
+    the last command; a fresh start, with none, shows the room description."""
     o_desc = render_look(state, spec)
-    obs = Observation(
+    return Observation(
         o_desc=o_desc,
-        o_game=o_desc,
+        o_game=o_desc if o_game is None else o_game,
         o_inv=render_inventory(state, spec),
-        a_prev=SENTINEL_PREV_ACTION,
-        score=0,
+        a_prev=a_prev,
+        score=state.score,
     )
-    return state, obs
 
 
 def _normalize_loc(loc: str) -> str:
@@ -516,13 +556,19 @@ def in_scope_words(state: WorldState, spec: GameSpec) -> tuple[str, ...]:
     """All single words that can refer to an in-scope object (handicap)."""
     words: set[str] = set()
     for obj in objects_in_scope(state, spec):
-        for ref in obj.reference_words():
+        for ref in obj.reference_words:
             words.update(ref.split())
     return tuple(sorted(words))
 
 
-def _article(name: str) -> str:
-    return "an" if name[:1] in "aeiou" else "a"
+def _listing(objs: Iterable[ObjectDef]) -> str:
+    """Join objects as "a X and an Y"."""
+    return " and ".join(f"{'an' if o.name[:1] in 'aeiou' else 'a'} {o.name}" for o in objs)
+
+
+def _contents(state: WorldState, spec: GameSpec, holder: str) -> list[ObjectDef]:
+    loc = dict(state.locations)
+    return [o for o in spec.objects.values() if loc[o.id] == f"in {holder}"]
 
 
 def render_look(state: WorldState, spec: GameSpec) -> str:
@@ -532,12 +578,11 @@ def render_look(state: WorldState, spec: GameSpec) -> str:
     loc = dict(state.locations)
     here = [o for o in spec.objects.values() if loc[o.id] == state.room]
     for obj in here:
-        lines.append(f"There is {_article(obj.name)} {obj.name} here.")
+        lines.append(f"There is {_listing([obj])} here.")
         if obj.container and (not obj.openable or state.flag(f"open:{obj.id}")):
-            inside = [o for o in spec.objects.values() if loc[o.id] == f"in {obj.id}"]
+            inside = _contents(state, spec, obj.id)
             if inside:
-                listing = " and ".join(f"{_article(o.name)} {o.name}" for o in inside)
-                lines.append(f"The {obj.name} contains {listing}.")
+                lines.append(f"The {obj.name} contains {_listing(inside)}.")
     return "\n".join(lines)
 
 
@@ -546,8 +591,7 @@ def render_inventory(state: WorldState, spec: GameSpec) -> str:
     held = [o for o in spec.objects.values() if loc[o.id] == INVENTORY]
     if not held:
         return "You are empty-handed."
-    listing = " and ".join(f"{_article(o.name)} {o.name}" for o in held)
-    return f"You are carrying {listing}."
+    return f"You are carrying {_listing(held)}."
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +665,7 @@ _VERB_MEANINGS = {
 for _d in DIRECTIONS:
     _VERB_MEANINGS[_d] = _d
 
-_ARTICLES = ("a", "an", "the")
+ARTICLES = frozenset({"a", "an", "the"})
 
 # Meta commands always understood even when absent from the game's templates.
 _BUILTIN_PATTERNS = ("look", "inventory", "examine OBJ", "wait")
@@ -638,34 +682,18 @@ def _verb_meaning(template: Template) -> str | None:
     return None
 
 
-def _parser_index(spec: GameSpec) -> dict[str, list[Template]]:
-    """First-word index over game plus builtin templates (cached on the spec)."""
-    index = getattr(spec, "_first_word_index", None)
-    if index is None:
-        index = {}
-        for template in spec.templates + _BUILTINS:
-            for alias in template.verbs:
-                index.setdefault(alias.split()[0], []).append(template)
-        object.__setattr__(spec, "_first_word_index", index)
-    return index
-
-
-def parser_words(spec: GameSpec) -> frozenset[str]:
-    """Every word the parser can read outside an object span (cached on the
-    spec): the verb and preposition words of the game and builtin templates,
-    the articles it strips from spans, and the ``go <direction>`` words."""
-    words = getattr(spec, "_parser_words", None)
-    if words is None:
-        found: set[str] = set(_ARTICLES) | {"go"} | set(DIRECTIONS)
-        for template in spec.templates + _BUILTINS:
-            found |= template.words()
-        words = frozenset(found)
-        object.__setattr__(spec, "_parser_words", words)
-    return words
+def direction(tokens: Sequence[str]) -> str | None:
+    """The direction a movement command names, bare (``north``) or after
+    ``go`` (``go north``); None for any other command."""
+    if len(tokens) == 2 and tokens[0] == "go":
+        tokens = tokens[1:]
+    if len(tokens) == 1 and tokens[0] in DIRECTIONS:
+        return tokens[0]
+    return None
 
 
 def _strip_articles(words: Sequence[str]) -> tuple[str, ...]:
-    return tuple(w for w in words if w not in _ARTICLES)
+    return tuple(w for w in words if w not in ARTICLES)
 
 
 def _match_template(template: Template, tokens: Sequence[str]) -> list[tuple[str, ...]] | None:
@@ -735,7 +763,7 @@ def _resolve_object(
     best: list[ObjectDef] = []
     best_len = 0
     for obj in scope:
-        for alias in obj.reference_words():
+        for alias in obj.reference_words:
             if alias == text:
                 alias_len = len(alias.split())
                 if alias_len > best_len:
@@ -794,15 +822,8 @@ def step(
 ) -> tuple[WorldState, Observation, int, bool]:
     """Apply one parsed command and render the full observation."""
     after, response, reward, done = step_core(state, action, spec)
-    tokens = action.lower().split()
-    obs = Observation(
-        o_desc=render_look(after, spec),
-        o_game=response,
-        o_inv=render_inventory(after, spec),
-        a_prev=" ".join(tokens) if tokens else SENTINEL_PREV_ACTION,
-        score=after.score,
-    )
-    return after, obs, reward, done
+    a_prev = " ".join(action.lower().split()) or SENTINEL_PREV_ACTION
+    return after, observation(after, spec, response, a_prev), reward, done
 
 
 def _execute(
@@ -810,24 +831,18 @@ def _execute(
 ) -> tuple[str, WorldState]:
     if not tokens:
         return RESP_UNRECOGNIZED, state
-    if len(tokens) == 2 and tokens[0] == "go" and tokens[1] in DIRECTIONS:
-        tokens = tokens[1:]
+    moving = direction(tokens)
+    if moving:
+        tokens = (moving,)
 
-    matches: list[tuple[Template, list[tuple[str, ...]]]] = []
-    for template in _parser_index(spec).get(tokens[0], ()):
-        spans = _match_template(template, tokens)
-        if spans is not None:
-            matches.append((template, spans))
-    if not matches:
-        return RESP_UNRECOGNIZED, state
-    # Prefer the most structured reading ("open chest with key" binds the
-    # two-blank template, not "open OBJ" with a three-word span).
-    matches.sort(key=lambda m: len(m[0].slots), reverse=True)
-
+    # Readings come most structured first (see ``GameSpec.verb_index``); the
+    # first that dispatches wins, else the first failure is the answer.
     first_failure: tuple[str, WorldState] | None = None
     scope: list[ObjectDef] | None = None
-    for template, spans in matches:
-        meaning = _verb_meaning(template)
+    for template, meaning in spec.verb_index.get(tokens[0], ()):
+        spans = _match_template(template, tokens)
+        if spans is None:
+            continue
         if meaning is None:
             if first_failure is None:
                 first_failure = (RESP_NOTHING_HAPPENS, state)
@@ -853,14 +868,13 @@ def _execute(
                 first_failure = (failure, state)
             continue
         return _dispatch(meaning, resolved, state, spec)
-    assert first_failure is not None
-    return first_failure
+    return first_failure or (RESP_UNRECOGNIZED, state)
 
 
 def _resolve_room(span: tuple[str, ...], state: WorldState, spec: GameSpec) -> bool:
     room = spec.rooms[state.room]
     text = " ".join(span)
-    return text in room.words() or text == room.name.lower() or text == room.id
+    return text in room.words or text == room.name.lower() or text == room.id
 
 
 def _move_object(state: WorldState, obj_id: str, place: str) -> WorldState:
@@ -956,11 +970,9 @@ def _do_open(obj: ObjectDef, state: WorldState, spec: GameSpec) -> tuple[str, Wo
     if state.flag(f"open:{obj.id}"):
         return "It's already open.", state
     after = _set_flag(state, f"open:{obj.id}", True)
-    loc = dict(after.locations)
-    inside = [o for o in spec.objects.values() if loc[o.id] == f"in {obj.id}"]
+    inside = _contents(after, spec, obj.id)
     if inside:
-        listing = " and ".join(f"{_article(o.name)} {o.name}" for o in inside)
-        return f"You open the {obj.name}, revealing {listing}.", after
+        return f"You open the {obj.name}, revealing {_listing(inside)}.", after
     return "Opened.", after
 
 
@@ -1005,34 +1017,6 @@ def _do_put(obj: ObjectDef, target: ObjectDef, state: WorldState) -> tuple[str, 
 # Rewards and victory
 
 
-def _holds_transition(
-    trigger: tuple[str, ...], before: WorldState, after: WorldState
-) -> bool:
-    kind, *args = trigger
-    b_loc, a_loc = dict(before.locations), dict(after.locations)
-    if kind == "take":
-        return a_loc.get(args[0]) == INVENTORY and b_loc.get(args[0]) != INVENTORY
-    if kind == "drop":
-        return b_loc.get(args[0]) == INVENTORY and a_loc.get(args[0]) != INVENTORY
-    if kind == "open":
-        return after.flag(f"open:{args[0]}") and not before.flag(f"open:{args[0]}")
-    if kind == "unlock":
-        return before.flag(f"locked:{args[0]}") and not after.flag(f"locked:{args[0]}")
-    if kind == "visit":
-        return after.flag(f"visited:{args[0]}") and not before.flag(f"visited:{args[0]}")
-    if kind == "enter":
-        return after.room == args[0] and before.room != args[0]
-    if kind == "bring":
-        obj, room = args
-        now = after.room == room and a_loc.get(obj) == INVENTORY
-        was = before.room == room and b_loc.get(obj) == INVENTORY
-        return now and not was
-    if kind == "in":
-        obj, place = args
-        return a_loc.get(obj) == f"in {place}" and b_loc.get(obj) != f"in {place}"
-    return False
-
-
 def _apply_rewards(
     before: WorldState, after: WorldState, spec: GameSpec
 ) -> tuple[int, set[str]]:
@@ -1041,32 +1025,15 @@ def _apply_rewards(
     for rule in spec.rewards:
         if rule.once and rule.id in before.collected:
             continue
-        if _holds_transition(rule.trigger, before, after):
+        kind, *args = rule.trigger
+        test = REWARDS[kind][1]
+        if test(after, *args) and not test(before, *args):
             points += rule.points
             if rule.once:
                 fired.add(rule.id)
     return points, fired
 
 
-def _holds_state(pred: tuple[str, ...], state: WorldState, spec: GameSpec) -> bool:
-    kind, *args = pred
-    loc = dict(state.locations)
-    if kind == "has":
-        return loc.get(args[0]) == INVENTORY
-    if kind == "at":
-        return state.room == args[0]
-    if kind == "open":
-        return state.flag(f"open:{args[0]}")
-    if kind == "in":
-        return loc.get(args[0]) == f"in {args[1]}"
-    if kind == "score":
-        return state.score >= int(args[0])
-    if kind == "visit":
-        return state.flag(f"visited:{args[0]}")
-    return False
-
-
 def _victory_holds(state: WorldState, spec: GameSpec) -> bool:
-    if not spec.victory:
-        return False
-    return all(_holds_state(pred, state, spec) for pred in spec.victory)
+    return bool(spec.victory) and all(
+        VICTORY[kind][1](state, *args) for kind, *args in spec.victory)

@@ -18,7 +18,6 @@ from . import engine
 
 YOU = "you"
 
-_ARTICLES = frozenset({"a", "an", "the"})
 _SENTENCE_SPLIT = re.compile(r"[.!?\n]+")
 _WORD = re.compile(r"[a-z][a-z'-]*")
 
@@ -75,7 +74,7 @@ def normalize_entity(text: str, spec: engine.GameSpec) -> str | None:
 
     Idempotent; returns None when no vocabulary word survives.
     """
-    words = [w for w in _WORD.findall(text.lower()) if w not in _ARTICLES]
+    words = [w for w in _WORD.findall(text.lower()) if w not in engine.ARTICLES]
     if not words:
         return None
     vocab = set(spec.vocabulary)
@@ -119,15 +118,6 @@ def detect_interactive_objects(
     return detected
 
 
-def _movement_direction(action: str) -> str | None:
-    words = action.lower().split()
-    if words and words[0] == "go":
-        words = words[1:]
-    if len(words) == 1 and words[0] in engine.DIRECTIONS:
-        return words[0]
-    return None
-
-
 def _current_room_node(graph: KnowledgeGraph) -> str | None:
     for s, r, o in graph.triples:
         if s == YOU and r == "in":
@@ -152,7 +142,7 @@ def update_graph(
     room = normalize_entity(spec.rooms[current_room].name, spec) or current_room
 
     prev_room = _current_room_node(graph)
-    direction = _movement_direction(prev_action)
+    direction = engine.direction(prev_action.lower().split())
     if direction and prev_room is not None and prev_room != room:
         g.add(prev_room, direction, room)
 

@@ -8,7 +8,7 @@ the caller's state untouched.
 
 Only fillers that can change the world are probed: the candidates whose
 every token is an in-scope word (``engine.in_scope_words``, computed here
-from the state) or a parser word (``engine.parser_words``).  A token of a
+from the state) or a parser word (``GameSpec.parser_words``).  A token of a
 world-changing command lands in one of three places, and each is covered:
 
 * an object span, which resolves only to the reference words of an in-scope
@@ -65,7 +65,7 @@ def probe_words(
         for w in words:
             if w not in space.word_ids:
                 raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
-    keep = engine.parser_words(spec).union(engine.in_scope_words(state, spec))
+    keep = spec.parser_words.union(engine.in_scope_words(state, spec))
     return tuple(w for w in words if keep.issuperset(w.lower().split()))
 
 

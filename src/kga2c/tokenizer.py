@@ -171,11 +171,15 @@ def _viterbi(
     (training lattices only; encode handles them via the unk piece)."""
     n = len(word)
     NEG = -math.inf
-    best = [(NEG, 0)] * (n + 1)
-    best[n] = (0.0, 0)
+    # best[i] = (score, piece count, end of the first piece) of word[i:].  The
+    # first piece is scanned longest first and only a strictly better reading
+    # replaces the held one, so among tied readings the longest first piece
+    # stays: back-pointers spell the leftmost-longest segmentation.
+    best = [(NEG, 0, 0)] * (n + 1)
+    best[n] = (0.0, 0, n)
     for i in range(n - 1, -1, -1):
-        cand = (NEG, 0)
-        for j in range(i + 1, min(i + MAX_PIECE_LEN, n) + 1):
+        cand = (NEG, 0, 0)
+        for j in range(min(i + MAX_PIECE_LEN, n), i, -1):
             piece = word[i:j]
             if piece == banned:
                 continue
@@ -185,28 +189,15 @@ def _viterbi(
             score = lp + best[j][0]
             pieces = best[j][1] + 1
             if score > cand[0] or (score == cand[0] and pieces < cand[1]):
-                cand = (score, pieces)
+                cand = (score, pieces, j)
         best[i] = cand
     if best[0][0] == NEG:
         return NEG, []
     out: list[str] = []
     i = 0
     while i < n:
-        target = best[i]
-        chosen = None
-        for j in range(min(i + MAX_PIECE_LEN, n), i, -1):  # longest first
-            piece = word[i:j]
-            if piece == banned:
-                continue
-            lp = log_probs.get(piece)
-            if lp is None or best[j][0] == NEG:
-                continue
-            if lp + best[j][0] == target[0] and best[j][1] + 1 == target[1]:
-                chosen = (j, piece)
-                break
-        assert chosen is not None
-        out.append(chosen[1])
-        i = chosen[0]
+        out.append(word[i:best[i][2]])
+        i = best[i][2]
     return best[0][0], out
 
 
@@ -285,14 +276,14 @@ def train_unigram(
             losses[piece] = loss
 
         ranked = sorted(prunable, key=lambda p: (losses[p], p))
-        pruned = ranked[:k]
+        pruned = set(ranked[:k])
         kept_losses = [losses[p] for p in ranked[k:]]
         trace.append(
             (max((losses[p] for p in pruned), default=0.0),
              min(kept_losses, default=math.inf))
         )
         next_counts = {
-            p: math.exp(lp) for p, lp in model_lp.items() if p not in set(pruned)
+            p: math.exp(lp) for p, lp in model_lp.items() if p not in pruned
         }
         model_lp = em(next_counts)
 

@@ -131,19 +131,34 @@ class TrainConfig:
         if problems:
             raise ValueError(f"unknown config keys: {', '.join(sorted(problems))}")
         kwargs = {k: _coerce_field(cls, k, v) for k, v in data.items()}
-        agent_kwargs = {k: _coerce_field(AgentConfig, k, v) for k, v in agent_data.items()}
+        agent_kwargs = {k: _coerce_field(AgentConfig, k, v, "agent.")
+                        for k, v in agent_data.items()}
         return cls(agent=AgentConfig(**agent_kwargs), **kwargs)
 
 
-def _coerce_field(cls, name: str, value):
-    if isinstance(value, (int, float, bool, dict)):
-        return value
+def _coerce_field(cls, name: str, value, prefix: str = ""):
+    """``value``, from JSON or from ``key = value`` text, as the type of field
+    ``name``.  An int field takes only integral numbers and a float field any
+    number; a bool is not a number.  A mismatch names the field."""
     kind = cls.__dataclass_fields__[name].type
-    if "int" in kind:
-        return int(value)
-    if "float" in kind:
-        return float(value)
-    return str(value)
+    if kind == "str" and isinstance(value, str):
+        return value
+    number = _number(value) if isinstance(value, str) else value
+    if isinstance(number, (int, float)) and not isinstance(number, bool):
+        if kind == "float":
+            return float(number)
+        if kind == "int" and (isinstance(number, int) or number.is_integer()):
+            return int(number)
+    raise ValueError(f"config field {prefix}{name} must be {kind}, got {value!r}")
+
+
+def _number(text: str) -> int | float | None:
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """``tools/behaviour_hash.py --compare`` on small synthetic dumps: round-off
 passes; a larger difference, a non-finite value, a changed action or eval
-result, and a missing run fail."""
+result, and a missing run fail.  And the ``full`` runs on every bundled game
+against their pinned dump, ``data/behaviour_full.json``."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "behaviour_hash.py"
+PINNED = Path(__file__).resolve().parent / "data" / "behaviour_full.json"
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,12 @@ def test_relative_difference_of_non_finite_values(tool):
     assert tool.relative_difference(float("inf"), float("inf")) == 0.0
     assert tool.relative_difference(1.0, float("nan")) == float("inf")
     assert tool.relative_difference(float("-inf"), float("inf")) == float("inf")
+
+
+def test_full_runs_match_the_pinned_dump(tool, tmp_path, capsys):
+    runs: dict = {}
+    for game, ablation, run in tool.behaviour_runs(("full",)):
+        runs.setdefault(game, {})[ablation] = run
+    path = tmp_path / "change.json"
+    path.write_text(json.dumps(runs, sort_keys=True))
+    assert tool.compare(str(PINNED), str(path)) == 0, capsys.readouterr().out

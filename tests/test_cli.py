@@ -40,6 +40,16 @@ def test_out_of_range_p_m_exits_2_before_any_worker_runs(tmp_path, capsys, caplo
     assert not (tmp_path / "run").exists()
 
 
+def test_fractional_worker_count_in_a_config_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"workers": 1.5}))
+    argv = ["train", "--game", "corridor", "--config", str(path),
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert "config field workers must be int, got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_inspect_checkpoint_exits_0(corridor, tmp_path, capsys):
     path = tmp_path / "checkpoint.bin"
     agent = _save_checkpoint(corridor, "full", path)

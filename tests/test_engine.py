@@ -415,3 +415,158 @@ class TestInvariants:
             assert turns <= microzork.turn_cap
         assert state.turn == microzork.turn_cap == 1000
         assert state.valid_steps == 0
+
+
+# One rule per reward kind, each worth its own power of two, so a step's
+# reward names the rules that fired on it; "enter yard" fires every time.
+EDGE_GAME = """
+[meta]
+name: edges
+start: shed
+
+[room]
+id: shed
+name: Shed
+desc: A tool shed. A yard lies north.
+
+[room]
+id: yard
+name: Yard
+desc: A muddy yard.
+
+[exit]
+from: shed
+dir: north
+to: yard
+
+[exit]
+from: yard
+dir: south
+to: shed
+
+[object]
+id: key
+name: key
+loc: shed
+takeable: yes
+
+[object]
+id: box
+name: box
+loc: yard
+openable: yes
+lockable: yes
+locked: yes
+key: key
+
+[object]
+id: coin
+name: coin
+loc: in box
+takeable: yes
+
+[template]
+pattern: north
+
+[template]
+pattern: south
+
+[template]
+pattern: [take] OBJ
+
+[template]
+pattern: [drop] OBJ
+
+[template]
+pattern: [unlock] OBJ [with] OBJ
+
+[template]
+pattern: [put] OBJ [in] OBJ
+
+[reward]
+id: take-key
+when: take key
+points: 1
+
+[reward]
+id: drop-key
+when: drop key
+points: 2
+
+[reward]
+id: unlock-box
+when: unlock box
+points: 4
+
+[reward]
+id: open-box
+when: open box
+points: 8
+
+[reward]
+id: visit-yard
+when: visit yard
+points: 16
+
+[reward]
+id: bring-key
+when: bring key yard
+points: 32
+
+[reward]
+id: key-in-box
+when: in key box
+points: 64
+
+[reward]
+id: enter-yard
+when: enter yard
+points: 128
+once: no
+
+[victory]
+when: has coin
+when: at yard
+when: open box
+when: in key box
+when: score 383
+when: visit yard
+"""
+
+EDGE_WALK = [
+    ("take key", 1),
+    ("drop key", 2),
+    ("take key", 0),  # take-key is spent
+    ("north", 16 + 32 + 128),
+    ("south", 0),  # each test turns false, so nothing fires
+    ("north", 128),  # only the repeating rule fires again
+    ("unlock box with key", 4 + 8),
+    ("take coin", 0),
+    ("put key in box", 64),  # the key leaves the hand: drop-key is spent
+]
+
+
+class TestPredicateEdges:
+    def test_every_reward_and_victory_kind_fires_on_its_edge(self):
+        spec = load_game(EDGE_GAME)
+        assert {r.trigger[0] for r in spec.rewards} == {
+            "take", "drop", "open", "unlock", "visit", "enter", "bring", "in"}
+        assert {p[0] for p in spec.victory} == {
+            "has", "at", "open", "in", "score", "visit"}
+        state, _ = reset(spec, 0)
+        for i, (action, points) in enumerate(EDGE_WALK):
+            state, obs, reward, done = step(state, action, spec)
+            assert not engine.is_failure(obs.o_game), action
+            assert reward == points, action
+            assert done == (i == len(EDGE_WALK) - 1), action
+        assert state.score == sum(points for _, points in EDGE_WALK) == 383
+
+    def test_an_object_predicate_over_a_room_never_fires(self):
+        spec = load_game(EDGE_GAME.replace("when: take key", "when: take yard")
+                         .replace("when: drop key", "when: drop shed"))
+        state, _ = reset(spec, 0)
+        rewards = []
+        for action, _ in EDGE_WALK:
+            state, _, reward, _ = step(state, action, spec)
+            rewards.append(reward)
+        assert rewards == [0, 0] + [points for _, points in EDGE_WALK[2:]]

@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -184,6 +185,37 @@ def test_config_file_key_value_coerces_and_sets_the_agent_ablation(tmp_path):
     assert cfg.agent.ablation == "seq"
     assert cfg == trainer.TrainConfig(workers=3, gamma=1.0, lambda_entropy=0.01
                                       ).with_ablation("seq")
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"workers": 2.0, "lr": 1, "gamma": 1, "seed": "7"}),
+    "workers = 2.0\nlr = 1\ngamma = 1\nseed = 7\n",
+], ids=["json", "key-value"])
+def test_config_file_numbers_take_the_field_type(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    cfg = trainer.TrainConfig.from_file(path)
+    assert cfg == trainer.TrainConfig(workers=2, lr=1.0, gamma=1.0, seed=7)
+    assert [type(v) for v in (cfg.workers, cfg.seed, cfg.lr, cfg.gamma)] == [
+        int, int, float, float]
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"workers": 2.5, "lr": 1}), "workers must be int, got 2.5"),
+    (json.dumps({"workers": True}), "workers must be int, got True"),
+    (json.dumps({"lr": False}), "lr must be float, got False"),
+    (json.dumps({"agent": {"emb_dim": 8.5}}), "agent.emb_dim must be int, got 8.5"),
+    (json.dumps({"ablation": 3}), "agent.ablation must be str, got 3"),
+    ("workers = 2.5\n", "workers must be int, got '2.5'"),
+    ("seed = true\n", "seed must be int, got 'true'"),
+    ("lr = fast\n", "lr must be float, got 'fast'"),
+], ids=["json-fraction", "json-bool-int", "json-bool-float", "json-agent",
+        "json-str", "kv-fraction", "kv-bool", "kv-text"])
+def test_config_file_rejects_a_value_of_another_type(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^config field {re.escape(message)}$"):
+        trainer.TrainConfig.from_file(path)
 
 
 @pytest.mark.parametrize("text, named", [

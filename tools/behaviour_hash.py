@@ -21,6 +21,10 @@ skipped.  It exits 1 if a row value differs by more than 1e-12 relative, if
 a NaN or an infinity stands where the parent has another value, if a run is
 missing, or if any eval result or action differs, so a refactor whose
 arithmetic changes only by round-off passes where its hashes do not.
+
+The tier-1 suite pins the ``full`` runs of every game this way, against
+``tests/data/behaviour_full.json``; a change of fixed-seed behaviour re-pins
+that file from ``--dump``, keeping only the ``full`` runs.
 """
 
 from __future__ import annotations
@@ -56,6 +60,15 @@ def behaviour_run(spec: engine.GameSpec, corpus: list[str], ablation: str) -> di
     trace: list = []
     result = trainer.evaluate(agent, pipe, 1, seed=cfg.seed, trace=trace)
     return {"rows": rows, "eval": result, "trace": trace}
+
+
+def behaviour_runs(ablations=ABLATIONS):
+    """(game, ablation, run) for every bundled game and each ablation."""
+    corpus = bundled_corpus_lines()
+    for game in BUNDLED_GAMES:
+        spec = replace(engine.load_game(bundled_game_text(game)), turn_cap=TURN_CAP)
+        for ablation in ablations:
+            yield game, ablation, behaviour_run(spec, corpus, ablation)
 
 
 def behaviour_hash(run: dict) -> str:
@@ -121,14 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    corpus = bundled_corpus_lines()
     runs: dict[str, dict[str, dict]] = {}
-    for game in BUNDLED_GAMES:
-        spec = replace(engine.load_game(bundled_game_text(game)), turn_cap=TURN_CAP)
-        for ablation in ABLATIONS:
-            run = behaviour_run(spec, corpus, ablation)
-            runs.setdefault(game, {})[ablation] = run
-            print(game, ablation, behaviour_hash(run), flush=True)
+    for game, ablation, run in behaviour_runs():
+        runs.setdefault(game, {})[ablation] = run
+        print(game, ablation, behaviour_hash(run), flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(runs, sort_keys=True))
     return 0
