@@ -9,16 +9,22 @@ GRU conditioned by attention over everything decoded so far).  A critic head
 shares the same state embedding.  The ``seq`` ablation swaps the template
 decoder for a word-by-word one; each ablation allocates only the parameters
 it uses.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U`` and
-``.b`` that ``numerics.ParameterSet.gru`` allocates.  Each observation channel
-is one ``numerics.gru_sequence`` tape node over its token embeddings, which
-does backpropagation through time in its own backward, so the encoders add
-at most four GRU nodes to the tape per step, however long the texts are; the
-decoders' one-step GRUs are the same kernel with T = 1.
+``.b`` that ``numerics.ParameterSet.gru`` allocates.
+
+Every forward pass is batch-major: it takes B states (one per worker) and
+returns tensors whose leading axis is the row, and a single state is the
+B = 1 case.  Each observation channel is one ``numerics.gru_sequence`` tape
+node over the rows' padded token embeddings, so the encoders add four GRU
+nodes to the tape per step, however many rows and however long the texts
+are; the graphs of all rows are one block-diagonal graph; the decoders'
+one-step GRUs are the same kernel with T = 1, over the rows still decoding.
+Row b samples with its own RNG, in the order a lone pass would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -200,68 +206,88 @@ class KgA2CAgent:
         return cached
 
     def encode_observation(
-        self, obs: Observation, enc: EncoderState
-    ) -> tuple[nm.Tensor, EncoderState]:
-        """Per-channel GRU over subword embeddings, carried hidden in, new
-        hidden out; concatenated finals go through one linear layer.  Each
-        channel is one ``nm.gru_sequence`` node over its (T, emb) matrix; an
-        empty text gives T = 0, which carries the hidden unchanged."""
+        self, observations: Sequence[Observation], encs: Sequence[EncoderState]
+    ) -> tuple[nm.Tensor, list[EncoderState]]:
+        """Per-channel GRU over subword embeddings for B observations, each
+        row from its own carried hidden; concatenated finals go through one
+        linear layer, giving (B, obs_dim) and each row's new hiddens.  Each
+        channel is one ``nm.gru_sequence`` node over the rows' token
+        embeddings, padded to the longest text; an empty text has length 0,
+        which carries its row's hidden unchanged."""
         p = self.params
         emb = p["emb"]
         finals = []
-        new_hiddens: dict[str, np.ndarray] = {}
-        texts = {
-            "desc": obs.o_desc,
-            "game": obs.o_game,
-            "inv": obs.o_inv,
-            "prev": obs.a_prev,
-        }
-        for ch in CHANNELS:
-            ids = self._token_ids(texts[ch])
-            h = nm.gru_sequence(nm.take(emb, ids), nm.Tensor(enc.hiddens[ch]),
-                                p.gru_params(f"enc.{ch}.gru"))
+        new_hiddens: list[dict[str, np.ndarray]] = [{} for _ in encs]
+        for ch, field_name in zip(CHANNELS, ("o_desc", "o_game", "o_inv", "a_prev")):
+            rows = [self._token_ids(getattr(obs, field_name)) for obs in observations]
+            lengths = [len(ids) for ids in rows]
+            padded = np.zeros((max(lengths), len(rows)), dtype=np.intp)
+            for b, ids in enumerate(rows):
+                padded[:len(ids), b] = ids
+            h0 = nm.Tensor(np.array([enc.hiddens[ch] for enc in encs]))
+            h = nm.gru_sequence(nm.take(emb, padded), h0,
+                                p.gru_params(f"enc.{ch}.gru"), lengths)
             finals.append(h)
-            new_hiddens[ch] = h.data.copy()
+            for b, hiddens in enumerate(new_hiddens):
+                hiddens[ch] = h.data[b].copy()
         o_t = nm.add(
             nm.matmul(nm.concat(finals), p["enc.combine.W"]), p["enc.combine.b"]
         )
-        return o_t, EncoderState(new_hiddens)
+        return o_t, [EncoderState(h) for h in new_hiddens]
 
-    def gat_embed(self, graph: KnowledgeGraph) -> nm.Tensor:
+    def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
         """Dense multi-head graph attention (Velickovic et al. 2018, arXiv
-        1710.10903) over the graph's nodes, head outputs mean-pooled over
-        nodes and concatenated, then one linear layer under tanh.
+        1710.10903) over B graphs at once, head outputs mean-pooled over each
+        graph's nodes and concatenated, then one linear layer under tanh;
+        returns (B, gat_dim).
 
         A node's feature averages the subword embeddings of its name, plus
         the mean over its incoming triples of each relation's averaged
         embeddings.  Node i attends to itself and to the subject of every
-        triple whose object it is.  Per head k, with u = feats @ W_k, the
-        score e_ij = LeakyReLU(p . (u_i (+) u_j)) is computed for all pairs
-        at once as column(u @ p[:F]) + u @ p[F:], a row-wise masked softmax
-        over the adjacency turns it into alpha, and the head's node outputs
-        are sigmoid(alpha @ u).
+        triple whose object it is.  The graphs' nodes stack into one node
+        list with a block-diagonal adjacency, so no node attends across
+        graphs.  Per head k, with u = feats @ W_k, the score
+        e_ij = LeakyReLU(p . (u_i (+) u_j)) is computed for all pairs at once
+        as column(u @ p[:F]) + u @ p[F:], a row-wise masked softmax over the
+        adjacency turns it into alpha, and the head's node outputs are
+        sigmoid(alpha @ u), averaged per graph by one constant (B, N) matrix.
         """
         cfg = self.cfg
         p = self.params
-        nodes = sorted(graph.nodes())
-        index = {n: i for i, n in enumerate(nodes)}
-        adj = np.eye(len(nodes), dtype=bool)  # adj[i, j]: node i attends to j
-        incoming: list[list[str]] = [[] for _ in nodes]
-        # sorted: set order follows the hash seed, and the sums below must not
-        for s, rel, o in sorted(graph.triples):
-            adj[index[o], index[s]] = True
-            incoming[index[o]].append(rel)
-        avg = np.zeros((len(nodes), len(self.model)))  # feats = avg @ emb
-        for i, node in enumerate(nodes):
-            ids = self._token_ids(node)
-            if ids:
-                np.add.at(avg[i], list(ids), 1.0 / len(ids))
-            rels = [r for r in (self._token_ids(rel.replace("_", " "))
-                                for rel in incoming[i]) if r]
-            for r in rels:
-                np.add.at(avg[i], list(r), 1.0 / (len(r) * len(rels)))
-        pieces = np.flatnonzero(avg.any(axis=0))
-        feats = nm.matmul(nm.Tensor(avg[:, pieces]), nm.take(p["emb"], pieces))
+        per_graph = [sorted(graph.nodes()) for graph in graphs]
+        total = sum(len(nodes) for nodes in per_graph)
+        adj = np.zeros((total, total), dtype=bool)  # adj[i, j]: node i attends to j
+        pool = np.zeros((len(graphs), total))  # per-graph means = pool @ outputs
+        # feats = avg @ emb[pieces], avg built from (node, piece, weight) entries
+        rows: list[int] = []
+        cols: list[int] = []
+        weights: list[float] = []
+        off = 0
+        for b, (graph, nodes) in enumerate(zip(graphs, per_graph)):
+            n = len(nodes)
+            index = {node: off + i for i, node in enumerate(nodes)}
+            adj[off:off + n, off:off + n] = np.eye(n, dtype=bool)
+            pool[b, off:off + n] = 1.0 / n
+            incoming: dict[int, list[str]] = {}
+            # sorted: set order follows the hash seed, and the sums below must not
+            for s, rel, o in sorted(graph.triples):
+                adj[index[o], index[s]] = True
+                incoming.setdefault(index[o], []).append(rel)
+            for node, i in index.items():
+                ids = self._token_ids(node)
+                rels = [r for r in (self._token_ids(rel.replace("_", " "))
+                                    for rel in incoming.get(i, ())) if r]
+                entries = [(ids, 1.0 / len(ids))] if ids else []
+                entries += [(r, 1.0 / (len(r) * len(rels))) for r in rels]
+                for part, weight in entries:
+                    rows.extend([i] * len(part))
+                    cols.extend(part)
+                    weights.extend([weight] * len(part))
+            off += n
+        pieces, piece_cols = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
+        avg = np.zeros((total, len(pieces)))
+        np.add.at(avg, (rows, piece_cols), weights)  # in entry order, as a sum
+        feats = nm.matmul(nm.Tensor(avg), nm.take(p["emb"], pieces))
 
         heads = []
         dim = cfg.emb_dim
@@ -272,24 +298,26 @@ class KgA2CAgent:
             a_peer = nm.matmul(u, nm.take(pk, slice(dim, 2 * dim)))  # (N,)
             e = nm.leaky_relu(nm.add(nm.column(a_self), a_peer), cfg.leaky_slope)
             alpha = nm.softmax(e, mask=adj)  # (N, N)
-            heads.append(nm.mean(nm.sigmoid(nm.matmul(alpha, u)), axis=0))
-        pooled = nm.concat(heads)
+            heads.append(nm.matmul(nm.Tensor(pool), nm.sigmoid(nm.matmul(alpha, u))))
+        pooled = nm.concat(heads)  # (B, heads * F)
         return nm.tanh(nm.add(nm.matmul(pooled, p["gat.out.W"]), p["gat.out.b"]))
 
     def state_embedding(
         self,
-        obs: Observation,
-        graph: KnowledgeGraph,
-        enc: EncoderState,
-    ) -> tuple[nm.Tensor, EncoderState]:
-        """s_t = g_t (+) o_t (+) c_t (g_t dropped in the no-gat/a2c paths)."""
-        o_t, enc2 = self.encode_observation(obs, enc)
-        c_t = nm.Tensor(score_encode(obs.score, self.cfg.score_width))
+        observations: Sequence[Observation],
+        graphs: Sequence[KnowledgeGraph],
+        encs: Sequence[EncoderState],
+    ) -> tuple[nm.Tensor, list[EncoderState]]:
+        """s_t = g_t (+) o_t (+) c_t for B states, as (B, state_dim) (g_t
+        dropped in the no-gat/a2c paths), and each row's new hiddens."""
+        o_t, encs2 = self.encode_observation(observations, encs)
+        c_t = nm.Tensor(np.array(
+            [score_encode(obs.score, self.cfg.score_width) for obs in observations]))
         parts = []
         if self.cfg.use_gat:
-            parts.append(self.gat_embed(graph))
+            parts.append(self.gat_embed(graphs))
         parts.extend([o_t, c_t])
-        return nm.concat(parts), enc2
+        return nm.concat(parts), encs2
 
     # -- decoders ----------------------------------------------------------
 
@@ -304,66 +332,78 @@ class KgA2CAgent:
     def decode_action(
         self,
         s_t: nm.Tensor,
-        mask: GraphMask,
-        rng: np.random.Generator | None = None,
+        masks: Sequence[GraphMask],
+        rngs: Sequence[np.random.Generator] | None = None,
         mode: str = "sample",
-    ) -> ActionDistribution:
-        """Template head first, then one object step per blank, each step
-        attending over the state, the template, and earlier objects."""
+    ) -> list[ActionDistribution]:
+        """For each of the B rows of ``s_t``: the template head first, then
+        one object step per blank, each step attending over the state, the
+        template, and earlier objects.  The template head is one (B, S)
+        product; object blank k runs over the rows whose template has more
+        than k blanks.  Row b samples with ``rngs[b]``, template first."""
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown decode mode {mode!r}")
-        if mode == "sample" and rng is None:
+        if mode == "sample" and rngs is None:
             raise ValueError("sampling requires an rng")
         cfg = self.cfg
         p = self.params
+        B = s_t.shape[0]
+        rngs = rngs if rngs is not None else [None] * B
 
         h_t = nm.gru_cell(
-            s_t, nm.Tensor(np.zeros(cfg.dec_hidden)), p.gru_params("dec.tmpl.gru")
+            s_t, nm.Tensor(np.zeros((B, cfg.dec_hidden))), p.gru_params("dec.tmpl.gru")
         )
         t_logits = nm.add(nm.matmul(h_t, p["dec.tmpl.W"]), p["dec.tmpl.b"])
         t_probs = nm.softmax(t_logits)
-        tid = self._choose(t_probs.data, rng, mode)
-        log_prob = nm.log(nm.take(t_probs, tid))
+        tids = [self._choose(t_probs.data[b], rngs[b], mode) for b in range(B)]
+        t_logp = nm.log(nm.take(t_probs, range(B), tids))
+        log_probs = [nm.take(t_logp, b) for b in range(B)]
 
-        mask_arr = self._decoder_mask(mask)
-        template = self.space.templates[tid]
-        context = [
-            nm.matmul(s_t, p["dec.ctx.W"]),
-            nm.take(p["dec.tmpl_emb"], tid),
-        ]
+        mask_arr = np.array([self._decoder_mask(m) for m in masks])
+        blanks = [self.space.templates[tid].blanks for tid in tids]
+        context = [nm.matmul(s_t, p["dec.ctx.W"]), nm.take(p["dec.tmpl_emb"], tids)]
         query = nm.matmul(s_t, p["dec.query.W"])
         scale = 1.0 / np.sqrt(cfg.dec_hidden)
 
-        object_ids: list[int] = []
-        object_logits: list[nm.Tensor] = []
-        object_probs: list[nm.Tensor] = []
-        h_o = nm.Tensor(np.zeros(cfg.dec_hidden))
+        object_ids: list[list[int]] = [[] for _ in range(B)]
+        object_logits: list[list[nm.Tensor]] = [[] for _ in range(B)]
+        object_probs: list[list[nm.Tensor]] = [[] for _ in range(B)]
+        h_o = nm.Tensor(np.zeros((B, cfg.dec_hidden)))
         obj_gru = p.gru_params("dec.obj.gru")
-        for _ in range(template.blanks):
-            stacked = nm.stack0(context)
-            attn = nm.softmax(nm.mul(nm.matmul(stacked, query), nm.Tensor(scale)))
-            ctx_vec = nm.matmul(attn, stacked)
-            h_o = nm.gru_cell(ctx_vec, h_o, obj_gru)
+        rows = list(range(B))  # the rows decoding this blank
+        for k in range(max(blanks)):
+            keep = [i for i, b in enumerate(rows) if blanks[b] > k]
+            if len(keep) < len(rows):
+                context = [nm.take(c, keep) for c in context]
+                query, h_o = nm.take(query, keep), nm.take(h_o, keep)
+                rows = [rows[i] for i in keep]
+            h_o = nm.gru_cell(nm.attend(context, query, scale), h_o, obj_gru)
             o_logits = nm.add(nm.matmul(h_o, p["dec.obj.W"]), p["dec.obj.b"])
-            o_probs = nm.softmax(o_logits, mask=mask_arr)
-            oid = self._choose(o_probs.data, rng, mode)
-            log_prob = nm.add(log_prob, nm.log(nm.take(o_probs, oid)))
-            object_ids.append(oid)
-            object_logits.append(o_logits)
-            object_probs.append(o_probs)
-            context.append(nm.take(p["dec.obj_emb"], oid))
+            o_probs = nm.softmax(o_logits, mask=mask_arr[rows])
+            oids = [self._choose(o_probs.data[i], rngs[b], mode)
+                    for i, b in enumerate(rows)]
+            o_logp = nm.log(nm.take(o_probs, range(len(rows)), oids))
+            for i, b in enumerate(rows):
+                log_probs[b] = nm.add(log_probs[b], nm.take(o_logp, i))
+                object_ids[b].append(oids[i])
+                object_logits[b].append(nm.take(o_logits, i))
+                object_probs[b].append(nm.take(o_probs, i))
+            context.append(nm.take(p["dec.obj_emb"], oids))
 
-        words = [self.space.vocabulary[i] for i in object_ids]
-        return ActionDistribution(
-            object_ids=tuple(object_ids),
-            action=self.space.instantiate(tid, words),
-            log_prob=log_prob,
-            template_logits=t_logits,
-            template_probs=t_probs,
-            object_logits=object_logits,
-            object_probs=object_probs,
-            mask_array=mask_arr,
-        )
+        dists = []
+        for b, tid in enumerate(tids):
+            words = [self.space.vocabulary[i] for i in object_ids[b]]
+            dists.append(ActionDistribution(
+                object_ids=tuple(object_ids[b]),
+                action=self.space.instantiate(tid, words),
+                log_prob=log_probs[b],
+                template_logits=nm.take(t_logits, b),
+                template_probs=nm.take(t_probs, b),
+                object_logits=object_logits[b],
+                object_probs=object_probs[b],
+                mask_array=mask_arr[b],
+            ))
+        return dists
 
     @staticmethod
     def _choose(probs: np.ndarray, rng: np.random.Generator | None, mode: str) -> int:
@@ -373,6 +413,7 @@ class KgA2CAgent:
         return int(rng.choice(len(p), p=p))
 
     def critic_value(self, s_t: nm.Tensor) -> nm.Tensor:
+        """V of each row of (B, state_dim) ``s_t``, as a (B,) vector."""
         p = self.params
         h = nm.tanh(nm.add(nm.matmul(s_t, p["critic.W1"]), p["critic.b1"]))
         return nm.add(nm.matmul(h, p["critic.w2"]), p["critic.b2"])
@@ -382,33 +423,45 @@ class KgA2CAgent:
     def seq_decode(
         self,
         s_t: nm.Tensor,
-        rng: np.random.Generator | None = None,
+        rngs: Sequence[np.random.Generator] | None = None,
         mode: str = "sample",
-    ) -> tuple[list[int], list[nm.Tensor], nm.Tensor]:
-        """Decode up to max_seq_words vocabulary words with an early stop
-        token.  Returns (word ids, per-position logits incl. the stop step,
-        joint log-prob of the emitted sequence)."""
+    ) -> list[tuple[list[int], list[nm.Tensor], nm.Tensor]]:
+        """For each of the B rows of ``s_t``, decode up to max_seq_words
+        vocabulary words with an early stop token; position k runs over the
+        rows that have not emitted it.  Returns per row (word ids,
+        per-position logits incl. the stop step, joint log-prob of the
+        emitted sequence)."""
         cfg = self.cfg
         p = self.params
         stop_id = self.n_vocab
+        B = s_t.shape[0]
+        rngs = rngs if rngs is not None else [None] * B
         h = nm.tanh(nm.add(nm.matmul(s_t, p["seq.init.W"]), p["seq.init.b"]))
         gp = p.gru_params("seq.gru")
-        words: list[int] = []
-        logits_seq: list[nm.Tensor] = []
-        log_prob: nm.Tensor | None = None
-        for _ in range(cfg.max_seq_words):
+        words: list[list[int]] = [[] for _ in range(B)]
+        logits_seq: list[list[nm.Tensor]] = [[] for _ in range(B)]
+        log_probs: list[nm.Tensor | None] = [None] * B
+        rows = list(range(B))  # the rows still decoding
+        for k in range(cfg.max_seq_words):
             logits = nm.add(nm.matmul(h, p["seq.W"]), p["seq.b"])
             probs = nm.softmax(logits)
-            wid = self._choose(probs.data, rng, mode)
-            logits_seq.append(logits)
-            lp = nm.log(nm.take(probs, wid))
-            log_prob = lp if log_prob is None else nm.add(log_prob, lp)
-            if wid == stop_id:
+            wids = [self._choose(probs.data[i], rngs[b], mode)
+                    for i, b in enumerate(rows)]
+            logp = nm.log(nm.take(probs, range(len(rows)), wids))
+            for i, b in enumerate(rows):
+                logits_seq[b].append(nm.take(logits, i))
+                lp = nm.take(logp, i)
+                log_probs[b] = lp if log_probs[b] is None else nm.add(log_probs[b], lp)
+            keep = [i for i, wid in enumerate(wids) if wid != stop_id]
+            for i in keep:
+                words[rows[i]].append(wids[i])
+            if not keep or k + 1 == cfg.max_seq_words:
                 break
-            words.append(wid)
-            h = nm.gru_sequence(nm.take(p["seq.emb"], [wid]), h, gp)
-        assert log_prob is not None
-        return words, logits_seq, log_prob
+            if len(keep) < len(rows):
+                h = nm.take(h, keep)
+                rows = [rows[i] for i in keep]
+            h = nm.gru_cell(nm.take(p["seq.emb"], [wids[i] for i in keep]), h, gp)
+        return [(words[b], logits_seq[b], log_probs[b]) for b in range(B)]
 
     def seq_action_text(self, word_ids: list[int]) -> str:
         return " ".join(self.space.vocabulary[i] for i in word_ids)

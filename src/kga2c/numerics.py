@@ -4,27 +4,33 @@
 agent needs.  Each op records a backward closure; ``backward`` walks the tape
 in reverse topological order with a fixed accumulation order, so repeated
 backward passes over the same graph are bitwise repeatable and gradients
-accumulate until explicitly zeroed.
+accumulate until explicitly zeroed.  Inside ``no_grad()`` ops record nothing,
+for forward passes that nothing differentiates.
+
+The agent runs batch-major: the leading axis of its activations is the row
+(one per worker), so each op here covers all rows in one call.  ``attend``
+is the decoder's per-row attention as one op.
 
 A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
 gate blocks in z, r, n order.  ``gru_sequence`` is the one GRU tape node: it
-runs the recurrence over the T rows of a (T, in) input matrix, and its
-backward does backpropagation through time in one reverse loop, then sends
-one gradient each to X, h0, W, U and b; ``gru_cell`` is its T = 1 case.  The
-input projection x_t @ W stays one product per token, because a single
-X @ W sums in another order and would change every forward pass by
-round-off.
+runs the recurrence over a (T, in) input for one hidden, or over a padded
+(T, B, in) batch with per-row lengths for B hiddens, and its backward does
+backpropagation through time in one reverse loop, then sends one gradient
+each to X, h0, W, U and b; ``gru_cell`` is its T = 1 case.  The input
+projection X @ W + b is one product over every row and step, not one per
+token; only h @ U runs per step.
 
 ``take`` is the one indexed read: an element, a slice or rows of a tensor
-along axis 0.  Its backward is the one scatter-add, ``np.add.at`` into a
-zero buffer the size of the whole input.
+along axis 0, or the elements at given (row, column) pairs.  Its backward
+scatter-adds into a zero buffer the size of the whole input.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,13 +71,31 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.grad is not None else 'no'})"
 
+_taping = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build tensors without recording the tape: results inside have no
+    parents, so nothing reaches the parameters and nothing is kept alive."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     # Record the tape only when some ancestor is trainable; .grad buffers are
     # kept on leaves (requires_grad), intermediates just route flow.
-    if any(p.requires_grad or p._parents for p in parents):
-        out._parents = parents
-        out._backward = backward
+    if _taping:
+        for p in parents:
+            if p.requires_grad or p._parents:
+                out._parents = parents
+                out._backward = backward
+                break
     return out
 
 
@@ -155,28 +179,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join vectors, or matrices with equal row counts, along the last axis."""
     tensors = tuple(tensors)
+    lead = tensors[0].data.shape[:-1]
     for t in tensors:
-        if t.data.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {t.data.shape}")
-    sizes = [t.data.shape[0] for t in tensors]
+        if t.data.ndim not in (1, 2) or t.data.shape[:-1] != lead:
+            raise ShapeError(
+                f"concat expects vectors or matrices with equal row counts, "
+                f"got shape {t.data.shape}"
+            )
+    sizes = [t.data.shape[-1] for t in tensors]
 
     def backward(g, grads):
         off = 0
         for i, n in enumerate(sizes):
-            grads[i] = g[off : off + n]
+            grads[i] = g[..., off : off + n]
             off += n
 
-    return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=-1),
+                 tuple(tensors), backward)
 
 
 def stack0(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix (rows in argument order)."""
+    """Stack equal-shaped vectors or matrices along a new leading axis
+    (in argument order)."""
     tensors = tuple(tensors)  # snapshot: callers may grow their list later
     shape = tensors[0].data.shape
     for t in tensors:
-        if t.data.shape != shape or t.data.ndim != 1:
-            raise ShapeError("stack0 expects equal-length vectors")
+        if t.data.shape != shape or t.data.ndim not in (1, 2):
+            raise ShapeError("stack0 expects equal-shaped vectors or matrices")
     n = len(tensors)
 
     def backward(g, grads):
@@ -244,18 +275,26 @@ def sum_(x: Tensor, axis: int | None = None) -> Tensor:
     return _make(x.data.sum(axis=axis), (x,), backward)
 
 
-def take(x: Tensor, index) -> Tensor:
-    """``x.data[index]`` along axis 0 of a vector or a matrix.  ``index`` is
-    an int, a slice or a sequence of ints; the backward scatter-adds into
-    zeros, so a repeated index sums its gradients."""
+def take(x: Tensor, index, columns=None) -> Tensor:
+    """``x.data[index]`` of a vector or a matrix.  ``index`` is an int or a
+    slice (along axis 0), or an array of ints (rows along axis 0, in that
+    array's shape: a (T, B) array of row ids gives a (T, B, n) batch).  With
+    ``columns``, an int sequence as long as ``index``, it picks the elements
+    ``x.data[index[i], columns[i]]`` of a matrix.  The backward scatter-adds
+    into zeros, so a repeated index sums its gradients."""
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"take expects a vector or a matrix, got shape {x.data.shape}")
-    if not isinstance(index, (int, np.integer, slice)):
+    if columns is not None:
+        index = (np.asarray(index, dtype=np.intp), np.asarray(columns, dtype=np.intp))
+    elif not isinstance(index, (int, np.integer, slice)):
         index = np.asarray(index, dtype=np.intp)
 
     def backward(g, grads):
         buf = np.zeros_like(x.data)
-        np.add.at(buf, index, g)
+        if isinstance(index, (int, np.integer, slice)):
+            buf[index] = g  # no index repeats
+        else:
+            np.add.at(buf, index, g)
         grads[0] = buf
 
     return _make(x.data[index], (x,), backward)
@@ -304,6 +343,30 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(y, (x,), backward)
 
 
+def attend(items: Sequence[Tensor], query: Tensor, scale: float) -> Tensor:
+    """Scaled dot-product attention for each of R rows: row r's scores are
+    ``scale * (item_j[r] . query[r])`` over the J (R, D) ``items``, a softmax
+    over j turns them into weights, and the result's row r is the weighted
+    sum of the items' rows r.  Returns (R, D)."""
+    K = np.stack([t.data for t in items], axis=1)  # (R, J, D)
+    q = query.data
+    if K.ndim != 3 or q.shape != (K.shape[0], K.shape[2]):
+        raise ShapeError(f"attend: items {K.shape[::2]} and query {q.shape} disagree")
+    s = np.matmul(K, q[:, :, None])[:, :, 0] * scale
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)  # (R, J)
+
+    def backward(g, grads):
+        da = np.matmul(K, g[:, :, None])[:, :, 0]
+        ds = a * (da - (da * a).sum(axis=1, keepdims=True)) * scale
+        dK = a[:, :, None] * g[:, None, :] + ds[:, :, None] * q[:, None, :]
+        for j in range(K.shape[1]):
+            grads[j] = dK[:, j]
+        grads[-1] = np.matmul(ds[:, None, :], K)[:, 0]
+
+    return _make(np.matmul(a[:, None, :], K)[:, 0], (*items, query), backward)
+
+
 def cross_entropy_with_logits(logits: Tensor, target: int) -> Tensor:
     """Categorical cross-entropy of one target class: logsumexp(x) - x[t]."""
     if logits.data.ndim != 1:
@@ -346,76 +409,134 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
 GRU = tuple[Tensor, Tensor, Tensor]  # (W, U, b), see ParameterSet.gru
 
 
-def gru_sequence(X: Tensor, h0: Tensor, p: GRU) -> Tensor:
-    """The standard gated update (Cho et al. 2014), h' = (1-z)*h + z*n with
-    z, r and n read as H-wide blocks of x_t @ W and h @ U, run over the T
-    rows of X from h0; returns the last hidden, or h0 itself when T = 0.
+def _spread(packed: np.ndarray, at: np.ndarray, rows: int) -> np.ndarray:
+    """A (rows, k) zero matrix with ``packed``'s rows at the indices ``at``."""
+    out = np.zeros((rows, packed.shape[1]))
+    out[at] = packed
+    return out
 
-    The forward keeps each step's gates, h @ U and the hidden it read; the
-    backward stacks them into arrays, runs backpropagation through time in
-    one reverse loop that fills d(x_t @ W) and d(h_t @ U), and then takes one
-    matmul per input.
+
+def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
+                 lengths: Sequence[int] | None = None) -> Tensor:
+    """The standard gated update (Cho et al. 2014), h' = (1-z)*h + z*n with
+    z, r and n read as H-wide blocks of x_t @ W and h @ U.
+
+    One sequence: X is (T, in) and h0 a hidden vector; returns the last
+    hidden.  A batch: X is a padded (T, B, in) batch and h0 is (B, H); row b
+    runs its first ``lengths[b]`` steps (all T by default), so a row that
+    ends early carries its hidden and a zero-length row keeps its h0; returns
+    (B, H).  Either way h0 itself comes back when no row has a step.
+
+    X @ W + b is one product.  The rows run longest first, so step t updates
+    the prefix of the n_t rows still running.  The forward keeps each step's
+    gates, h @ U and the hidden it read; the backward lays them out as
+    (step, row) arrays, runs backpropagation through time in one reverse loop
+    that fills d(X @ W) and d(h @ U), and then takes one matmul per input.
     """
     W, U, b = p
     Xd, hd = X.data, h0.data
-    if Xd.ndim != 2 or hd.ndim != 1:
+    single = Xd.ndim == 2
+    if not (single and hd.ndim == 1 and lengths is None
+            or Xd.ndim == 3 and hd.ndim == 2 and Xd.shape[1] == hd.shape[0]):
         raise ShapeError(
-            f"gru_sequence expects a (T, in) matrix and a hidden vector, got "
-            f"{Xd.shape} and {hd.shape}"
+            f"gru_sequence expects a (T, in) matrix and a hidden vector, or a "
+            f"(T, B, in) batch and (B, H) hiddens, got {Xd.shape} and {hd.shape}"
         )
-    T, H = Xd.shape[0], hd.shape[0]
-    if Xd.shape[1] != W.data.shape[0] or U.data.shape != (H, 3 * H):
+    H = hd.shape[-1]
+    if Xd.shape[-1] != W.data.shape[0] or U.data.shape != (H, 3 * H):
         raise ShapeError(
             f"gru_sequence: X {Xd.shape} / h {hd.shape} disagree with params "
             f"{W.data.shape} / {U.data.shape}"
         )
-    if T == 0:
+    X3 = Xd[:, None, :] if single else Xd
+    T, B, n_in = X3.shape
+    order = None  # the row permutation that puts the longest rows first
+    if lengths is None:
+        steps, counts = T, [B] * T  # counts[t]: the rows still running at step t
+    else:
+        lens = [int(n) for n in lengths]
+        if len(lens) != B or B and (min(lens) < 0 or max(lens) > T):
+            raise ShapeError(f"gru_sequence: lengths {lengths} do not fit {B} rows of {T}")
+        if any(a < b for a, b in zip(lens, lens[1:])):
+            order = np.array(sorted(range(B), key=lambda i: -lens[i]))  # stable
+            lens = [lens[i] for i in order]
+        steps = lens[0] if B else 0
+        counts, n = [], B
+        for t in range(steps):
+            while lens[n - 1] <= t:
+                n -= 1
+            counts.append(n)
+    if steps == 0 or B == 0:
         return h0
     Wd, Ud = W.data, U.data
-    b_zr, b_n = b.data[:2 * H], b.data[2 * H:]
+    XW = (X3[:steps].reshape(-1, n_in) @ Wd + b.data).reshape(steps, B, 3 * H)
+    h = hd[None] if single else hd
+    if order is not None:
+        XW, h = XW[:, order], h[order]
+    x_zr, x_n = XW[:, :, :2 * H], XW[:, :, 2 * H:]
     zrs, ns, hUs, hs = [], [], [], []
-    h = hd
-    for x in Xd:
-        xW, hU = x @ Wd, h @ Ud
-        zr = 1.0 / (1.0 + np.exp(-(xW[:2 * H] + hU[:2 * H] + b_zr)))  # z, r
-        n = np.tanh(xW[2 * H:] + zr[H:] * hU[2 * H:] + b_n)
+    for t, n in enumerate(counts):
+        if n == B:
+            hp, xzr, xn = h, x_zr[t], x_n[t]
+        else:
+            hp, xzr, xn = h[:n], x_zr[t, :n], x_n[t, :n]
+        hU = hp @ Ud
+        zr = 1.0 / (1.0 + np.exp(-(xzr + hU[:, :2 * H])))  # z, r
+        gn = np.tanh(xn + zr[:, H:] * hU[:, 2 * H:])
         zrs.append(zr)
-        ns.append(n)
+        ns.append(gn)
         hUs.append(hU)
-        hs.append(h)
-        h = h + zr[:H] * (n - h)
+        hs.append(hp)
+        hn = hp + zr[:, :H] * (gn - hp)
+        h = hn if n == B else np.concatenate((hn, h[n:]))  # a new array: hp stays
+    inverse = None if order is None else np.argsort(order)
+    out = h[0] if single else h if inverse is None else h[inverse]
 
     def backward(g, grads):
-        ZR, N, HU, Hp = np.array(zrs), np.array(ns), np.array(hUs), np.array(hs)
+        ZR, N, HU, Hp = (np.concatenate(a) for a in (zrs, ns, hUs, hs))
+        if len(ZR) < steps * B:  # spread to (steps, B); past a row's end, z = 0
+            at = np.flatnonzero(np.arange(B) < np.array(counts)[:, None])
+            ZR, N, HU, Hp = (_spread(a, at, steps * B) for a in (ZR, N, HU, Hp))
         Z, R, HUn = ZR[:, :H], ZR[:, H:], HU[:, 2 * H:]
         # dh_t times fxw[t] gives the (z, r, n) blocks of d(x_t @ W), and
-        # times fhu[t] those of d(h_t @ U), which reaches n through r.
-        fxw = np.empty((T, 3, H))
+        # times fhu[t] those of d(h_t @ U), which reaches n through r.  Where
+        # z = 0 both are zero and keep is 1, so a finished row's dh passes
+        # through unchanged.
+        fxw = np.empty((steps * B, 3, H))
         fxw[:, 0] = (N - Hp) * Z * (1.0 - Z)
         fxw[:, 2] = Z * (1.0 - N * N)
         fxw[:, 1] = fxw[:, 2] * HUn * R * (1.0 - R)
         fhu = fxw.copy()
         fhu[:, 2] *= R
-        keep = 1.0 - Z
-        dXW = np.empty((T, 3 * H))  # also d/db
-        dHU = np.empty((T, 3 * H))
-        dXW3, dHU3, UT = dXW.reshape(T, 3, H), dHU.reshape(T, 3, H), Ud.T
-        dh = g
-        for t in range(T - 1, -1, -1):
-            np.multiply(dh, fxw[t], out=dXW3[t])
-            np.multiply(dh, fhu[t], out=dHU3[t])
-            dh = dh * keep[t] + dHU[t] @ UT
-        grads[0] = dXW @ Wd.T
-        grads[1] = dh
-        grads[2] = Xd.T @ dXW
-        grads[3] = Hp.T @ dHU
+        shape = (steps, B, 3, H)
+        fxw, fhu = fxw.reshape(shape), fhu.reshape(shape)
+        keep = (1.0 - Z).reshape(steps, B, H)
+        dXW, dHU = np.empty(shape), np.empty(shape)  # dXW is also d/db
+        dHU_rows, UT = dHU.reshape(steps, B, 3 * H), Ud.T
+        dh = g[None] if single else g if order is None else g[order]
+        for t in range(steps - 1, -1, -1):
+            d = dh[:, None, :]
+            np.multiply(d, fxw[t], out=dXW[t])
+            np.multiply(d, fhu[t], out=dHU[t])
+            dh = dh * keep[t] + dHU_rows[t] @ UT
+        if inverse is not None:
+            dXW, dh = dXW[:, inverse], dh[inverse]
+        dXW = dXW.reshape(-1, 3 * H)
+        dX = (dXW @ Wd.T).reshape(steps, B, n_in)
+        if steps < T:
+            dX = np.concatenate((dX, np.zeros((T - steps, B, n_in))))
+        grads[0] = dX[:, 0] if single else dX
+        grads[1] = dh[0] if single else dh
+        grads[2] = X3[:steps].reshape(-1, n_in).T @ dXW
+        grads[3] = Hp.T @ dHU.reshape(-1, 3 * H)
         grads[4] = dXW.sum(axis=0)
 
-    return _make(h, (X, h0, W, U, b), backward)
+    return _make(out, (X, h0, W, U, b), backward)
 
 
 def gru_cell(x: Tensor, h: Tensor, p: GRU) -> Tensor:
-    """One GRU step: ``gru_sequence`` over the one-row matrix of x."""
+    """One GRU step for a hidden vector, or for each row of (B, H) hiddens
+    with (B, in) inputs: ``gru_sequence`` over a single step."""
     return gru_sequence(stack0([x]), h, p)
 
 

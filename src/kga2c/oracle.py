@@ -55,9 +55,12 @@ def probe_words(
     spec: engine.GameSpec,
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
+    in_scope: Iterable[str] | None = None,
 ) -> tuple[str, ...]:
     """The candidate words (default: full V, else sorted) that can change the
-    world in ``state``, in candidate order.  Raises on a word outside V."""
+    world in ``state``, in candidate order.  ``in_scope`` is
+    ``engine.in_scope_words(state, spec)`` when the caller has it already;
+    by default it is computed here.  Raises on a word outside V."""
     if candidates is None:
         words: Iterable[str] = space.vocabulary
     else:
@@ -65,7 +68,9 @@ def probe_words(
         for w in words:
             if w not in space.word_ids:
                 raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
-    keep = spec.parser_words.union(engine.in_scope_words(state, spec))
+    if in_scope is None:
+        in_scope = engine.in_scope_words(state, spec)
+    keep = spec.parser_words.union(in_scope)
     return tuple(w for w in words if keep.issuperset(w.lower().split()))
 
 
@@ -75,15 +80,16 @@ def valid_actions(
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
     budget: int | None = DEFAULT_PROBE_BUDGET,
+    in_scope: Iterable[str] | None = None,
 ) -> ValidSet:
     """Probe every canonical instantiation over the ``probe_words`` of
-    ``candidates`` (default: full V).
+    ``candidates`` (default: full V); ``in_scope`` is passed on to it.
 
     The probe budget bounds the groundings tried, and so latency; when it is
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
     """
-    words = probe_words(state, spec, space, candidates)
+    words = probe_words(state, spec, space, candidates, in_scope)
 
     # Snapshot guards the caller's state; step_core is pure, and the trailing
     # assert plus the guard re-check make non-perturbation observable.

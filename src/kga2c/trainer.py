@@ -2,7 +2,12 @@
 
 Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, knowledge graph, encoder state) and
-shares the valid-action cache.  They run on a deterministic schedule so fixed
+its own sampling and mask RNGs, and shares the valid-action cache.  As in
+synchronous A2C (Mnih et al. 2016, arXiv 1602.01783), ``run_rollouts`` steps
+them in lockstep: per unroll step every worker prepares its observation, one
+batch-major forward pass decodes all workers' rows, and every worker
+executes its own.  Each row samples from its worker's RNG in the order that
+worker alone would, so the schedule changes no sampled action, and fixed
 seeds give bitwise-identical metrics.
 
 Every step builds the loss terms its ablation trains; ``train_step`` adds the
@@ -287,6 +292,7 @@ class Worker:
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
         self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
+        self.decoded: tuple[nm.Tensor, EncoderState, Decoded] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
@@ -304,24 +310,21 @@ class Worker:
             self.pending = mask, valid
         return self.pending
 
-    def value(self, agent: KgA2CAgent) -> float:
-        """V of the current observation under the current parameters."""
-        self.prepare()  # brings the graph up to date
-        s_t, _ = agent.state_embedding(self.ep.obs, self.ep.graph, self.ep.enc)
-        return agent.critic_value(s_t).item()
-
     def step(self, agent: KgA2CAgent) -> tuple[StepRecord, int | None]:
-        """Advance one environment step; returns the record and, when an
-        episode finished, its final score.  The forward pass runs here, not
-        in ``prepare``, so it always sees the current parameters."""
-        mask, valid = self.prepare()
-        self.pending = None
-        s_t, enc2 = agent.state_embedding(self.ep.obs, self.ep.graph, self.ep.enc)
-        value = agent.critic_value(s_t)
+        """Execute this worker's decoded row and advance one environment step;
+        returns the record and, when an episode finished, its final score.
+        The row comes from ``decode_rows``, which ``run_rollouts`` runs over
+        all workers first; without one, this worker's row is decoded alone.
+        Either way the forward pass runs under the current parameters."""
+        if self.decoded is None:
+            decode_rows([self], agent)
+        value, enc2, decoded = self.decoded
+        mask, valid = self.pending
+        self.decoded = self.pending = None
         if agent.cfg.ablation == "seq":
-            action, log_prob, terms = self._seq_terms(agent, s_t, valid)
+            action, log_prob, terms = self._seq_terms(agent, decoded, valid)
         else:
-            action, log_prob, terms = self._template_terms(agent, s_t, mask, valid)
+            action, log_prob, terms = self._template_terms(agent, decoded, mask, valid)
         reward = float(self.ep.act(action))
         record = StepRecord(self.idx, value, log_prob, terms, reward, self.ep.done,
                             len(valid), len(mask), action in valid)
@@ -334,13 +337,12 @@ class Worker:
         return record, final_score
 
     def _template_terms(
-        self, agent: KgA2CAgent, s_t: nm.Tensor, mask: kg.GraphMask,
+        self, agent: KgA2CAgent, dist: ActionDistribution, mask: kg.GraphMask,
         valid: oracle.ValidSet,
     ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
-        """Sample from the template decoder.  The supervised ablations train
-        both BCE terms and the entropy over the valid templates;
-        ``unsupervised`` trains only the entropy, over every template."""
-        dist = agent.decode_action(s_t, mask, self.rng, "sample")
+        """The supervised ablations train both BCE terms and the entropy over
+        the valid templates; ``unsupervised`` trains only the entropy, over
+        every template."""
         self.pipe.mask_violations += sum(
             1 for oid in dist.object_ids if not dist.mask_array[oid])
         if agent.cfg.ablation == "unsupervised":
@@ -357,12 +359,12 @@ class Worker:
         return dist.action, dist.log_prob, terms
 
     def _seq_terms(
-        self, agent: KgA2CAgent, s_t: nm.Tensor, valid: oracle.ValidSet
+        self, agent: KgA2CAgent, decoded: SeqDecoded, valid: oracle.ValidSet
     ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
-        """Sample word by word; with probability ``p_valid`` execute a random
-        valid action instead.  Trains cross-entropy towards that valid action
+        """With probability ``p_valid`` execute a random valid action instead
+        of the decoded words.  Trains cross-entropy towards that valid action
         (when there is one) and the entropy at every decoded position."""
-        words, logits_seq, log_prob = agent.seq_decode(s_t, self.rng, "sample")
+        words, logits_seq, log_prob = decoded
         teacher = None
         if len(valid):
             teacher = valid.actions[self.rng.integers(len(valid))]
@@ -387,6 +389,33 @@ class Worker:
         return action or "look", log_prob, terms
 
 
+SeqDecoded = tuple[list[int], list[nm.Tensor], nm.Tensor]  # see seq_decode
+Decoded = ActionDistribution | SeqDecoded
+
+
+def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[EncoderState]]:
+    eps = [w.ep for w in workers]
+    return agent.state_embedding(
+        [ep.obs for ep in eps], [ep.graph for ep in eps], [ep.enc for ep in eps])
+
+
+def decode_rows(workers: list[Worker], agent: KgA2CAgent) -> None:
+    """One batch-major forward pass over the workers' prepared observations:
+    state embedding, critic and decoder, with row b sampling from worker b's
+    rng.  Each worker keeps its row's value, new encoder state and decoded
+    action for its ``step``."""
+    masks = [w.prepare()[0] for w in workers]
+    s_t, encs = _embed(agent, workers)
+    values = agent.critic_value(s_t)
+    rngs = [w.rng for w in workers]
+    if agent.cfg.ablation == "seq":
+        rows: list[Decoded] = agent.seq_decode(s_t, rngs, "sample")
+    else:
+        rows = agent.decode_action(s_t, masks, rngs, "sample")
+    for b, w in enumerate(workers):
+        w.decoded = nm.take(values, b), encs[b], rows[b]
+
+
 class Pipeline:
     """Shared immutable pieces plus the valid-set cache and counters."""
 
@@ -404,9 +433,11 @@ class Pipeline:
 
     def valid_set(self, state, mask_words, in_scope) -> oracle.ValidSet:
         """The valid set over the mask and in-scope words, cached on the
-        words the oracle would probe: candidates it prunes split no entries."""
+        words the oracle would probe: candidates it prunes split no entries.
+        ``in_scope`` is ``engine.in_scope_words(state, spec)``, which the
+        oracle then reuses instead of deriving it again."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
-        words = oracle.probe_words(state, self.spec, self.space, candidates)
+        words = oracle.probe_words(state, self.spec, self.space, candidates, in_scope)
         key = (engine.digest(state), words)
         hit = self._valid_cache.get(key)
         if hit is not None:
@@ -414,7 +445,7 @@ class Pipeline:
             return hit
         self.valid_misses += 1
         hit = oracle.valid_actions(
-            state, self.spec, self.space, words, self.probe_budget
+            state, self.spec, self.space, words, self.probe_budget, in_scope
         )
         self.oracle_truncated += hit.truncated
         self._valid_cache[key] = hit
@@ -424,38 +455,65 @@ class Pipeline:
 def run_rollouts(
     workers: list[Worker], agent: KgA2CAgent, cfg: TrainConfig
 ) -> RolloutBatch:
-    """Advance every worker unroll-length steps (deterministic order) and
-    bootstrap V(s_{t+1}) at the boundary."""
-    records: list[StepRecord] = []
+    """Advance the live workers unroll-length steps in lockstep and bootstrap
+    V(s_{t+1}) at the boundary.
+
+    Each unroll step has three phases: every worker prepares its observation
+    (graph, mask, valid set), one ``decode_rows`` pass decodes all workers'
+    rows, and every worker executes its row in ``step``.  The bootstrap is
+    one batched critic pass that records no tape.  A worker that raises in
+    ``prepare`` or ``step`` is logged and dropped with its records of this
+    unroll, and the others go on; with one worker the error propagates.  The
+    batched passes read only what ``prepare`` built, so an error there is
+    the agent's, not a worker's, and propagates.  The records come out
+    worker-major, each worker's steps in order."""
+    live = [w for w in workers if not w.failed]
+    records: dict[int, list[StepRecord]] = {w.idx: [] for w in live}
     finished: list[int] = []
-    degraded = 0
-    for worker in workers:
-        if worker.failed:
-            degraded += 1
-            continue
-        try:
-            worker_records = []
-            for _ in range(cfg.unroll):
-                record, final_score = worker.step(agent)
-                worker_records.append(record)
-                if final_score is not None:
-                    finished.append(final_score)
-            for i, record in enumerate(worker_records):
-                if record.done:
-                    record.v_next = 0.0
-                elif i + 1 < len(worker_records):
-                    record.v_next = worker_records[i + 1].value.item()
-                else:
-                    record.v_next = worker.value(agent)
-            records.extend(worker_records)
-        except Exception:
-            if cfg.workers == 1:
-                raise
-            log.exception("worker %d failed at state %s; dropping it",
-                          worker.idx, engine.digest(worker.ep.state))
-            worker.failed = True
-            degraded += 1
-    return RolloutBatch(records, finished, degraded)
+
+    def each(fn: Callable[[Worker], object], rows: list[Worker]) -> list[Worker]:
+        """The rows for which fn(row) returned; the others are dropped."""
+        kept = []
+        for w in rows:
+            try:
+                fn(w)
+            except Exception:
+                if cfg.workers == 1:
+                    raise
+                log.exception("worker %d failed at state %s; dropping it",
+                              w.idx, engine.digest(w.ep.state))
+                w.failed = True
+                continue
+            kept.append(w)
+        return kept
+
+    def step(w: Worker) -> None:
+        record, final_score = w.step(agent)
+        records[w.idx].append(record)
+        if final_score is not None:
+            finished.append(final_score)
+
+    for _ in range(cfg.unroll):
+        live = each(lambda w: w.prepare(), live)
+        if not live:
+            break
+        decode_rows(live, agent)
+        live = each(step, live)
+    open_ended = each(lambda w: w.prepare(),
+                      [w for w in live if not records[w.idx][-1].done])
+    if open_ended:
+        with nm.no_grad():
+            values = agent.critic_value(_embed(agent, open_ended)[0]).data
+        for w, v in zip(open_ended, values):
+            records[w.idx][-1].v_next = float(v)
+
+    kept = [records[w.idx] for w in workers if w.idx in records and not w.failed]
+    for own in kept:  # a done step keeps v_next = 0
+        for record, following in zip(own, own[1:]):
+            if not record.done:
+                record.v_next = following.value.item()
+    return RolloutBatch([r for own in kept for r in own], finished,
+                        sum(w.failed for w in workers))
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +732,16 @@ def evaluate(
         ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
         while not ep.done:
             mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
-            s_t, ep.enc = agent.state_embedding(ep.obs, ep.graph, ep.enc)
-            if agent.cfg.ablation == "seq":
-                words, logits, _ = agent.seq_decode(s_t, mode="greedy")
-                action = agent.seq_action_text(words) or "look"
-                t_probs, o_probs = None, [nm.softmax(x) for x in logits]
-            else:
-                dist = agent.decode_action(s_t, mask, mode="greedy")
-                action = dist.action
-                t_probs, o_probs = dist.template_probs, dist.object_probs
+            with nm.no_grad():  # nothing differentiates an eval step
+                s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+                if agent.cfg.ablation == "seq":
+                    ((words, logits, _),) = agent.seq_decode(s_t, mode="greedy")
+                    action = agent.seq_action_text(words) or "look"
+                    t_probs, o_probs = None, [nm.softmax(x) for x in logits]
+                else:
+                    (dist,) = agent.decode_action(s_t, [mask], mode="greedy")
+                    action = dist.action
+                    t_probs, o_probs = dist.template_probs, dist.object_probs
             if trace is not None:
                 trace.append(_trace_row(agent, t_probs, o_probs, mask, ep.graph, action))
             ep.act(action)

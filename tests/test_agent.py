@@ -1,9 +1,11 @@
 """The agent's forward passes: dense graph attention against the per-node
-formulation it replaced, and finite-difference gradients of the whole model."""
+formulation it replaced, finite-difference gradients of the whole model, and
+every batch-major pass against its rows run one at a time."""
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +96,7 @@ def test_dense_gat_matches_per_node_loop(pipe):
         return out.data, [agent.params[n].grad for n in tracked]
 
     for graph in graphs:
-        dense, dense_grads = grads(agent.gat_embed, graph)
+        dense, dense_grads = grads(lambda g: nm.take(agent.gat_embed([g]), 0), graph)
         ref, ref_grads = grads(lambda g: loop_gat_embed(agent, g), graph)
         assert np.max(np.abs(dense - ref)) <= 1e-12
         for name, d, r in zip(tracked, dense_grads, ref_grads):
@@ -112,7 +114,7 @@ pipe = trainer.build_pipeline(spec, bundled_corpus_lines(), trainer.TrainConfig(
 agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=5)
 digest = hashlib.sha256()
 for graph in walk_graphs(pipe, 200):
-    digest.update(agent.gat_embed(graph).data.tobytes())
+    digest.update(agent.gat_embed([graph]).data.tobytes())
 print(digest.hexdigest())
 """
 
@@ -142,18 +144,19 @@ def test_whole_agent_gradcheck(pipe):
     ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
     ep.observe(pipe.space.vocabulary, 0.0, 0)
     # one step first, so the encoders start from carried, non-zero hiddens
-    _, ep.enc = agent.state_embedding(ep.obs, ep.graph, ep.enc)
+    _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
     mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
     assert len(ep.graph.nodes()) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
     def decode():
-        s_t, _ = agent.state_embedding(ep.obs, ep.graph, ep.enc)
-        return s_t, agent.decode_action(s_t, mask, mode="greedy")
+        s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+        (dist,) = agent.decode_action(s_t, [mask], mode="greedy")
+        return s_t, dist
 
     def scalar():
         s_t, dist = decode()
-        return nm.add(dist.log_prob, agent.critic_value(s_t))
+        return nm.add(dist.log_prob, nm.take(agent.critic_value(s_t), 0))
 
     # two blanks: the object GRU's second step starts from a non-zero hidden,
     # so its U is reached
@@ -168,3 +171,139 @@ def test_whole_agent_gradcheck(pipe):
     # GRU's U is unreachable, since that GRU runs one step from a zero hidden
     unreached = [n for n in names if not np.any(agent.params[n].grad)]
     assert unreached == ["dec.tmpl.gru.U"]
+
+
+# -- a batch equals its rows --------------------------------------------------
+
+BATCH_TOL = 1e-12
+
+
+def assert_close(batch, rows):
+    assert np.abs(np.asarray(batch) - np.asarray(rows)).max(initial=0) <= BATCH_TOL
+
+
+def walk_states(pipe, agent, count, seed=0):
+    """(observation, graph, encoder state, mask) along a random valid-action
+    episode, with the encoder hiddens carried as a rollout carries them."""
+    rng = np.random.default_rng(seed)
+    states = []
+    ep = trainer.Episode(pipe.spec, seed, agent.cfg.gru_hidden)
+    while len(states) < count:
+        mask, in_scope = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        states.append((ep.obs, ep.graph.copy(), ep.enc, mask))
+        _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
+    return states
+
+
+@pytest.fixture(scope="module")
+def batch_agent(pipe):
+    return KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=7)
+
+
+@pytest.fixture(scope="module")
+def states(pipe, batch_agent):
+    return walk_states(pipe, batch_agent, 12)
+
+
+def test_encoder_and_critic_batch_equals_rows(batch_agent, states):
+    """Unequal text lengths, an empty text (T = 0) and carried hiddens."""
+    agent = batch_agent
+    picked = [states[0], states[5], states[11], states[3]]
+    obs = [o for o, _, _, _ in picked]
+    obs[2] = replace(obs[2], o_inv="", a_prev="")
+    graphs = [g for _, g, _, _ in picked]
+    encs = [e for _, _, e, _ in picked]
+    assert len({len(agent._token_ids(o.o_desc)) for o in obs}) > 1
+    s_t, encs2 = agent.state_embedding(obs, graphs, encs)
+    values = agent.critic_value(s_t)
+    for b in range(len(picked)):
+        s_b, (enc_b,) = agent.state_embedding([obs[b]], [graphs[b]], [encs[b]])
+        assert_close(s_t.data[b], s_b.data[0])
+        assert_close(values.data[b], agent.critic_value(s_b).data[0])
+        for ch in CHANNELS:
+            assert_close(encs2[b].hiddens[ch], enc_b.hiddens[ch])
+    # the empty channels carry their hidden unchanged
+    assert np.array_equal(encs2[2].hiddens["inv"], encs[2].hiddens["inv"])
+    assert np.array_equal(encs2[2].hiddens["prev"], encs[2].hiddens["prev"])
+
+
+def test_block_diagonal_gat_batch_equals_rows(batch_agent, pipe):
+    agent = batch_agent
+    graphs = walk_graphs(pipe, 30, seed=1)[::7]
+    assert len({len(g.nodes()) for g in graphs}) > 1
+    batch = agent.gat_embed(graphs)
+    assert batch.shape == (len(graphs), agent.cfg.gat_dim)
+    for b, graph in enumerate(graphs):
+        assert_close(batch.data[b], agent.gat_embed([graph]).data[0])
+
+
+class Scripted:
+    """Stands in for ``_choose``: each row's rng is a key into its script of
+    choices, so a row picks the same ids batched or alone; ``None`` in a
+    script is the greedy choice."""
+
+    def __init__(self, scripts):
+        self.rngs = [np.random.default_rng(i) for i in range(len(scripts))]
+        self.left = {id(r): list(s) for r, s in zip(self.rngs, scripts)}
+
+    def __call__(self, probs, rng, mode):
+        pick = self.left[id(rng)].pop(0) if self.left[id(rng)] else None
+        return int(np.argmax(probs)) if pick is None else pick
+
+
+def test_decoder_batch_equals_rows(batch_agent, states, monkeypatch):
+    """Templates with 0, 1 and 2 blanks in one batch: blank k runs over the
+    rows with more than k blanks."""
+    agent = batch_agent
+    blanks = [agent.space.templates[t].blanks for t in (6, 7, 11, 11, 0)]
+    assert blanks == [0, 1, 2, 2, 0]
+    scripts = [[6], [7], [11], [11], [0]]  # objects: greedy, inside the mask
+    picked = [states[i] for i in (1, 4, 8, 10, 2)]
+    s_t, _ = agent.state_embedding([o for o, _, _, _ in picked],
+                                   [g for _, g, _, _ in picked],
+                                   [e for _, _, e, _ in picked])
+    masks = [m for _, _, _, m in picked]
+    choose = Scripted(scripts)
+    monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(choose))
+    batch = agent.decode_action(s_t, masks, choose.rngs)
+    for b, dist in enumerate(batch):
+        one = Scripted([scripts[b]])
+        monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(one))
+        (row,) = agent.decode_action(nm.Tensor(s_t.data[b:b + 1]), [masks[b]], one.rngs)
+        assert (dist.action, dist.object_ids) == (row.action, row.object_ids)
+        assert len(dist.object_ids) == blanks[b]
+        assert_close(dist.log_prob.data, row.log_prob.data)
+        assert_close(dist.template_logits.data, row.template_logits.data)
+        assert_close(dist.template_probs.data, row.template_probs.data)
+        for got, want in zip(dist.object_logits + dist.object_probs,
+                             row.object_logits + row.object_probs):
+            assert_close(got.data, want.data)
+        assert np.array_equal(dist.mask_array, row.mask_array)
+
+
+def test_seq_decoder_batch_equals_rows(pipe, states, monkeypatch):
+    """Rows that emit the stop token at different positions, and one that
+    runs to max_seq_words."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(ablation="seq"), seed=7)
+    stop = agent.n_vocab
+    scripts = [[stop], [3, stop], [5, 1, 2, 4], [2, 2, stop]]
+    picked = states[:len(scripts)]
+    s_t, _ = agent.state_embedding([o for o, _, _, _ in picked],
+                                   [g for _, g, _, _ in picked],
+                                   [e for _, _, e, _ in picked])
+    choose = Scripted(scripts)
+    monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(choose))
+    batch = agent.seq_decode(s_t, choose.rngs)
+    for b, (words, logits, log_prob) in enumerate(batch):
+        assert words == [w for w in scripts[b] if w != stop]
+        assert len(logits) == len(scripts[b])
+        one = Scripted([scripts[b]])
+        monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(one))
+        ((row_words, row_logits, row_log_prob),) = agent.seq_decode(
+            nm.Tensor(s_t.data[b:b + 1]), one.rngs)
+        assert words == row_words
+        assert_close(log_prob.data, row_log_prob.data)
+        for got, want in zip(logits, row_logits, strict=True):
+            assert_close(got.data, want.data)

@@ -1,7 +1,8 @@
 """``tools/behaviour_hash.py --compare`` on small synthetic dumps: round-off
 passes; a larger difference, a non-finite value, a changed action or eval
 result, and a missing run fail.  And the ``full`` runs on every bundled game
-against their pinned dump, ``data/behaviour_full.json``."""
+against their pinned dump, ``data/behaviour_full.json``, and every other
+ablation on microzork against ``data/behaviour_microzork.json``."""
 
 import importlib.util
 import json
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from kga2c.agent import ABLATIONS
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "behaviour_hash.py"
 PINNED = Path(__file__).resolve().parent / "data" / "behaviour_full.json"
+PINNED_MICROZORK = PINNED.with_name("behaviour_microzork.json")
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +103,17 @@ def test_full_runs_match_the_pinned_dump(tool, tmp_path, capsys):
     path = tmp_path / "change.json"
     path.write_text(json.dumps(runs, sort_keys=True))
     assert tool.compare(str(PINNED), str(path)) == 0, capsys.readouterr().out
+
+
+def test_microzork_ablations_match_the_pinned_dump(tool, tmp_path, capsys):
+    ablations = [a for a in ABLATIONS if a != "full"]  # full: the test above
+    runs = {"microzork": {ablation: run for _, ablation, run
+                          in tool.behaviour_runs(ablations, ("microzork",))}}
+    pinned = json.loads(PINNED_MICROZORK.read_text())
+    parent = tmp_path / "parent.json"
+    parent.write_text(json.dumps(
+        {"microzork": {a: pinned["microzork"][a] for a in ablations}}))
+    change = tmp_path / "change.json"
+    change.write_text(json.dumps(runs, sort_keys=True))
+    assert tool.compare(str(parent), str(change)) == 0, capsys.readouterr().out
+    assert sorted(pinned["microzork"]) == sorted(ABLATIONS)

@@ -268,20 +268,20 @@ class TestGRU:
     @staticmethod
     def reference_sequence(X, h, p):
         """The textbook per-token GRU composed from primitive tape nodes, in
-        the kernel's order of operations: h + z * (n - h), which is
-        (1 - z) * h + z * n."""
+        the kernel's order of operations: one X @ W + b for every token, then
+        h + z * (n - h), which is (1 - z) * h + z * n."""
         W, U, b = p
         H = h.data.shape[0]
+        XWb = nm.add(nm.matmul(X, W), b)
 
         def gate(k, pre):
             return nm.take(pre, slice(k * H, (k + 1) * H))
 
         for t in range(X.data.shape[0]):
-            xW, hU = nm.matmul(nm.take(X, t), W), nm.matmul(h, U)
-            z = nm.sigmoid(nm.add(nm.add(gate(0, xW), gate(0, hU)), gate(0, b)))
-            r = nm.sigmoid(nm.add(nm.add(gate(1, xW), gate(1, hU)), gate(1, b)))
-            n = nm.tanh(nm.add(nm.add(gate(2, xW), nm.mul(r, gate(2, hU))),
-                               gate(2, b)))
+            xW, hU = nm.take(XWb, t), nm.matmul(h, U)
+            z = nm.sigmoid(nm.add(gate(0, xW), gate(0, hU)))
+            r = nm.sigmoid(nm.add(gate(1, xW), gate(1, hU)))
+            n = nm.tanh(nm.add(gate(2, xW), nm.mul(r, gate(2, hU))))
             h = nm.add(h, nm.mul(z, nm.sub(n, h)))
         return h
 
@@ -324,6 +324,132 @@ class TestGRU:
         finite_difference_check(
             lambda: nm.sum_(nm.mul(nm.gru_sequence(X, h0, gp), y)), [X, h0, *gp]
         )
+
+
+    @staticmethod
+    def batch(rng, lengths, T, n_in=4, H=3):
+        """A padded (T, B, n_in) batch, its (B, H) hiddens, and a GRU with a
+        non-zero bias."""
+        params = nm.ParameterSet(len(lengths))
+        gp = params.gru("g", n_in, H)
+        gp[2].data = rng.normal(size=3 * H)
+        X = rand(rng, T, len(lengths), n_in)
+        h0 = rand(rng, len(lengths), H)
+        return X, h0, gp
+
+    @pytest.mark.parametrize("lengths", [[5, 2, 0, 5], [0, 3, 1], [4], [2, 2]])
+    def test_batch_equals_its_rows(self, lengths):
+        """Each row of a batch with unequal lengths, zero included, equals
+        that row run alone over its own steps, outputs and gradients within
+        1e-12; the padding past a row's end gets zero gradient."""
+        rng = np.random.default_rng(sum(lengths))
+        T = max(lengths) + 1  # padded past the longest row too
+        X, h0, gp = self.batch(rng, lengths, T)
+        y = rng.normal(size=(len(lengths), 3))
+        out = nm.gru_sequence(X, h0, gp, lengths)
+        for t in (X, h0, *gp):
+            t.zero_grad()
+        nm.backward(nm.sum_(nm.sum_(nm.mul(out, nm.Tensor(y)), axis=1)))
+        batch_grads = [t.grad.copy() for t in (X, h0, *gp)]
+        rows_out = []
+        for t in gp:
+            t.zero_grad()
+        for b, n in enumerate(lengths):
+            Xb = nm.Tensor(X.data[:n, b].copy(), requires_grad=True)
+            hb = nm.Tensor(h0.data[b].copy(), requires_grad=True)
+            ob = nm.gru_sequence(Xb, hb, gp)
+            rows_out.append(ob.data)
+            if ob is hb:  # T = 0: h0 itself, so d/dh0 is y
+                assert n == 0
+                hb.grad = y[b]
+                Xb.grad = np.zeros((0, 4))
+            else:
+                nm.backward(nm.sum_(nm.mul(ob, nm.Tensor(y[b]))))
+            assert np.abs(batch_grads[0][:n, b] - Xb.grad).max(initial=0) <= 1e-12
+            assert not batch_grads[0][n:, b].any()
+            assert np.abs(batch_grads[1][b] - hb.grad).max() <= 1e-12
+        assert np.abs(out.data - np.array(rows_out)).max() <= 1e-12
+        for got, t in zip(batch_grads[2:], gp):
+            assert np.abs(got - t.grad).max() <= 1e-12 * max(np.abs(t.grad).max(), 1)
+
+    def test_batch_with_no_steps_returns_h0(self):
+        X, h0, gp = self.batch(np.random.default_rng(0), [0, 0], 2)
+        assert nm.gru_sequence(X, h0, gp, [0, 0]) is h0
+
+    @pytest.mark.parametrize("lengths", [[3, 1, 0], [0, 2, 2]])
+    def test_batch_gradients(self, lengths):
+        rng = np.random.default_rng(len(lengths) + lengths[0])
+        X, h0, gp = self.batch(rng, lengths, 3)
+        y = nm.Tensor(rng.normal(size=(len(lengths), 3)))
+        finite_difference_check(
+            lambda: nm.sum_(nm.sum_(nm.mul(nm.gru_sequence(X, h0, gp, lengths), y),
+                                    axis=0)),
+            [X, h0, *gp],
+        )
+
+    def test_batch_lengths_must_fit(self):
+        X, h0, gp = self.batch(np.random.default_rng(0), [1, 1], 2)
+        for lengths in ([1], [3, 1], [-1, 1]):
+            with pytest.raises(nm.ShapeError, match="lengths"):
+                nm.gru_sequence(X, h0, gp, lengths)
+
+
+class TestBatchOps:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_attend_matches_its_definition_and_gradients(self, seed):
+        rng = np.random.default_rng(seed)
+        items = [rand(rng, 3, 4) for _ in range(3)]
+        query = rand(rng, 3, 4)
+        y = nm.Tensor(rng.normal(size=(3, 4)))
+        out = nm.attend(items, query, 0.5)
+        for r in range(3):
+            K = np.array([t.data[r] for t in items])
+            s = 0.5 * (K @ query.data[r])
+            a = np.exp(s - s.max()) / np.exp(s - s.max()).sum()
+            assert np.allclose(out.data[r], a @ K, rtol=0, atol=1e-14)
+        finite_difference_check(
+            lambda: nm.sum_(nm.sum_(nm.mul(nm.attend(items, query, 0.5), y), axis=0)),
+            [*items, query],
+        )
+
+    def test_concat_matrices_take_pairs_and_stack_rows(self):
+        rng = np.random.default_rng(3)
+        A, B = rand(rng, 2, 3), rand(rng, 2, 2)
+        assert nm.concat([A, B]).shape == (2, 5)
+        picked = nm.take(nm.concat([A, B]), [0, 1, 1], [4, 0, 2])
+        assert np.array_equal(picked.data, [B.data[0, 1], A.data[1, 0], A.data[1, 2]])
+        with pytest.raises(nm.ShapeError, match="equal row counts"):
+            nm.concat([A, rand(rng, 3, 2)])
+        y = nm.Tensor(rng.normal(size=(2, 2, 5)))
+        finite_difference_check(
+            lambda: nm.add(
+                nm.sum_(nm.take(nm.concat([A, B]), [1, 1, 0], [0, 3, 4])),
+                nm.sum_(nm.sum_(nm.sum_(nm.mul(nm.stack0(
+                    [nm.concat([A, B]), nm.concat([B, A])]), y), axis=0), axis=0))),
+            [A, B],
+        )
+
+    def test_take_a_batch_of_rows(self):
+        rng = np.random.default_rng(4)
+        E = rand(rng, 5, 3)
+        ids = np.array([[0, 4], [2, 0], [0, 0]])  # (T, B): a padded batch
+        assert nm.take(E, ids).shape == (3, 2, 3)
+        nm.backward(nm.sum_(nm.sum_(nm.sum_(nm.take(E, ids), axis=0), axis=0)))
+        assert np.array_equal(E.grad[:, 0], [4.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_no_grad_records_no_tape(self):
+        rng = np.random.default_rng(5)
+        w = rand(rng, 3)
+        with nm.no_grad():
+            inside = nm.tanh(nm.mul(w, w))
+            with nm.no_grad():
+                pass
+            still = nm.add(w, w)
+        after = nm.add(w, w)
+        assert inside._parents == () and inside._backward is None
+        assert still._parents == ()
+        assert after._parents == (w, w)
+        assert np.array_equal(inside.data, nm.tanh(nm.mul(w, w)).data)
 
 
 class TestBackward:

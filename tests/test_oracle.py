@@ -254,6 +254,24 @@ class TestPruning:
         assert "step" not in calls
         assert 0 < calls.count("step_core") < action_space_size(microzork_space)
 
+    def test_in_scope_words_run_once_per_valid_set_request(
+        self, microzork, corpus, monkeypatch
+    ):
+        pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
+        ep = trainer.Episode(microzork, 0)
+        calls = []
+        real = engine.in_scope_words
+        monkeypatch.setattr(
+            engine, "in_scope_words", lambda *a: calls.append(a) or real(*a)
+        )
+        mask, in_scope = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        assert pipe.valid_misses == 1  # the oracle probed
+        assert len(calls) == 1  # in Episode.observe only
+        words = set(mask.words) | set(in_scope)
+        assert as_map(valid) == brute_force_map(ep.state, microzork, pipe.space,
+                                                sorted(words))
+
     def test_pruned_words_share_a_cache_entry(self, microzork, corpus, monkeypatch):
         pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
         state, _ = reset(microzork, 0)

@@ -2,6 +2,7 @@
 loss terms, the combined loss's gradient, config files, loud worker failures,
 and the episode belief loop."""
 
+import contextlib
 import csv
 import json
 import logging
@@ -91,11 +92,14 @@ def test_first_step_of_an_update_uses_the_updated_parameters(short_corridor, cor
     workers = [trainer.Worker(i, pipe, SMALL) for i in range(SMALL.workers)]
     batch = trainer.run_rollouts(workers, agent, SMALL)
     trainer.train_step(batch, agent, SMALL)
-    expected = {}
     for w in workers:
         w.prepare()  # the observation the next step acts on
-        s_t, _ = agent.state_embedding(w.ep.obs, w.ep.graph, w.ep.enc)
-        expected[w.idx] = agent.critic_value(s_t).item()
+    # the next step's batched pass, over the same workers
+    s_t, _ = agent.state_embedding([w.ep.obs for w in workers],
+                                   [w.ep.graph for w in workers],
+                                   [w.ep.enc for w in workers])
+    values = agent.critic_value(s_t).data
+    expected = {w.idx: values[b] for b, w in enumerate(workers)}
     stale = {r.worker: r.v_next for r in batch.records[SMALL.unroll - 1::SMALL.unroll]}
     assert stale != expected  # the update moved V, so a stale pass would show
     batch = trainer.run_rollouts(workers, agent, SMALL)
@@ -261,6 +265,119 @@ def test_failing_worker_is_logged_and_dropped(short_corridor, corpus, caplog):
     assert "worker 1" in message
     assert engine.digest(workers[1].ep.state) in message
     assert "engine exploded" in errors[0].exc_text
+
+
+def fail_at_step_two(worker):
+    """Make ``worker.step`` raise on its third call; returns the call log."""
+    step, calls = worker.step, []
+
+    def failing(agent):
+        calls.append(agent)
+        if len(calls) == 3:
+            raise RuntimeError("engine exploded")
+        return step(agent)
+
+    worker.step = failing
+    return calls
+
+
+def test_worker_failing_mid_unroll_is_dropped_and_the_others_keep_their_steps(
+    short_corridor, corpus, caplog
+):
+    cfg = replace(SMALL, workers=3)
+    pipe = trainer.build_pipeline(short_corridor, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    calls = fail_at_step_two(workers[1])
+    with caplog.at_level(logging.ERROR, logger="kga2c.trainer"):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+    assert len(calls) == 3 and workers[1].failed
+    assert batch.degraded_workers == 1
+    assert [r.worker for r in batch.records] == [0] * cfg.unroll + [2] * cfg.unroll
+    assert sum("worker 1" in r.getMessage() for r in caplog.records) == 1
+    # each survivor's V(s') is its next record's V(s), and the next update
+    # skips the dropped worker
+    for own in (batch.records[:cfg.unroll], batch.records[cfg.unroll:]):
+        for record, following in zip(own, own[1:]):
+            assert record.v_next == (0.0 if record.done else following.value.item())
+    again = trainer.run_rollouts(workers, agent, cfg)
+    assert again.degraded_workers == 1
+    assert {r.worker for r in again.records} == {0, 2}
+
+
+def test_a_single_worker_failing_mid_unroll_raises(short_corridor, corpus):
+    cfg = replace(SMALL, workers=1)
+    pipe = trainer.build_pipeline(short_corridor, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    worker = trainer.Worker(0, pipe, cfg)
+    fail_at_step_two(worker)
+    with pytest.raises(RuntimeError, match="engine exploded"):
+        trainer.run_rollouts([worker], agent, cfg)
+
+
+def test_episodes_ending_on_the_last_step_need_no_bootstrap(corridor, corpus):
+    cfg = replace(SMALL, workers=2)
+    spec = replace(corridor, turn_cap=cfg.unroll)  # every episode ends at step 4
+    pipe = trainer.build_pipeline(spec, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    batch = trainer.run_rollouts(workers, agent, cfg)
+    last = batch.records[cfg.unroll - 1::cfg.unroll]
+    assert [r.done for r in last] == [True, True] and len(batch.episodes_finished) == 2
+    assert [r.v_next for r in last] == [0.0, 0.0]
+    assert batch.degraded_workers == 0
+
+
+def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
+    """Each worker samples from its own RNGs, so stepping the workers
+    together takes the actions each takes on its own, with the same values
+    up to round-off."""
+    cfg = replace(SMALL, workers=3)
+    pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    together = trainer.run_rollouts(
+        [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)], agent, cfg)
+    for i in range(cfg.workers):
+        alone = trainer.run_rollouts([trainer.Worker(i, pipe, cfg)], agent, cfg)
+        rows = [r for r in together.records if r.worker == i]
+        assert len(rows) == len(alone.records) == cfg.unroll
+        for got, want in zip(rows, alone.records):
+            assert (got.reward, got.done, got.valid_count, got.mask_size) == (
+                want.reward, want.done, want.valid_count, want.mask_size)
+            for a, b in ((got.value.item(), want.value.item()),
+                         (got.log_prob.item(), want.log_prob.item()),
+                         (got.v_next, want.v_next)):
+                assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+@pytest.mark.parametrize("ablation", ["full", "seq"])
+def test_evaluate_records_no_tape_and_plays_as_with_it(
+    short_microzork, corpus, ablation, monkeypatch
+):
+    cfg = SMALL.with_ablation(ablation)
+    pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    trace: list = []
+    result = trainer.evaluate(agent, pipe, 2, seed=1, trace=trace)
+    embeddings = []
+    state_embedding = KgA2CAgent.state_embedding
+
+    def recorded(self, *args):
+        out = state_embedding(self, *args)
+        embeddings.append(out[0])
+        return out
+
+    monkeypatch.setattr(KgA2CAgent, "state_embedding", recorded)
+    monkeypatch.setattr(trainer.nm, "no_grad", contextlib.nullcontext)
+    taped: list = []
+    assert trainer.evaluate(agent, pipe, 2, seed=1, trace=taped) == result
+    assert taped == trace
+    assert embeddings and all(e._parents for e in embeddings)
+    monkeypatch.undo()
+    monkeypatch.setattr(KgA2CAgent, "state_embedding", recorded)
+    embeddings.clear()
+    trainer.evaluate(agent, pipe, 1, seed=1)
+    assert embeddings and not any(e._parents for e in embeddings)
 
 
 def test_episode_observe_at_microzork_start(microzork, microzork_space):

@@ -23,8 +23,10 @@ missing, or if any eval result or action differs, so a refactor whose
 arithmetic changes only by round-off passes where its hashes do not.
 
 The tier-1 suite pins the ``full`` runs of every game this way, against
-``tests/data/behaviour_full.json``; a change of fixed-seed behaviour re-pins
-that file from ``--dump``, keeping only the ``full`` runs.
+``tests/data/behaviour_full.json``, and the other five ablations on
+microzork, against ``tests/data/behaviour_microzork.json`` (which holds all
+six); a change of fixed-seed behaviour re-pins both files from ``--dump``,
+keeping the ``full`` runs and the microzork runs.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ def behaviour_run(spec: engine.GameSpec, corpus: list[str], ablation: str) -> di
     return {"rows": rows, "eval": result, "trace": trace}
 
 
-def behaviour_runs(ablations=ABLATIONS):
-    """(game, ablation, run) for every bundled game and each ablation."""
+def behaviour_runs(ablations=ABLATIONS, games=BUNDLED_GAMES):
+    """(game, ablation, run) for each of ``games`` and each ablation."""
     corpus = bundled_corpus_lines()
-    for game in BUNDLED_GAMES:
+    for game in games:
         spec = replace(engine.load_game(bundled_game_text(game)), turn_cap=TURN_CAP)
         for ablation in ablations:
             yield game, ablation, behaviour_run(spec, corpus, ablation)
