@@ -19,11 +19,15 @@ nodes to the tape per step, however many rows and however long the texts
 are; the graphs of all rows are one block-diagonal graph; the decoders'
 one-step GRUs are the same kernel with T = 1, over the rows still decoding.
 Row b samples with its own RNG, in the order a lone pass would.
+``decode_action`` returns one ``Decoded`` for the batch: each row's action
+text, the (B,) joint log-prob, and one ``Head`` per decoding step (the
+template head, then each object blank, or each ``seq`` word position) with
+the logits, probabilities and choices of the rows that took it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,17 +90,23 @@ class EncoderState:
 
 
 @dataclass
-class ActionDistribution:
-    """Everything the trainer needs about one decoded action."""
+class Head:
+    """One decoding step over the rows that take it: the template head, an
+    object blank, or a ``seq`` word position."""
 
-    object_ids: tuple[int, ...]
-    action: str
-    log_prob: nm.Tensor  # joint: log pi_T + sum_i log pi_Oi
-    template_logits: nm.Tensor
-    template_probs: nm.Tensor
-    object_logits: list[nm.Tensor]  # pre-mask, one per blank
-    object_probs: list[nm.Tensor]  # post-mask, one per blank
-    mask_array: np.ndarray  # bool over V as applied to the object decoder
+    rows: np.ndarray  # (R,) the batch rows decoding this step, ascending
+    logits: nm.Tensor  # (R, K), before the mask
+    probs: nm.Tensor  # (R, K), exactly 0 outside the row's mask
+    chosen: np.ndarray  # (R,) the id each row sampled (or took greedily)
+
+
+@dataclass
+class Decoded:
+    """One decoded action per row of a batch, and the heads that chose it."""
+
+    actions: list[str]  # the action text of each row
+    log_prob: nm.Tensor  # (B,) joint log-prob of each row's choices
+    heads: list[Head]  # in decoding order
 
 
 def score_encode(score: int, width: int) -> np.ndarray:
@@ -335,75 +345,102 @@ class KgA2CAgent:
         masks: Sequence[GraphMask],
         rngs: Sequence[np.random.Generator] | None = None,
         mode: str = "sample",
-    ) -> list[ActionDistribution]:
-        """For each of the B rows of ``s_t``: the template head first, then
-        one object step per blank, each step attending over the state, the
-        template, and earlier objects.  The template head is one (B, S)
-        product; object blank k runs over the rows whose template has more
-        than k blanks.  Row b samples with ``rngs[b]``, template first."""
+    ) -> Decoded:
+        """Decode one action for each of the B rows of ``s_t``: the template
+        head, then one object step per blank (each attending over the state,
+        the template and earlier objects), or under ``seq`` up to
+        max_seq_words words with an early stop token.  Each step is one head
+        over the rows that take it: object blank k runs over the rows whose
+        template has more than k blanks, word position k over the rows that
+        have not stopped.  Row b samples with ``rngs[b]``, in decoding
+        order.  Under ``seq`` a row that stops at once plays "look"."""
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "sample" and rngs is None:
             raise ValueError("sampling requires an rng")
+        B = s_t.shape[0]
+        rngs = rngs if rngs is not None else [None] * B
+        if self.cfg.ablation == "seq":
+            heads, actions = self._decode_words(s_t, rngs, mode)
+        else:
+            heads, actions = self._decode_template(s_t, masks, rngs, mode)
+        log_prob = None
+        for head in heads:
+            lp = nm.log(nm.take(head.probs, range(len(head.rows)), head.chosen))
+            if len(head.rows) < B:  # to the rows' places, as lp @ one-hot
+                place = np.zeros((len(head.rows), B))
+                place[np.arange(len(head.rows)), head.rows] = 1.0
+                lp = nm.matmul(lp, nm.Tensor(place))
+            log_prob = lp if log_prob is None else nm.add(log_prob, lp)
+        return Decoded(actions, log_prob, heads)
+
+    def _head(self, rows: np.ndarray, logits: nm.Tensor, probs: nm.Tensor,
+              rngs: Sequence, mode: str) -> Head:
+        chosen = np.array([self._choose(probs.data[i], rngs[b], mode)
+                           for i, b in enumerate(rows)], dtype=np.intp)
+        return Head(rows, logits, probs, chosen)
+
+    def _decode_template(self, s_t, masks, rngs, mode) -> tuple[list[Head], list[str]]:
         cfg = self.cfg
         p = self.params
         B = s_t.shape[0]
-        rngs = rngs if rngs is not None else [None] * B
-
         h_t = nm.gru_cell(
             s_t, nm.Tensor(np.zeros((B, cfg.dec_hidden))), p.gru_params("dec.tmpl.gru")
         )
         t_logits = nm.add(nm.matmul(h_t, p["dec.tmpl.W"]), p["dec.tmpl.b"])
-        t_probs = nm.softmax(t_logits)
-        tids = [self._choose(t_probs.data[b], rngs[b], mode) for b in range(B)]
-        t_logp = nm.log(nm.take(t_probs, range(B), tids))
-        log_probs = [nm.take(t_logp, b) for b in range(B)]
-
-        mask_arr = np.array([self._decoder_mask(m) for m in masks])
+        rows = np.arange(B)  # the rows decoding this step
+        heads = [self._head(rows, t_logits, nm.softmax(t_logits), rngs, mode)]
+        tids = heads[0].chosen
         blanks = [self.space.templates[tid].blanks for tid in tids]
+        if not max(blanks):  # blank-less templates need no object decoder
+            return heads, [self.space.instantiate(tid, []) for tid in tids]
+        objects: list[list[str]] = [[] for _ in range(B)]
+        mask_arr = np.array([self._decoder_mask(m) for m in masks])
         context = [nm.matmul(s_t, p["dec.ctx.W"]), nm.take(p["dec.tmpl_emb"], tids)]
         query = nm.matmul(s_t, p["dec.query.W"])
         scale = 1.0 / np.sqrt(cfg.dec_hidden)
-
-        object_ids: list[list[int]] = [[] for _ in range(B)]
-        object_logits: list[list[nm.Tensor]] = [[] for _ in range(B)]
-        object_probs: list[list[nm.Tensor]] = [[] for _ in range(B)]
         h_o = nm.Tensor(np.zeros((B, cfg.dec_hidden)))
         obj_gru = p.gru_params("dec.obj.gru")
-        rows = list(range(B))  # the rows decoding this blank
         for k in range(max(blanks)):
             keep = [i for i, b in enumerate(rows) if blanks[b] > k]
             if len(keep) < len(rows):
                 context = [nm.take(c, keep) for c in context]
                 query, h_o = nm.take(query, keep), nm.take(h_o, keep)
-                rows = [rows[i] for i in keep]
+                rows = rows[keep]
             h_o = nm.gru_cell(nm.attend(context, query, scale), h_o, obj_gru)
             o_logits = nm.add(nm.matmul(h_o, p["dec.obj.W"]), p["dec.obj.b"])
             o_probs = nm.softmax(o_logits, mask=mask_arr[rows])
-            oids = [self._choose(o_probs.data[i], rngs[b], mode)
-                    for i, b in enumerate(rows)]
-            o_logp = nm.log(nm.take(o_probs, range(len(rows)), oids))
-            for i, b in enumerate(rows):
-                log_probs[b] = nm.add(log_probs[b], nm.take(o_logp, i))
-                object_ids[b].append(oids[i])
-                object_logits[b].append(nm.take(o_logits, i))
-                object_probs[b].append(nm.take(o_probs, i))
-            context.append(nm.take(p["dec.obj_emb"], oids))
+            heads.append(self._head(rows, o_logits, o_probs, rngs, mode))
+            for b, oid in zip(rows, heads[-1].chosen):
+                objects[b].append(self.space.vocabulary[oid])
+            if k + 1 < max(blanks):
+                context.append(nm.take(p["dec.obj_emb"], heads[-1].chosen))
+        actions = [self.space.instantiate(tid, words) for tid, words in zip(tids, objects)]
+        return heads, actions
 
-        dists = []
-        for b, tid in enumerate(tids):
-            words = [self.space.vocabulary[i] for i in object_ids[b]]
-            dists.append(ActionDistribution(
-                object_ids=tuple(object_ids[b]),
-                action=self.space.instantiate(tid, words),
-                log_prob=log_probs[b],
-                template_logits=nm.take(t_logits, b),
-                template_probs=nm.take(t_probs, b),
-                object_logits=object_logits[b],
-                object_probs=object_probs[b],
-                mask_array=mask_arr[b],
-            ))
-        return dists
+    def _decode_words(self, s_t, rngs, mode) -> tuple[list[Head], list[str]]:
+        cfg = self.cfg
+        p = self.params
+        B = s_t.shape[0]
+        h = nm.tanh(nm.add(nm.matmul(s_t, p["seq.init.W"]), p["seq.init.b"]))
+        gp = p.gru_params("seq.gru")
+        words: list[list[str]] = [[] for _ in range(B)]
+        heads: list[Head] = []
+        rows = np.arange(B)  # the rows still decoding
+        for k in range(cfg.max_seq_words):
+            logits = nm.add(nm.matmul(h, p["seq.W"]), p["seq.b"])
+            heads.append(self._head(rows, logits, nm.softmax(logits), rngs, mode))
+            wids = heads[-1].chosen
+            keep = np.flatnonzero(wids != self.n_vocab)  # the stop token
+            for i in keep:
+                words[rows[i]].append(self.space.vocabulary[wids[i]])
+            if not len(keep) or k + 1 == cfg.max_seq_words:
+                break
+            if len(keep) < len(rows):
+                h = nm.take(h, keep)
+                rows = rows[keep]
+            h = nm.gru_cell(nm.take(p["seq.emb"], wids[keep]), h, gp)
+        return heads, [" ".join(w) or "look" for w in words]
 
     @staticmethod
     def _choose(probs: np.ndarray, rng: np.random.Generator | None, mode: str) -> int:
@@ -417,51 +454,3 @@ class KgA2CAgent:
         p = self.params
         h = nm.tanh(nm.add(nm.matmul(s_t, p["critic.W1"]), p["critic.b1"]))
         return nm.add(nm.matmul(h, p["critic.w2"]), p["critic.b2"])
-
-    # -- word-by-word decoder (seq ablation) --------------------------------
-
-    def seq_decode(
-        self,
-        s_t: nm.Tensor,
-        rngs: Sequence[np.random.Generator] | None = None,
-        mode: str = "sample",
-    ) -> list[tuple[list[int], list[nm.Tensor], nm.Tensor]]:
-        """For each of the B rows of ``s_t``, decode up to max_seq_words
-        vocabulary words with an early stop token; position k runs over the
-        rows that have not emitted it.  Returns per row (word ids,
-        per-position logits incl. the stop step, joint log-prob of the
-        emitted sequence)."""
-        cfg = self.cfg
-        p = self.params
-        stop_id = self.n_vocab
-        B = s_t.shape[0]
-        rngs = rngs if rngs is not None else [None] * B
-        h = nm.tanh(nm.add(nm.matmul(s_t, p["seq.init.W"]), p["seq.init.b"]))
-        gp = p.gru_params("seq.gru")
-        words: list[list[int]] = [[] for _ in range(B)]
-        logits_seq: list[list[nm.Tensor]] = [[] for _ in range(B)]
-        log_probs: list[nm.Tensor | None] = [None] * B
-        rows = list(range(B))  # the rows still decoding
-        for k in range(cfg.max_seq_words):
-            logits = nm.add(nm.matmul(h, p["seq.W"]), p["seq.b"])
-            probs = nm.softmax(logits)
-            wids = [self._choose(probs.data[i], rngs[b], mode)
-                    for i, b in enumerate(rows)]
-            logp = nm.log(nm.take(probs, range(len(rows)), wids))
-            for i, b in enumerate(rows):
-                logits_seq[b].append(nm.take(logits, i))
-                lp = nm.take(logp, i)
-                log_probs[b] = lp if log_probs[b] is None else nm.add(log_probs[b], lp)
-            keep = [i for i, wid in enumerate(wids) if wid != stop_id]
-            for i in keep:
-                words[rows[i]].append(wids[i])
-            if not keep or k + 1 == cfg.max_seq_words:
-                break
-            if len(keep) < len(rows):
-                h = nm.take(h, keep)
-                rows = [rows[i] for i in keep]
-            h = nm.gru_cell(nm.take(p["seq.emb"], [wids[i] for i in keep]), h, gp)
-        return [(words[b], logits_seq[b], log_probs[b]) for b in range(B)]
-
-    def seq_action_text(self, word_ids: list[int]) -> str:
-        return " ".join(self.space.vocabulary[i] for i in word_ids)

@@ -9,7 +9,9 @@ for forward passes that nothing differentiates.
 
 The agent runs batch-major: the leading axis of its activations is the row
 (one per worker), so each op here covers all rows in one call.  ``attend``
-is the decoder's per-row attention as one op.
+is the decoder's per-row attention as one op, and the losses
+``binary_cross_entropy`` and ``cross_entropy_with_logits`` give one value
+per row of a matrix.
 
 A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
 gate blocks in z, r, n order.  ``gru_sequence`` is the one GRU tape node: it
@@ -367,25 +369,29 @@ def attend(items: Sequence[Tensor], query: Tensor, scale: float) -> Tensor:
     return _make(np.matmul(a[:, None, :], K)[:, 0], (*items, query), backward)
 
 
-def cross_entropy_with_logits(logits: Tensor, target: int) -> Tensor:
-    """Categorical cross-entropy of one target class: logsumexp(x) - x[t]."""
-    if logits.data.ndim != 1:
-        raise ShapeError("cross_entropy_with_logits expects a vector")
-    z = logits.data - logits.data.max()
-    lse = float(np.log(np.exp(z).sum()) + logits.data.max())
-    p = np.exp(logits.data - lse)
+def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
+    """Categorical cross-entropy of one target class per row of (R, K)
+    logits: logsumexp(x_r) - x_r[t_r], as an (R,) vector."""
+    x, t = logits.data, np.asarray(targets, dtype=np.intp)
+    if x.ndim != 2 or t.shape != x.shape[:1]:
+        raise ShapeError(f"cross_entropy_with_logits expects (R, K) logits and "
+                         f"R targets, got {x.shape} and {t.shape}")
+    rows = np.arange(len(t))
+    top = x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(x - top).sum(axis=1, keepdims=True)) + top
+    p = np.exp(x - lse)
 
     def backward(g, grads):
-        buf = p * float(g)
-        buf[target] -= float(g)
-        grads[0] = buf
+        grads[0] = p * g[:, None]
+        grads[0][rows, t] -= g
 
-    return _make(np.float64(lse - logits.data[target]), (logits,), backward)
+    return _make(lse[:, 0] - x[rows, t], (logits,), backward)
 
 
 def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean multi-label BCE between sigmoid(logits) and 0/1 targets,
-    computed from logits for numerical stability."""
+    """Multi-label BCE between sigmoid(logits) and 0/1 targets, averaged
+    over the last axis (a scalar for a vector, one value per row for a
+    matrix), computed from logits for numerical stability."""
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.data.shape:
         raise ShapeError(
@@ -394,12 +400,12 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
         )
     x = logits.data
     loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    n = x.size
+    n = x.shape[-1]
 
     def backward(g, grads):
-        grads[0] = float(g) * (1.0 / (1.0 + np.exp(-x)) - t) / n
+        grads[0] = np.expand_dims(g, -1) * (1.0 / (1.0 + np.exp(-x)) - t) / n
 
-    return _make(np.float64(loss.mean()), (logits,), backward)
+    return _make(loss.mean(axis=-1), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ executes its own.  Each row samples from its worker's RNG in the order that
 worker alone would, so the schedule changes no sampled action, and fixed
 seeds give bitwise-identical metrics.
 
-Every step builds the loss terms its ablation trains; ``train_step`` adds the
-policy-gradient and critic terms and combines the rest in one fixed order:
+Each step's record carries the targets of the terms its ablation trains.
+``combined_loss`` builds each term once per unroll step and decoding head,
+as one value per row of the batch, and adds the terms in one fixed order:
 
-    ablation                       decoder       trained terms
-    full, a2c, no-gat, no-mask     template      template, object, entropy
-                                                 over the valid templates
+    ablation                       decoder       trained besides actor, critic
+    full, a2c, no-gat, no-mask     template      template BCE, object BCE per
+                                                 blank, entropy over the valid
+                                                 templates and each blank's mask
     unsupervised                   template      entropy over all templates
-    seq                            word by word  seq_valid, entropy per
+                                                 and each blank's mask
+    seq                            word by word  seq_valid CE and entropy per
                                                  decoded position
 """
 
@@ -35,12 +38,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import engine, kg, numerics as nm, oracle, tokenizer as tok
-from .agent import (
-    ActionDistribution,
-    AgentConfig,
-    EncoderState,
-    KgA2CAgent,
-)
+from .agent import AgentConfig, Decoded, EncoderState, KgA2CAgent
 from .templates import (ActionSpace, FrequencyTable, OutOfVocabularyError,
                         build_action_space)
 
@@ -50,7 +48,7 @@ METRIC_KEYS = (
     "update", "steps", "episodes", "loss_total", "loss_actor", "loss_critic",
     "loss_template", "loss_object", "loss_entropy", "loss_seq_valid",
     "grad_norm", "mean_score", "mean_valid_actions", "mean_mask_size",
-    "mask_violations", "sampled_valid_rate", "seq_valid_rate",
+    "sampled_valid_rate", "seq_valid_rate",
     # health counters, per update except the cache size
     "degraded_workers", "valid_cache_hit_rate", "valid_cache_entries",
     "oracle_truncated",
@@ -167,54 +165,6 @@ def _number(text: str) -> int | float | None:
 
 
 # ---------------------------------------------------------------------------
-# Losses (Eqs. of the update rule)
-
-
-def object_loss(object_logits: list[nm.Tensor], y_o: np.ndarray) -> nm.Tensor:
-    """Sum over decoding steps of mean BCE against the valid-object indicator."""
-    return _sum([nm.binary_cross_entropy(logits, y_o) for logits in object_logits])
-
-
-def actor_loss(log_prob: nm.Tensor, adv: float) -> nm.Tensor:
-    """-(log pi_T + sum_i log pi_Oi) * A, advantage treated as a constant."""
-    return nm.mul(log_prob, nm.Tensor(-adv))
-
-
-def critic_loss(v_t: nm.Tensor, q_t: float) -> nm.Tensor:
-    """0.5 * (Q - V)^2 with a constant target Q."""
-    diff = nm.sub(nm.Tensor(q_t), v_t)
-    return nm.mul(nm.Tensor(0.5), nm.mul(diff, diff))
-
-
-def entropy_loss(dist: ActionDistribution, template_support: Iterable[int]) -> nm.Tensor:
-    """Sum of p*log(p) per decoder component: the template head over
-    ``template_support``, each object head over its nonzero probabilities."""
-    total = _plogp(dist.template_probs, template_support)
-    for probs in dist.object_probs:
-        support = [int(i) for i in np.nonzero(probs.data)[0]]
-        total = nm.add(total, _plogp(probs, support))
-    return total
-
-
-def _plogp(probs: nm.Tensor, support: Iterable[int]) -> nm.Tensor:
-    support = [i for i in support if probs.data[i] > 0.0]
-    if not support:
-        return nm.Tensor(0.0)
-    p = nm.take(probs, support)
-    return nm.sum_(nm.mul(p, nm.log(p)))
-
-
-def _sum(terms: list[nm.Tensor]) -> nm.Tensor:
-    """Left-to-right sum; the order fixes the float result."""
-    if not terms:
-        return nm.Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = nm.add(total, t)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Rollouts
 
 
@@ -226,23 +176,42 @@ def _indicator(size: int, ids: Iterable[int]) -> np.ndarray:
 
 @dataclass
 class StepRecord:
+    """One worker's environment step: floats for the actor and critic terms,
+    and the targets of the terms its ablation trains (None where it trains
+    none)."""
+
     worker: int
-    value: nm.Tensor
-    log_prob: nm.Tensor  # joint log-prob of the decoded action
-    terms: dict[str, list[nm.Tensor]]  # the supervised and entropy terms trained
+    value: float  # V(s_t), which the advantage holds constant
+    log_prob: float  # joint log-prob of the decoded action
     reward: float
     done: bool
     valid_count: int
     mask_size: int
     executed_valid: bool
     v_next: float = 0.0
+    valid_templates: np.ndarray | None = None  # 0/1 over templates
+    valid_objects: np.ndarray | None = None  # 0/1 over V, every blank's target
+    template_support: np.ndarray | None = None  # bool over templates: the entropy's
+    teacher: np.ndarray | None = None  # seq: the teacher's word ids, then stop
+
+
+@dataclass
+class Lockstep:
+    """One unroll step of the live workers: the batch's values and decode,
+    and the record each row's worker made (None if its step raised).  The
+    loss counts only the records that ``RolloutBatch.records`` kept."""
+
+    values: nm.Tensor  # (B,) V(s_t)
+    decoded: Decoded
+    records: list[StepRecord | None]
 
 
 @dataclass
 class RolloutBatch:
-    records: list[StepRecord]
+    records: list[StepRecord]  # worker-major, each worker's steps in order
     episodes_finished: list[int]  # final scores of episodes that ended
     degraded_workers: int = 0
+    steps: list[Lockstep] = field(default_factory=list)
 
 
 class Episode:
@@ -292,7 +261,8 @@ class Worker:
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
         self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
-        self.decoded: tuple[nm.Tensor, EncoderState, Decoded] | None = None
+        # this worker's row of the step's batch pass: (step, row, new hiddens)
+        self.row: tuple[Lockstep, int, EncoderState] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
@@ -311,23 +281,23 @@ class Worker:
         return self.pending
 
     def step(self, agent: KgA2CAgent) -> tuple[StepRecord, int | None]:
-        """Execute this worker's decoded row and advance one environment step;
-        returns the record and, when an episode finished, its final score.
-        The row comes from ``decode_rows``, which ``run_rollouts`` runs over
-        all workers first; without one, this worker's row is decoded alone.
-        Either way the forward pass runs under the current parameters."""
-        if self.decoded is None:
-            decode_rows([self], agent)
-        value, enc2, decoded = self.decoded
+        """Execute this worker's row of the step's batch pass, which
+        ``run_rollouts`` runs over all workers first, and advance one
+        environment step; returns the record and, when an episode finished,
+        its final score."""
+        lockstep, b, enc2 = self.row
         mask, valid = self.pending
-        self.decoded = self.pending = None
+        self.row = self.pending = None
+        action = lockstep.decoded.actions[b]
         if agent.cfg.ablation == "seq":
-            action, log_prob, terms = self._seq_terms(agent, decoded, valid)
+            action, targets = self._seq_targets(agent, action, valid)
         else:
-            action, log_prob, terms = self._template_terms(agent, decoded, mask, valid)
+            targets = self._template_targets(agent, mask, valid)
         reward = float(self.ep.act(action))
-        record = StepRecord(self.idx, value, log_prob, terms, reward, self.ep.done,
-                            len(valid), len(mask), action in valid)
+        record = StepRecord(
+            self.idx, float(lockstep.values.data[b]),
+            float(lockstep.decoded.log_prob.data[b]), reward, self.ep.done,
+            len(valid), len(mask), action in valid, **targets)
         self.ep.enc = enc2
 
         final_score: int | None = None
@@ -336,84 +306,43 @@ class Worker:
             self._begin_episode()
         return record, final_score
 
-    def _template_terms(
-        self, agent: KgA2CAgent, dist: ActionDistribution, mask: kg.GraphMask,
-        valid: oracle.ValidSet,
-    ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
+    @staticmethod
+    def _template_targets(agent: KgA2CAgent, mask: kg.GraphMask,
+                          valid: oracle.ValidSet) -> dict[str, np.ndarray]:
         """The supervised ablations train both BCE terms and the entropy over
         the valid templates; ``unsupervised`` trains only the entropy, over
         every template."""
-        self.pipe.mask_violations += sum(
-            1 for oid in dist.object_ids if not dist.mask_array[oid])
         if agent.cfg.ablation == "unsupervised":
-            terms = {"entropy": [entropy_loss(dist, range(agent.n_templates))]}
-            return dist.action, dist.log_prob, terms
-        valid_templates = oracle.valid_templates(valid)
-        y_tau = _indicator(agent.n_templates, valid_templates)
+            return {"template_support": np.ones(agent.n_templates, dtype=bool)}
+        y_tau = _indicator(agent.n_templates, oracle.valid_templates(valid))
         y_o = _indicator(agent.n_vocab, oracle.valid_objects(mask.words, agent.space))
-        terms = {
-            "template": [nm.binary_cross_entropy(dist.template_logits, y_tau)],
-            "object": [object_loss(dist.object_logits, y_o)],
-            "entropy": [entropy_loss(dist, sorted(valid_templates))],
-        }
-        return dist.action, dist.log_prob, terms
+        return {"valid_templates": y_tau, "valid_objects": y_o,
+                "template_support": y_tau > 0}
 
-    def _seq_terms(
-        self, agent: KgA2CAgent, decoded: SeqDecoded, valid: oracle.ValidSet
-    ) -> tuple[str, nm.Tensor, dict[str, list[nm.Tensor]]]:
+    def _seq_targets(self, agent: KgA2CAgent, decoded: str, valid: oracle.ValidSet
+                     ) -> tuple[str, dict[str, np.ndarray]]:
         """With probability ``p_valid`` execute a random valid action instead
-        of the decoded words.  Trains cross-entropy towards that valid action
-        (when there is one) and the entropy at every decoded position."""
-        words, logits_seq, log_prob = decoded
-        teacher = None
-        if len(valid):
-            teacher = valid.actions[self.rng.integers(len(valid))]
-        use_teacher = teacher is not None and self.rng.random() < self.cfg.p_valid
-        action = teacher if use_teacher else agent.seq_action_text(words)
-        terms: dict[str, list[nm.Tensor]] = {"seq_valid": [], "entropy": [
-            _plogp(nm.softmax(logits), range(agent.n_vocab + 1))
-            for logits in logits_seq
-        ]}
-        if teacher is not None:
-            stop_id = agent.n_vocab
-            ids = []
-            for w in teacher.split()[: agent.cfg.max_seq_words]:
-                try:
-                    ids.append(agent.space.word_id(w))
-                except OutOfVocabularyError:
-                    ids.append(stop_id)
-            ids.append(stop_id)
-            ce = [nm.cross_entropy_with_logits(logits, target)
-                  for logits, target in zip(logits_seq, ids)]
-            terms["seq_valid"].append(_sum(ce))
-        return action or "look", log_prob, terms
-
-
-SeqDecoded = tuple[list[int], list[nm.Tensor], nm.Tensor]  # see seq_decode
-Decoded = ActionDistribution | SeqDecoded
+        of the decoded words.  That valid action (when there is one), as word
+        ids ending in the stop token, is the cross-entropy's target."""
+        if not len(valid):
+            return decoded, {}
+        teacher = valid.actions[self.rng.integers(len(valid))]
+        action = teacher if self.rng.random() < self.cfg.p_valid else decoded
+        stop_id = agent.n_vocab
+        ids = []
+        for w in teacher.split()[: agent.cfg.max_seq_words]:
+            try:
+                ids.append(agent.space.word_id(w))
+            except OutOfVocabularyError:
+                ids.append(stop_id)
+        ids.append(stop_id)
+        return action, {"teacher": np.array(ids, dtype=np.intp)}
 
 
 def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[EncoderState]]:
     eps = [w.ep for w in workers]
     return agent.state_embedding(
         [ep.obs for ep in eps], [ep.graph for ep in eps], [ep.enc for ep in eps])
-
-
-def decode_rows(workers: list[Worker], agent: KgA2CAgent) -> None:
-    """One batch-major forward pass over the workers' prepared observations:
-    state embedding, critic and decoder, with row b sampling from worker b's
-    rng.  Each worker keeps its row's value, new encoder state and decoded
-    action for its ``step``."""
-    masks = [w.prepare()[0] for w in workers]
-    s_t, encs = _embed(agent, workers)
-    values = agent.critic_value(s_t)
-    rngs = [w.rng for w in workers]
-    if agent.cfg.ablation == "seq":
-        rows: list[Decoded] = agent.seq_decode(s_t, rngs, "sample")
-    else:
-        rows = agent.decode_action(s_t, masks, rngs, "sample")
-    for b, w in enumerate(workers):
-        w.decoded = nm.take(values, b), encs[b], rows[b]
 
 
 class Pipeline:
@@ -426,7 +355,6 @@ class Pipeline:
         self.model = model
         self.probe_budget = probe_budget
         self._valid_cache: dict[tuple, oracle.ValidSet] = {}
-        self.mask_violations = 0
         self.valid_hits = 0
         self.valid_misses = 0
         self.oracle_truncated = 0
@@ -459,17 +387,18 @@ def run_rollouts(
     V(s_{t+1}) at the boundary.
 
     Each unroll step has three phases: every worker prepares its observation
-    (graph, mask, valid set), one ``decode_rows`` pass decodes all workers'
-    rows, and every worker executes its row in ``step``.  The bootstrap is
-    one batched critic pass that records no tape.  A worker that raises in
-    ``prepare`` or ``step`` is logged and dropped with its records of this
-    unroll, and the others go on; with one worker the error propagates.  The
-    batched passes read only what ``prepare`` built, so an error there is
-    the agent's, not a worker's, and propagates.  The records come out
-    worker-major, each worker's steps in order."""
+    (graph, mask, valid set), one batch-major pass embeds, values and decodes
+    all workers' rows, and every worker executes its row in ``step``.  The
+    bootstrap is one batched critic pass that records no tape.  A worker that
+    raises in ``prepare`` or ``step`` is logged and dropped with its records
+    of this unroll, and the others go on; with one worker the error
+    propagates.  The batched passes read only what ``prepare`` built, so an
+    error there is the agent's, not a worker's, and propagates.  The records
+    come out worker-major, and ``steps`` keeps each unroll step's pass."""
     live = [w for w in workers if not w.failed]
     records: dict[int, list[StepRecord]] = {w.idx: [] for w in live}
     finished: list[int] = []
+    steps: list[Lockstep] = []
 
     def each(fn: Callable[[Worker], object], rows: list[Worker]) -> list[Worker]:
         """The rows for which fn(row) returned; the others are dropped."""
@@ -488,7 +417,9 @@ def run_rollouts(
         return kept
 
     def step(w: Worker) -> None:
+        lockstep, b, _ = w.row
         record, final_score = w.step(agent)
+        lockstep.records[b] = record
         records[w.idx].append(record)
         if final_score is not None:
             finished.append(final_score)
@@ -497,7 +428,15 @@ def run_rollouts(
         live = each(lambda w: w.prepare(), live)
         if not live:
             break
-        decode_rows(live, agent)
+        s_t, encs = _embed(agent, live)
+        lockstep = Lockstep(
+            agent.critic_value(s_t),
+            agent.decode_action(s_t, [w.pending[0] for w in live],
+                                [w.rng for w in live]),
+            [None] * len(live))
+        steps.append(lockstep)
+        for b, w in enumerate(live):
+            w.row = lockstep, b, encs[b]
         live = each(step, live)
     open_ended = each(lambda w: w.prepare(),
                       [w for w in live if not records[w.idx][-1].done])
@@ -511,31 +450,70 @@ def run_rollouts(
     for own in kept:  # a done step keeps v_next = 0
         for record, following in zip(own, own[1:]):
             if not record.done:
-                record.v_next = following.value.item()
+                record.v_next = following.value
     return RolloutBatch([r for own in kept for r in own], finished,
-                        sum(w.failed for w in workers))
+                        sum(w.failed for w in workers), steps)
 
 
 # ---------------------------------------------------------------------------
 # Updates
 
 
+PARTS = ("actor", "critic", "template", "object", "seq_valid", "entropy")
+
+
 def combined_loss(
-    records: list[StepRecord], cfg: TrainConfig
+    batch: RolloutBatch, cfg: TrainConfig
 ) -> tuple[nm.Tensor, dict[str, nm.Tensor]]:
-    """The batch loss and its parts, each averaged over the records.  The
-    actor and critic terms use Q = r + gamma * V(s') on non-terminal steps;
-    the other parts are the terms the records carry, added in a fixed order,
-    so a term no record carries contributes zero."""
-    terms: dict[str, list[nm.Tensor]] = {"actor": [], "critic": []}
-    for r in records:
-        q = r.reward + cfg.gamma * r.v_next * (0.0 if r.done else 1.0)
-        terms["actor"].append(actor_loss(r.log_prob, q - r.value.item()))
-        terms["critic"].append(critic_loss(r.value, q))
-    for name in ("template", "object", "seq_valid", "entropy"):
-        terms[name] = [t for r in records for t in r.terms.get(name, ())]
-    scale = nm.Tensor(1.0 / len(records))
-    parts = {name: nm.mul(_sum(ts), scale) for name, ts in terms.items()}
+    """The batch loss and its parts, each averaged over the N kept records.
+    Per unroll step, each term is one vector over the rows of the step or of
+    a head, reduced by one product with the rows' weights: 1/N for a kept
+    record, else 0.  The actor and critic terms use Q = r + gamma * V(s') on
+    non-terminal steps; the advantage Q - V takes V from the record's float.
+    A term no record has targets for contributes zero."""
+    parts: dict[str, list[nm.Tensor]] = {name: [] for name in PARTS}
+
+    def reduce(name: str, vector: nm.Tensor, weights: np.ndarray) -> None:
+        parts[name].append(nm.matmul(vector, nm.Tensor(weights)))
+
+    n = len(batch.records)
+    kept = {id(r) for r in batch.records}
+    for step in batch.steps:
+        records = [r if id(r) in kept else None for r in step.records]
+        if not any(records):
+            continue
+        weight = np.array([0.0 if r is None else 1.0 / n for r in records])
+        q = np.array([0.0 if r is None else
+                      r.reward + cfg.gamma * r.v_next * (0.0 if r.done else 1.0)
+                      for r in records])
+        value = np.array([0.0 if r is None else r.value for r in records])
+        heads = step.decoded.heads
+        reduce("actor", step.decoded.log_prob, (value - q) * weight)
+        diff = nm.sub(nm.Tensor(q), step.values)
+        reduce("critic", nm.mul(diff, diff), 0.5 * weight)
+        y_tau = _row_targets(records, "valid_templates")
+        if y_tau is not None:
+            reduce("template", nm.binary_cross_entropy(heads[0].logits, y_tau), weight)
+        y_o = _row_targets(records, "valid_objects")
+        support = _row_targets(records, "template_support")
+        for k, head in enumerate(heads):
+            w = weight[head.rows]
+            if k and y_o is not None:
+                reduce("object", nm.binary_cross_entropy(head.logits, y_o[head.rows]), w)
+            keep = head.probs.data > 0.0
+            if not k and support is not None:
+                keep &= support > 0.0
+            # p log p over each row's support: off it p is 0 and log(p + 1) is 0
+            p = nm.mul(head.probs, nm.Tensor(keep))
+            plogp = nm.mul(p, nm.log(nm.add(p, nm.Tensor(~keep))))
+            reduce("entropy", nm.sum_(plogp, axis=1), w)
+        teacher = _row_targets(records, "teacher", width=len(heads), fill=-1)
+        if teacher is not None:  # zip(positions, teacher ids) per row
+            for k, head in enumerate(heads):
+                target = teacher[head.rows, k]
+                reduce("seq_valid", nm.cross_entropy_with_logits(
+                    head.logits, np.maximum(target, 0)), weight[head.rows] * (target >= 0))
+    parts = {name: _sum(ts) for name, ts in parts.items()}
     total = parts["actor"]
     for name, weight in (
         ("critic", cfg.lambda_critic), ("template", cfg.lambda_template),
@@ -546,6 +524,33 @@ def combined_loss(
     return total, parts
 
 
+def _row_targets(records: list[StepRecord | None], name: str,
+                 width: int | None = None, fill: float = 0.0) -> np.ndarray | None:
+    """The records' ``name`` arrays as the rows of one matrix, cut or padded
+    with ``fill`` to ``width`` (default: their own), and all ``fill`` for a
+    row with none; None when no row has one."""
+    rows = [None if r is None else getattr(r, name) for r in records]
+    if all(row is None for row in rows):
+        return None
+    if width is None:
+        width = next(len(row) for row in rows if row is not None)
+    out = np.full((len(rows), width), fill, dtype=float)
+    for b, row in enumerate(rows):
+        if row is not None:
+            out[b, :len(row[:width])] = row[:width]
+    return out
+
+
+def _sum(terms: list[nm.Tensor]) -> nm.Tensor:
+    """Left-to-right sum; the order fixes the float result."""
+    if not terms:
+        return nm.Tensor(0.0)
+    total = terms[0]
+    for t in terms[1:]:
+        total = nm.add(total, t)
+    return total
+
+
 def train_step(
     batch: RolloutBatch, agent: KgA2CAgent, cfg: TrainConfig
 ) -> dict[str, float]:
@@ -553,12 +558,12 @@ def train_step(
     records = batch.records
     if not records:
         raise ValueError("empty rollout batch")
-    total, parts = combined_loss(records, cfg)
+    total, parts = combined_loss(batch, cfg)
     if not math.isfinite(total.item()):
-        worst = max(records, key=lambda r: abs(r.value.item()) + abs(r.reward))
+        worst = max(records, key=lambda r: abs(r.value) + abs(r.reward))
         raise RuntimeError(
             "non-finite loss; offending record: "
-            f"worker={worst.worker} reward={worst.reward} value={worst.value.item()} "
+            f"worker={worst.worker} reward={worst.reward} value={worst.value} "
             f"done={worst.done} valid_count={worst.valid_count}"
         )
 
@@ -566,15 +571,15 @@ def train_step(
     nm.backward(total)
     grad_norm = nm.adam_step(agent.params, lr=cfg.lr, grad_clip=cfg.grad_clip)
     row = {f"loss_{name}": t.item() for name, t in parts.items()}
+    sampled_valid_rate = float(np.mean([r.executed_valid for r in records]))
     row.update(
         loss_total=total.item(),
         grad_norm=grad_norm,
         mean_valid_actions=float(np.mean([r.valid_count for r in records])),
         mean_mask_size=float(np.mean([r.mask_size for r in records])),
-        sampled_valid_rate=float(np.mean([r.executed_valid for r in records])),
-        # the steps decoded word by word are those that carry seq_valid
-        seq_valid_rate=float(np.mean(
-            [r.executed_valid and "seq_valid" in r.terms for r in records])),
+        sampled_valid_rate=sampled_valid_rate,
+        # under seq every step is decoded word by word
+        seq_valid_rate=sampled_valid_rate if agent.cfg.ablation == "seq" else 0.0,
     )
     return row
 
@@ -677,7 +682,6 @@ def train(
                 steps=steps,
                 episodes=episodes,
                 mean_score=last_mean_score,
-                mask_violations=pipe.mask_violations,
                 degraded_workers=batch.degraded_workers,
                 valid_cache_hit_rate=hits / requests if requests else 0.0,
                 valid_cache_entries=len(pipe._valid_cache),
@@ -734,16 +738,10 @@ def evaluate(
             mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
             with nm.no_grad():  # nothing differentiates an eval step
                 s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-                if agent.cfg.ablation == "seq":
-                    ((words, logits, _),) = agent.seq_decode(s_t, mode="greedy")
-                    action = agent.seq_action_text(words) or "look"
-                    t_probs, o_probs = None, [nm.softmax(x) for x in logits]
-                else:
-                    (dist,) = agent.decode_action(s_t, [mask], mode="greedy")
-                    action = dist.action
-                    t_probs, o_probs = dist.template_probs, dist.object_probs
+                decoded = agent.decode_action(s_t, [mask], mode="greedy")
+            action = decoded.actions[0]
             if trace is not None:
-                trace.append(_trace_row(agent, t_probs, o_probs, mask, ep.graph, action))
+                trace.append(_trace_row(agent, decoded, mask, ep.graph, action))
             ep.act(action)
         scores.append(ep.state.score)
     mean = float(np.mean(scores))
@@ -754,8 +752,7 @@ def evaluate(
 STOP_WORD = "<stop>"  # the seq decoder's end-of-action token, as traces name it
 
 
-def _trace_row(agent: KgA2CAgent, template_probs: nm.Tensor | None,
-               object_probs: list[nm.Tensor], mask: kg.GraphMask,
+def _trace_row(agent: KgA2CAgent, decoded: Decoded, mask: kg.GraphMask,
                graph: kg.KnowledgeGraph, action: str) -> dict:
     """The top-5 templates, and the top-5 words at each object blank or, under
     ``seq``, at each decoded position (where the template list is empty and
@@ -766,10 +763,11 @@ def _trace_row(agent: KgA2CAgent, template_probs: nm.Tensor | None,
 
     words = tuple(agent.space.vocabulary) + (STOP_WORD,)
     patterns = [t.pattern for t in agent.space.templates]
+    heads = [h.probs.data[0] for h in decoded.heads]
+    first = int(agent.cfg.ablation != "seq")  # the template head, if any
     return {
-        "template_probs": [] if template_probs is None
-        else top5(template_probs.data, patterns),
-        "object_probs": [top5(p.data, words) for p in object_probs],
+        "template_probs": [pair for probs in heads[:first] for pair in top5(probs, patterns)],
+        "object_probs": [top5(probs, words) for probs in heads[first:]],
         "mask_size": len(mask),
         "mask": sorted(mask.words),
         "graph": sorted(graph.triples),

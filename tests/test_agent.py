@@ -151,16 +151,15 @@ def test_whole_agent_gradcheck(pipe):
 
     def decode():
         s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-        (dist,) = agent.decode_action(s_t, [mask], mode="greedy")
-        return s_t, dist
+        return s_t, agent.decode_action(s_t, [mask], mode="greedy")
 
     def scalar():
-        s_t, dist = decode()
-        return nm.add(dist.log_prob, nm.take(agent.critic_value(s_t), 0))
+        s_t, decoded = decode()
+        return nm.take(nm.add(decoded.log_prob, agent.critic_value(s_t)), 0)
 
     # two blanks: the object GRU's second step starts from a non-zero hidden,
     # so its U is reached
-    assert len(decode()[1].object_ids) == 2
+    assert len(row_of(decode()[1], 0)) == 1 + 2
     names = [n for n in agent.params.names()
              if n.startswith(("gat.", "enc.combine.", "critic.")) or n == "dec.ctx.W"
              or ".gru." in n]
@@ -180,6 +179,15 @@ BATCH_TOL = 1e-12
 
 def assert_close(batch, rows):
     assert np.abs(np.asarray(batch) - np.asarray(rows)).max(initial=0) <= BATCH_TOL
+
+
+def row_of(decoded, b):
+    """Row b's (chosen id, logits, probs) at each head that decoded it."""
+    out = []
+    for head in decoded.heads:
+        for i in np.flatnonzero(head.rows == b):
+            out.append((head.chosen[i], head.logits.data[i], head.probs.data[i]))
+    return out
 
 
 def walk_states(pipe, agent, count, seed=0):
@@ -268,19 +276,21 @@ def test_decoder_batch_equals_rows(batch_agent, states, monkeypatch):
     choose = Scripted(scripts)
     monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(choose))
     batch = agent.decode_action(s_t, masks, choose.rngs)
-    for b, dist in enumerate(batch):
+    for b in range(len(picked)):
         one = Scripted([scripts[b]])
         monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(one))
-        (row,) = agent.decode_action(nm.Tensor(s_t.data[b:b + 1]), [masks[b]], one.rngs)
-        assert (dist.action, dist.object_ids) == (row.action, row.object_ids)
-        assert len(dist.object_ids) == blanks[b]
-        assert_close(dist.log_prob.data, row.log_prob.data)
-        assert_close(dist.template_logits.data, row.template_logits.data)
-        assert_close(dist.template_probs.data, row.template_probs.data)
-        for got, want in zip(dist.object_logits + dist.object_probs,
-                             row.object_logits + row.object_probs):
-            assert_close(got.data, want.data)
-        assert np.array_equal(dist.mask_array, row.mask_array)
+        row = agent.decode_action(nm.Tensor(s_t.data[b:b + 1]), [masks[b]], one.rngs)
+        got, want = row_of(batch, b), row_of(row, 0)
+        assert batch.actions[b] == row.actions[0]
+        assert [c for c, _, _ in got] == [c for c, _, _ in want]
+        assert len(got) == 1 + blanks[b]
+        assert_close(batch.log_prob.data[b], row.log_prob.data[0])
+        for (_, logits, probs), (_, row_logits, row_probs) in zip(got, want):
+            assert_close(logits, row_logits)
+            assert_close(probs, row_probs)
+        # the mask: exactly the same object entries are zero
+        for (_, _, probs), (_, _, row_probs) in zip(got[1:], want[1:]):
+            assert np.array_equal(probs == 0.0, row_probs == 0.0)
 
 
 def test_seq_decoder_batch_equals_rows(pipe, states, monkeypatch):
@@ -295,15 +305,18 @@ def test_seq_decoder_batch_equals_rows(pipe, states, monkeypatch):
                                    [e for _, _, e, _ in picked])
     choose = Scripted(scripts)
     monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(choose))
-    batch = agent.seq_decode(s_t, choose.rngs)
-    for b, (words, logits, log_prob) in enumerate(batch):
-        assert words == [w for w in scripts[b] if w != stop]
-        assert len(logits) == len(scripts[b])
+    batch = agent.decode_action(s_t, [m for _, _, _, m in picked], choose.rngs)
+    vocabulary = agent.space.vocabulary
+    for b in range(len(scripts)):
+        got = row_of(batch, b)
+        assert [c for c, _, _ in got] == scripts[b]
+        assert batch.actions[b] == (
+            " ".join(vocabulary[w] for w in scripts[b] if w != stop) or "look")
         one = Scripted([scripts[b]])
         monkeypatch.setattr(KgA2CAgent, "_choose", staticmethod(one))
-        ((row_words, row_logits, row_log_prob),) = agent.seq_decode(
-            nm.Tensor(s_t.data[b:b + 1]), one.rngs)
-        assert words == row_words
-        assert_close(log_prob.data, row_log_prob.data)
-        for got, want in zip(logits, row_logits, strict=True):
-            assert_close(got.data, want.data)
+        row = agent.decode_action(nm.Tensor(s_t.data[b:b + 1]), [picked[b][3]], one.rngs)
+        want = row_of(row, 0)
+        assert row.actions[0] == batch.actions[b]
+        assert_close(batch.log_prob.data[b], row.log_prob.data[0])
+        for (_, logits, _), (_, row_logits, _) in zip(got, want, strict=True):
+            assert_close(logits, row_logits)

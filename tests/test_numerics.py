@@ -120,7 +120,30 @@ class TestCoreOps:
         targets = (rng.random(5) > 0.5).astype(float)
 
         finite_difference_check(lambda: nm.binary_cross_entropy(x, targets), [x])
-        finite_difference_check(lambda: nm.cross_entropy_with_logits(x, 3), [x])
+        finite_difference_check(
+            lambda: nm.take(nm.cross_entropy_with_logits(nm.stack0([x]), [3]), 0), [x])
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_losses_per_row(self, seed):
+        """A matrix gives one loss per row, each equal to its row's loss."""
+        rng = np.random.default_rng(seed)
+        X = rand(rng, 3, 5)
+        targets = (rng.random((3, 5)) > 0.5).astype(float)
+        classes = [4, 0, 4]
+        w = nm.Tensor(rng.normal(size=3))
+        bce = nm.binary_cross_entropy(X, targets)
+        ce = nm.cross_entropy_with_logits(X, classes)
+        assert bce.shape == ce.shape == (3,)
+        for r in range(3):
+            x = X.data[r]
+            assert abs(bce.data[r] - nm.binary_cross_entropy(
+                nm.Tensor(x), targets[r]).item()) <= 1e-15
+            lse = np.log(np.exp(x - x.max()).sum()) + x.max()
+            assert abs(ce.data[r] - (lse - x[classes[r]])) <= 1e-14
+        finite_difference_check(lambda: nm.matmul(nm.binary_cross_entropy(X, targets), w), [X])
+        finite_difference_check(lambda: nm.matmul(nm.cross_entropy_with_logits(X, classes), w), [X])
+        with pytest.raises(nm.ShapeError, match="R targets"):
+            nm.cross_entropy_with_logits(X, [1, 2])
 
     @pytest.mark.parametrize("shape, index", [
         ((6,), 2),

@@ -10,10 +10,11 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from gradcheck import finite_difference_check
 
-from kga2c import engine, tokenizer as tok, trainer
+from kga2c import engine, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
@@ -103,7 +104,7 @@ def test_first_step_of_an_update_uses_the_updated_parameters(short_corridor, cor
     stale = {r.worker: r.v_next for r in batch.records[SMALL.unroll - 1::SMALL.unroll]}
     assert stale != expected  # the update moved V, so a stale pass would show
     batch = trainer.run_rollouts(workers, agent, SMALL)
-    first = {r.worker: r.value.item() for r in batch.records[::SMALL.unroll]}
+    first = {r.worker: r.value for r in batch.records[::SMALL.unroll]}
     assert first == expected
 
 
@@ -132,32 +133,28 @@ def test_loss_rows_combine_the_terms_each_ablation_trains(
 
 
 @pytest.mark.parametrize("ablation", ["full", "seq"])
-def test_combined_loss_gradcheck(microzork, corpus, ablation, monkeypatch):
+def test_combined_loss_gradcheck(microzork, corpus, ablation):
     """Finite differences of the whole batch loss of one step at microzork
     start: actor, critic and entropy, plus both BCE terms (full) or the
-    valid-action cross-entropy (seq), each built by the worker's own code."""
+    valid-action cross-entropy (seq), each built by the trainer's own code."""
     agent_cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2,
                             gat_dim=4, score_width=4, dec_hidden=4)
     # seed 0: the first sampled action under full has an object ("take field")
-    cfg = replace(SMALL, workers=1, seed=0, agent=agent_cfg).with_ablation(ablation)
+    cfg = replace(SMALL, workers=1, unroll=1, seed=0, agent=agent_cfg
+                  ).with_ablation(ablation)
     pipe = trainer.build_pipeline(microzork, corpus, cfg)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=3)
-    # The advantage is a constant of the loss, so the finite differences hold
-    # it at its unperturbed value too.
-    advantages = []
-    actor_loss = trainer.actor_loss
-
-    def held_actor_loss(log_prob, adv):
-        advantages.append(adv)
-        return actor_loss(log_prob, advantages[0])
-
-    monkeypatch.setattr(trainer, "actor_loss", held_actor_loss)
+    # The advantage is a constant of the loss, taken from the record's float
+    # V, so the finite differences hold it at its unperturbed value too.
+    held = []
     parts = {}
 
     def loss():
-        record, _ = trainer.Worker(0, pipe, cfg).step(agent)
-        record.v_next = 0.5
-        total, terms = trainer.combined_loss([record], cfg)
+        batch = trainer.run_rollouts([trainer.Worker(0, pipe, cfg)], agent, cfg)
+        (record,) = batch.records
+        held.append(record.value)
+        record.value, record.v_next = held[0], 0.5
+        total, terms = trainer.combined_loss(batch, cfg)
         parts.update((name, t.item()) for name, t in terms.items())
         return total
 
@@ -165,8 +162,121 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation, monkeypatch):
         "seq.W", "seq.b")
     names = list(heads) + ["critic.w2", "critic.b2", "enc.combine.b", "gat.out.b"]
     finite_difference_check(loss, [agent.params[n] for n in names])
+    assert len(set(held)) > 1  # V moved with the parameters; the advantage did not
     trained = (("template", "object") if ablation == "full" else ("seq_valid",))
     assert all(parts[name] != 0.0 for name in ("actor", "critic", "entropy") + trained)
+
+
+def reference_parts(batch, cfg):
+    """Every loss part recomputed one record at a time with numpy, from the
+    heads that decoded the record's row: template BCE, object BCE per blank,
+    p log p over the support, seq CE over zip(positions, teacher ids),
+    -log pi * A and (Q - V)^2 / 2, each summed over the records and averaged."""
+    def bce(x, t):
+        return np.mean(np.logaddexp(0.0, x) - x * t)
+
+    def plogp(p, support):
+        p = p[support & (p > 0.0)]
+        return np.sum(p * np.log(p))
+
+    parts = dict.fromkeys(trainer.PARTS, 0.0)
+    for record in batch.records:
+        (step, b), = [(step, b) for step in batch.steps
+                      for b, r in enumerate(step.records) if r is record]
+        row = [(h.chosen[i], h.logits.data[i], h.probs.data[i])
+               for h in step.decoded.heads for i in np.flatnonzero(h.rows == b)]
+        q = record.reward + cfg.gamma * record.v_next * (0.0 if record.done else 1.0)
+        assert record.value == step.values.data[b]
+        log_pi = sum(np.log(probs[c]) for c, _, probs in row)
+        parts["actor"] += -log_pi * (q - record.value)
+        parts["critic"] += 0.5 * (q - record.value) ** 2
+        if record.valid_templates is not None:
+            parts["template"] += bce(row[0][1], record.valid_templates)
+            for _, logits, _ in row[1:]:
+                parts["object"] += bce(logits, record.valid_objects)
+        if record.template_support is not None:  # then one head per blank
+            parts["entropy"] += plogp(row[0][2], record.template_support)
+            parts["entropy"] += sum(plogp(probs, probs > 0) for _, _, probs in row[1:])
+        else:  # seq: every decoded position, over every word and stop
+            parts["entropy"] += sum(plogp(probs, probs > 0) for _, _, probs in row)
+        if record.teacher is not None:
+            parts["seq_valid"] += sum(np.logaddexp.reduce(logits) - logits[t]
+                                      for (_, logits, _), t in zip(row, record.teacher))
+    return {name: v / len(batch.records) for name, v in parts.items()}
+
+
+def empty_valid_set_at_step(worker, at):
+    """Make ``worker.prepare`` report no valid action on its step ``at``."""
+    prepare, fresh = worker.prepare, []
+
+    def emptied():
+        if worker.pending is None:  # a new step's observation
+            fresh.append(prepare())
+            if len(fresh) == at + 1:
+                worker.pending = fresh[-1][0], oracle.ValidSet((), (), ())
+        return prepare()
+
+    worker.prepare = emptied
+
+
+@pytest.mark.parametrize("ablation", ["full", "unsupervised", "seq"])
+def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, ablation):
+    cfg = replace(SMALL, workers=3, unroll=6).with_ablation(ablation)
+    pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    trainer.train_step(trainer.run_rollouts(workers, agent, cfg), agent, cfg)
+    if ablation == "full":
+        fail_at_step_two(workers[1])
+    if ablation == "seq":
+        empty_valid_set_at_step(workers[2], 1)
+    batch = trainer.run_rollouts(workers, agent, cfg)
+    if ablation == "full":  # dropped at step 2, its rows of steps 0 and 1 with it
+        assert batch.degraded_workers == 1 and len(batch.records) == 2 * cfg.unroll
+        dropped = batch.steps[1].records[1]  # made, then dropped with its worker
+        assert dropped.worker == 1 and dropped not in batch.records
+    if ablation == "seq":
+        teachers = [r.teacher for r in batch.records]
+        assert sum(t is None for t in teachers) == 1
+        positions = {id(r): sum(b in h.rows for h in step.decoded.heads)
+                     for step in batch.steps for b, r in enumerate(step.records)}
+        lengths = [len(r.teacher) - positions[id(r)]
+                   for r in batch.records if r.teacher is not None]
+        assert min(lengths) < 0 < max(lengths)  # teachers shorter and longer
+    _, parts = trainer.combined_loss(batch, cfg)
+    want = reference_parts(batch, cfg)
+    for name in trainer.PARTS:
+        assert abs(parts[name].item() - want[name]) <= 1e-12 * abs(want[name]), name
+    trained = {"full": ("template", "object"), "unsupervised": (),
+               "seq": ("seq_valid",)}[ablation]
+    assert [n for n in trainer.PARTS if want[n] != 0.0] == [
+        n for n in trainer.PARTS if n in ("actor", "critic", "entropy") + trained]
+
+
+@pytest.mark.parametrize("game", ["microzork", "pantry"])
+def test_sampled_object_ids_lie_inside_their_rows_mask(request, corpus, game, monkeypatch):
+    spec = replace(request.getfixturevalue(game), turn_cap=30)
+    cfg = replace(SMALL, workers=4, unroll=8)
+    pipe = trainer.build_pipeline(spec, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    decode_action, seen = KgA2CAgent.decode_action, []
+
+    def recorded(self, s_t, masks, *args):
+        decoded = decode_action(self, s_t, masks, *args)
+        seen.append((masks, decoded))
+        return decoded
+
+    monkeypatch.setattr(KgA2CAgent, "decode_action", recorded)
+    for _ in range(4):
+        trainer.train_step(trainer.run_rollouts(workers, agent, cfg), agent, cfg)
+    sampled = 0
+    for masks, decoded in seen:
+        for head in decoded.heads[1:]:
+            for b, oid in zip(head.rows, head.chosen):
+                assert pipe.space.vocabulary[oid] in masks[b].words
+                sampled += 1
+    assert sampled >= 20
 
 
 def test_config_file_json(tmp_path):
@@ -299,7 +409,7 @@ def test_worker_failing_mid_unroll_is_dropped_and_the_others_keep_their_steps(
     # skips the dropped worker
     for own in (batch.records[:cfg.unroll], batch.records[cfg.unroll:]):
         for record, following in zip(own, own[1:]):
-            assert record.v_next == (0.0 if record.done else following.value.item())
+            assert record.v_next == (0.0 if record.done else following.value)
     again = trainer.run_rollouts(workers, agent, cfg)
     assert again.degraded_workers == 1
     assert {r.worker for r in again.records} == {0, 2}
@@ -344,8 +454,7 @@ def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
         for got, want in zip(rows, alone.records):
             assert (got.reward, got.done, got.valid_count, got.mask_size) == (
                 want.reward, want.done, want.valid_count, want.mask_size)
-            for a, b in ((got.value.item(), want.value.item()),
-                         (got.log_prob.item(), want.log_prob.item()),
+            for a, b in ((got.value, want.value), (got.log_prob, want.log_prob),
                          (got.v_next, want.v_next)):
                 assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
