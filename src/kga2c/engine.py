@@ -7,9 +7,13 @@ are in-fiction text responses; step never raises on player input.
 
 What is fixed per game is built once, on first use, as cached properties of
 the definition: the parser's first-word index and word set
-(``GameSpec.verb_index``, ``GameSpec.parser_words``) and each object's and
-room's reference words.  Rewards and victory are stated as data: one table
-per section maps a predicate kind to its arity and its state test.
+(``GameSpec.verb_index``, ``GameSpec.parser_words``), the parse memo
+(``GameSpec.parse_memo``) and each object's and room's reference words.
+Executing a command is split in two: a parse that depends only on the game
+and the command's tokens, memoized per game, and a resolution of its object
+spans against the state's scope, done on every call.  Rewards and victory
+are stated as data: one table per section maps a predicate kind to its arity
+and its state test.
 """
 
 from __future__ import annotations
@@ -180,6 +184,12 @@ class GameSpec:
         for template in self.templates + _BUILTINS:
             found |= template.words()
         return frozenset(found)
+
+    @cached_property
+    def parse_memo(self) -> dict[tuple[str, ...], tuple[Reading, ...]]:
+        """Command tokens -> their readings, filled by ``parse``.  A reading
+        depends only on the game and the tokens, never on a state."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -552,10 +562,14 @@ def objects_in_scope(state: WorldState, spec: GameSpec) -> list[ObjectDef]:
     return out
 
 
-def in_scope_words(state: WorldState, spec: GameSpec) -> tuple[str, ...]:
-    """All single words that can refer to an in-scope object (handicap)."""
+def in_scope_words(state: WorldState, spec: GameSpec,
+                   scope: list[ObjectDef] | None = None) -> tuple[str, ...]:
+    """All single words that can refer to an in-scope object (handicap).
+    ``scope`` is ``objects_in_scope(state, spec)`` when the caller has it."""
+    if scope is None:
+        scope = objects_in_scope(state, spec)
     words: set[str] = set()
-    for obj in objects_in_scope(state, spec):
+    for obj in scope:
         for ref in obj.reference_words:
             words.update(ref.split())
     return tuple(sorted(words))
@@ -751,15 +765,56 @@ def _match_template(template: Template, tokens: Sequence[str]) -> list[tuple[str
     return results[0]
 
 
-def _resolve_object(
-    span: tuple[str, ...], scope: list[ObjectDef]
-) -> ObjectDef | str | None:
-    """Resolve a word span to one in-scope object.
+# A reading of a command: the verb meaning of one template that matches its
+# tokens (None for a template the engine cannot execute) and the object spans
+# it captured, each as its words joined by single spaces.
+Reading = tuple[str | None, tuple[str, ...]]
+
+# The most commands ``GameSpec.parse_memo`` stores; later new ones are parsed
+# without being stored.  The agent's template decoder and the oracle produce
+# only instantiations of the game's templates over V, at most two blanks
+# each, so at most |templates|·|V|² distinct commands.  The bundled games
+# need 12·38² = 17,328 (microzork), 11·36² = 14,256 (pantry) and
+# 6·11² = 726 (corridor), so 2^15 holds every command of any of them.  Free
+# text (``kga2c play``) and the ``seq`` decoder's word sequences are not
+# bounded that way; the cap bounds what they can store.
+PARSE_MEMO_CAP = 32_768
+
+
+def parse(tokens: tuple[str, ...], spec: GameSpec) -> tuple[Reading, ...]:
+    """The readings of ``tokens`` in the order ``_execute`` tries them, most
+    structured first.  Memoized in ``spec.parse_memo`` up to
+    ``PARSE_MEMO_CAP`` entries: the parse reads only the tokens and the
+    game's templates, so a stored reading is the one a fresh parse gives."""
+    memo = spec.parse_memo
+    readings = memo.get(tokens)
+    if readings is None:
+        readings = _parse(tokens, spec)
+        if len(memo) < PARSE_MEMO_CAP:
+            memo[tokens] = readings
+    return readings
+
+
+def _parse(tokens: tuple[str, ...], spec: GameSpec) -> tuple[Reading, ...]:
+    if not tokens:
+        return ()
+    moving = direction(tokens)
+    if moving:
+        tokens = (moving,)
+    readings = []
+    for template, meaning in spec.verb_index.get(tokens[0], ()):
+        spans = _match_template(template, tokens)
+        if spans is not None:
+            readings.append((meaning, tuple(" ".join(span) for span in spans)))
+    return tuple(readings)
+
+
+def _resolve_object(text: str, scope: list[ObjectDef]) -> ObjectDef | str | None:
+    """Resolve a span's text to one in-scope object.
 
     Returns the object, an ambiguity failure string, or None when nothing in
     scope matches.  Matching prefers the longest alias (most words).
     """
-    text = " ".join(span)
     best: list[ObjectDef] = []
     best_len = 0
     for obj in scope:
@@ -783,32 +838,37 @@ def _resolve_object(
 
 
 def step_core(
-    state: WorldState, action: str, spec: GameSpec
+    state: WorldState, action: str, spec: GameSpec,
+    scope: list[ObjectDef] | None = None,
 ) -> tuple[WorldState, str, int, bool]:
     """Render-free transition: (successor, parser response, reward, done).
 
     Never mutates ``state``; failures are in-fiction responses and leave the
     world unchanged.  Used directly by the valid-action oracle, where the
-    observation channels are not needed.
+    observation channels are not needed.  ``scope`` is
+    ``objects_in_scope(state, spec)`` when the caller has it already, as the
+    oracle does for its many probes of one state; by default it is computed
+    when a reading has an object span.  The command's parse comes from the
+    game's memo (``parse``); its spans are resolved against this state's
+    scope on every call, so the result is the one an unmemoized parse gives.
+    The step changed the world, and counts as valid, iff the canonical
+    fields that ``digest`` covers differ.
     """
     tokens = tuple(action.lower().split())
-    response, after = _execute(state, tokens, spec)
+    response, after = _execute(state, tokens, spec, scope)
 
-    changed = after is not state
     reward = 0
-    fired: set[str] = set()
-    if changed:
+    score, collected = after.score, after.collected
+    changed = False
+    if after is not state:
         reward, fired = _apply_rewards(state, after, spec)
-        if reward or fired:
-            after = replace(
-                after, score=after.score + reward, collected=after.collected | fired
-            )
-        changed = digest(state) != digest(after)
-    after = replace(
-        after,
-        turn=state.turn + 1,
-        valid_steps=state.valid_steps + (1 if changed else 0),
-    )
+        score += reward
+        collected = collected | fired
+        changed = (after.room != state.room or after.locations != state.locations
+                   or after.flags != state.flags or score != state.score
+                   or collected != state.collected)
+    after = WorldState(after.room, after.locations, after.flags, score, collected,
+                       state.turn + 1, state.valid_steps + changed)
     done = (
         _victory_holds(after, spec)
         or after.valid_steps >= spec.valid_step_cap
@@ -827,22 +887,19 @@ def step(
 
 
 def _execute(
-    state: WorldState, tokens: tuple[str, ...], spec: GameSpec
+    state: WorldState, tokens: tuple[str, ...], spec: GameSpec,
+    scope: list[ObjectDef] | None = None,
 ) -> tuple[str, WorldState]:
-    if not tokens:
-        return RESP_UNRECOGNIZED, state
-    moving = direction(tokens)
-    if moving:
-        tokens = (moving,)
+    """(response, state after the command's effect) for ``tokens``.
 
-    # Readings come most structured first (see ``GameSpec.verb_index``); the
-    # first that dispatches wins, else the first failure is the answer.
+    The readings come from ``parse``, which depends only on the game and the
+    tokens; resolving their spans against ``scope`` (default: computed from
+    ``state`` when first needed) is the part that depends on the state.
+    Readings come most structured first (see ``GameSpec.verb_index``); the
+    first that dispatches wins, else the first failure is the answer.
+    """
     first_failure: tuple[str, WorldState] | None = None
-    scope: list[ObjectDef] | None = None
-    for template, meaning in spec.verb_index.get(tokens[0], ()):
-        spans = _match_template(template, tokens)
-        if spans is None:
-            continue
+    for meaning, spans in parse(tokens, spec):
         if meaning is None:
             if first_failure is None:
                 first_failure = (RESP_NOTHING_HAPPENS, state)
@@ -871,9 +928,8 @@ def _execute(
     return first_failure or (RESP_UNRECOGNIZED, state)
 
 
-def _resolve_room(span: tuple[str, ...], state: WorldState, spec: GameSpec) -> bool:
+def _resolve_room(text: str, state: WorldState, spec: GameSpec) -> bool:
     room = spec.rooms[state.room]
-    text = " ".join(span)
     return text in room.words or text == room.name.lower() or text == room.id
 
 

@@ -106,12 +106,14 @@ def detect_interactive_objects(
     """Candidate nouns/adjectives from o_desc and o_game that examine cleanly.
 
     The examine probe runs against a throwaway copy of the state (snapshot
-    semantics), so detection never perturbs the engine.
+    semantics), so detection never perturbs the engine.  Every probe reads
+    the same state, so its scope is computed once and handed to each.
     """
     guard = engine.digest(state)
+    scope = engine.objects_in_scope(state, spec)
     detected: list[str] = []
     for word in _tagged_words(obs.o_desc + "\n" + obs.o_game, spec):
-        _, response, _, _ = engine.step_core(state, f"examine {word}", spec)
+        _, response, _, _ = engine.step_core(state, f"examine {word}", spec, scope)
         if not engine.is_failure(response):
             detected.append(word)
     assert engine.digest(state) == guard

@@ -20,6 +20,15 @@ world-changing command lands in one of three places, and each is covered:
 So every pruned grounding leaves the world unchanged, and the product over
 the kept words, in candidate order, keeps the order of the groundings that
 survive: the result equals probing every candidate.
+
+A probe pays only for what depends on the state.  The parse of a command
+(its template readings and object spans) depends only on the game and the
+command, so ``engine.parse`` memoizes it per game and each command is parsed
+once, whatever the state.  The scope (``engine.objects_in_scope``) depends
+only on the state, so it is computed once per call and handed to every
+probe.  Each probe still resolves its spans against that scope and applies
+the command to this state, so it is the same transition ``engine.step``
+makes, and the result stays exact.
 """
 
 from __future__ import annotations
@@ -84,11 +93,15 @@ def valid_actions(
 ) -> ValidSet:
     """Probe every canonical instantiation over the ``probe_words`` of
     ``candidates`` (default: full V); ``in_scope`` is passed on to it.
+    The state's scope is computed once here and handed to every probe.
 
     The probe budget bounds the groundings tried, and so latency; when it is
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
     """
+    scope = engine.objects_in_scope(state, spec)
+    if in_scope is None:
+        in_scope = engine.in_scope_words(state, spec, scope)
     words = probe_words(state, spec, space, candidates, in_scope)
 
     # Snapshot guards the caller's state; step_core is pure, and the trailing
@@ -114,8 +127,9 @@ def valid_actions(
             action = space.instantiate(tid, list(combo))
             if action in seen:
                 continue
-            # step_core counts a step valid exactly when the digest changed.
-            after, _, _, _ = engine.step_core(state, action, spec)
+            # step_core counts a step valid exactly when the fields the
+            # digest covers changed.
+            after, _, _, _ = engine.step_core(state, action, spec, scope)
             if after.valid_steps != state.valid_steps:
                 seen.add(action)
                 actions.append(action)

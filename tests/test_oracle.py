@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kga2c import bundled_game_text, engine, oracle, trainer
+from kga2c import bundled_game_text, engine, kg, oracle, trainer
 from kga2c.engine import digest, load_game, reset, step
 from kga2c.templates import (FrequencyTable, OutOfVocabularyError,
                              action_space_size, build_action_space)
@@ -195,6 +195,95 @@ class TestCompleteness:
             state, microzork, microzork_space, microzork_space.vocabulary
         )
         assert sorted(valid.actions) == expected
+
+
+class TestParseMemo:
+    """A probe parses from the game's memo and resolves against its state.
+
+    ``brute_force_map`` steps through the same memo, so a memo that kept
+    something of a state would fool both sides; these tests compare with a
+    spec whose memo is empty."""
+
+    @pytest.mark.parametrize("game", ["microzork", "corridor", "pantry"])
+    def test_probes_equal_an_unmemoized_parse(self, spaces, game, monkeypatch):
+        spec, space = spaces[game]  # shared with every other test: warmed
+        fresh = load_game(bundled_game_text(game))
+        calls = []
+        real = engine.step_core
+        monkeypatch.setattr(engine, "step_core",
+                            lambda *a: calls.append(a) or real(*a))
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            state, obs = reset(spec, 0)
+            for _ in range(30):
+                kg.detect_interactive_objects(obs, state, spec)
+                words = set(engine.in_scope_words(state, spec))
+                words.update(rng.sample(space.vocabulary, 4))
+                valid = oracle.valid_actions(state, spec, space, words, None)
+                tid = rng.randrange(len(space.templates))
+                fillers = rng.choices(space.vocabulary, k=space.templates[tid].blanks)
+                action = rng.choice(list(valid.actions) + [
+                    space.instantiate(tid, fillers)])
+                state, obs, _, done = step(state, action, spec)
+                if done:
+                    state, obs = reset(spec, 0)
+        monkeypatch.undo()
+        assert len(calls) > 500
+        for args in calls:
+            state, action = args[:2]
+            fresh.parse_memo.clear()
+            assert real(*args) == real(state, action, fresh), action
+
+    def test_memo_is_bounded_and_parses_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "PARSE_MEMO_CAP", 50)
+        spec = load_game(bundled_game_text("microzork"))
+        reference = load_game(bundled_game_text("microzork"))
+        start, _ = reset(spec, 0)
+        rng = random.Random(3)
+        words = list(spec.vocabulary) + ["xyzzy", "plugh", "the", "with", "in"]
+        commands = set()
+        while len(commands) < 400:
+            commands.add(" ".join(rng.choices(words, k=rng.randint(1, 5))))
+        for command in sorted(commands):
+            reference.parse_memo.clear()
+            assert (engine.step_core(start, command, spec)
+                    == engine.step_core(start, command, reference)), command
+        assert len(spec.parse_memo) == 50
+        # a command first seen past the cap is parsed, not stored
+        assert ("take", "the", "key") not in spec.parse_memo
+        _, response, _, _ = engine.step_core(start, "TAKE  the key", spec)
+        assert response == "Taken."
+        assert len(spec.parse_memo) == 50
+
+    def test_cap_covers_every_bundled_games_commands(self, spaces):
+        for spec, space in spaces.values():
+            assert max(t.blanks for t in space.templates) <= 2
+            assert (len(space.templates) * len(space.vocabulary) ** 2
+                    <= engine.PARSE_MEMO_CAP), spec.name
+
+    def test_scope_is_computed_once_per_oracle_and_detection_call(
+        self, microzork, microzork_space, monkeypatch
+    ):
+        scopes, probes = [], []
+        real_scope, real_step = engine.objects_in_scope, engine.step_core
+        monkeypatch.setattr(engine, "objects_in_scope",
+                            lambda *a: scopes.append(a) or real_scope(*a))
+        monkeypatch.setattr(engine, "step_core",
+                            lambda *a: probes.append(a[1]) or real_step(*a))
+        state, obs = reset(microzork, 0)
+        in_scope = engine.in_scope_words(state, microzork)
+        for kwargs in ({}, {"candidates": ("key", "north"), "in_scope": in_scope}):
+            scopes.clear()
+            probes.clear()
+            oracle.valid_actions(state, microzork, microzork_space, **kwargs)
+            assert len(scopes) == 1 and len(probes) > 1
+        scopes.clear()
+        probes.clear()
+        kg.detect_interactive_objects(obs, state, microzork)
+        assert len(scopes) == 1
+        # one examine probe per tagged word, as before the scope was shared
+        tagged = kg._tagged_words(obs.o_desc + "\n" + obs.o_game, microzork)
+        assert probes == [f"examine {w}" for w in tagged] and tagged
 
 
 class TestPruning:

@@ -524,6 +524,34 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
         assert {k: row[k] for k in step_row} == step_row
 
 
+def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
+    microzork, corpus, monkeypatch
+):
+    monkeypatch.setattr(trainer, "VALID_CACHE_CAP", 2)
+    pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
+    a, _ = engine.reset(microzork, 0)
+    b, _, _, _ = engine.step(a, "take key", microzork)
+    c, _, _, _ = engine.step(b, "north", microzork)
+
+    def request(state):
+        in_scope = engine.in_scope_words(state, microzork)
+        got = pipe.valid_set(state, pipe.space.vocabulary, in_scope)
+        words = oracle.probe_words(state, microzork, pipe.space,
+                                   pipe.space.vocabulary, in_scope)
+        assert got == oracle.valid_actions(state, microzork, pipe.space, words,
+                                           pipe.probe_budget, in_scope)
+        return (pipe.valid_hits, pipe.valid_misses, len(pipe._valid_cache))
+
+    assert request(a) == (0, 1, 1)
+    assert request(b) == (0, 2, 2)
+    assert request(a) == (1, 2, 2)  # a is now the most recently used
+    assert request(c) == (1, 3, 2)  # evicts b
+    assert request(a) == (2, 3, 2)
+    assert request(b) == (2, 4, 2)  # recomputed after its eviction; evicts c
+    assert request(c) == (2, 5, 2)
+    assert request(b) == (3, 5, 2)
+
+
 def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
     corridor, corpus, monkeypatch
 ):
