@@ -23,12 +23,25 @@ Row b samples with its own RNG, in the order a lone pass would.
 text, the (B,) joint log-prob, and one ``Head`` per decoding step (the
 template head, then each object blank, or each ``seq`` word position) with
 the logits, probabilities and choices of the rows that took it.
+
+``with agent.fixed_parameters():`` is the caller's promise that the
+parameters do not change inside (``nm.adam_step`` on them raises there).
+Inside it ``gat_embed`` keys each graph by its triple set, runs the
+block-diagonal attention only over graphs the scope has not embedded yet,
+and builds every row from the stored ones.  A taped row serves later taped
+passes, so its gradients add up through the tape; a no-grad pass may read
+a taped row; a row computed under ``nm.no_grad()`` has no tape, so a taped
+pass embeds that graph again.  Leaving the outermost scope drops the memo,
+and a call outside any scope computes afresh.  ``trainer.run_rollouts``
+holds one scope over an unroll and its bootstrap, ``trainer.evaluate`` one
+per episode.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +54,14 @@ from .templates import ActionSpace
 CHANNELS = ("desc", "game", "inv", "prev")
 
 ABLATIONS = ("full", "a2c", "no-gat", "no-mask", "unsupervised", "seq")
+
+# The most texts ``KgA2CAgent`` keeps the subword ids of; later new texts are
+# encoded without being stored.  The texts are observations, node and
+# relation names, and previous actions: under the template decoder at most
+# |templates|·|V|² of those (17,328 on microzork, the engine's
+# ``PARSE_MEMO_CAP`` reasoning), while ``seq`` word sequences and free text
+# from ``kga2c play`` are unbounded.
+ENCODE_CACHE_CAP = 32_768
 
 
 @dataclass(frozen=True)
@@ -143,6 +164,8 @@ class KgA2CAgent:
             self._check_params(params)
         self.params = params if params is not None else self._build(seed)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
+        # inside fixed_parameters(): triple set -> (GAT block, its row)
+        self._gat_memo: dict[frozenset, tuple[nm.Tensor, int]] | None = None
 
     # -- parameters ------------------------------------------------------
 
@@ -212,7 +235,8 @@ class KgA2CAgent:
         cached = self._encode_cache.get(text)
         if cached is None:
             cached = tuple(tok.encode(self.model, text.lower()))
-            self._encode_cache[text] = cached
+            if len(self._encode_cache) < ENCODE_CACHE_CAP:
+                self._encode_cache[text] = cached
         return cached
 
     def encode_observation(
@@ -245,7 +269,45 @@ class KgA2CAgent:
         )
         return o_t, [EncoderState(h) for h in new_hiddens]
 
+    @contextmanager
+    def fixed_parameters(self) -> Iterator[None]:
+        """Hold the parameters fixed: inside, ``gat_embed`` embeds each
+        distinct graph once (see the module docstring) and ``nm.adam_step``
+        on them raises.  An inner scope shares the outer one's memo."""
+        if self._gat_memo is not None:
+            yield
+            return
+        self._gat_memo = {}
+        self.params.fixed = True
+        try:
+            yield
+        finally:
+            self._gat_memo = None
+            self.params.fixed = False
+
     def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
+        """The graph embedding of B graphs, (B, gat_dim).  ``_gat_block``
+        embeds the graphs this call needs: each distinct triple set once,
+        and inside ``fixed_parameters`` only those the scope has not stored,
+        or has stored without a tape when this pass records one.  When every
+        graph is new and distinct the block itself is returned; otherwise
+        each row is read from its stored block."""
+        memo = self._gat_memo if self._gat_memo is not None else {}
+        taping = nm.taping()
+        keys = [frozenset(graph.triples) for graph in graphs]
+        fresh: dict[frozenset, KnowledgeGraph] = {}
+        for key, graph in zip(keys, graphs):
+            stored = memo.get(key)
+            if stored is None or (taping and not stored[0]._parents):
+                fresh.setdefault(key, graph)
+        if fresh:
+            block = self._gat_block(list(fresh.values()))
+            memo.update((key, (block, i)) for i, key in enumerate(fresh))
+            if len(fresh) == len(graphs):
+                return block
+        return nm.stack0([nm.take(*memo[key]) for key in keys])
+
+    def _gat_block(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
         """Dense multi-head graph attention (Velickovic et al. 2018, arXiv
         1710.10903) over B graphs at once, head outputs mean-pooled over each
         graph's nodes and concatenated, then one linear layer under tanh;

@@ -88,6 +88,11 @@ def no_grad() -> Iterator[None]:
         _taping = saved
 
 
+def taping() -> bool:
+    """Whether ops record the tape here: False inside ``no_grad()``."""
+    return _taping
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     # Record the tape only when some ancestor is trainable; .grad buffers are
@@ -605,6 +610,8 @@ class ParameterSet:
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
         self.adam_t = 0
+        # set while a caller relies on the values not changing; adam_step refuses
+        self.fixed = False
 
     def add(self, name: str, shape: tuple[int, ...], kind: str = "weight") -> Tensor:
         """kind: weight (uniform +-1/sqrt(fan_in)), bias (zeros), embedding
@@ -673,7 +680,10 @@ def adam_step(
     grad_clip: float | None = None,
 ) -> float:
     """One bias-corrected Adam update over all parameters with gradients.
-    Returns the pre-clip gradient norm."""
+    Returns the pre-clip gradient norm.  Raises RuntimeError while
+    ``params.fixed`` is set."""
+    if params.fixed:
+        raise RuntimeError("adam_step on parameters held fixed")
     b1, b2 = betas
     norm = params.grad_norm()
     scale = 1.0

@@ -49,7 +49,7 @@ METRIC_KEYS = (
     "update", "steps", "episodes", "loss_total", "loss_actor", "loss_critic",
     "loss_template", "loss_object", "loss_entropy", "loss_seq_valid",
     "grad_norm", "mean_score", "mean_valid_actions", "mean_mask_size",
-    "sampled_valid_rate", "seq_valid_rate",
+    "mean_graph_triples", "sampled_valid_rate", "seq_valid_rate",
     # health counters, per update except the cache size
     "degraded_workers", "valid_cache_hit_rate", "valid_cache_entries",
     "oracle_truncated",
@@ -188,6 +188,7 @@ class StepRecord:
     done: bool
     valid_count: int
     mask_size: int
+    graph_triples: int  # the size of the graph the step embedded
     executed_valid: bool
     v_next: float = 0.0
     valid_templates: np.ndarray | None = None  # 0/1 over templates
@@ -298,7 +299,7 @@ class Worker:
         record = StepRecord(
             self.idx, float(lockstep.values.data[b]),
             float(lockstep.decoded.log_prob.data[b]), reward, self.ep.done,
-            len(valid), len(mask), action in valid, **targets)
+            len(valid), len(mask), len(self.ep.graph), action in valid, **targets)
         self.ep.enc = enc2
 
         final_score: int | None = None
@@ -401,10 +402,12 @@ def run_rollouts(
     Each unroll step has three phases: every worker prepares its observation
     (graph, mask, valid set), one batch-major pass embeds, values and decodes
     all workers' rows, and every worker executes its row in ``step``.  The
-    bootstrap is one batched critic pass that records no tape.  A worker that
-    raises in ``prepare`` or ``step`` is logged and dropped with its records
-    of this unroll, and the others go on; with one worker the error
-    propagates.  The batched passes read only what ``prepare`` built, so an
+    bootstrap is one batched critic pass that records no tape.  The unroll
+    and the bootstrap run inside one ``agent.fixed_parameters()`` scope, so
+    each distinct graph is embedded once and a graph's taped row serves
+    every later step that sees it again.  A worker that raises in
+    ``prepare`` or ``step`` is logged and dropped with its records of this
+    unroll, and the others go on; with one worker the error propagates.  The batched passes read only what ``prepare`` built, so an
     error there is the agent's, not a worker's, and propagates.  The records
     come out worker-major, and ``steps`` keeps each unroll step's pass."""
     live = [w for w in workers if not w.failed]
@@ -436,27 +439,28 @@ def run_rollouts(
         if final_score is not None:
             finished.append(final_score)
 
-    for _ in range(cfg.unroll):
-        live = each(lambda w: w.prepare(), live)
-        if not live:
-            break
-        s_t, encs = _embed(agent, live)
-        lockstep = Lockstep(
-            agent.critic_value(s_t),
-            agent.decode_action(s_t, [w.pending[0] for w in live],
-                                [w.rng for w in live]),
-            [None] * len(live))
-        steps.append(lockstep)
-        for b, w in enumerate(live):
-            w.row = lockstep, b, encs[b]
-        live = each(step, live)
-    open_ended = each(lambda w: w.prepare(),
-                      [w for w in live if not records[w.idx][-1].done])
-    if open_ended:
-        with nm.no_grad():
-            values = agent.critic_value(_embed(agent, open_ended)[0]).data
-        for w, v in zip(open_ended, values):
-            records[w.idx][-1].v_next = float(v)
+    with agent.fixed_parameters():
+        for _ in range(cfg.unroll):
+            live = each(lambda w: w.prepare(), live)
+            if not live:
+                break
+            s_t, encs = _embed(agent, live)
+            lockstep = Lockstep(
+                agent.critic_value(s_t),
+                agent.decode_action(s_t, [w.pending[0] for w in live],
+                                    [w.rng for w in live]),
+                [None] * len(live))
+            steps.append(lockstep)
+            for b, w in enumerate(live):
+                w.row = lockstep, b, encs[b]
+            live = each(step, live)
+        open_ended = each(lambda w: w.prepare(),
+                          [w for w in live if not records[w.idx][-1].done])
+        if open_ended:
+            with nm.no_grad():
+                values = agent.critic_value(_embed(agent, open_ended)[0]).data
+            for w, v in zip(open_ended, values):
+                records[w.idx][-1].v_next = float(v)
 
     kept = [records[w.idx] for w in workers if w.idx in records and not w.failed]
     for own in kept:  # a done step keeps v_next = 0
@@ -697,6 +701,7 @@ def train(
                 degraded_workers=batch.degraded_workers,
                 valid_cache_hit_rate=hits / requests if requests else 0.0,
                 valid_cache_entries=len(pipe._valid_cache),
+                mean_graph_triples=float(np.mean([r.graph_triples for r in batch.records])),
                 oracle_truncated=pipe.oracle_truncated - truncated,
             )
             row = {k: row[k] for k in METRIC_KEYS}
@@ -739,22 +744,25 @@ def evaluate(
     trace: list | None = None,
 ) -> tuple[float, float, list[int]]:
     """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
-    p_m = 0 so evaluation is deterministic.  With ``trace``, one row per step
-    is appended to it (see ``_trace_row``)."""
+    p_m = 0 so evaluation is deterministic.  Each episode runs inside one
+    ``agent.fixed_parameters()`` scope, so a graph that stays the same across
+    steps is embedded once.  With ``trace``, one row per step is appended to
+    it (see ``_trace_row``)."""
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     scores: list[int] = []
     for i in range(episodes):
         ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
-        while not ep.done:
-            mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
-            with nm.no_grad():  # nothing differentiates an eval step
-                s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-                decoded = agent.decode_action(s_t, [mask], mode="greedy")
-            action = decoded.actions[0]
-            if trace is not None:
-                trace.append(_trace_row(agent, decoded, mask, ep.graph, action))
-            ep.act(action)
+        with agent.fixed_parameters():
+            while not ep.done:
+                mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+                with nm.no_grad():  # nothing differentiates an eval step
+                    s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+                    decoded = agent.decode_action(s_t, [mask], mode="greedy")
+                action = decoded.actions[0]
+                if trace is not None:
+                    trace.append(_trace_row(agent, decoded, mask, ep.graph, action))
+                ep.act(action)
         scores.append(ep.state.score)
     mean = float(np.mean(scores))
     std = float(np.std(scores))

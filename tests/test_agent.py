@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from gradcheck import finite_difference_check
 
-from kga2c import numerics as nm, trainer
+from kga2c import agent as agent_module, numerics as nm, tokenizer as tok, trainer
 from kga2c.agent import CHANNELS, AgentConfig, KgA2CAgent
 
 
@@ -172,6 +172,35 @@ def test_whole_agent_gradcheck(pipe):
     assert unreached == ["dec.tmpl.gru.U"]
 
 
+def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
+    """Two rows that share one graph, with different encoder hiddens, inside
+    ``fixed_parameters``: the GAT runs over the one graph and its row feeds
+    both, so the row's gradient comes from two uses.  Every finite-difference
+    evaluation opens its own scope, so each sees the perturbed parameters."""
+    cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
+                      score_width=4, dec_hidden=4)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
+    ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
+    ep.observe(pipe.space.vocabulary, 0.0, 0)
+    _, (carried,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+    ep.act("open mailbox")
+    mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    assert len(ep.graph) >= 1
+    embedded = record_gat_blocks(agent)
+
+    def scalar():
+        with agent.fixed_parameters():
+            s_t, _ = agent.state_embedding([ep.obs] * 2, [ep.graph] * 2,
+                                           [ep.enc, carried])
+            decoded = agent.decode_action(s_t, [mask] * 2, mode="greedy")
+            return nm.sum_(nm.add(decoded.log_prob, agent.critic_value(s_t)))
+
+    names = [n for n in agent.params.names() if n.startswith("gat.")]
+    finite_difference_check(scalar, [agent.params[n] for n in names])
+    assert embedded and set(embedded) == {1}  # one graph per pass, read twice
+    assert all(np.any(agent.params[n].grad) for n in names)
+
+
 # -- a batch equals its rows --------------------------------------------------
 
 BATCH_TOL = 1e-12
@@ -320,3 +349,134 @@ def test_seq_decoder_batch_equals_rows(pipe, states, monkeypatch):
         assert_close(batch.log_prob.data[b], row.log_prob.data[0])
         for (_, logits, _), (_, row_logits, _) in zip(got, want, strict=True):
             assert_close(logits, row_logits)
+
+
+# -- the graph memo -----------------------------------------------------------
+
+
+def record_gat_blocks(agent):
+    """Shadow ``agent._gat_block`` so that each block pass appends the number
+    of graphs it embedded to the returned list."""
+    sizes = []
+    block = agent._gat_block
+
+    def recorded(graphs):
+        sizes.append(len(graphs))
+        return block(graphs)
+
+    agent._gat_block = recorded
+    return sizes
+
+
+def gat_grads(agent, out, weights):
+    agent.params.zero_grad()
+    nm.backward(nm.sum_(nm.mul(out, weights)))
+    return {n: agent.params[n].grad for n in agent.params.names() if n.startswith("gat.")}
+
+
+def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
+    """Inside the scope a batch that repeats a graph, and a later pass over
+    graphs already stored, take their rows from the stored blocks: values
+    equal fresh calls, and each row's gradient adds into its graph's."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=11)
+    g0, g1 = walk_graphs(pipe, 30, seed=2)[::29]
+    assert g0.triples != g1.triples
+    graphs = [g0, g1, g0, g0]
+    weights = nm.Tensor(np.random.default_rng(1).normal(size=(4, agent.cfg.gat_dim)))
+    fresh = [agent.gat_embed([g]) for g in graphs]
+    want = gat_grads(agent, nm.stack0([nm.take(f, 0) for f in fresh]), weights)
+    embedded = record_gat_blocks(agent)
+    with agent.fixed_parameters():
+        out = agent.gat_embed(graphs)
+        again = agent.gat_embed([g1, g0])
+    assert embedded == [2]  # the repeats and the second pass embed nothing
+    assert out.shape == (4, agent.cfg.gat_dim)
+    for b, f in enumerate(fresh):
+        assert_close(out.data[b], f.data[0])
+    assert np.array_equal(again.data, out.data[[1, 0]])
+    got = gat_grads(agent, out, weights)
+    for name, grad in want.items():
+        assert_close(got[name], grad)
+
+
+def test_memo_returns_the_block_when_every_graph_is_new(pipe):
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=7)
+    graphs = walk_graphs(pipe, 30, seed=1)[::7]
+    blocks = []
+    block = agent._gat_block
+
+    def kept(gs):
+        blocks.append(block(gs))
+        return blocks[-1]
+
+    agent._gat_block = kept
+    with agent.fixed_parameters():
+        out = agent.gat_embed(graphs)
+    assert blocks == [out]
+
+
+def test_memo_no_grad_rows_never_reach_a_taped_pass(pipe):
+    """A graph first embedded under ``no_grad`` is embedded again by a taped
+    pass, whose row reaches the gat.* gradients; a later no_grad pass reads
+    the taped row without embedding."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
+    graph = walk_graphs(pipe, 5)[-1]
+    embedded = record_gat_blocks(agent)
+    with agent.fixed_parameters():
+        with nm.no_grad():
+            untaped = agent.gat_embed([graph, graph])
+        taped = agent.gat_embed([graph])
+        with nm.no_grad():
+            read = agent.gat_embed([graph])
+    assert embedded == [1, 1]
+    assert not untaped._parents and taped._parents and not read._parents
+    assert np.array_equal(taped.data, read.data)
+    grads = gat_grads(agent, taped, nm.Tensor(np.ones((1, agent.cfg.gat_dim))))
+    assert all(np.any(g) for g in grads.values())
+
+
+def test_adam_step_inside_the_scope_raises(pipe):
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
+    gat_grads(agent, agent.gat_embed(walk_graphs(pipe, 3)), nm.Tensor(1.0))
+    before = agent.params["gat.out.W"].data.copy()
+    with agent.fixed_parameters():
+        with agent.fixed_parameters():  # an inner scope is the outer one
+            pass
+        with pytest.raises(RuntimeError, match="fixed"):
+            nm.adam_step(agent.params)
+    assert np.array_equal(agent.params["gat.out.W"].data, before)
+    assert agent.params.adam_t == 0
+    nm.adam_step(agent.params)  # allowed again once the scope is left
+    assert not np.array_equal(agent.params["gat.out.W"].data, before)
+
+
+def test_leaving_the_scope_drops_the_memo(pipe):
+    """Only the outermost scope owns the memo; once it is left, a parameter
+    change shows in the next scope's rows."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
+    graph = walk_graphs(pipe, 5)[-1]
+    embedded = record_gat_blocks(agent)
+    with agent.fixed_parameters():
+        first = agent.gat_embed([graph]).data.copy()
+        with agent.fixed_parameters():
+            pass
+        assert agent._gat_memo  # the inner scope left the memo in place
+        agent.gat_embed([graph])
+    assert agent._gat_memo is None and embedded == [1]
+    agent.params["gat.out.b"].data = agent.params["gat.out.b"].data + 0.5
+    with agent.fixed_parameters():
+        second = agent.gat_embed([graph]).data
+    assert embedded == [1, 1]
+    assert np.array_equal(second, agent.gat_embed([graph]).data)
+    assert not np.allclose(first, second)
+
+
+def test_encode_cache_is_bounded_and_encodes_past_its_cap(pipe, monkeypatch):
+    monkeypatch.setattr(agent_module, "ENCODE_CACHE_CAP", 5)
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=0)
+    texts = [f"take {w} with {v}" for w in pipe.space.vocabulary[:6]
+             for v in pipe.space.vocabulary[:3]] + ["Open The Mailbox", ""]
+    for text in texts + texts:
+        assert agent._token_ids(text) == tuple(tok.encode(pipe.model, text.lower()))
+    assert len(agent._encode_cache) == 5
+    assert set(agent._encode_cache) == set(texts[:5])

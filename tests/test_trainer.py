@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from gradcheck import finite_difference_check
+from test_agent import BATCH_TOL
 
-from kga2c import engine, oracle, tokenizer as tok, trainer
+from kga2c import engine, numerics as nm, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
@@ -459,6 +460,62 @@ def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
                 assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
 
+def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
+    short_microzork, corpus, monkeypatch
+):
+    """One unroll, its loss and its backward inside ``fixed_parameters``,
+    against the same seeded run whose ``gat_embed`` embeds every row afresh:
+    the same actions, and the loss and every gradient agree, so a graph row
+    shared across lockstep steps adds up its gradients through the tape."""
+    cfg = replace(SMALL, workers=4, unroll=8)
+    rows = {"requested": 0, "embedded": 0}
+    gat_embed, gat_block = KgA2CAgent.gat_embed, KgA2CAgent._gat_block
+
+    def counted_embed(self, graphs):
+        rows["requested"] += len(graphs)
+        return gat_embed(self, graphs)
+
+    def counted_block(self, graphs):
+        rows["embedded"] += len(graphs)
+        return gat_block(self, graphs)
+
+    def unmemoized(self, graphs):
+        rows["requested"] += len(graphs)
+        return counted_block(self, graphs)
+
+    def run():
+        pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
+        agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+        workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+        rows.update(requested=0, embedded=0)
+        with agent.fixed_parameters():
+            batch = trainer.run_rollouts(workers, agent, cfg)
+            total, _ = trainer.combined_loss(batch, cfg)
+            agent.params.zero_grad()
+            nm.backward(total)
+        grads = {n: agent.params[n].grad for n in agent.params.names()}
+        return batch, total.item(), grads, dict(rows)
+
+    monkeypatch.setattr(KgA2CAgent, "_gat_block", counted_block)
+    monkeypatch.setattr(KgA2CAgent, "gat_embed", counted_embed)
+    batch, loss, grads, memo_rows = run()
+    monkeypatch.setattr(KgA2CAgent, "gat_embed", unmemoized)
+    fresh_batch, fresh_loss, fresh_grads, fresh_rows = run()
+    # 8 taped passes of 4 rows and the bootstrap pass
+    assert fresh_rows["embedded"] == fresh_rows["requested"] == memo_rows["requested"] > 32
+    assert memo_rows["embedded"] < memo_rows["requested"]
+    assert [s.decoded.actions for s in batch.steps] == [
+        s.decoded.actions for s in fresh_batch.steps]
+    assert abs(loss - fresh_loss) <= BATCH_TOL * max(abs(fresh_loss), 1.0)
+    assert any(n.startswith("gat.") and g is not None for n, g in grads.items())
+    for name, want in fresh_grads.items():
+        if want is None:
+            assert grads[name] is None, name
+            continue
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(grads[name] - want).max() <= BATCH_TOL * scale, name
+
+
 @pytest.mark.parametrize("ablation", ["full", "seq"])
 def test_evaluate_records_no_tape_and_plays_as_with_it(
     short_microzork, corpus, ablation, monkeypatch
@@ -519,9 +576,29 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
     assert rows[-1]["valid_cache_entries"] == len(pipe._valid_cache) == pipe.valid_misses
     assert rows[0]["valid_cache_entries"] <= rows[1]["valid_cache_entries"]
     # the counters ride along: train_step's own fields are unchanged
-    _, _, step_rows, _ = _run(short_corridor, corpus, cfg, 2)
-    for row, step_row in zip(rows, step_rows):
+    _, _, step_rows, batches = _run(short_corridor, corpus, cfg, 2)
+    for row, step_row, batch in zip(rows, step_rows, batches):
         assert {k: row[k] for k in step_row} == step_row
+        assert "mean_graph_triples" not in step_row
+        sizes = [r.graph_triples for r in batch.records]
+        assert min(sizes) >= 1
+        assert row["mean_graph_triples"] == float(np.mean(sizes))
+
+
+def test_records_carry_the_size_of_the_graph_they_embedded(short_microzork, corpus,
+                                                          monkeypatch):
+    embedded = []
+    state_embedding = KgA2CAgent.state_embedding
+
+    def recorded(self, observations, graphs, encs):
+        embedded.append([len(g) for g in graphs])
+        return state_embedding(self, observations, graphs, encs)
+
+    monkeypatch.setattr(KgA2CAgent, "state_embedding", recorded)
+    _, _, _, (batch,) = _run(short_microzork, corpus, SMALL, 1)
+    by_step = [[r.graph_triples for r in step.records] for step in batch.steps]
+    assert by_step == embedded[:SMALL.unroll]
+    assert len({n for sizes in by_step for n in sizes}) > 1
 
 
 def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
