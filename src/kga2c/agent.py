@@ -31,10 +31,25 @@ block-diagonal attention only over graphs the scope has not embedded yet,
 and builds every row from the stored ones.  A taped row serves later taped
 passes, so its gradients add up through the tape; a no-grad pass may read
 a taped row; a row computed under ``nm.no_grad()`` has no tape, so a taped
-pass embeds that graph again.  Leaving the outermost scope drops the memo,
-and a call outside any scope computes afresh.  ``trainer.run_rollouts``
-holds one scope over an unroll and its bootstrap, ``trainer.evaluate`` one
-per episode.
+pass embeds that graph again.
+
+In a pass that records no tape, ``encode_observation`` keeps a second memo
+in the same scope, keyed by (channel, text, carried hidden bytes): a carried
+hidden often settles into an exact fixed point, so a stuck greedy episode
+repeats most of its encoder rows bit for bit.  Its three rules keep every
+result bitwise equal to computing afresh, because a GRU row's last bits
+depend on the other rows of its block:
+* a row the memo held before the call is read from it;
+* every other row of the channel, duplicates included, runs as one block in
+  row order, and its final hidden is stored, so a call whose rows are all
+  new returns the tensor it would without the memo;
+* a taped pass builds no keys and never touches the memo.
+Greedy eval is B = 1, so a stored row equals a recompute, and the only
+no-grad pass of a training scope, the bootstrap, finds the memo empty.
+
+Leaving the outermost scope drops both memos, and a call outside any scope
+computes afresh.  ``trainer.run_rollouts`` holds one scope over an unroll
+and its bootstrap, ``trainer.evaluate`` one per episode.
 """
 
 from __future__ import annotations
@@ -166,6 +181,9 @@ class KgA2CAgent:
         self._encode_cache: dict[str, tuple[int, ...]] = {}
         # inside fixed_parameters(): triple set -> (GAT block, its row)
         self._gat_memo: dict[frozenset, tuple[nm.Tensor, int]] | None = None
+        # inside fixed_parameters(), for no-grad passes:
+        # (channel, text, carried hidden bytes) -> that row's final hidden
+        self._enc_memo: dict[tuple[str, str, bytes], np.ndarray] | None = None
 
     # -- parameters ------------------------------------------------------
 
@@ -247,42 +265,70 @@ class KgA2CAgent:
         linear layer, giving (B, obs_dim) and each row's new hiddens.  Each
         channel is one ``nm.gru_sequence`` node over the rows' token
         embeddings, padded to the longest text; an empty text has length 0,
-        which carries its row's hidden unchanged."""
-        p = self.params
-        emb = p["emb"]
+        which carries its row's hidden unchanged.
+
+        Inside ``fixed_parameters``, in a pass that records no tape, a row
+        whose (channel, text, carried hidden) the scope's encoder memo held
+        before this call is read from it; the channel's other rows,
+        duplicates included, run as one block in row order, and their
+        finals are stored.  A taped pass never touches the memo."""
+        memo = self._enc_memo if not nm.taping() else None
         finals = []
         new_hiddens: list[dict[str, np.ndarray]] = [{} for _ in encs]
         for ch, field_name in zip(CHANNELS, ("o_desc", "o_game", "o_inv", "a_prev")):
-            rows = [self._token_ids(getattr(obs, field_name)) for obs in observations]
-            lengths = [len(ids) for ids in rows]
-            padded = np.zeros((max(lengths), len(rows)), dtype=np.intp)
-            for b, ids in enumerate(rows):
-                padded[:len(ids), b] = ids
-            h0 = nm.Tensor(np.array([enc.hiddens[ch] for enc in encs]))
-            h = nm.gru_sequence(nm.take(emb, padded), h0,
-                                p.gru_params(f"enc.{ch}.gru"), lengths)
+            texts = [getattr(obs, field_name) for obs in observations]
+            h0s = [enc.hiddens[ch] for enc in encs]
+            if memo is None:
+                h = self._encode_channel(ch, texts, h0s)
+            else:
+                keys = [(ch, text, h0.tobytes()) for text, h0 in zip(texts, h0s)]
+                held = [memo.get(key) for key in keys]
+                new = [b for b, row in enumerate(held) if row is None]
+                if new:
+                    block = self._encode_channel(
+                        ch, [texts[b] for b in new], [h0s[b] for b in new])
+                    for i, b in enumerate(new):
+                        held[b] = block.data[i]
+                        memo.setdefault(keys[b], held[b].copy())
+                h = block if len(new) == len(keys) else nm.Tensor(np.array(held))
             finals.append(h)
             for b, hiddens in enumerate(new_hiddens):
                 hiddens[ch] = h.data[b].copy()
+        p = self.params
         o_t = nm.add(
             nm.matmul(nm.concat(finals), p["enc.combine.W"]), p["enc.combine.b"]
         )
         return o_t, [EncoderState(h) for h in new_hiddens]
 
+    def _encode_channel(self, ch: str, texts: Sequence[str],
+                        h0s: Sequence[np.ndarray]) -> nm.Tensor:
+        """One ``nm.gru_sequence`` node over the texts' padded subword
+        embeddings from the hiddens ``h0s``: the (B, gru_hidden) finals."""
+        rows = [self._token_ids(text) for text in texts]
+        lengths = [len(ids) for ids in rows]
+        padded = np.zeros((max(lengths), len(rows)), dtype=np.intp)
+        for b, ids in enumerate(rows):
+            padded[:len(ids), b] = ids
+        return nm.gru_sequence(nm.take(self.params["emb"], padded),
+                               nm.Tensor(np.array(h0s)),
+                               self.params.gru_params(f"enc.{ch}.gru"), lengths)
+
     @contextmanager
     def fixed_parameters(self) -> Iterator[None]:
         """Hold the parameters fixed: inside, ``gat_embed`` embeds each
-        distinct graph once (see the module docstring) and ``nm.adam_step``
-        on them raises.  An inner scope shares the outer one's memo."""
+        distinct graph once, a pass that records no tape encodes each
+        (channel, text, carried hidden) once (see the module docstring), and
+        ``nm.adam_step`` on them raises.  An inner scope shares the outer
+        one's memos; leaving the outermost drops both."""
         if self._gat_memo is not None:
             yield
             return
-        self._gat_memo = {}
+        self._gat_memo, self._enc_memo = {}, {}
         self.params.fixed = True
         try:
             yield
         finally:
-            self._gat_memo = None
+            self._gat_memo = self._enc_memo = None
             self.params.fixed = False
 
     def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:

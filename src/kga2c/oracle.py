@@ -90,16 +90,20 @@ def valid_actions(
     candidates: Iterable[str] | None = None,
     budget: int | None = DEFAULT_PROBE_BUDGET,
     in_scope: Iterable[str] | None = None,
+    scope: list[engine.ObjectDef] | None = None,
 ) -> ValidSet:
     """Probe every canonical instantiation over the ``probe_words`` of
     ``candidates`` (default: full V); ``in_scope`` is passed on to it.
-    The state's scope is computed once here and handed to every probe.
+    The state's scope is computed once here, unless the caller passes
+    ``engine.objects_in_scope(state, spec)`` as ``scope``, and handed to
+    every probe.
 
     The probe budget bounds the groundings tried, and so latency; when it is
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
     """
-    scope = engine.objects_in_scope(state, spec)
+    if scope is None:
+        scope = engine.objects_in_scope(state, spec)
     if in_scope is None:
         in_scope = engine.in_scope_words(state, spec, scope)
     words = probe_words(state, spec, space, candidates, in_scope)

@@ -219,7 +219,8 @@ class RolloutBatch:
 class Episode:
     """One episode's belief loop: engine state and observation, the graph
     built from them, encoder hiddens and the last action.  Call ``observe``
-    once before each ``act``."""
+    once before each ``act``; ``scope`` is the observed state's
+    ``engine.objects_in_scope``, which ``observe`` computes once per step."""
 
     def __init__(self, spec: engine.GameSpec, seed: int,
                  gru_hidden: int = AgentConfig.gru_hidden):
@@ -229,18 +230,23 @@ class Episode:
         self.enc = EncoderState.zeros(gru_hidden)
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
+        self.scope: list[engine.ObjectDef] | None = None
 
     def observe(
         self, vocabulary: tuple[str, ...], p_m: float, rng: random.Random | int
     ) -> tuple[kg.GraphMask, tuple[str, ...]]:
         """Detect objects, update the graph, then mask V by it; returns the
-        mask and the in-scope words."""
-        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
+        mask and the in-scope words.  The state's scope is computed once,
+        kept in ``self.scope`` for ``Pipeline.valid_set``, and handed to the
+        detection probes and to ``engine.in_scope_words``."""
+        self.scope = engine.objects_in_scope(self.state, self.spec)
+        detected = kg.detect_interactive_objects(
+            self.obs, self.state, self.spec, self.scope)
         self.graph = kg.update_graph(
             self.graph, self.obs, self.prev_action, self.state.room, detected,
             self.spec,
         )
-        in_scope = engine.in_scope_words(self.state, self.spec)
+        in_scope = engine.in_scope_words(self.state, self.spec, self.scope)
         mask = kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
         return mask, in_scope
 
@@ -278,7 +284,8 @@ class Worker:
         if self.pending is None:
             mask, in_scope = self.ep.observe(
                 self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
-            valid = self.pipe.valid_set(self.ep.state, mask.words, in_scope)
+            valid = self.pipe.valid_set(self.ep.state, mask.words, in_scope,
+                                        self.ep.scope)
             self.pending = mask, valid
         return self.pending
 
@@ -368,11 +375,12 @@ class Pipeline:
         self.valid_misses = 0
         self.oracle_truncated = 0
 
-    def valid_set(self, state, mask_words, in_scope) -> oracle.ValidSet:
+    def valid_set(self, state, mask_words, in_scope, scope=None) -> oracle.ValidSet:
         """The valid set over the mask and in-scope words, cached on the
         words the oracle would probe: candidates it prunes split no entries.
-        ``in_scope`` is ``engine.in_scope_words(state, spec)``, which the
-        oracle then reuses instead of deriving it again.  The cache keeps
+        ``in_scope`` is ``engine.in_scope_words(state, spec)`` and ``scope``,
+        if given, ``engine.objects_in_scope(state, spec)``; on a miss the
+        oracle reuses both instead of deriving them again.  The cache keeps
         the ``VALID_CACHE_CAP`` most recently used sets."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
         words = oracle.probe_words(state, self.spec, self.space, candidates, in_scope)
@@ -384,7 +392,7 @@ class Pipeline:
             return hit
         self.valid_misses += 1
         hit = oracle.valid_actions(
-            state, self.spec, self.space, words, self.probe_budget, in_scope
+            state, self.spec, self.space, words, self.probe_budget, in_scope, scope
         )
         self.oracle_truncated += hit.truncated
         self._valid_cache[key] = hit
@@ -745,9 +753,12 @@ def evaluate(
 ) -> tuple[float, float, list[int]]:
     """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
     p_m = 0 so evaluation is deterministic.  Each episode runs inside one
-    ``agent.fixed_parameters()`` scope, so a graph that stays the same across
-    steps is embedded once.  With ``trace``, one row per step is appended to
-    it (see ``_trace_row``)."""
+    ``agent.fixed_parameters()`` scope under ``nm.no_grad()``, so a graph
+    that stays the same across steps is embedded once, and a (channel, text,
+    carried hidden) row the episode met before is read from the encoder memo
+    instead of run again; both give the values computing afresh gives, and
+    are dropped when the episode ends.  With ``trace``, one row per step is
+    appended to it (see ``_trace_row``)."""
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     scores: list[int] = []
@@ -813,7 +824,7 @@ def random_valid_baseline(
         ep = Episode(spec, seed)
         while not ep.done and steps < max_steps:
             mask, in_scope = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
-            valid = pipe.valid_set(ep.state, mask.words, in_scope)
+            valid = pipe.valid_set(ep.state, mask.words, in_scope, ep.scope)
             if len(valid):
                 action = valid.actions[rng.integers(len(valid))]
             else:

@@ -1,6 +1,7 @@
 """The agent's forward passes: dense graph attention against the per-node
-formulation it replaced, finite-difference gradients of the whole model, and
-every batch-major pass against its rows run one at a time."""
+formulation it replaced, finite-difference gradients of the whole model,
+every batch-major pass against its rows run one at a time, and the graph and
+encoder memos of ``fixed_parameters`` against computing afresh."""
 
 import os
 import subprocess
@@ -480,3 +481,86 @@ def test_encode_cache_is_bounded_and_encodes_past_its_cap(pipe, monkeypatch):
         assert agent._token_ids(text) == tuple(tok.encode(pipe.model, text.lower()))
     assert len(agent._encode_cache) == 5
     assert set(agent._encode_cache) == set(texts[:5])
+
+
+# -- the encoder memo ---------------------------------------------------------
+
+
+def count_gru_rows(monkeypatch):
+    """Count the rows of every ``nm.gru_sequence`` call, one entry a call."""
+    rows = []
+    gru_sequence = nm.gru_sequence
+
+    def counted(X, h0, *args):
+        rows.append(h0.shape[0])
+        return gru_sequence(X, h0, *args)
+
+    monkeypatch.setattr(nm, "gru_sequence", counted)
+    return rows
+
+
+def assert_hiddens_equal(got, want):
+    for ch in CHANNELS:
+        assert np.array_equal(got.hiddens[ch], want.hiddens[ch]), ch
+
+
+def test_enc_memo_reads_a_repeated_pair_without_running_the_gru(
+    batch_agent, states, monkeypatch
+):
+    agent = batch_agent
+    obs, _, enc, _ = states[4]
+    want, (want_enc,) = agent.encode_observation([obs], [enc])  # no scope, taped
+    rows = count_gru_rows(monkeypatch)
+    with agent.fixed_parameters(), nm.no_grad():
+        first, (enc1,) = agent.encode_observation([obs], [enc])
+        second, (enc2,) = agent.encode_observation([obs], [enc])
+    assert rows == [1] * len(CHANNELS)  # the second call runs no GRU
+    for got, got_enc in ((first, enc1), (second, enc2)):
+        assert np.array_equal(got.data, want.data)
+        assert_hiddens_equal(got_enc, want_enc)
+
+
+def test_enc_memo_new_rows_with_duplicates_equal_the_unmemoized_call(
+    batch_agent, states, monkeypatch
+):
+    """Rows new to the memo, a duplicate among them, run as the block
+    today's code runs over them; a row the memo held is read."""
+    agent = batch_agent
+    (o0, _, e0, _), (o1, _, e1, _), (o2, _, e2, _) = states[2], states[6], states[9]
+    with nm.no_grad():
+        want, want_encs = agent.encode_observation([o1, o2, o1], [e1, e2, e1])
+        _, (want0,) = agent.encode_observation([o0], [e0])
+        with agent.fixed_parameters():
+            # every row new: today's tensor, duplicate included
+            got, got_encs = agent.encode_observation([o1, o2, o1], [e1, e2, e1])
+        rows = count_gru_rows(monkeypatch)
+        with agent.fixed_parameters():
+            agent.encode_observation([o0], [e0])
+            _, mixed = agent.encode_observation([o0, o1, o2, o1], [e0, e1, e2, e1])
+    assert np.array_equal(got.data, want.data)
+    for b in range(3):
+        assert_hiddens_equal(got_encs[b], want_encs[b])
+        assert_hiddens_equal(mixed[b + 1], want_encs[b])
+    assert_hiddens_equal(mixed[0], want0)
+    assert rows == [1] * len(CHANNELS) + [3] * len(CHANNELS)
+
+
+def test_enc_memo_is_untouched_by_a_taped_pass(batch_agent, states, monkeypatch):
+    agent = batch_agent
+    (o0, _, e0, _), (o1, _, e1, _) = states[5], states[8]
+    rows = count_gru_rows(monkeypatch)
+    with agent.fixed_parameters():
+        with nm.no_grad():
+            agent.encode_observation([o0], [e0])
+        held = dict(agent._enc_memo)
+        taped, _ = agent.encode_observation([o0, o1], [e0, e1])
+        assert agent._enc_memo.keys() == held.keys()
+        assert all(agent._enc_memo[k] is v for k, v in held.items())
+    assert len(held) == len(CHANNELS)
+    assert rows == [1] * len(CHANNELS) + [2] * len(CHANNELS)
+    assert taped._parents
+    agent.params.zero_grad()
+    nm.backward(nm.sum_(taped))
+    for ch in CHANNELS:
+        for part in ("W", "U", "b"):
+            assert np.any(agent.params[f"enc.{ch}.gru.{part}"].grad), (ch, part)

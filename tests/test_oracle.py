@@ -284,6 +284,18 @@ class TestParseMemo:
         # one examine probe per tagged word, as before the scope was shared
         tagged = kg._tagged_words(obs.o_desc + "\n" + obs.o_game, microzork)
         assert probes == [f"examine {w}" for w in tagged] and tagged
+        # an env step's detection, in-scope words and oracle share one scope,
+        # whether the valid set misses the cache or hits it
+        pipe = trainer.Pipeline(microzork, microzork_space, None,
+                                oracle.DEFAULT_PROBE_BUDGET)
+        cfg = trainer.TrainConfig(seed=0)
+        for hits in (0, 1):
+            scopes.clear()
+            worker = trainer.Worker(0, pipe, cfg)
+            worker.prepare()
+            assert len(scopes) == 1
+            assert (pipe.valid_hits, pipe.valid_misses) == (hits, 1)
+            assert worker.ep.scope == real_scope(worker.ep.state, microzork)
 
 
 class TestPruning:

@@ -1,14 +1,17 @@
-"""Trainer: fixed-seed determinism, per-ablation smoke runs, parameters and
-loss terms, the combined loss's gradient, config files, loud worker failures,
-and the episode belief loop."""
+"""Trainer: fixed-seed determinism, per-ablation smoke runs, a ``train`` run
+against the pinned behaviour dump, parameters and loss terms, the combined
+loss's gradient, config files, loud worker failures, greedy eval with and
+without the encoder memo, and the episode belief loop."""
 
 import contextlib
 import csv
+import importlib.util
 import json
 import logging
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from kga2c import engine, numerics as nm, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
+PINNED_FULL = Path(__file__).resolve().parent / "data" / "behaviour_full.json"
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +550,53 @@ def test_evaluate_records_no_tape_and_plays_as_with_it(
     assert embeddings and not any(e._parents for e in embeddings)
 
 
+@pytest.mark.parametrize("game", ["microzork", "pantry"])
+def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
+    request, corpus, game, monkeypatch
+):
+    """A greedy episode scores, traces and encodes bitwise as it does with
+    the encoder memo bypassed.  The memo ran fewer channel rows, held at most
+    one entry per channel and step, and is dropped when the episode ends."""
+    spec = replace(request.getfixturevalue(game), turn_cap=300)
+    pipe = trainer.build_pipeline(spec, corpus, SMALL)
+    agent = KgA2CAgent(pipe.space, pipe.model, SMALL.agent, seed=SMALL.seed)
+    encode, encode_channel = KgA2CAgent.encode_observation, KgA2CAgent._encode_channel
+    # memo used -> (o_t of each step, memo size after it, rows each GRU block ran)
+    runs = {True: ([], [], []), False: ([], [], [])}
+
+    def recorded(self, *args):
+        memo = self._enc_memo
+        if not use_memo:
+            self._enc_memo = None
+        try:
+            out = encode(self, *args)
+        finally:
+            self._enc_memo = memo
+        runs[use_memo][0].append(out[0].data)
+        runs[use_memo][1].append(len(memo))
+        return out
+
+    def counted(self, ch, texts, h0s):
+        runs[use_memo][2].append(len(texts))
+        return encode_channel(self, ch, texts, h0s)
+
+    monkeypatch.setattr(KgA2CAgent, "encode_observation", recorded)
+    monkeypatch.setattr(KgA2CAgent, "_encode_channel", counted)
+    results = {}
+    for use_memo in (True, False):
+        trace: list = []
+        results[use_memo] = trainer.evaluate(agent, pipe, 1, seed=1, trace=trace), trace
+        assert agent._enc_memo is None
+    assert results[True] == results[False]
+    memo_encoded, memo_sizes, memo_rows = runs[True]
+    bypass_encoded, bypass_sizes, bypass_rows = runs[False]
+    steps = len(results[True][1])
+    assert len(memo_encoded) == len(bypass_encoded) == steps
+    assert all(np.array_equal(a, b) for a, b in zip(memo_encoded, bypass_encoded))
+    assert 0 < memo_sizes[-1] <= 4 * steps and bypass_sizes[-1] == 0
+    assert sum(bypass_rows) == 4 * steps > sum(memo_rows)
+
+
 def test_episode_observe_at_microzork_start(microzork, microzork_space):
     ep = trainer.Episode(microzork, 0)
     mask, in_scope = ep.observe(microzork_space.vocabulary, 0.0, 0)
@@ -583,6 +634,40 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
         sizes = [r.graph_triples for r in batch.records]
         assert min(sizes) >= 1
         assert row["mean_graph_triples"] == float(np.mean(sizes))
+
+
+@pytest.fixture(scope="module")
+def behaviour_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "behaviour_hash.py"
+    spec = importlib.util.spec_from_file_location("behaviour_hash", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("game", ["microzork", "pantry"])
+def test_train_writes_artifacts_and_matches_the_pinned_behaviour_run(
+    request, corpus, game, tmp_path, behaviour_tool
+):
+    """``train`` under the behaviour-hash settings writes its artifacts, and
+    its ``metrics.jsonl`` rows and final eval are the pinned ``full`` run's."""
+    tool = behaviour_tool
+    spec = replace(request.getfixturevalue(game), turn_cap=tool.TURN_CAP)
+    cfg = trainer.TrainConfig(workers=tool.WORKERS, unroll=tool.UNROLL, seed=tool.SEED,
+                              updates=tool.UPDATES, eval_episodes=1)
+    result = trainer.train(spec, corpus, cfg, out_dir=tmp_path)
+    for name in ("metrics.jsonl", "metrics.csv", "checkpoint.bin"):
+        assert (tmp_path / name).is_file(), name
+    pinned = json.loads(PINNED_FULL.read_text())[game]["full"]
+    rows = [json.loads(line) for line in
+            (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [row["update"] for row in rows] == list(range(tool.UPDATES))
+    assert len(pinned["rows"]) == len(rows)
+    for want, row in zip(pinned["rows"], rows):
+        for key, value in want.items():
+            assert tool.relative_difference(value, row[key]) <= tool.ROW_RTOL, key
+    mean, std, scores = pinned["eval"]
+    assert (result.eval_mean, result.eval_std) == (mean, std) and len(scores) == 1
 
 
 def test_records_carry_the_size_of_the_graph_they_embedded(short_microzork, corpus,
@@ -636,9 +721,9 @@ def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
     valid_at = {}
     valid_set, act = trainer.Pipeline.valid_set, trainer.Episode.act
 
-    def recorded(pipe, state, mask_words, in_scope):
+    def recorded(pipe, state, mask_words, in_scope, *args):
         valid_at[engine.digest(state)] = result = valid_set(
-            pipe, state, mask_words, in_scope)
+            pipe, state, mask_words, in_scope, *args)
         return result
 
     played = []
