@@ -24,32 +24,37 @@ text, the (B,) joint log-prob, and one ``Head`` per decoding step (the
 template head, then each object blank, or each ``seq`` word position) with
 the logits, probabilities and choices of the rows that took it.
 
+``decode_action`` samples, decodes greedily, or replays: in ``replay`` mode
+each row takes the ids a recorded decode chose (``Decoded.choices``), so a
+taped learner pass rebuilds the heads an untaped acting pass sampled.
+
 ``with agent.fixed_parameters():`` is the caller's promise that the
 parameters do not change inside (``nm.adam_step`` on them raises there).
-Inside it ``gat_embed`` keys each graph by its triple set, runs the
-block-diagonal attention only over graphs the scope has not embedded yet,
-and builds every row from the stored ones.  A taped row serves later taped
-passes, so its gradients add up through the tape; a no-grad pass may read
-a taped row; a row computed under ``nm.no_grad()`` has no tape, so a taped
-pass embeds that graph again.
+Inside it, passes that record no tape (under ``nm.no_grad()``) share two
+memos; a taped pass never touches either, and computes afresh.
 
-In a pass that records no tape, ``encode_observation`` keeps a second memo
-in the same scope, keyed by (channel, text, carried hidden bytes): a carried
-hidden often settles into an exact fixed point, so a stuck greedy episode
-repeats most of its encoder rows bit for bit.  Its three rules keep every
-result bitwise equal to computing afresh, because a GRU row's last bits
-depend on the other rows of its block:
-* a row the memo held before the call is read from it;
-* every other row of the channel, duplicates included, runs as one block in
-  row order, and its final hidden is stored, so a call whose rows are all
-  new returns the tensor it would without the memo;
-* a taped pass builds no keys and never touches the memo.
-Greedy eval is B = 1, so a stored row equals a recompute, and the only
-no-grad pass of a training scope, the bootstrap, finds the memo empty.
+* ``gat_embed`` keys each graph by its triple set, runs the block-diagonal
+  attention only over graphs the scope has not embedded yet, and builds
+  every row from the stored blocks.
+* ``encode_observation`` keys each channel row by (channel, text, carried
+  hidden bytes): a carried hidden often settles into an exact fixed point,
+  so a stuck greedy episode repeats most of its encoder rows bit for bit,
+  and a training episode that restarts repeats its first rows.  A row the
+  memo held before the call is read from it; every other row of the
+  channel, duplicates included, runs as one block in row order, and its
+  final hidden is stored, so a call whose rows are all new returns the
+  tensor it would without the memo.
+
+A row's last bits can depend on the rest of its block: a GAT row's on the
+other graphs of its block, and a GRU row's on whether it runs a step alone
+(a one-row product goes through numpy's matrix-vector kernel, which rounds
+differently).  So in a batch of several rows a memo row equals a fresh
+computation up to round-off; in greedy eval (B = 1) it is bitwise equal.
 
 Leaving the outermost scope drops both memos, and a call outside any scope
-computes afresh.  ``trainer.run_rollouts`` holds one scope over an unroll
-and its bootstrap, ``trainer.evaluate`` one per episode.
+computes afresh.  ``trainer.run_rollouts`` holds one no-grad scope over an
+unroll and its bootstrap, ``trainer.evaluate`` one per episode; the learner
+pass runs outside any scope.
 """
 
 from __future__ import annotations
@@ -143,6 +148,15 @@ class Decoded:
     actions: list[str]  # the action text of each row
     log_prob: nm.Tensor  # (B,) joint log-prob of each row's choices
     heads: list[Head]  # in decoding order
+
+    def choices(self) -> list[list[int]]:
+        """Each row's chosen ids in decoding order, which ``decode_action``
+        takes back in ``replay`` mode."""
+        out: list[list[int]] = [[] for _ in self.actions]
+        for head in self.heads:
+            for b, c in zip(head.rows, head.chosen):
+                out[b].append(int(c))
+        return out
 
 
 def score_encode(score: int, width: int) -> np.ndarray:
@@ -315,9 +329,9 @@ class KgA2CAgent:
 
     @contextmanager
     def fixed_parameters(self) -> Iterator[None]:
-        """Hold the parameters fixed: inside, ``gat_embed`` embeds each
-        distinct graph once, a pass that records no tape encodes each
-        (channel, text, carried hidden) once (see the module docstring), and
+        """Hold the parameters fixed: inside, passes that record no tape
+        embed each distinct graph once and encode each (channel, text,
+        carried hidden) once (see the module docstring), and
         ``nm.adam_step`` on them raises.  An inner scope shares the outer
         one's memos; leaving the outermost drops both."""
         if self._gat_memo is not None:
@@ -334,17 +348,17 @@ class KgA2CAgent:
     def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
         """The graph embedding of B graphs, (B, gat_dim).  ``_gat_block``
         embeds the graphs this call needs: each distinct triple set once,
-        and inside ``fixed_parameters`` only those the scope has not stored,
-        or has stored without a tape when this pass records one.  When every
-        graph is new and distinct the block itself is returned; otherwise
-        each row is read from its stored block."""
-        memo = self._gat_memo if self._gat_memo is not None else {}
-        taping = nm.taping()
+        and in a pass that records no tape inside ``fixed_parameters`` only
+        those the scope has not stored.  A taped pass never touches the
+        scope's memo.  When every graph is new and distinct the block itself
+        is returned; otherwise each row is read from its stored block."""
+        memo = self._gat_memo
+        if memo is None or nm.taping():
+            memo = {}
         keys = [frozenset(graph.triples) for graph in graphs]
         fresh: dict[frozenset, KnowledgeGraph] = {}
         for key, graph in zip(keys, graphs):
-            stored = memo.get(key)
-            if stored is None or (taping and not stored[0]._parents):
+            if key not in memo:
                 fresh.setdefault(key, graph)
         if fresh:
             block = self._gat_block(list(fresh.values()))
@@ -453,6 +467,7 @@ class KgA2CAgent:
         masks: Sequence[GraphMask],
         rngs: Sequence[np.random.Generator] | None = None,
         mode: str = "sample",
+        choices: Sequence[Sequence[int]] | None = None,
     ) -> Decoded:
         """Decode one action for each of the B rows of ``s_t``: the template
         head, then one object step per blank (each attending over the state,
@@ -460,18 +475,32 @@ class KgA2CAgent:
         max_seq_words words with an early stop token.  Each step is one head
         over the rows that take it: object blank k runs over the rows whose
         template has more than k blanks, word position k over the rows that
-        have not stopped.  Row b samples with ``rngs[b]``, in decoding
-        order.  Under ``seq`` a row that stops at once plays "look"."""
-        if mode not in ("sample", "greedy"):
+        have not stopped.  Row b samples with ``rngs[b]`` in decoding order
+        (``sample``), takes each head's most probable id (``greedy``), or
+        takes ``choices[b]``, its ids in decoding order as
+        ``Decoded.choices`` gives them (``replay``).  Under ``seq`` a row
+        that stops at once plays "look"."""
+        if mode not in ("sample", "greedy", "replay"):
             raise ValueError(f"unknown decode mode {mode!r}")
         if mode == "sample" and rngs is None:
             raise ValueError("sampling requires an rng")
+        if mode == "replay" and (choices is None or len(choices) != s_t.shape[0]):
+            raise ValueError("replay requires one choice list per row")
         B = s_t.shape[0]
         rngs = rngs if rngs is not None else [None] * B
+
+        def pick(k: int, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+            """The ids that head k chooses for ``rows``, given their probs."""
+            if mode == "replay":
+                ids = [choices[b][k] for b in rows]
+            else:
+                ids = [self._choose(probs[i], rngs[b], mode) for i, b in enumerate(rows)]
+            return np.array(ids, dtype=np.intp)
+
         if self.cfg.ablation == "seq":
-            heads, actions = self._decode_words(s_t, rngs, mode)
+            heads, actions = self._decode_words(s_t, pick)
         else:
-            heads, actions = self._decode_template(s_t, masks, rngs, mode)
+            heads, actions = self._decode_template(s_t, masks, pick)
         log_prob = None
         for head in heads:
             lp = nm.log(nm.take(head.probs, range(len(head.rows)), head.chosen))
@@ -482,13 +511,7 @@ class KgA2CAgent:
             log_prob = lp if log_prob is None else nm.add(log_prob, lp)
         return Decoded(actions, log_prob, heads)
 
-    def _head(self, rows: np.ndarray, logits: nm.Tensor, probs: nm.Tensor,
-              rngs: Sequence, mode: str) -> Head:
-        chosen = np.array([self._choose(probs.data[i], rngs[b], mode)
-                           for i, b in enumerate(rows)], dtype=np.intp)
-        return Head(rows, logits, probs, chosen)
-
-    def _decode_template(self, s_t, masks, rngs, mode) -> tuple[list[Head], list[str]]:
+    def _decode_template(self, s_t, masks, pick) -> tuple[list[Head], list[str]]:
         cfg = self.cfg
         p = self.params
         B = s_t.shape[0]
@@ -497,7 +520,8 @@ class KgA2CAgent:
         )
         t_logits = nm.add(nm.matmul(h_t, p["dec.tmpl.W"]), p["dec.tmpl.b"])
         rows = np.arange(B)  # the rows decoding this step
-        heads = [self._head(rows, t_logits, nm.softmax(t_logits), rngs, mode)]
+        t_probs = nm.softmax(t_logits)
+        heads = [Head(rows, t_logits, t_probs, pick(0, rows, t_probs.data))]
         tids = heads[0].chosen
         blanks = [self.space.templates[tid].blanks for tid in tids]
         if not max(blanks):  # blank-less templates need no object decoder
@@ -518,7 +542,7 @@ class KgA2CAgent:
             h_o = nm.gru_cell(nm.attend(context, query, scale), h_o, obj_gru)
             o_logits = nm.add(nm.matmul(h_o, p["dec.obj.W"]), p["dec.obj.b"])
             o_probs = nm.softmax(o_logits, mask=mask_arr[rows])
-            heads.append(self._head(rows, o_logits, o_probs, rngs, mode))
+            heads.append(Head(rows, o_logits, o_probs, pick(k + 1, rows, o_probs.data)))
             for b, oid in zip(rows, heads[-1].chosen):
                 objects[b].append(self.space.vocabulary[oid])
             if k + 1 < max(blanks):
@@ -526,7 +550,7 @@ class KgA2CAgent:
         actions = [self.space.instantiate(tid, words) for tid, words in zip(tids, objects)]
         return heads, actions
 
-    def _decode_words(self, s_t, rngs, mode) -> tuple[list[Head], list[str]]:
+    def _decode_words(self, s_t, pick) -> tuple[list[Head], list[str]]:
         cfg = self.cfg
         p = self.params
         B = s_t.shape[0]
@@ -537,7 +561,8 @@ class KgA2CAgent:
         rows = np.arange(B)  # the rows still decoding
         for k in range(cfg.max_seq_words):
             logits = nm.add(nm.matmul(h, p["seq.W"]), p["seq.b"])
-            heads.append(self._head(rows, logits, nm.softmax(logits), rngs, mode))
+            probs = nm.softmax(logits)
+            heads.append(Head(rows, logits, probs, pick(k, rows, probs.data)))
             wids = heads[-1].chosen
             keep = np.flatnonzero(wids != self.n_vocab)  # the stop token
             for i in keep:

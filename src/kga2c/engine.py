@@ -878,10 +878,13 @@ def step_core(
 
 
 def step(
-    state: WorldState, action: str, spec: GameSpec
+    state: WorldState, action: str, spec: GameSpec,
+    scope: list[ObjectDef] | None = None,
 ) -> tuple[WorldState, Observation, int, bool]:
-    """Apply one parsed command and render the full observation."""
-    after, response, reward, done = step_core(state, action, spec)
+    """Apply one parsed command and render the full observation.  ``scope``
+    is ``objects_in_scope(state, spec)`` when the caller has it already, as
+    ``step_core`` takes it."""
+    after, response, reward, done = step_core(state, action, spec, scope)
     a_prev = " ".join(action.lower().split()) or SENTINEL_PREV_ACTION
     return after, observation(after, spec, response, a_prev), reward, done
 

@@ -17,10 +17,12 @@ A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
 gate blocks in z, r, n order.  ``gru_sequence`` is the one GRU tape node: it
 runs the recurrence over a (T, in) input for one hidden, or over a padded
 (T, B, in) batch with per-row lengths for B hiddens, and its backward does
-backpropagation through time in one reverse loop, then sends one gradient
-each to X, h0, W, U and b; ``gru_cell`` is its T = 1 case.  The input
-projection X @ W + b is one product over every row and step, not one per
-token; only h @ U runs per step.
+backpropagation through time in one reverse loop over the forward's own
+per-step arrays, then sends one gradient each to X, h0, W, U and b;
+``gru_cell`` is its T = 1 case.  The input projection X @ W + b is one
+product over every row and step, not one per token, and so are d/dX and
+d/dW; h @ U, and d/dU with it, runs per step over the rows still running, so
+the backward builds no (steps x rows)-sized copy of the forward's gates.
 
 ``take`` is the one indexed read: an element, a slice or rows of a tensor
 along axis 0, or the elements at given (row, column) pairs.  Its backward
@@ -420,13 +422,6 @@ def binary_cross_entropy(logits: Tensor, targets) -> Tensor:
 GRU = tuple[Tensor, Tensor, Tensor]  # (W, U, b), see ParameterSet.gru
 
 
-def _spread(packed: np.ndarray, at: np.ndarray, rows: int) -> np.ndarray:
-    """A (rows, k) zero matrix with ``packed``'s rows at the indices ``at``."""
-    out = np.zeros((rows, packed.shape[1]))
-    out[at] = packed
-    return out
-
-
 def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
                  lengths: Sequence[int] | None = None) -> Tensor:
     """The standard gated update (Cho et al. 2014), h' = (1-z)*h + z*n with
@@ -440,9 +435,10 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
 
     X @ W + b is one product.  The rows run longest first, so step t updates
     the prefix of the n_t rows still running.  The forward keeps each step's
-    gates, h @ U and the hidden it read; the backward lays them out as
-    (step, row) arrays, runs backpropagation through time in one reverse loop
-    that fills d(X @ W) and d(h @ U), and then takes one matmul per input.
+    gates, h @ U and the hidden it read.  The backward walks those per-step
+    arrays in one reverse loop: at step t it fills the n_t running rows of
+    d(X @ W), adds h_t^T d(h_t @ U) into dU, and carries dh; then it takes one
+    matmul each for X and W.
     """
     W, U, b = p
     Xd, hd = X.data, h0.data
@@ -504,32 +500,22 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
     out = h[0] if single else h if inverse is None else h[inverse]
 
     def backward(g, grads):
-        ZR, N, HU, Hp = (np.concatenate(a) for a in (zrs, ns, hUs, hs))
-        if len(ZR) < steps * B:  # spread to (steps, B); past a row's end, z = 0
-            at = np.flatnonzero(np.arange(B) < np.array(counts)[:, None])
-            ZR, N, HU, Hp = (_spread(a, at, steps * B) for a in (ZR, N, HU, Hp))
-        Z, R, HUn = ZR[:, :H], ZR[:, H:], HU[:, 2 * H:]
-        # dh_t times fxw[t] gives the (z, r, n) blocks of d(x_t @ W), and
-        # times fhu[t] those of d(h_t @ U), which reaches n through r.  Where
-        # z = 0 both are zero and keep is 1, so a finished row's dh passes
-        # through unchanged.
-        fxw = np.empty((steps * B, 3, H))
-        fxw[:, 0] = (N - Hp) * Z * (1.0 - Z)
-        fxw[:, 2] = Z * (1.0 - N * N)
-        fxw[:, 1] = fxw[:, 2] * HUn * R * (1.0 - R)
-        fhu = fxw.copy()
-        fhu[:, 2] *= R
-        shape = (steps, B, 3, H)
-        fxw, fhu = fxw.reshape(shape), fhu.reshape(shape)
-        keep = (1.0 - Z).reshape(steps, B, H)
-        dXW, dHU = np.empty(shape), np.empty(shape)  # dXW is also d/db
-        dHU_rows, UT = dHU.reshape(steps, B, 3 * H), Ud.T
-        dh = g[None] if single else g if order is None else g[order]
+        # d(x_t @ W) of the rows still running at step t, in (z, r, n)
+        # blocks; past a row's end it stays 0 and the row's dh passes through
+        dXW = np.zeros((steps, B, 3 * H))  # also d/db
+        dU = np.zeros_like(Ud)
+        UT = Ud.T
+        dh = (g[None] if single else g if order is None else g[order]).copy()
         for t in range(steps - 1, -1, -1):
-            d = dh[:, None, :]
-            np.multiply(d, fxw[t], out=dXW[t])
-            np.multiply(d, fhu[t], out=dHU[t])
-            dh = dh * keep[t] + dHU_rows[t] @ UT
+            n, zr, gn, hU, hp = counts[t], zrs[t], ns[t], hUs[t], hs[t]
+            z, r, d, dxw = zr[:, :H], zr[:, H:], dh[:n], dXW[t, :n]
+            dxw[:, 2 * H:] = d * z * (1.0 - gn * gn)
+            dxw[:, :H] = d * (gn - hp) * z * (1.0 - z)
+            dxw[:, H:2 * H] = dxw[:, 2 * H:] * hU[:, 2 * H:] * r * (1.0 - r)
+            dhu = dxw.copy()  # d(h_t @ U): n is reached through r
+            dhu[:, 2 * H:] *= r
+            dU += hp.T @ dhu
+            dh[:n] = d * (1.0 - z) + dhu @ UT
         if inverse is not None:
             dXW, dh = dXW[:, inverse], dh[inverse]
         dXW = dXW.reshape(-1, 3 * H)
@@ -539,7 +525,7 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
         grads[0] = dX[:, 0] if single else dX
         grads[1] = dh[0] if single else dh
         grads[2] = X3[:steps].reshape(-1, n_in).T @ dXW
-        grads[3] = Hp.T @ dHU.reshape(-1, 3 * H)
+        grads[3] = dU
         grads[4] = dXW.sum(axis=0)
 
     return _make(out, (X, h0, W, U, b), backward)

@@ -2,17 +2,28 @@
 
 Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, knowledge graph, encoder state) and
-its own sampling and mask RNGs, and shares the valid-action cache.  As in
-synchronous A2C (Mnih et al. 2016, arXiv 1602.01783), ``run_rollouts`` steps
-them in lockstep: per unroll step every worker prepares its observation, one
-batch-major forward pass decodes all workers' rows, and every worker
-executes its own.  Each row samples from its worker's RNG in the order that
-worker alone would, so the schedule changes no sampled action, and fixed
-seeds give bitwise-identical metrics.
+its own sampling and mask RNGs, and shares the valid-action cache.  Each
+update is two passes, as in IMPALA's split of actors and learner (Espeholt
+et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
+2016, arXiv 1602.01783):
+
+* The acting pass, ``run_rollouts``, records no tape.  It steps the workers
+  in lockstep: per unroll step every worker prepares its observation, one
+  batch-major no-grad pass values and decodes all workers' rows, and every
+  worker executes its own.  Each row samples from its worker's RNG in the
+  order that worker alone would, so the schedule changes no sampled
+  action, and fixed seeds give bitwise-identical metrics.  Each ``Lockstep``
+  keeps what the learner needs as plain data: per row the observation,
+  graph, starting encoder hiddens, mask and chosen ids.
+* The learning pass, ``learner_pass``, is one taped pass over all U x B
+  kept rows of the unroll: ``state_embedding``, ``critic_value`` and
+  ``decode_action`` in ``replay`` mode, which takes the recorded choices
+  instead of sampling.  ``train_step`` then builds ``combined_loss``, walks
+  one backward and takes one Adam step.
 
 Each step's record carries the targets of the terms its ablation trains.
-``combined_loss`` builds each term once per unroll step and decoding head,
-as one value per row of the batch, and adds the terms in one fixed order:
+``combined_loss`` builds each term once per decoding head, as one value per
+row over all rows of the unroll, and adds the terms in one fixed order:
 
     ablation                       decoder       trained besides actor, critic
     full, a2c, no-gat, no-mask     template      template BCE, object BCE per
@@ -199,12 +210,18 @@ class StepRecord:
 
 @dataclass
 class Lockstep:
-    """One unroll step of the live workers: the batch's values and decode,
-    and the record each row's worker made (None if its step raised).  The
-    loss counts only the records that ``RolloutBatch.records`` kept."""
+    """One unroll step of the live workers, as the learner replays it: per
+    row the observation, graph, starting encoder hiddens and mask the acting
+    pass read, the ids each decoding head chose for it (``Decoded.choices``),
+    and the record its worker made (None if its step raised).  Plain data
+    only, no tensors: the acting pass records no tape.  The learner replays
+    only the records that ``RolloutBatch.records`` kept."""
 
-    values: nm.Tensor  # (B,) V(s_t)
-    decoded: Decoded
+    observations: list[engine.Observation]
+    graphs: list[kg.KnowledgeGraph]
+    encs: list[EncoderState]
+    masks: list[kg.GraphMask]
+    choices: list[list[int]]
     records: list[StepRecord | None]
 
 
@@ -220,7 +237,8 @@ class Episode:
     """One episode's belief loop: engine state and observation, the graph
     built from them, encoder hiddens and the last action.  Call ``observe``
     once before each ``act``; ``scope`` is the observed state's
-    ``engine.objects_in_scope``, which ``observe`` computes once per step."""
+    ``engine.objects_in_scope``, which ``observe`` computes once per step and
+    ``act`` hands to the environment step."""
 
     def __init__(self, spec: engine.GameSpec, seed: int,
                  gru_hidden: int = AgentConfig.gru_hidden):
@@ -251,8 +269,11 @@ class Episode:
         return mask, in_scope
 
     def act(self, action: str) -> int:
+        """Execute ``action`` from the observed state, reusing its scope;
+        the scope is stale afterwards, so it is cleared."""
+        scope, self.scope = self.scope, None
         self.state, self.obs, reward, self.done = engine.step(
-            self.state, action, self.spec
+            self.state, action, self.spec, scope
         )
         self.prev_action = action
         return reward
@@ -269,8 +290,9 @@ class Worker:
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
         self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
-        # this worker's row of the step's batch pass: (step, row, new hiddens)
-        self.row: tuple[Lockstep, int, EncoderState] | None = None
+        # this worker's row of the step's batch pass: (step, row, new
+        # hiddens, the pass's decode and (B,) values)
+        self.row: tuple[Lockstep, int, EncoderState, Decoded, np.ndarray] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
@@ -294,19 +316,19 @@ class Worker:
         ``run_rollouts`` runs over all workers first, and advance one
         environment step; returns the record and, when an episode finished,
         its final score."""
-        lockstep, b, enc2 = self.row
+        _, b, enc2, decoded, values = self.row
         mask, valid = self.pending
         self.row = self.pending = None
-        action = lockstep.decoded.actions[b]
+        action = decoded.actions[b]
         if agent.cfg.ablation == "seq":
             action, targets = self._seq_targets(agent, action, valid)
         else:
             targets = self._template_targets(agent, mask, valid)
         reward = float(self.ep.act(action))
         record = StepRecord(
-            self.idx, float(lockstep.values.data[b]),
-            float(lockstep.decoded.log_prob.data[b]), reward, self.ep.done,
-            len(valid), len(mask), len(self.ep.graph), action in valid, **targets)
+            self.idx, float(values[b]), float(decoded.log_prob.data[b]), reward,
+            self.ep.done, len(valid), len(mask), len(self.ep.graph), action in valid,
+            **targets)
         self.ep.enc = enc2
 
         final_score: int | None = None
@@ -404,20 +426,22 @@ class Pipeline:
 def run_rollouts(
     workers: list[Worker], agent: KgA2CAgent, cfg: TrainConfig
 ) -> RolloutBatch:
-    """Advance the live workers unroll-length steps in lockstep and bootstrap
-    V(s_{t+1}) at the boundary.
+    """The acting pass: advance the live workers unroll-length steps in
+    lockstep and bootstrap V(s_{t+1}) at the boundary.
 
     Each unroll step has three phases: every worker prepares its observation
     (graph, mask, valid set), one batch-major pass embeds, values and decodes
     all workers' rows, and every worker executes its row in ``step``.  The
-    bootstrap is one batched critic pass that records no tape.  The unroll
-    and the bootstrap run inside one ``agent.fixed_parameters()`` scope, so
-    each distinct graph is embedded once and a graph's taped row serves
-    every later step that sees it again.  A worker that raises in
-    ``prepare`` or ``step`` is logged and dropped with its records of this
-    unroll, and the others go on; with one worker the error propagates.  The batched passes read only what ``prepare`` built, so an
-    error there is the agent's, not a worker's, and propagates.  The records
-    come out worker-major, and ``steps`` keeps each unroll step's pass."""
+    bootstrap is one more batched critic pass.  The unroll and the bootstrap
+    run under ``nm.no_grad()`` inside one ``agent.fixed_parameters()``
+    scope, so no pass records a tape, each distinct graph is embedded once,
+    and each repeated (channel, text, carried hidden) is encoded once.  A
+    worker that raises in ``prepare`` or ``step`` is logged and dropped with
+    its records of this unroll, and the others go on; with one worker the
+    error propagates.  The batched passes read only what ``prepare`` built,
+    so an error there is the agent's, not a worker's, and propagates.  The
+    records come out worker-major, and ``steps`` keeps what the learner
+    replays of each unroll step."""
     live = [w for w in workers if not w.failed]
     records: dict[int, list[StepRecord]] = {w.idx: [] for w in live}
     finished: list[int] = []
@@ -440,33 +464,34 @@ def run_rollouts(
         return kept
 
     def step(w: Worker) -> None:
-        lockstep, b, _ = w.row
+        lockstep, b = w.row[:2]
         record, final_score = w.step(agent)
         lockstep.records[b] = record
         records[w.idx].append(record)
         if final_score is not None:
             finished.append(final_score)
 
-    with agent.fixed_parameters():
+    with agent.fixed_parameters(), nm.no_grad():
         for _ in range(cfg.unroll):
             live = each(lambda w: w.prepare(), live)
             if not live:
                 break
             s_t, encs = _embed(agent, live)
+            masks = [w.pending[0] for w in live]
+            values = agent.critic_value(s_t).data
+            decoded = agent.decode_action(s_t, masks, [w.rng for w in live])
             lockstep = Lockstep(
-                agent.critic_value(s_t),
-                agent.decode_action(s_t, [w.pending[0] for w in live],
-                                    [w.rng for w in live]),
+                [w.ep.obs for w in live], [w.ep.graph for w in live],
+                [w.ep.enc for w in live], masks, decoded.choices(),
                 [None] * len(live))
             steps.append(lockstep)
             for b, w in enumerate(live):
-                w.row = lockstep, b, encs[b]
+                w.row = lockstep, b, encs[b], decoded, values
             live = each(step, live)
         open_ended = each(lambda w: w.prepare(),
                           [w for w in live if not records[w.idx][-1].done])
         if open_ended:
-            with nm.no_grad():
-                values = agent.critic_value(_embed(agent, open_ended)[0]).data
+            values = agent.critic_value(_embed(agent, open_ended)[0]).data
             for w, v in zip(open_ended, values):
                 records[w.idx][-1].v_next = float(v)
 
@@ -486,57 +511,71 @@ def run_rollouts(
 PARTS = ("actor", "critic", "template", "object", "seq_valid", "entropy")
 
 
+def learner_pass(batch: RolloutBatch, agent: KgA2CAgent) -> tuple[nm.Tensor, Decoded]:
+    """The learning pass: one taped pass over every record the batch kept,
+    one row each, in ``batch.records`` order.  Each row embeds the
+    observation and graph its acting step read, from the encoder hiddens
+    that step started from, and decodes in ``replay`` mode: the ids the
+    acting pass chose, under the mask it chose them with.  Returns V as an
+    (N,) vector and the ``Decoded``, whose heads span all N rows."""
+    at = {id(r): (step, b) for step in batch.steps
+          for b, r in enumerate(step.records) if r is not None}
+    rows = [at[id(r)] for r in batch.records]
+    s_t, _ = agent.state_embedding([step.observations[b] for step, b in rows],
+                                   [step.graphs[b] for step, b in rows],
+                                   [step.encs[b] for step, b in rows])
+    decoded = agent.decode_action(s_t, [step.masks[b] for step, b in rows],
+                                  mode="replay",
+                                  choices=[step.choices[b] for step, b in rows])
+    return agent.critic_value(s_t), decoded
+
+
 def combined_loss(
-    batch: RolloutBatch, cfg: TrainConfig
+    batch: RolloutBatch, values: nm.Tensor, decoded: Decoded, cfg: TrainConfig
 ) -> tuple[nm.Tensor, dict[str, nm.Tensor]]:
-    """The batch loss and its parts, each averaged over the N kept records.
-    Per unroll step, each term is one vector over the rows of the step or of
-    a head, reduced by one product with the rows' weights: 1/N for a kept
-    record, else 0.  The actor and critic terms use Q = r + gamma * V(s') on
-    non-terminal steps; the advantage Q - V takes V from the record's float.
-    A term no record has targets for contributes zero."""
+    """The batch loss and its parts, each averaged over the N records, from
+    the learner pass's ``values`` and ``decoded`` (row i is record i).  Each
+    term is one vector over all rows, or over the rows of one decoding
+    head, reduced by one product with the rows' weights 1/N.  The actor and
+    critic terms use Q = r + gamma * V(s') on non-terminal steps; the
+    advantage Q - V takes V from the record's float.  A term no record has
+    targets for contributes zero."""
     parts: dict[str, list[nm.Tensor]] = {name: [] for name in PARTS}
 
     def reduce(name: str, vector: nm.Tensor, weights: np.ndarray) -> None:
         parts[name].append(nm.matmul(vector, nm.Tensor(weights)))
 
-    n = len(batch.records)
-    kept = {id(r) for r in batch.records}
-    for step in batch.steps:
-        records = [r if id(r) in kept else None for r in step.records]
-        if not any(records):
-            continue
-        weight = np.array([0.0 if r is None else 1.0 / n for r in records])
-        q = np.array([0.0 if r is None else
-                      r.reward + cfg.gamma * r.v_next * (0.0 if r.done else 1.0)
-                      for r in records])
-        value = np.array([0.0 if r is None else r.value for r in records])
-        heads = step.decoded.heads
-        reduce("actor", step.decoded.log_prob, (value - q) * weight)
-        diff = nm.sub(nm.Tensor(q), step.values)
-        reduce("critic", nm.mul(diff, diff), 0.5 * weight)
-        y_tau = _row_targets(records, "valid_templates")
-        if y_tau is not None:
-            reduce("template", nm.binary_cross_entropy(heads[0].logits, y_tau), weight)
-        y_o = _row_targets(records, "valid_objects")
-        support = _row_targets(records, "template_support")
+    records = batch.records
+    weight = np.full(len(records), 1.0 / len(records))
+    q = np.array([r.reward + cfg.gamma * r.v_next * (0.0 if r.done else 1.0)
+                  for r in records])
+    value = np.array([r.value for r in records])
+    heads = decoded.heads
+    reduce("actor", decoded.log_prob, (value - q) * weight)
+    diff = nm.sub(nm.Tensor(q), values)
+    reduce("critic", nm.mul(diff, diff), 0.5 * weight)
+    y_tau = _row_targets(records, "valid_templates")
+    if y_tau is not None:
+        reduce("template", nm.binary_cross_entropy(heads[0].logits, y_tau), weight)
+    y_o = _row_targets(records, "valid_objects")
+    support = _row_targets(records, "template_support")
+    for k, head in enumerate(heads):
+        w = weight[head.rows]
+        if k and y_o is not None:
+            reduce("object", nm.binary_cross_entropy(head.logits, y_o[head.rows]), w)
+        keep = head.probs.data > 0.0
+        if not k and support is not None:
+            keep &= support > 0.0
+        # p log p over each row's support: off it p is 0 and log(p + 1) is 0
+        p = nm.mul(head.probs, nm.Tensor(keep))
+        plogp = nm.mul(p, nm.log(nm.add(p, nm.Tensor(~keep))))
+        reduce("entropy", nm.sum_(plogp, axis=1), w)
+    teacher = _row_targets(records, "teacher", width=len(heads), fill=-1)
+    if teacher is not None:  # zip(positions, teacher ids) per row
         for k, head in enumerate(heads):
-            w = weight[head.rows]
-            if k and y_o is not None:
-                reduce("object", nm.binary_cross_entropy(head.logits, y_o[head.rows]), w)
-            keep = head.probs.data > 0.0
-            if not k and support is not None:
-                keep &= support > 0.0
-            # p log p over each row's support: off it p is 0 and log(p + 1) is 0
-            p = nm.mul(head.probs, nm.Tensor(keep))
-            plogp = nm.mul(p, nm.log(nm.add(p, nm.Tensor(~keep))))
-            reduce("entropy", nm.sum_(plogp, axis=1), w)
-        teacher = _row_targets(records, "teacher", width=len(heads), fill=-1)
-        if teacher is not None:  # zip(positions, teacher ids) per row
-            for k, head in enumerate(heads):
-                target = teacher[head.rows, k]
-                reduce("seq_valid", nm.cross_entropy_with_logits(
-                    head.logits, np.maximum(target, 0)), weight[head.rows] * (target >= 0))
+            target = teacher[head.rows, k]
+            reduce("seq_valid", nm.cross_entropy_with_logits(
+                head.logits, np.maximum(target, 0)), weight[head.rows] * (target >= 0))
     parts = {name: _sum(ts) for name, ts in parts.items()}
     total = parts["actor"]
     for name, weight in (
@@ -548,12 +587,12 @@ def combined_loss(
     return total, parts
 
 
-def _row_targets(records: list[StepRecord | None], name: str,
+def _row_targets(records: list[StepRecord], name: str,
                  width: int | None = None, fill: float = 0.0) -> np.ndarray | None:
     """The records' ``name`` arrays as the rows of one matrix, cut or padded
     with ``fill`` to ``width`` (default: their own), and all ``fill`` for a
     row with none; None when no row has one."""
-    rows = [None if r is None else getattr(r, name) for r in records]
+    rows = [getattr(r, name) for r in records]
     if all(row is None for row in rows):
         return None
     if width is None:
@@ -578,11 +617,12 @@ def _sum(terms: list[nm.Tensor]) -> nm.Tensor:
 def train_step(
     batch: RolloutBatch, agent: KgA2CAgent, cfg: TrainConfig
 ) -> dict[str, float]:
-    """One combined loss over the batch, one Adam step, scalar metrics."""
+    """The learner pass over the batch, its combined loss, one backward and
+    one Adam step; returns scalar metrics."""
     records = batch.records
     if not records:
         raise ValueError("empty rollout batch")
-    total, parts = combined_loss(batch, cfg)
+    total, parts = combined_loss(batch, *learner_pass(batch, agent), cfg)
     if not math.isfinite(total.item()):
         worst = max(records, key=lambda r: abs(r.value) + abs(r.reward))
         raise RuntimeError(

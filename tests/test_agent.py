@@ -376,9 +376,10 @@ def gat_grads(agent, out, weights):
 
 
 def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
-    """Inside the scope a batch that repeats a graph, and a later pass over
-    graphs already stored, take their rows from the stored blocks: values
-    equal fresh calls, and each row's gradient adds into its graph's."""
+    """A taped batch that repeats a graph embeds it once and reads its row
+    for every repeat: values equal fresh calls, and each row's gradient adds
+    into its graph's.  Inside the scope a no-grad pass stores its rows, and
+    a later no-grad pass over graphs already stored reads them."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=11)
     g0, g1 = walk_graphs(pipe, 30, seed=2)[::29]
     assert g0.triples != g1.triples
@@ -387,17 +388,20 @@ def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
     fresh = [agent.gat_embed([g]) for g in graphs]
     want = gat_grads(agent, nm.stack0([nm.take(f, 0) for f in fresh]), weights)
     embedded = record_gat_blocks(agent)
-    with agent.fixed_parameters():
-        out = agent.gat_embed(graphs)
-        again = agent.gat_embed([g1, g0])
-    assert embedded == [2]  # the repeats and the second pass embed nothing
+    out = agent.gat_embed(graphs)
+    assert embedded == [2]  # the repeats embed nothing
     assert out.shape == (4, agent.cfg.gat_dim)
     for b, f in enumerate(fresh):
         assert_close(out.data[b], f.data[0])
-    assert np.array_equal(again.data, out.data[[1, 0]])
     got = gat_grads(agent, out, weights)
     for name, grad in want.items():
         assert_close(got[name], grad)
+    with agent.fixed_parameters(), nm.no_grad():
+        stored = agent.gat_embed(graphs)
+        again = agent.gat_embed([g1, g0])
+    assert embedded == [2, 2]  # the second no-grad pass embeds nothing
+    assert np.array_equal(stored.data, out.data)
+    assert np.array_equal(again.data, out.data[[1, 0]])
 
 
 def test_memo_returns_the_block_when_every_graph_is_new(pipe):
@@ -417,22 +421,28 @@ def test_memo_returns_the_block_when_every_graph_is_new(pipe):
 
 
 def test_memo_no_grad_rows_never_reach_a_taped_pass(pipe):
-    """A graph first embedded under ``no_grad`` is embedded again by a taped
-    pass, whose row reaches the gat.* gradients; a later no_grad pass reads
-    the taped row without embedding."""
+    """A taped pass never touches the scope's memo: a graph first embedded
+    under ``no_grad`` is embedded again by a taped pass, whose row reaches
+    the gat.* gradients, and a graph only a taped pass embedded is embedded
+    again by a later no-grad pass."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
-    graph = walk_graphs(pipe, 5)[-1]
+    graph, other = walk_graphs(pipe, 5)[-1], walk_graphs(pipe, 5)[0]
+    assert graph.triples != other.triples
     embedded = record_gat_blocks(agent)
     with agent.fixed_parameters():
         with nm.no_grad():
             untaped = agent.gat_embed([graph, graph])
-        taped = agent.gat_embed([graph])
+        held = dict(agent._gat_memo)
+        taped = agent.gat_embed([graph, other])
+        assert agent._gat_memo == held
         with nm.no_grad():
             read = agent.gat_embed([graph])
-    assert embedded == [1, 1]
+            late = agent.gat_embed([other])
+    assert embedded == [1, 2, 1]
     assert not untaped._parents and taped._parents and not read._parents
-    assert np.array_equal(taped.data, read.data)
-    grads = gat_grads(agent, taped, nm.Tensor(np.ones((1, agent.cfg.gat_dim))))
+    assert np.array_equal(untaped.data[0], read.data[0])
+    assert_close(taped.data[1], late.data[0])  # equal up to its block's round-off
+    grads = gat_grads(agent, taped, nm.Tensor(np.ones((2, agent.cfg.gat_dim))))
     assert all(np.any(g) for g in grads.values())
 
 
@@ -457,7 +467,7 @@ def test_leaving_the_scope_drops_the_memo(pipe):
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     graph = walk_graphs(pipe, 5)[-1]
     embedded = record_gat_blocks(agent)
-    with agent.fixed_parameters():
+    with agent.fixed_parameters(), nm.no_grad():
         first = agent.gat_embed([graph]).data.copy()
         with agent.fixed_parameters():
             pass
@@ -465,7 +475,7 @@ def test_leaving_the_scope_drops_the_memo(pipe):
         agent.gat_embed([graph])
     assert agent._gat_memo is None and embedded == [1]
     agent.params["gat.out.b"].data = agent.params["gat.out.b"].data + 0.5
-    with agent.fixed_parameters():
+    with agent.fixed_parameters(), nm.no_grad():
         second = agent.gat_embed([graph]).data
     assert embedded == [1, 1]
     assert np.array_equal(second, agent.gat_embed([graph]).data)

@@ -78,6 +78,17 @@ def test_compare_passes_round_off(tool, tmp_path, capsys, edit):
     assert "DIFFER" not in capsys.readouterr().out
 
 
+def test_compare_names_the_worst_rows_key_and_update(tool, tmp_path, capsys):
+    def edit(d):
+        d["corridor"]["full"]["rows"][0]["loss_total"] *= 1 + 1e-14
+        scale_grad_norm(1 + 1e-13)(d)
+
+    assert run_compare(tool, tmp_path, edit) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert " at=grad_norm@1 " in next(line for line in lines if " full " in line)
+    assert " at=- " in next(line for line in lines if " a2c " in line)
+
+
 @pytest.mark.parametrize("edit", [
     scale_grad_norm(1 + 1e-9),
     set_grad_norm(float("nan")),

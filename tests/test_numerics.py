@@ -360,11 +360,13 @@ class TestGRU:
         h0 = rand(rng, len(lengths), H)
         return X, h0, gp
 
-    @pytest.mark.parametrize("lengths", [[5, 2, 0, 5], [0, 3, 1], [4], [2, 2]])
+    @pytest.mark.parametrize("lengths", [[5, 2, 0, 5], [0, 3, 1], [4], [2, 2],
+                                         [7 * b % 11 for b in range(32)]])
     def test_batch_equals_its_rows(self, lengths):
         """Each row of a batch with unequal lengths, zero included, equals
         that row run alone over its own steps, outputs and gradients within
-        1e-12; the padding past a row's end gets zero gradient."""
+        1e-12; the padding past a row's end gets zero gradient.  The last
+        case is the learner pass's size: 32 rows, three of length 0."""
         rng = np.random.default_rng(sum(lengths))
         T = max(lengths) + 1  # padded past the longest row too
         X, h0, gp = self.batch(rng, lengths, T)

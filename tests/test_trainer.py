@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from gradcheck import finite_difference_check
-from test_agent import BATCH_TOL
+from test_agent import BATCH_TOL, row_of
 
 from kga2c import engine, numerics as nm, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
@@ -159,7 +159,8 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation):
         (record,) = batch.records
         held.append(record.value)
         record.value, record.v_next = held[0], 0.5
-        total, terms = trainer.combined_loss(batch, cfg)
+        total, terms = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent),
+                                             cfg)
         parts.update((name, t.item()) for name, t in terms.items())
         return total
 
@@ -172,11 +173,12 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation):
     assert all(parts[name] != 0.0 for name in ("actor", "critic", "entropy") + trained)
 
 
-def reference_parts(batch, cfg):
+def reference_parts(batch, decoded, cfg):
     """Every loss part recomputed one record at a time with numpy, from the
-    heads that decoded the record's row: template BCE, object BCE per blank,
-    p log p over the support, seq CE over zip(positions, teacher ids),
-    -log pi * A and (Q - V)^2 / 2, each summed over the records and averaged."""
+    learner pass's heads that decoded the record's row: template BCE, object
+    BCE per blank, p log p over the support, seq CE over zip(positions,
+    teacher ids), -log pi * A and (Q - V)^2 / 2, each summed over the
+    records and averaged."""
     def bce(x, t):
         return np.mean(np.logaddexp(0.0, x) - x * t)
 
@@ -185,13 +187,10 @@ def reference_parts(batch, cfg):
         return np.sum(p * np.log(p))
 
     parts = dict.fromkeys(trainer.PARTS, 0.0)
-    for record in batch.records:
-        (step, b), = [(step, b) for step in batch.steps
-                      for b, r in enumerate(step.records) if r is record]
+    for b, record in enumerate(batch.records):
         row = [(h.chosen[i], h.logits.data[i], h.probs.data[i])
-               for h in step.decoded.heads for i in np.flatnonzero(h.rows == b)]
+               for h in decoded.heads for i in np.flatnonzero(h.rows == b)]
         q = record.reward + cfg.gamma * record.v_next * (0.0 if record.done else 1.0)
-        assert record.value == step.values.data[b]
         log_pi = sum(np.log(probs[c]) for c, _, probs in row)
         parts["actor"] += -log_pi * (q - record.value)
         parts["critic"] += 0.5 * (q - record.value) ** 2
@@ -243,13 +242,14 @@ def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, a
     if ablation == "seq":
         teachers = [r.teacher for r in batch.records]
         assert sum(t is None for t in teachers) == 1
-        positions = {id(r): sum(b in h.rows for h in step.decoded.heads)
+        positions = {id(r): len(step.choices[b])
                      for step in batch.steps for b, r in enumerate(step.records)}
         lengths = [len(r.teacher) - positions[id(r)]
                    for r in batch.records if r.teacher is not None]
         assert min(lengths) < 0 < max(lengths)  # teachers shorter and longer
-    _, parts = trainer.combined_loss(batch, cfg)
-    want = reference_parts(batch, cfg)
+    values, decoded = trainer.learner_pass(batch, agent)
+    _, parts = trainer.combined_loss(batch, values, decoded, cfg)
+    want = reference_parts(batch, decoded, cfg)
     for name in trainer.PARTS:
         assert abs(parts[name].item() - want[name]) <= 1e-12 * abs(want[name]), name
     trained = {"full": ("template", "object"), "unsupervised": (),
@@ -267,9 +267,10 @@ def test_sampled_object_ids_lie_inside_their_rows_mask(request, corpus, game, mo
     workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
     decode_action, seen = KgA2CAgent.decode_action, []
 
-    def recorded(self, s_t, masks, *args):
-        decoded = decode_action(self, s_t, masks, *args)
-        seen.append((masks, decoded))
+    def recorded(self, s_t, masks, *args, **kwargs):
+        decoded = decode_action(self, s_t, masks, *args, **kwargs)
+        if kwargs.get("mode") != "replay":  # the acting pass samples
+            seen.append((masks, decoded))
         return decoded
 
     monkeypatch.setattr(KgA2CAgent, "decode_action", recorded)
@@ -467,10 +468,10 @@ def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
 def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
     short_microzork, corpus, monkeypatch
 ):
-    """One unroll, its loss and its backward inside ``fixed_parameters``,
-    against the same seeded run whose ``gat_embed`` embeds every row afresh:
-    the same actions, and the loss and every gradient agree, so a graph row
-    shared across lockstep steps adds up its gradients through the tape."""
+    """One unroll, whose acting pass embeds each distinct graph once, and
+    the learner pass's loss and backward, against the same seeded run whose
+    ``gat_embed`` embeds every row afresh: the same actions and records, and
+    the loss and every gradient agree."""
     cfg = replace(SMALL, workers=4, unroll=8)
     rows = {"requested": 0, "embedded": 0}
     gat_embed, gat_block = KgA2CAgent.gat_embed, KgA2CAgent._gat_block
@@ -492,11 +493,10 @@ def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
         agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
         workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
         rows.update(requested=0, embedded=0)
-        with agent.fixed_parameters():
-            batch = trainer.run_rollouts(workers, agent, cfg)
-            total, _ = trainer.combined_loss(batch, cfg)
-            agent.params.zero_grad()
-            nm.backward(total)
+        batch = trainer.run_rollouts(workers, agent, cfg)
+        total, _ = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent), cfg)
+        agent.params.zero_grad()
+        nm.backward(total)
         grads = {n: agent.params[n].grad for n in agent.params.names()}
         return batch, total.item(), grads, dict(rows)
 
@@ -505,14 +505,126 @@ def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
     batch, loss, grads, memo_rows = run()
     monkeypatch.setattr(KgA2CAgent, "gat_embed", unmemoized)
     fresh_batch, fresh_loss, fresh_grads, fresh_rows = run()
-    # 8 taped passes of 4 rows and the bootstrap pass
-    assert fresh_rows["embedded"] == fresh_rows["requested"] == memo_rows["requested"] > 32
+    # 8 acting passes of 4 rows, the bootstrap pass and the learner's 32 rows
+    assert fresh_rows["embedded"] == fresh_rows["requested"] == memo_rows["requested"] > 64
     assert memo_rows["embedded"] < memo_rows["requested"]
-    assert [s.decoded.actions for s in batch.steps] == [
-        s.decoded.actions for s in fresh_batch.steps]
+    assert [s.choices for s in batch.steps] == [s.choices for s in fresh_batch.steps]
+    for got, want in zip(batch.records, fresh_batch.records, strict=True):
+        assert abs(got.value - want.value) <= BATCH_TOL
+        assert abs(got.log_prob - want.log_prob) <= BATCH_TOL
     assert abs(loss - fresh_loss) <= BATCH_TOL * max(abs(fresh_loss), 1.0)
     assert any(n.startswith("gat.") and g is not None for n, g in grads.items())
     for name, want in fresh_grads.items():
+        if want is None:
+            assert grads[name] is None, name
+            continue
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(grads[name] - want).max() <= BATCH_TOL * scale, name
+
+
+def tensors_reachable(root) -> list[nm.Tensor]:
+    """Every ``nm.Tensor`` reachable from ``root`` through containers,
+    dataclass fields and object attributes."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, np.ndarray)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, nm.Tensor):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def replay_setup(microzork, corpus, ablation, monkeypatch):
+    """(cfg, agent, batch, acting decodes): after one update, an unroll of 4
+    workers x 8 steps on microzork with a 6-turn cap, so episodes restart
+    mid-unroll, in which worker 1 fails at its third step.  The acting
+    pass's ``Decoded`` of unroll step k is the k-th entry."""
+    cfg = replace(SMALL, workers=4, unroll=8).with_ablation(ablation)
+    pipe = trainer.build_pipeline(replace(microzork, turn_cap=6), corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    trainer.train_step(trainer.run_rollouts(workers, agent, cfg), agent, cfg)
+    acting, decode_action = [], KgA2CAgent.decode_action
+
+    def recorded(self, *args, **kwargs):
+        decoded = decode_action(self, *args, **kwargs)
+        if kwargs.get("mode") != "replay":
+            acting.append(decoded)
+        return decoded
+
+    monkeypatch.setattr(KgA2CAgent, "decode_action", recorded)
+    fail_at_step_two(workers[1])
+    batch = trainer.run_rollouts(workers, agent, cfg)
+    assert batch.degraded_workers == 1 and len(acting) == len(batch.steps) == cfg.unroll
+    assert sum(r.done for r in batch.records) >= 3
+    return cfg, agent, batch, acting
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_learner_pass_equals_the_acting_pass(microzork, corpus, ablation, monkeypatch):
+    """The learner's V, joint log-probs, choices and every head's logits and
+    probs equal the no-grad acting pass's, row by row; the batch holds no
+    tensor, and the learner replays only the kept records."""
+    _, agent, batch, acting = replay_setup(microzork, corpus, ablation, monkeypatch)
+    assert tensors_reachable(batch) == [] and tensors_reachable(acting[0])
+    values, decoded = trainer.learner_pass(batch, agent)
+    assert values._parents and decoded.log_prob._parents
+    assert values.shape == decoded.log_prob.shape == (len(batch.records),)
+    at = {id(r): (k, b) for k, step in enumerate(batch.steps)
+          for b, r in enumerate(step.records)}
+    for i, record in enumerate(batch.records):
+        k, b = at[id(record)]
+        assert abs(values.data[i] - record.value) <= BATCH_TOL
+        assert abs(decoded.log_prob.data[i] - record.log_prob) <= BATCH_TOL
+        assert decoded.actions[i] == acting[k].actions[b]
+        got, want = row_of(decoded, i), row_of(acting[k], b)
+        assert [c for c, _, _ in got] == [c for c, _, _ in want] == batch.steps[k].choices[b]
+        for (_, logits, probs), (_, acting_logits, acting_probs) in zip(got, want):
+            assert np.abs(logits - acting_logits).max() <= BATCH_TOL
+            assert np.abs(probs - acting_probs).max() <= BATCH_TOL
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_learner_loss_and_gradients_equal_a_per_step_replay(
+    microzork, corpus, ablation, monkeypatch
+):
+    """One taped pass over all kept rows gives the loss, its parts and every
+    gradient that replaying each unroll step as its own taped pass gives,
+    each step's loss weighted by its share of the records."""
+    cfg, agent, batch, _ = replay_setup(microzork, corpus, ablation, monkeypatch)
+
+    def backward(total):
+        agent.params.zero_grad()
+        nm.backward(total)
+        return {n: agent.params[n].grad for n in agent.params.names()}
+
+    total, parts = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent), cfg)
+    grads = backward(total)
+    kept = {id(r) for r in batch.records}
+    ref_total, ref_parts = nm.Tensor(0.0), dict.fromkeys(trainer.PARTS, 0.0)
+    for step in batch.steps:
+        records = [r for r in step.records if id(r) in kept]
+        sub = trainer.RolloutBatch(records, [], 0, [step])
+        share = len(records) / len(batch.records)
+        step_total, step_parts = trainer.combined_loss(
+            sub, *trainer.learner_pass(sub, agent), cfg)
+        ref_total = nm.add(ref_total, nm.mul(nm.Tensor(share), step_total))
+        for name, t in step_parts.items():
+            ref_parts[name] += share * t.item()
+    ref_grads = backward(ref_total)
+    assert abs(total.item() - ref_total.item()) <= BATCH_TOL * max(abs(ref_total.item()), 1.0)
+    for name, want in ref_parts.items():
+        assert abs(parts[name].item() - want) <= BATCH_TOL * max(abs(want), 1.0), name
+    for name, want in ref_grads.items():
         if want is None:
             assert grads[name] is None, name
             continue
@@ -608,6 +720,26 @@ def test_episode_observe_at_microzork_start(microzork, microzork_space):
     assert ep.prev_action == "take key"
     ep.observe(microzork_space.vocabulary, 0.0, 0)
     assert ("you", "have", "key") in ep.graph.triples
+
+
+@pytest.mark.parametrize("action", ["take key", "open mailbox", "examine key",
+                                    "north", "take nothing"])
+def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, action,
+                                               monkeypatch):
+    """``act`` hands ``observe``'s scope to the environment step, which then
+    computes none, and the step equals one that computes its own."""
+    ep = trainer.Episode(microzork, 0)
+    ep.observe(microzork_space.vocabulary, 0.0, 0)
+    before = ep.state
+    want = engine.step(before, action, microzork)
+    scopes, real_scope = [], engine.objects_in_scope
+    monkeypatch.setattr(engine, "objects_in_scope",
+                        lambda *a: scopes.append(a) or real_scope(*a))
+    reward = ep.act(action)
+    assert scopes == [] and ep.scope is None
+    assert (ep.state, ep.obs, reward, ep.done) == want
+    assert engine.step(before, action, microzork)[0] == want[0]
+    assert scopes == [] if action == "north" else len(scopes) == 1
 
 
 def test_train_writes_health_counters(short_corridor, corpus, tmp_path):

@@ -15,9 +15,10 @@ refactor that claims unchanged behaviour prints the same lines as its parent.
 ``--dump FILE`` prints the same lines and also writes every run's unhashed
 rows, eval result and trace to FILE as JSON.  ``--compare PARENT CHANGE``
 reads two such files, runs nothing, and prints per game and ablation the
-worst relative difference over the rows' values and whether the eval results
-and the traces' actions are equal; a trace that is empty in the parent is
-skipped.  It exits 1 if a row value differs by more than 1e-12 relative, if
+worst relative difference over the rows' values, with the update and the
+row key where it occurs (``at=-`` when no value differs), and whether the
+eval results and the traces' actions are equal; a trace that is empty in
+the parent is skipped.  It exits 1 if a row value differs by more than 1e-12 relative, if
 a NaN or an infinity stands where the parent has another value, if a run is
 missing, or if any eval result or action differs, so a refactor whose
 arithmetic changes only by round-off passes where its hashes do not.
@@ -89,16 +90,22 @@ def relative_difference(a, b) -> float:
     return math.inf
 
 
-def worst_row_difference(parent: list[dict], change: list[dict]) -> float:
+def worst_row_difference(parent: list[dict], change: list[dict]
+                         ) -> tuple[float, int | None, str | None]:
+    """(the worst relative difference over the rows' values, the update and
+    the key where it first occurs); update and key are None when nothing
+    differs, and the key is None when the rows' lengths or keys differ."""
     if len(parent) != len(change):
-        return math.inf
-    worst = 0.0
-    for p, c in zip(parent, change):
+        return math.inf, None, None
+    worst, at, at_key = 0.0, None, None
+    for update, (p, c) in enumerate(zip(parent, change)):
         if p.keys() != c.keys():
-            return math.inf
+            return math.inf, update, None
         for key in p:
-            worst = max(worst, relative_difference(p[key], c[key]))
-    return worst
+            diff = relative_difference(p[key], c[key])
+            if diff > worst:
+                worst, at, at_key = diff, update, key
+    return worst, at, at_key
 
 
 def compare(parent_path: str, change_path: str) -> int:
@@ -112,7 +119,8 @@ def compare(parent_path: str, change_path: str) -> int:
                 print(game, ablation, "missing from", change_path)
                 failed = True
                 continue
-            worst = worst_row_difference(p["rows"], c["rows"])
+            worst, update, key = worst_row_difference(p["rows"], c["rows"])
+            at = "-" if update is None else f"{key or 'keys'}@{update}"
             eval_equal = p["eval"] == c["eval"]
             if p["trace"]:
                 actions_equal = ([r["action"] for r in p["trace"]]
@@ -120,7 +128,7 @@ def compare(parent_path: str, change_path: str) -> int:
                 actions = "equal" if actions_equal else "DIFFER"
             else:
                 actions_equal, actions = True, "skipped (empty in parent)"
-            print(f"{game} {ablation} rows_rel={worst:.2g} "
+            print(f"{game} {ablation} rows_rel={worst:.2g} at={at} "
                   f"eval={'equal' if eval_equal else 'DIFFERS'} actions={actions}")
             failed |= not (worst <= ROW_RTOL and eval_equal and actions_equal)
     return 1 if failed else 0
