@@ -30,8 +30,8 @@ taped learner pass rebuilds the heads an untaped acting pass sampled.
 
 ``with agent.fixed_parameters():`` is the caller's promise that the
 parameters do not change inside (``nm.adam_step`` on them raises there).
-Inside it, passes that record no tape (under ``nm.no_grad()``) share two
-memos; a taped pass never touches either, and computes afresh.
+The scope enters ``nm.no_grad()``, so no pass inside records a tape, and
+every pass inside shares two memos:
 
 * ``gat_embed`` keys each graph by its triple set, runs the block-diagonal
   attention only over graphs the scope has not embedded yet, and builds
@@ -51,10 +51,11 @@ other graphs of its block, and a GRU row's on whether it runs a step alone
 differently).  So in a batch of several rows a memo row equals a fresh
 computation up to round-off; in greedy eval (B = 1) it is bitwise equal.
 
-Leaving the outermost scope drops both memos, and a call outside any scope
-computes afresh.  ``trainer.run_rollouts`` holds one no-grad scope over an
-unroll and its bootstrap, ``trainer.evaluate`` one per episode; the learner
-pass runs outside any scope.
+Leaving the outermost scope drops both memos and records the tape again.
+Outside any scope every pass computes afresh, except that ``gat_embed``
+still embeds each distinct graph of one call once.  ``trainer.run_rollouts``
+holds one scope over an unroll and its bootstrap, ``trainer.evaluate`` one
+per episode; the taped learner pass runs outside any scope.
 """
 
 from __future__ import annotations
@@ -100,8 +101,10 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        if self.gat_heads < 1 or self.emb_dim < 1:
-            raise ValueError("gat_heads and emb_dim must be positive")
+        for name in ("emb_dim", "gru_hidden", "obs_dim", "gat_heads", "gat_dim",
+                     "dec_hidden", "max_seq_words"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.score_width < 2:
             raise ValueError("score_width must be at least 2")
 
@@ -195,7 +198,7 @@ class KgA2CAgent:
         self._encode_cache: dict[str, tuple[int, ...]] = {}
         # inside fixed_parameters(): triple set -> (GAT block, its row)
         self._gat_memo: dict[frozenset, tuple[nm.Tensor, int]] | None = None
-        # inside fixed_parameters(), for no-grad passes:
+        # inside fixed_parameters():
         # (channel, text, carried hidden bytes) -> that row's final hidden
         self._enc_memo: dict[tuple[str, str, bytes], np.ndarray] | None = None
 
@@ -281,12 +284,11 @@ class KgA2CAgent:
         embeddings, padded to the longest text; an empty text has length 0,
         which carries its row's hidden unchanged.
 
-        Inside ``fixed_parameters``, in a pass that records no tape, a row
-        whose (channel, text, carried hidden) the scope's encoder memo held
-        before this call is read from it; the channel's other rows,
-        duplicates included, run as one block in row order, and their
-        finals are stored.  A taped pass never touches the memo."""
-        memo = self._enc_memo if not nm.taping() else None
+        Inside ``fixed_parameters``, a row whose (channel, text, carried
+        hidden) the scope's encoder memo held before this call is read from
+        it; the channel's other rows, duplicates included, run as one block
+        in row order, and their finals are stored."""
+        memo = self._enc_memo
         finals = []
         new_hiddens: list[dict[str, np.ndarray]] = [{} for _ in encs]
         for ch, field_name in zip(CHANNELS, ("o_desc", "o_game", "o_inv", "a_prev")):
@@ -329,9 +331,9 @@ class KgA2CAgent:
 
     @contextmanager
     def fixed_parameters(self) -> Iterator[None]:
-        """Hold the parameters fixed: inside, passes that record no tape
-        embed each distinct graph once and encode each (channel, text,
-        carried hidden) once (see the module docstring), and
+        """Hold the parameters fixed: inside, no pass records a tape, each
+        distinct graph is embedded once and each (channel, text, carried
+        hidden) encoded once (see the module docstring), and
         ``nm.adam_step`` on them raises.  An inner scope shares the outer
         one's memos; leaving the outermost drops both."""
         if self._gat_memo is not None:
@@ -340,7 +342,8 @@ class KgA2CAgent:
         self._gat_memo, self._enc_memo = {}, {}
         self.params.fixed = True
         try:
-            yield
+            with nm.no_grad():
+                yield
         finally:
             self._gat_memo = self._enc_memo = None
             self.params.fixed = False
@@ -348,13 +351,10 @@ class KgA2CAgent:
     def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
         """The graph embedding of B graphs, (B, gat_dim).  ``_gat_block``
         embeds the graphs this call needs: each distinct triple set once,
-        and in a pass that records no tape inside ``fixed_parameters`` only
-        those the scope has not stored.  A taped pass never touches the
-        scope's memo.  When every graph is new and distinct the block itself
-        is returned; otherwise each row is read from its stored block."""
-        memo = self._gat_memo
-        if memo is None or nm.taping():
-            memo = {}
+        and inside ``fixed_parameters`` only those the scope has not stored.
+        When every graph is new and distinct the block itself is returned;
+        otherwise each row is read from its stored block."""
+        memo = {} if self._gat_memo is None else self._gat_memo
         keys = [frozenset(graph.triples) for graph in graphs]
         fresh: dict[frozenset, KnowledgeGraph] = {}
         for key, graph in zip(keys, graphs):

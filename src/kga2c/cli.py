@@ -107,12 +107,11 @@ def cmd_play(args) -> int:
             continue
         if command.startswith(":load"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
-            ep.state = engine.restore(Path(path).read_bytes())
-            ep.obs = engine.observation(ep.state, spec)
-            # the graph and the last action belong to the abandoned timeline
-            ep.graph = kg.KnowledgeGraph()
-            ep.prev_action = engine.SENTINEL_PREV_ACTION
-            ep.done = False
+            state = engine.restore(Path(path).read_bytes())
+            # a fresh episode: the graph and the last action belong to the
+            # abandoned timeline
+            ep = trainer.Episode(spec, args.seed or 0)
+            ep.state, ep.obs = state, engine.observation(state, spec)
             ep.observe(space.vocabulary, 0.0, 0)
             print(f"Restored from {path}.")
             continue

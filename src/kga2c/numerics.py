@@ -5,7 +5,9 @@ agent needs.  Each op records a backward closure; ``backward`` walks the tape
 in reverse topological order with a fixed accumulation order, so repeated
 backward passes over the same graph are bitwise repeatable and gradients
 accumulate until explicitly zeroed.  Inside ``no_grad()`` ops record nothing,
-for forward passes that nothing differentiates.
+for forward passes that nothing differentiates; the agent's
+``fixed_parameters`` enters it for its whole scope, and no code asks whether
+it is inside.
 
 The agent runs batch-major: the leading axis of its activations is the row
 (one per worker), so each op here covers all rows in one call.  ``attend``
@@ -88,11 +90,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _taping = saved
-
-
-def taping() -> bool:
-    """Whether ops record the tape here: False inside ``no_grad()``."""
-    return _taping
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -258,18 +255,6 @@ def log(x: Tensor) -> Tensor:
         grads[0] = g / x.data
 
     return _make(np.log(x.data), (x,), backward)
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-
-    def backward(g, grads):
-        if axis is None:
-            grads[0] = np.full_like(x.data, float(g) / n)
-        else:
-            grads[0] = np.repeat(np.expand_dims(g / n, axis), n, axis=axis)
-
-    return _make(x.data.mean(axis=axis), (x,), backward)
 
 
 def sum_(x: Tensor, axis: int | None = None) -> Tensor:

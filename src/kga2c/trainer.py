@@ -9,14 +9,14 @@ et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
 
 * The acting pass, ``run_rollouts``, records no tape.  It steps the workers
   in lockstep: per unroll step every worker prepares its observation, one
-  batch-major no-grad pass values and decodes all workers' rows, and every
-  worker executes its own.  Each row samples from its worker's RNG in the
-  order that worker alone would, so the schedule changes no sampled
-  action, and fixed seeds give bitwise-identical metrics.  Each ``Lockstep``
-  keeps what the learner needs as plain data: per row the observation,
-  graph, starting encoder hiddens, mask and chosen ids.
+  batch-major pass values and decodes all workers' rows, and every worker
+  executes its own.  Each row samples from its worker's RNG in the order
+  that worker alone would, so the schedule changes no sampled action, and
+  fixed seeds give bitwise-identical metrics.  Each step's ``StepRecord``
+  keeps what the learner replays as plain data: the observation, graph,
+  starting encoder hiddens and mask its row read, and the ids it chose.
 * The learning pass, ``learner_pass``, is one taped pass over all U x B
-  kept rows of the unroll: ``state_embedding``, ``critic_value`` and
+  kept records of the unroll: ``state_embedding``, ``critic_value`` and
   ``decode_action`` in ``replay`` mode, which takes the recorded choices
   instead of sampling.  ``train_step`` then builds ``combined_loss``, walks
   one backward and takes one Adam step.
@@ -189,7 +189,8 @@ def _indicator(size: int, ids: Iterable[int]) -> np.ndarray:
 @dataclass
 class StepRecord:
     """One worker's environment step: floats for the actor and critic terms,
-    and the targets of the terms its ablation trains (None where it trains
+    what the learner replays of its acting row (plain data, no tensors), and
+    the targets of the terms its ablation trains (None where it trains
     none)."""
 
     worker: int
@@ -198,9 +199,12 @@ class StepRecord:
     reward: float
     done: bool
     valid_count: int
-    mask_size: int
-    graph_triples: int  # the size of the graph the step embedded
     executed_valid: bool
+    obs: engine.Observation
+    graph: kg.KnowledgeGraph
+    enc: EncoderState  # the encoder hiddens the step started from
+    mask: kg.GraphMask
+    choices: list[int]  # the ids each decoding head chose (``Decoded.choices``)
     v_next: float = 0.0
     valid_templates: np.ndarray | None = None  # 0/1 over templates
     valid_objects: np.ndarray | None = None  # 0/1 over V, every blank's target
@@ -209,28 +213,10 @@ class StepRecord:
 
 
 @dataclass
-class Lockstep:
-    """One unroll step of the live workers, as the learner replays it: per
-    row the observation, graph, starting encoder hiddens and mask the acting
-    pass read, the ids each decoding head chose for it (``Decoded.choices``),
-    and the record its worker made (None if its step raised).  Plain data
-    only, no tensors: the acting pass records no tape.  The learner replays
-    only the records that ``RolloutBatch.records`` kept."""
-
-    observations: list[engine.Observation]
-    graphs: list[kg.KnowledgeGraph]
-    encs: list[EncoderState]
-    masks: list[kg.GraphMask]
-    choices: list[list[int]]
-    records: list[StepRecord | None]
-
-
-@dataclass
 class RolloutBatch:
     records: list[StepRecord]  # worker-major, each worker's steps in order
     episodes_finished: list[int]  # final scores of episodes that ended
     degraded_workers: int = 0
-    steps: list[Lockstep] = field(default_factory=list)
 
 
 class Episode:
@@ -290,9 +276,9 @@ class Worker:
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
         self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
-        # this worker's row of the step's batch pass: (step, row, new
-        # hiddens, the pass's decode and (B,) values)
-        self.row: tuple[Lockstep, int, EncoderState, Decoded, np.ndarray] | None = None
+        # this worker's row of the step's batch pass: (new hiddens, action,
+        # value, log-prob, chosen ids)
+        self.row: tuple[EncoderState, str, float, float, list[int]] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
@@ -316,20 +302,19 @@ class Worker:
         ``run_rollouts`` runs over all workers first, and advance one
         environment step; returns the record and, when an episode finished,
         its final score."""
-        _, b, enc2, decoded, values = self.row
+        enc2, action, value, log_prob, choices = self.row
         mask, valid = self.pending
         self.row = self.pending = None
-        action = decoded.actions[b]
         if agent.cfg.ablation == "seq":
             action, targets = self._seq_targets(agent, action, valid)
         else:
             targets = self._template_targets(agent, mask, valid)
-        reward = float(self.ep.act(action))
-        record = StepRecord(
-            self.idx, float(values[b]), float(decoded.log_prob.data[b]), reward,
-            self.ep.done, len(valid), len(mask), len(self.ep.graph), action in valid,
-            **targets)
-        self.ep.enc = enc2
+        ep = self.ep
+        obs, graph, enc = ep.obs, ep.graph, ep.enc
+        reward = float(ep.act(action))
+        record = StepRecord(self.idx, value, log_prob, reward, ep.done, len(valid),
+                            action in valid, obs, graph, enc, mask, choices, **targets)
+        ep.enc = enc2
 
         final_score: int | None = None
         if record.done:
@@ -433,19 +418,17 @@ def run_rollouts(
     (graph, mask, valid set), one batch-major pass embeds, values and decodes
     all workers' rows, and every worker executes its row in ``step``.  The
     bootstrap is one more batched critic pass.  The unroll and the bootstrap
-    run under ``nm.no_grad()`` inside one ``agent.fixed_parameters()``
-    scope, so no pass records a tape, each distinct graph is embedded once,
-    and each repeated (channel, text, carried hidden) is encoded once.  A
-    worker that raises in ``prepare`` or ``step`` is logged and dropped with
-    its records of this unroll, and the others go on; with one worker the
-    error propagates.  The batched passes read only what ``prepare`` built,
-    so an error there is the agent's, not a worker's, and propagates.  The
-    records come out worker-major, and ``steps`` keeps what the learner
-    replays of each unroll step."""
+    run inside one ``agent.fixed_parameters()`` scope, so no pass records a
+    tape, each distinct graph is embedded once, and each repeated (channel,
+    text, carried hidden) is encoded once.  A worker that raises in
+    ``prepare`` or ``step`` is logged and dropped with its records of this
+    unroll, and the others go on; with one worker the error propagates.  The
+    batched passes read only what ``prepare`` built, so an error there is
+    the agent's, not a worker's, and propagates.  The records come out
+    worker-major."""
     live = [w for w in workers if not w.failed]
     records: dict[int, list[StepRecord]] = {w.idx: [] for w in live}
     finished: list[int] = []
-    steps: list[Lockstep] = []
 
     def each(fn: Callable[[Worker], object], rows: list[Worker]) -> list[Worker]:
         """The rows for which fn(row) returned; the others are dropped."""
@@ -464,29 +447,24 @@ def run_rollouts(
         return kept
 
     def step(w: Worker) -> None:
-        lockstep, b = w.row[:2]
         record, final_score = w.step(agent)
-        lockstep.records[b] = record
         records[w.idx].append(record)
         if final_score is not None:
             finished.append(final_score)
 
-    with agent.fixed_parameters(), nm.no_grad():
+    with agent.fixed_parameters():
         for _ in range(cfg.unroll):
             live = each(lambda w: w.prepare(), live)
             if not live:
                 break
             s_t, encs = _embed(agent, live)
-            masks = [w.pending[0] for w in live]
             values = agent.critic_value(s_t).data
-            decoded = agent.decode_action(s_t, masks, [w.rng for w in live])
-            lockstep = Lockstep(
-                [w.ep.obs for w in live], [w.ep.graph for w in live],
-                [w.ep.enc for w in live], masks, decoded.choices(),
-                [None] * len(live))
-            steps.append(lockstep)
-            for b, w in enumerate(live):
-                w.row = lockstep, b, encs[b], decoded, values
+            decoded = agent.decode_action(s_t, [w.pending[0] for w in live],
+                                          [w.rng for w in live])
+            rows = zip(encs, decoded.actions, values.tolist(),
+                       decoded.log_prob.data.tolist(), decoded.choices())
+            for w, row in zip(live, rows):
+                w.row = row
             live = each(step, live)
         open_ended = each(lambda w: w.prepare(),
                           [w for w in live if not records[w.idx][-1].done])
@@ -501,7 +479,7 @@ def run_rollouts(
             if not record.done:
                 record.v_next = following.value
     return RolloutBatch([r for own in kept for r in own], finished,
-                        sum(w.failed for w in workers), steps)
+                        sum(w.failed for w in workers))
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +496,11 @@ def learner_pass(batch: RolloutBatch, agent: KgA2CAgent) -> tuple[nm.Tensor, Dec
     that step started from, and decodes in ``replay`` mode: the ids the
     acting pass chose, under the mask it chose them with.  Returns V as an
     (N,) vector and the ``Decoded``, whose heads span all N rows."""
-    at = {id(r): (step, b) for step in batch.steps
-          for b, r in enumerate(step.records) if r is not None}
-    rows = [at[id(r)] for r in batch.records]
-    s_t, _ = agent.state_embedding([step.observations[b] for step, b in rows],
-                                   [step.graphs[b] for step, b in rows],
-                                   [step.encs[b] for step, b in rows])
-    decoded = agent.decode_action(s_t, [step.masks[b] for step, b in rows],
-                                  mode="replay",
-                                  choices=[step.choices[b] for step, b in rows])
+    records = batch.records
+    s_t, _ = agent.state_embedding([r.obs for r in records], [r.graph for r in records],
+                                   [r.enc for r in records])
+    decoded = agent.decode_action(s_t, [r.mask for r in records], mode="replay",
+                                  choices=[r.choices for r in records])
     return agent.critic_value(s_t), decoded
 
 
@@ -640,7 +614,7 @@ def train_step(
         loss_total=total.item(),
         grad_norm=grad_norm,
         mean_valid_actions=float(np.mean([r.valid_count for r in records])),
-        mean_mask_size=float(np.mean([r.mask_size for r in records])),
+        mean_mask_size=float(np.mean([len(r.mask) for r in records])),
         sampled_valid_rate=sampled_valid_rate,
         # under seq every step is decoded word by word
         seq_valid_rate=sampled_valid_rate if agent.cfg.ablation == "seq" else 0.0,
@@ -749,7 +723,7 @@ def train(
                 degraded_workers=batch.degraded_workers,
                 valid_cache_hit_rate=hits / requests if requests else 0.0,
                 valid_cache_entries=len(pipe._valid_cache),
-                mean_graph_triples=float(np.mean([r.graph_triples for r in batch.records])),
+                mean_graph_triples=float(np.mean([len(r.graph) for r in batch.records])),
                 oracle_truncated=pipe.oracle_truncated - truncated,
             )
             row = {k: row[k] for k in METRIC_KEYS}
@@ -793,7 +767,7 @@ def evaluate(
 ) -> tuple[float, float, list[int]]:
     """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
     p_m = 0 so evaluation is deterministic.  Each episode runs inside one
-    ``agent.fixed_parameters()`` scope under ``nm.no_grad()``, so a graph
+    ``agent.fixed_parameters()`` scope, so no pass records a tape, a graph
     that stays the same across steps is embedded once, and a (channel, text,
     carried hidden) row the episode met before is read from the encoder memo
     instead of run again; both give the values computing afresh gives, and
@@ -807,9 +781,8 @@ def evaluate(
         with agent.fixed_parameters():
             while not ep.done:
                 mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
-                with nm.no_grad():  # nothing differentiates an eval step
-                    s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-                    decoded = agent.decode_action(s_t, [mask], mode="greedy")
+                s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+                decoded = agent.decode_action(s_t, [mask], mode="greedy")
                 action = decoded.actions[0]
                 if trace is not None:
                     trace.append(_trace_row(agent, decoded, mask, ep.graph, action))

@@ -17,6 +17,12 @@ from kga2c import agent as agent_module, numerics as nm, tokenizer as tok, train
 from kga2c.agent import CHANNELS, AgentConfig, KgA2CAgent
 
 
+def mean_rows(x):
+    """The mean of a matrix's rows, as one product with weights 1/n."""
+    n = x.shape[0]
+    return nm.matmul(nm.Tensor(np.full(n, 1.0 / n)), x)
+
+
 def loop_gat_embed(agent, graph):
     """Reference: per-node attention over explicit neighbour lists, each
     node's feature built from its own embedding lookups."""
@@ -25,14 +31,14 @@ def loop_gat_embed(agent, graph):
 
     def feature(node):
         ids = agent._token_ids(node)
-        ent = (nm.mean(nm.take(emb, ids), axis=0) if ids
+        ent = (mean_rows(nm.take(emb, ids)) if ids
                else nm.Tensor(np.zeros(cfg.emb_dim)))
         rel_vecs = []
         for rel in sorted(r for _, r, o in graph.triples if o == node):
             rel_ids = agent._token_ids(rel.replace("_", " "))
             if rel_ids:
-                rel_vecs.append(nm.mean(nm.take(emb, rel_ids), axis=0))
-        return nm.add(ent, nm.mean(nm.stack0(rel_vecs), axis=0)) if rel_vecs else ent
+                rel_vecs.append(mean_rows(nm.take(emb, rel_ids)))
+        return nm.add(ent, mean_rows(nm.stack0(rel_vecs))) if rel_vecs else ent
 
     nodes = sorted(graph.nodes())
     feats = nm.stack0([feature(n) for n in nodes])
@@ -59,7 +65,7 @@ def loop_gat_embed(agent, graph):
             outs.append(nm.sigmoid(nm.matmul(alpha, nm.take(u, nbrs))))
         per_head.append(outs)
     per_node = [nm.concat([h[i] for h in per_head]) for i in range(len(nodes))]
-    pooled = nm.mean(nm.stack0(per_node), axis=0)
+    pooled = mean_rows(nm.stack0(per_node))
     return nm.tanh(nm.add(nm.matmul(pooled, p["gat.out.W"]), p["gat.out.b"]))
 
 
@@ -174,10 +180,11 @@ def test_whole_agent_gradcheck(pipe):
 
 
 def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
-    """Two rows that share one graph, with different encoder hiddens, inside
-    ``fixed_parameters``: the GAT runs over the one graph and its row feeds
-    both, so the row's gradient comes from two uses.  Every finite-difference
-    evaluation opens its own scope, so each sees the perturbed parameters."""
+    """Two rows that share one graph, with different encoder hiddens, in one
+    taped pass: ``gat_embed`` runs the GAT over the one graph and its row
+    feeds both, so the row's gradient comes from two uses.  Outside
+    ``fixed_parameters`` nothing is stored between calls, so every
+    finite-difference evaluation sees the perturbed parameters."""
     cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
                       score_width=4, dec_hidden=4)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
@@ -190,11 +197,9 @@ def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
     embedded = record_gat_blocks(agent)
 
     def scalar():
-        with agent.fixed_parameters():
-            s_t, _ = agent.state_embedding([ep.obs] * 2, [ep.graph] * 2,
-                                           [ep.enc, carried])
-            decoded = agent.decode_action(s_t, [mask] * 2, mode="greedy")
-            return nm.sum_(nm.add(decoded.log_prob, agent.critic_value(s_t)))
+        s_t, _ = agent.state_embedding([ep.obs] * 2, [ep.graph] * 2, [ep.enc, carried])
+        decoded = agent.decode_action(s_t, [mask] * 2, mode="greedy")
+        return nm.sum_(nm.add(decoded.log_prob, agent.critic_value(s_t)))
 
     names = [n for n in agent.params.names() if n.startswith("gat.")]
     finite_difference_check(scalar, [agent.params[n] for n in names])
@@ -378,8 +383,8 @@ def gat_grads(agent, out, weights):
 def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
     """A taped batch that repeats a graph embeds it once and reads its row
     for every repeat: values equal fresh calls, and each row's gradient adds
-    into its graph's.  Inside the scope a no-grad pass stores its rows, and
-    a later no-grad pass over graphs already stored reads them."""
+    into its graph's.  Inside the scope a pass stores its rows, and a later
+    pass over graphs already stored reads them."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=11)
     g0, g1 = walk_graphs(pipe, 30, seed=2)[::29]
     assert g0.triples != g1.triples
@@ -396,10 +401,10 @@ def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
     got = gat_grads(agent, out, weights)
     for name, grad in want.items():
         assert_close(got[name], grad)
-    with agent.fixed_parameters(), nm.no_grad():
+    with agent.fixed_parameters():
         stored = agent.gat_embed(graphs)
         again = agent.gat_embed([g1, g0])
-    assert embedded == [2, 2]  # the second no-grad pass embeds nothing
+    assert embedded == [2, 2]  # the second pass in the scope embeds nothing
     assert np.array_equal(stored.data, out.data)
     assert np.array_equal(again.data, out.data[[1, 0]])
 
@@ -421,29 +426,56 @@ def test_memo_returns_the_block_when_every_graph_is_new(pipe):
 
 
 def test_memo_no_grad_rows_never_reach_a_taped_pass(pipe):
-    """A taped pass never touches the scope's memo: a graph first embedded
-    under ``no_grad`` is embedded again by a taped pass, whose row reaches
-    the gat.* gradients, and a graph only a taped pass embedded is embedded
-    again by a later no-grad pass."""
+    """The scope's rows carry no tape, and no taped pass reads them: a graph
+    the scope embedded is embedded again by a taped pass after it, whose
+    rows reach the gat.* gradients, and a graph only a taped pass embedded
+    is embedded again by the next scope."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     graph, other = walk_graphs(pipe, 5)[-1], walk_graphs(pipe, 5)[0]
     assert graph.triples != other.triples
     embedded = record_gat_blocks(agent)
     with agent.fixed_parameters():
-        with nm.no_grad():
-            untaped = agent.gat_embed([graph, graph])
-        held = dict(agent._gat_memo)
-        taped = agent.gat_embed([graph, other])
-        assert agent._gat_memo == held
-        with nm.no_grad():
-            read = agent.gat_embed([graph])
-            late = agent.gat_embed([other])
+        untaped = agent.gat_embed([graph, graph])
+        read = agent.gat_embed([graph])
+    taped = agent.gat_embed([graph, other])
+    with agent.fixed_parameters():
+        late = agent.gat_embed([other])
     assert embedded == [1, 2, 1]
     assert not untaped._parents and taped._parents and not read._parents
     assert np.array_equal(untaped.data[0], read.data[0])
-    assert_close(taped.data[1], late.data[0])  # equal up to its block's round-off
+    # equal up to their blocks' round-off
+    assert_close(taped.data, [read.data[0], late.data[0]])
     grads = gat_grads(agent, taped, nm.Tensor(np.ones((2, agent.cfg.gat_dim))))
     assert all(np.any(g) for g in grads.values())
+
+
+def test_fixed_parameters_records_no_tape_without_no_grad(pipe):
+    """Inside the scope no pass records a tape, with no ``nm.no_grad()`` of
+    the caller's; an inner scope keeps it untaped, also once the inner one
+    is left; leaving the outer scope tapes again, with the same values; and
+    ``adam_step`` is refused inside."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
+    ep = trainer.Episode(pipe.spec, 0, agent.cfg.gru_hidden)
+    mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+
+    def one_pass():
+        s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
+        decoded = agent.decode_action(s_t, [mask], mode="greedy")
+        return [s_t, agent.critic_value(s_t), decoded.log_prob]
+
+    with agent.fixed_parameters():
+        inside = one_pass()
+        with agent.fixed_parameters():
+            nested = one_pass()
+        after_inner = one_pass()
+        with pytest.raises(RuntimeError, match="fixed"):
+            nm.adam_step(agent.params)
+    outside = one_pass()
+    assert not any(t._parents for t in inside + nested + after_inner)
+    assert all(t._parents for t in outside)
+    for untaped, taped in zip(inside, outside):
+        assert np.array_equal(untaped.data, taped.data)
+    assert agent.params.adam_t == 0
 
 
 def test_adam_step_inside_the_scope_raises(pipe):
@@ -467,7 +499,7 @@ def test_leaving_the_scope_drops_the_memo(pipe):
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     graph = walk_graphs(pipe, 5)[-1]
     embedded = record_gat_blocks(agent)
-    with agent.fixed_parameters(), nm.no_grad():
+    with agent.fixed_parameters():
         first = agent.gat_embed([graph]).data.copy()
         with agent.fixed_parameters():
             pass
@@ -475,7 +507,7 @@ def test_leaving_the_scope_drops_the_memo(pipe):
         agent.gat_embed([graph])
     assert agent._gat_memo is None and embedded == [1]
     agent.params["gat.out.b"].data = agent.params["gat.out.b"].data + 0.5
-    with agent.fixed_parameters(), nm.no_grad():
+    with agent.fixed_parameters():
         second = agent.gat_embed([graph]).data
     assert embedded == [1, 1]
     assert np.array_equal(second, agent.gat_embed([graph]).data)
@@ -521,7 +553,7 @@ def test_enc_memo_reads_a_repeated_pair_without_running_the_gru(
     obs, _, enc, _ = states[4]
     want, (want_enc,) = agent.encode_observation([obs], [enc])  # no scope, taped
     rows = count_gru_rows(monkeypatch)
-    with agent.fixed_parameters(), nm.no_grad():
+    with agent.fixed_parameters():
         first, (enc1,) = agent.encode_observation([obs], [enc])
         second, (enc2,) = agent.encode_observation([obs], [enc])
     assert rows == [1] * len(CHANNELS)  # the second call runs no GRU
@@ -556,19 +588,21 @@ def test_enc_memo_new_rows_with_duplicates_equal_the_unmemoized_call(
 
 
 def test_enc_memo_is_untouched_by_a_taped_pass(batch_agent, states, monkeypatch):
+    """A taped pass runs outside the scope, where no memo is kept: it runs
+    every row, including one the scope before it stored, fills nothing, and
+    reaches every encoder gradient; the next scope starts empty."""
     agent = batch_agent
     (o0, _, e0, _), (o1, _, e1, _) = states[5], states[8]
     rows = count_gru_rows(monkeypatch)
     with agent.fixed_parameters():
-        with nm.no_grad():
-            agent.encode_observation([o0], [e0])
-        held = dict(agent._enc_memo)
-        taped, _ = agent.encode_observation([o0, o1], [e0, e1])
-        assert agent._enc_memo.keys() == held.keys()
-        assert all(agent._enc_memo[k] is v for k, v in held.items())
-    assert len(held) == len(CHANNELS)
-    assert rows == [1] * len(CHANNELS) + [2] * len(CHANNELS)
-    assert taped._parents
+        untaped, _ = agent.encode_observation([o0], [e0])
+        assert len(agent._enc_memo) == len(CHANNELS)
+    taped, _ = agent.encode_observation([o0, o1], [e0, e1])
+    with agent.fixed_parameters():
+        assert agent._enc_memo == {}
+        agent.encode_observation([o0], [e0])
+    assert rows == [1] * len(CHANNELS) + [2] * len(CHANNELS) + [1] * len(CHANNELS)
+    assert not untaped._parents and taped._parents
     agent.params.zero_grad()
     nm.backward(nm.sum_(taped))
     for ch in CHANNELS:

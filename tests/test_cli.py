@@ -50,6 +50,16 @@ def test_fractional_worker_count_in_a_config_exits_2_naming_the_field(tmp_path, 
     assert not (tmp_path / "run").exists()
 
 
+def test_zero_agent_size_in_a_config_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"ablation": "seq", "agent": {"max_seq_words": 0}}))
+    argv = ["train", "--game", "corridor", "--config", str(path),
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    assert "max_seq_words must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_inspect_checkpoint_exits_0(corridor, tmp_path, capsys):
     path = tmp_path / "checkpoint.bin"
     agent = _save_checkpoint(corridor, "full", path)

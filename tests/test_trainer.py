@@ -230,21 +230,17 @@ def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, a
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
     workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
     trainer.train_step(trainer.run_rollouts(workers, agent, cfg), agent, cfg)
-    if ablation == "full":
-        fail_at_step_two(workers[1])
+    calls = fail_at_step_two(workers[1]) if ablation == "full" else []
     if ablation == "seq":
         empty_valid_set_at_step(workers[2], 1)
     batch = trainer.run_rollouts(workers, agent, cfg)
     if ablation == "full":  # dropped at step 2, its rows of steps 0 and 1 with it
         assert batch.degraded_workers == 1 and len(batch.records) == 2 * cfg.unroll
-        dropped = batch.steps[1].records[1]  # made, then dropped with its worker
-        assert dropped.worker == 1 and dropped not in batch.records
+        assert len(calls) == 3 and all(r.worker != 1 for r in batch.records)
     if ablation == "seq":
         teachers = [r.teacher for r in batch.records]
         assert sum(t is None for t in teachers) == 1
-        positions = {id(r): len(step.choices[b])
-                     for step in batch.steps for b, r in enumerate(step.records)}
-        lengths = [len(r.teacher) - positions[id(r)]
+        lengths = [len(r.teacher) - len(r.choices)
                    for r in batch.records if r.teacher is not None]
         assert min(lengths) < 0 < max(lengths)  # teachers shorter and longer
     values, decoded = trainer.learner_pass(batch, agent)
@@ -458,8 +454,8 @@ def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
         rows = [r for r in together.records if r.worker == i]
         assert len(rows) == len(alone.records) == cfg.unroll
         for got, want in zip(rows, alone.records):
-            assert (got.reward, got.done, got.valid_count, got.mask_size) == (
-                want.reward, want.done, want.valid_count, want.mask_size)
+            assert (got.reward, got.done, got.valid_count, len(got.mask), got.choices) == (
+                want.reward, want.done, want.valid_count, len(want.mask), want.choices)
             for a, b in ((got.value, want.value), (got.log_prob, want.log_prob),
                          (got.v_next, want.v_next)):
                 assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
@@ -508,7 +504,7 @@ def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
     # 8 acting passes of 4 rows, the bootstrap pass and the learner's 32 rows
     assert fresh_rows["embedded"] == fresh_rows["requested"] == memo_rows["requested"] > 64
     assert memo_rows["embedded"] < memo_rows["requested"]
-    assert [s.choices for s in batch.steps] == [s.choices for s in fresh_batch.steps]
+    assert [r.choices for r in batch.records] == [r.choices for r in fresh_batch.records]
     for got, want in zip(batch.records, fresh_batch.records, strict=True):
         assert abs(got.value - want.value) <= BATCH_TOL
         assert abs(got.log_prob - want.log_prob) <= BATCH_TOL
@@ -544,29 +540,33 @@ def tensors_reachable(root) -> list[nm.Tensor]:
 
 
 def replay_setup(microzork, corpus, ablation, monkeypatch):
-    """(cfg, agent, batch, acting decodes): after one update, an unroll of 4
-    workers x 8 steps on microzork with a 6-turn cap, so episodes restart
-    mid-unroll, in which worker 1 fails at its third step.  The acting
-    pass's ``Decoded`` of unroll step k is the k-th entry."""
+    """(cfg, agent, batch, acting decodes, acting rows): after one update, an
+    unroll of 4 workers x 8 steps on microzork with a 6-turn cap, so
+    episodes restart mid-unroll, in which worker 1 fails at its third step.
+    The acting pass's ``Decoded`` of unroll step k is the k-th decode, and
+    the i-th acting row is the (k, b) of record i: it was row b of step k,
+    found by the identity of the mask that row decoded under."""
     cfg = replace(SMALL, workers=4, unroll=8).with_ablation(ablation)
     pipe = trainer.build_pipeline(replace(microzork, turn_cap=6), corpus, cfg)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
     workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
     trainer.train_step(trainer.run_rollouts(workers, agent, cfg), agent, cfg)
-    acting, decode_action = [], KgA2CAgent.decode_action
+    acting, at, decode_action = [], {}, KgA2CAgent.decode_action
 
-    def recorded(self, *args, **kwargs):
-        decoded = decode_action(self, *args, **kwargs)
+    def recorded(self, s_t, masks, *args, **kwargs):
+        decoded = decode_action(self, s_t, masks, *args, **kwargs)
         if kwargs.get("mode") != "replay":
+            at.update((id(m), (len(acting), b)) for b, m in enumerate(masks))
             acting.append(decoded)
         return decoded
 
     monkeypatch.setattr(KgA2CAgent, "decode_action", recorded)
     fail_at_step_two(workers[1])
     batch = trainer.run_rollouts(workers, agent, cfg)
-    assert batch.degraded_workers == 1 and len(acting) == len(batch.steps) == cfg.unroll
+    assert batch.degraded_workers == 1 and len(acting) == cfg.unroll
     assert sum(r.done for r in batch.records) >= 3
-    return cfg, agent, batch, acting
+    assert len(at) == sum(len(d.actions) for d in acting)  # one mask object a row
+    return cfg, agent, batch, acting, [at[id(r.mask)] for r in batch.records]
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -574,20 +574,17 @@ def test_learner_pass_equals_the_acting_pass(microzork, corpus, ablation, monkey
     """The learner's V, joint log-probs, choices and every head's logits and
     probs equal the no-grad acting pass's, row by row; the batch holds no
     tensor, and the learner replays only the kept records."""
-    _, agent, batch, acting = replay_setup(microzork, corpus, ablation, monkeypatch)
+    _, agent, batch, acting, rows = replay_setup(microzork, corpus, ablation, monkeypatch)
     assert tensors_reachable(batch) == [] and tensors_reachable(acting[0])
     values, decoded = trainer.learner_pass(batch, agent)
     assert values._parents and decoded.log_prob._parents
     assert values.shape == decoded.log_prob.shape == (len(batch.records),)
-    at = {id(r): (k, b) for k, step in enumerate(batch.steps)
-          for b, r in enumerate(step.records)}
-    for i, record in enumerate(batch.records):
-        k, b = at[id(record)]
+    for i, (record, (k, b)) in enumerate(zip(batch.records, rows)):
         assert abs(values.data[i] - record.value) <= BATCH_TOL
         assert abs(decoded.log_prob.data[i] - record.log_prob) <= BATCH_TOL
         assert decoded.actions[i] == acting[k].actions[b]
         got, want = row_of(decoded, i), row_of(acting[k], b)
-        assert [c for c, _, _ in got] == [c for c, _, _ in want] == batch.steps[k].choices[b]
+        assert [c for c, _, _ in got] == [c for c, _, _ in want] == record.choices
         for (_, logits, probs), (_, acting_logits, acting_probs) in zip(got, want):
             assert np.abs(logits - acting_logits).max() <= BATCH_TOL
             assert np.abs(probs - acting_probs).max() <= BATCH_TOL
@@ -600,7 +597,7 @@ def test_learner_loss_and_gradients_equal_a_per_step_replay(
     """One taped pass over all kept rows gives the loss, its parts and every
     gradient that replaying each unroll step as its own taped pass gives,
     each step's loss weighted by its share of the records."""
-    cfg, agent, batch, _ = replay_setup(microzork, corpus, ablation, monkeypatch)
+    cfg, agent, batch, acting, rows = replay_setup(microzork, corpus, ablation, monkeypatch)
 
     def backward(total):
         agent.params.zero_grad()
@@ -609,11 +606,10 @@ def test_learner_loss_and_gradients_equal_a_per_step_replay(
 
     total, parts = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent), cfg)
     grads = backward(total)
-    kept = {id(r) for r in batch.records}
     ref_total, ref_parts = nm.Tensor(0.0), dict.fromkeys(trainer.PARTS, 0.0)
-    for step in batch.steps:
-        records = [r for r in step.records if id(r) in kept]
-        sub = trainer.RolloutBatch(records, [], 0, [step])
+    for step in range(len(acting)):
+        records = [r for r, (k, _) in zip(batch.records, rows) if k == step]
+        sub = trainer.RolloutBatch(records, [], 0)
         share = len(records) / len(batch.records)
         step_total, step_parts = trainer.combined_loss(
             sub, *trainer.learner_pass(sub, agent), cfg)
@@ -650,7 +646,8 @@ def test_evaluate_records_no_tape_and_plays_as_with_it(
         return out
 
     monkeypatch.setattr(KgA2CAgent, "state_embedding", recorded)
-    monkeypatch.setattr(trainer.nm, "no_grad", contextlib.nullcontext)
+    # no scope: every pass taped and computed afresh
+    monkeypatch.setattr(KgA2CAgent, "fixed_parameters", lambda self: contextlib.nullcontext())
     taped: list = []
     assert trainer.evaluate(agent, pipe, 2, seed=1, trace=taped) == result
     assert taped == trace
@@ -763,7 +760,7 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
     for row, step_row, batch in zip(rows, step_rows, batches):
         assert {k: row[k] for k in step_row} == step_row
         assert "mean_graph_triples" not in step_row
-        sizes = [r.graph_triples for r in batch.records]
+        sizes = [len(r.graph) for r in batch.records]
         assert min(sizes) >= 1
         assert row["mean_graph_triples"] == float(np.mean(sizes))
 
@@ -804,18 +801,24 @@ def test_train_writes_artifacts_and_matches_the_pinned_behaviour_run(
 
 def test_records_carry_the_size_of_the_graph_they_embedded(short_microzork, corpus,
                                                           monkeypatch):
+    """Each record holds the graph its acting row embedded, and the learner
+    embeds exactly the records' graphs."""
     embedded = []
     state_embedding = KgA2CAgent.state_embedding
 
     def recorded(self, observations, graphs, encs):
-        embedded.append([len(g) for g in graphs])
+        embedded.append(list(graphs))
         return state_embedding(self, observations, graphs, encs)
 
     monkeypatch.setattr(KgA2CAgent, "state_embedding", recorded)
     _, _, _, (batch,) = _run(short_microzork, corpus, SMALL, 1)
-    by_step = [[r.graph_triples for r in step.records] for step in batch.steps]
-    assert by_step == embedded[:SMALL.unroll]
-    assert len({n for sizes in by_step for n in sizes}) > 1
+    unroll, records = SMALL.unroll, batch.records  # worker-major
+    by_step = [[records[w * unroll + k] for w in range(SMALL.workers)]
+               for k in range(unroll)]
+    ids = [[id(g) for g in graphs] for graphs in embedded]
+    assert [[id(r.graph) for r in rows] for rows in by_step] == ids[:unroll]
+    assert ids[-1] == [id(r.graph) for r in records]  # the learner pass
+    assert len({len(r.graph) for r in records}) > 1
 
 
 def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
@@ -884,6 +887,15 @@ def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
 def test_config_rejects_values_that_break_a_run(field, value):
     with pytest.raises(ValueError, match=field):
         trainer.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_seq_words", 0), ("gru_hidden", 0), ("gru_hidden", -1), ("obs_dim", 0),
+    ("gat_dim", 0), ("dec_hidden", 0), ("emb_dim", 0), ("gat_heads", 0),
+])
+def test_agent_config_rejects_sizes_that_break_a_run(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        AgentConfig(**{field: value})
 
 
 def test_config_keeps_zero_learning_rate_and_edge_probabilities():
