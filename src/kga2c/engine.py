@@ -14,6 +14,16 @@ and the command's tokens, memoized per game, and a resolution of its object
 spans against the state's scope, done on every call.  Rewards and victory
 are stated as data: one table per section maps a predicate kind to its arity
 and its state test.
+
+The scope of a state (``objects_in_scope``) and its words
+(``in_scope_words``) are memoized in one slot per game,
+``GameSpec.scope_slot``, holding the last state asked about.  The slot is
+keyed by the state object's identity, not its value: a ``WorldState`` is
+frozen and the slot holds a strong reference to it, so the object cannot
+change or be recycled while it is there, and the check costs no hashing.
+One slot fits the traffic, because the callers read one state in turn: an
+env step's detection probes, its in-scope words, its valid-action probes
+and the step itself all ask about the state just observed.
 """
 
 from __future__ import annotations
@@ -190,6 +200,13 @@ class GameSpec:
         """Command tokens -> their readings, filled by ``parse``.  A reading
         depends only on the game and the tokens, never on a state."""
         return {}
+
+    @cached_property
+    def scope_slot(self) -> list:
+        """``[state, its objects in scope, their words or None]`` for the
+        last state ``objects_in_scope`` was asked about (see the module
+        docstring)."""
+        return [None, (), None]
 
 
 @dataclass(frozen=True)
@@ -544,8 +561,17 @@ def _normalize_loc(loc: str) -> str:
     return loc
 
 
-def objects_in_scope(state: WorldState, spec: GameSpec) -> list[ObjectDef]:
-    """Objects in the current room, the inventory, and open containers here."""
+def objects_in_scope(state: WorldState, spec: GameSpec) -> tuple[ObjectDef, ...]:
+    """Objects in the current room, the inventory, and open containers here,
+    in declaration order; memoized in ``spec.scope_slot`` (see the module
+    docstring)."""
+    slot = spec.scope_slot
+    if slot[0] is not state:
+        slot[:] = state, _objects_in_scope(state, spec), None
+    return slot[1]
+
+
+def _objects_in_scope(state: WorldState, spec: GameSpec) -> tuple[ObjectDef, ...]:
     loc = dict(state.locations)
     out = []
     for oid in spec.objects:  # declaration order for stable rendering
@@ -559,20 +585,18 @@ def objects_in_scope(state: WorldState, spec: GameSpec) -> list[ObjectDef]:
                 not holder.openable or f"open:{holder_id}" in state.flags
             ):
                 out.append(spec.objects[oid])
-    return out
+    return tuple(out)
 
 
-def in_scope_words(state: WorldState, spec: GameSpec,
-                   scope: list[ObjectDef] | None = None) -> tuple[str, ...]:
-    """All single words that can refer to an in-scope object (handicap).
-    ``scope`` is ``objects_in_scope(state, spec)`` when the caller has it."""
-    if scope is None:
-        scope = objects_in_scope(state, spec)
-    words: set[str] = set()
-    for obj in scope:
-        for ref in obj.reference_words:
-            words.update(ref.split())
-    return tuple(sorted(words))
+def in_scope_words(state: WorldState, spec: GameSpec) -> tuple[str, ...]:
+    """All single words that can refer to an in-scope object (handicap),
+    sorted; kept in ``spec.scope_slot`` beside the state's scope."""
+    scope = objects_in_scope(state, spec)
+    slot = spec.scope_slot
+    if slot[2] is None:
+        slot[2] = tuple(sorted({word for obj in scope for ref in obj.reference_words
+                                for word in ref.split()}))
+    return slot[2]
 
 
 def _listing(objs: Iterable[ObjectDef]) -> str:
@@ -809,15 +833,15 @@ def _parse(tokens: tuple[str, ...], spec: GameSpec) -> tuple[Reading, ...]:
     return tuple(readings)
 
 
-def _resolve_object(text: str, scope: list[ObjectDef]) -> ObjectDef | str | None:
-    """Resolve a span's text to one in-scope object.
+def _resolve_object(text: str, objs: Sequence[ObjectDef]) -> ObjectDef | str | None:
+    """Resolve a span's text to one of ``objs``, the objects in scope.
 
     Returns the object, an ambiguity failure string, or None when nothing in
     scope matches.  Matching prefers the longest alias (most words).
     """
     best: list[ObjectDef] = []
     best_len = 0
-    for obj in scope:
+    for obj in objs:
         for alias in obj.reference_words:
             if alias == text:
                 alias_len = len(alias.split())
@@ -838,24 +862,21 @@ def _resolve_object(text: str, scope: list[ObjectDef]) -> ObjectDef | str | None
 
 
 def step_core(
-    state: WorldState, action: str, spec: GameSpec,
-    scope: list[ObjectDef] | None = None,
+    state: WorldState, action: str, spec: GameSpec
 ) -> tuple[WorldState, str, int, bool]:
     """Render-free transition: (successor, parser response, reward, done).
 
     Never mutates ``state``; failures are in-fiction responses and leave the
     world unchanged.  Used directly by the valid-action oracle, where the
-    observation channels are not needed.  ``scope`` is
-    ``objects_in_scope(state, spec)`` when the caller has it already, as the
-    oracle does for its many probes of one state; by default it is computed
-    when a reading has an object span.  The command's parse comes from the
+    observation channels are not needed.  The command's parse comes from the
     game's memo (``parse``); its spans are resolved against this state's
-    scope on every call, so the result is the one an unmemoized parse gives.
-    The step changed the world, and counts as valid, iff the canonical
-    fields that ``digest`` covers differ.
+    scope (``objects_in_scope``, memoized per state) on every call, so the
+    result is the one an unmemoized parse gives.  The step changed the
+    world, and counts as valid, iff the canonical fields that ``digest``
+    covers differ.
     """
     tokens = tuple(action.lower().split())
-    response, after = _execute(state, tokens, spec, scope)
+    response, after = _execute(state, tokens, spec)
 
     reward = 0
     score, collected = after.score, after.collected
@@ -878,30 +899,27 @@ def step_core(
 
 
 def step(
-    state: WorldState, action: str, spec: GameSpec,
-    scope: list[ObjectDef] | None = None,
+    state: WorldState, action: str, spec: GameSpec
 ) -> tuple[WorldState, Observation, int, bool]:
-    """Apply one parsed command and render the full observation.  ``scope``
-    is ``objects_in_scope(state, spec)`` when the caller has it already, as
-    ``step_core`` takes it."""
-    after, response, reward, done = step_core(state, action, spec, scope)
+    """Apply one parsed command and render the full observation."""
+    after, response, reward, done = step_core(state, action, spec)
     a_prev = " ".join(action.lower().split()) or SENTINEL_PREV_ACTION
     return after, observation(after, spec, response, a_prev), reward, done
 
 
 def _execute(
-    state: WorldState, tokens: tuple[str, ...], spec: GameSpec,
-    scope: list[ObjectDef] | None = None,
+    state: WorldState, tokens: tuple[str, ...], spec: GameSpec
 ) -> tuple[str, WorldState]:
     """(response, state after the command's effect) for ``tokens``.
 
     The readings come from ``parse``, which depends only on the game and the
-    tokens; resolving their spans against ``scope`` (default: computed from
-    ``state`` when first needed) is the part that depends on the state.
+    tokens; resolving their spans against the state's scope, read once when
+    a reading first has spans, is the part that depends on the state.
     Readings come most structured first (see ``GameSpec.verb_index``); the
     first that dispatches wins, else the first failure is the answer.
     """
     first_failure: tuple[str, WorldState] | None = None
+    scope: tuple[ObjectDef, ...] | None = None
     for meaning, spans in parse(tokens, spec):
         if meaning is None:
             if first_failure is None:

@@ -101,23 +101,19 @@ def _tagged_words(text: str, spec: engine.GameSpec) -> list[str]:
 
 
 def detect_interactive_objects(
-    obs: engine.Observation, state: engine.WorldState, spec: engine.GameSpec,
-    scope: list[engine.ObjectDef] | None = None,
+    obs: engine.Observation, state: engine.WorldState, spec: engine.GameSpec
 ) -> list[str]:
     """Candidate nouns/adjectives from o_desc and o_game that examine cleanly.
 
     The examine probe runs against a throwaway copy of the state (snapshot
     semantics), so detection never perturbs the engine.  Every probe reads
-    the same state, so its scope is computed once (or is ``scope``, when
-    the caller has ``engine.objects_in_scope(state, spec)`` already) and
-    handed to each.
+    the same state, so the engine's scope memo computes its scope at most
+    once.
     """
     guard = engine.digest(state)
-    if scope is None:
-        scope = engine.objects_in_scope(state, spec)
     detected: list[str] = []
     for word in _tagged_words(obs.o_desc + "\n" + obs.o_game, spec):
-        _, response, _, _ = engine.step_core(state, f"examine {word}", spec, scope)
+        _, response, _, _ = engine.step_core(state, f"examine {word}", spec)
         if not engine.is_failure(response):
             detected.append(word)
     assert engine.digest(state) == guard

@@ -7,9 +7,9 @@ candidate word set, probes each one against the state with the render-free
 the caller's state untouched.
 
 Only fillers that can change the world are probed: the candidates whose
-every token is an in-scope word (``engine.in_scope_words``, computed here
-from the state) or a parser word (``GameSpec.parser_words``).  A token of a
-world-changing command lands in one of three places, and each is covered:
+every token is an in-scope word (``engine.in_scope_words``) or a parser word
+(``GameSpec.parser_words``).  A token of a world-changing command lands in
+one of three places, and each is covered:
 
 * an object span, which resolves only to the reference words of an in-scope
   object, so an out-of-scope word never changes the world there;
@@ -24,11 +24,13 @@ survive: the result equals probing every candidate.
 A probe pays only for what depends on the state.  The parse of a command
 (its template readings and object spans) depends only on the game and the
 command, so ``engine.parse`` memoizes it per game and each command is parsed
-once, whatever the state.  The scope (``engine.objects_in_scope``) depends
-only on the state, so it is computed once per call and handed to every
-probe.  Each probe still resolves its spans against that scope and applies
-the command to this state, so it is the same transition ``engine.step``
-makes, and the result stays exact.
+once, whatever the state.  The scope (``engine.objects_in_scope``) and its
+words depend only on the state, and the engine memoizes them for the last
+state asked about, so every probe of one call reads one scope, computed at
+most once, and usually already by the observation's detection probes.
+Each probe still resolves its spans against that scope and applies the
+command to this state, so it is the same transition ``engine.step`` makes,
+and the result stays exact.
 """
 
 from __future__ import annotations
@@ -64,12 +66,9 @@ def probe_words(
     spec: engine.GameSpec,
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
-    in_scope: Iterable[str] | None = None,
 ) -> tuple[str, ...]:
     """The candidate words (default: full V, else sorted) that can change the
-    world in ``state``, in candidate order.  ``in_scope`` is
-    ``engine.in_scope_words(state, spec)`` when the caller has it already;
-    by default it is computed here.  Raises on a word outside V."""
+    world in ``state``, in candidate order.  Raises on a word outside V."""
     if candidates is None:
         words: Iterable[str] = space.vocabulary
     else:
@@ -77,9 +76,7 @@ def probe_words(
         for w in words:
             if w not in space.word_ids:
                 raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
-    if in_scope is None:
-        in_scope = engine.in_scope_words(state, spec)
-    keep = spec.parser_words.union(in_scope)
+    keep = spec.parser_words.union(engine.in_scope_words(state, spec))
     return tuple(w for w in words if keep.issuperset(w.lower().split()))
 
 
@@ -89,24 +86,15 @@ def valid_actions(
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
     budget: int | None = DEFAULT_PROBE_BUDGET,
-    in_scope: Iterable[str] | None = None,
-    scope: list[engine.ObjectDef] | None = None,
 ) -> ValidSet:
     """Probe every canonical instantiation over the ``probe_words`` of
-    ``candidates`` (default: full V); ``in_scope`` is passed on to it.
-    The state's scope is computed once here, unless the caller passes
-    ``engine.objects_in_scope(state, spec)`` as ``scope``, and handed to
-    every probe.
+    ``candidates`` (default: full V).
 
     The probe budget bounds the groundings tried, and so latency; when it is
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
     """
-    if scope is None:
-        scope = engine.objects_in_scope(state, spec)
-    if in_scope is None:
-        in_scope = engine.in_scope_words(state, spec, scope)
-    words = probe_words(state, spec, space, candidates, in_scope)
+    words = probe_words(state, spec, space, candidates)
 
     # Snapshot guards the caller's state; step_core is pure, and the trailing
     # assert plus the guard re-check make non-perturbation observable.
@@ -133,7 +121,7 @@ def valid_actions(
                 continue
             # step_core counts a step valid exactly when the fields the
             # digest covers changed.
-            after, _, _, _ = engine.step_core(state, action, spec, scope)
+            after, _, _, _ = engine.step_core(state, action, spec)
             if after.valid_steps != state.valid_steps:
                 seen.add(action)
                 actions.append(action)

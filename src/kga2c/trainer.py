@@ -115,13 +115,16 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """JSON object or simple ``key = value`` lines.  A top-level
+        """JSON object or simple ``key = value`` lines, where
+        ``agent.<field> = value`` sets an agent field.  A top-level
         ``ablation`` sets ``agent.ablation`` and must agree with it."""
         text = Path(path).read_text(encoding="utf-8")
         stripped = text.strip()
         data: dict = {}
+        agent_data: dict = {}
         if stripped.startswith("{"):
             data = json.loads(stripped)
+            agent_data = dict(data.pop("agent", {}))
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 line = line.split("#", 1)[0].strip()
@@ -130,8 +133,8 @@ class TrainConfig:
                 if "=" not in line:
                     raise ValueError(f"config line {lineno}: expected key = value")
                 key, value = (s.strip() for s in line.split("=", 1))
-                data[key] = value
-        agent_data = dict(data.pop("agent", {}))
+                target = agent_data if key.startswith("agent.") else data
+                target[key.removeprefix("agent.")] = value
         if "ablation" in data:
             ablation = data.pop("ablation")
             if agent_data.setdefault("ablation", ablation) != ablation:
@@ -222,9 +225,9 @@ class RolloutBatch:
 class Episode:
     """One episode's belief loop: engine state and observation, the graph
     built from them, encoder hiddens and the last action.  Call ``observe``
-    once before each ``act``; ``scope`` is the observed state's
-    ``engine.objects_in_scope``, which ``observe`` computes once per step and
-    ``act`` hands to the environment step."""
+    once before each ``act``.  Both read the state's scope from the engine's
+    memo, so they share one computation of it unless another state of the
+    game is scoped in between, as lockstep workers' ``prepare`` calls are."""
 
     def __init__(self, spec: engine.GameSpec, seed: int,
                  gru_hidden: int = AgentConfig.gru_hidden):
@@ -234,33 +237,23 @@ class Episode:
         self.enc = EncoderState.zeros(gru_hidden)
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
-        self.scope: list[engine.ObjectDef] | None = None
 
     def observe(
         self, vocabulary: tuple[str, ...], p_m: float, rng: random.Random | int
-    ) -> tuple[kg.GraphMask, tuple[str, ...]]:
-        """Detect objects, update the graph, then mask V by it; returns the
-        mask and the in-scope words.  The state's scope is computed once,
-        kept in ``self.scope`` for ``Pipeline.valid_set``, and handed to the
-        detection probes and to ``engine.in_scope_words``."""
-        self.scope = engine.objects_in_scope(self.state, self.spec)
-        detected = kg.detect_interactive_objects(
-            self.obs, self.state, self.spec, self.scope)
+    ) -> kg.GraphMask:
+        """Detect objects, update the graph, then mask V by it."""
+        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
         self.graph = kg.update_graph(
             self.graph, self.obs, self.prev_action, self.state.room, detected,
             self.spec,
         )
-        in_scope = engine.in_scope_words(self.state, self.spec, self.scope)
-        mask = kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
-        return mask, in_scope
+        in_scope = engine.in_scope_words(self.state, self.spec)
+        return kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
 
     def act(self, action: str) -> int:
-        """Execute ``action`` from the observed state, reusing its scope;
-        the scope is stale afterwards, so it is cleared."""
-        scope, self.scope = self.scope, None
+        """Execute ``action`` from the observed state."""
         self.state, self.obs, reward, self.done = engine.step(
-            self.state, action, self.spec, scope
-        )
+            self.state, action, self.spec)
         self.prev_action = action
         return reward
 
@@ -290,10 +283,10 @@ class Worker:
         memoized until the next step consumes it, so the mask RNG and the
         oracle run once per environment step."""
         if self.pending is None:
-            mask, in_scope = self.ep.observe(
-                self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
-            valid = self.pipe.valid_set(self.ep.state, mask.words, in_scope,
-                                        self.ep.scope)
+            ep = self.ep
+            mask = ep.observe(self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
+            valid = self.pipe.valid_set(ep.state, mask.words,
+                                        engine.in_scope_words(ep.state, ep.spec))
             self.pending = mask, valid
         return self.pending
 
@@ -382,15 +375,14 @@ class Pipeline:
         self.valid_misses = 0
         self.oracle_truncated = 0
 
-    def valid_set(self, state, mask_words, in_scope, scope=None) -> oracle.ValidSet:
+    def valid_set(self, state, mask_words, in_scope) -> oracle.ValidSet:
         """The valid set over the mask and in-scope words, cached on the
         words the oracle would probe: candidates it prunes split no entries.
-        ``in_scope`` is ``engine.in_scope_words(state, spec)`` and ``scope``,
-        if given, ``engine.objects_in_scope(state, spec)``; on a miss the
-        oracle reuses both instead of deriving them again.  The cache keeps
-        the ``VALID_CACHE_CAP`` most recently used sets."""
+        ``in_scope`` is ``engine.in_scope_words(state, spec)``; the oracle
+        reads the state's scope from the engine's memo.  The cache keeps the
+        ``VALID_CACHE_CAP`` most recently used sets."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
-        words = oracle.probe_words(state, self.spec, self.space, candidates, in_scope)
+        words = oracle.probe_words(state, self.spec, self.space, candidates)
         key = (engine.digest(state), words)
         hit = self._valid_cache.get(key)
         if hit is not None:
@@ -398,9 +390,7 @@ class Pipeline:
             self.valid_hits += 1
             return hit
         self.valid_misses += 1
-        hit = oracle.valid_actions(
-            state, self.spec, self.space, words, self.probe_budget, in_scope, scope
-        )
+        hit = oracle.valid_actions(state, self.spec, self.space, words, self.probe_budget)
         self.oracle_truncated += hit.truncated
         self._valid_cache[key] = hit
         if len(self._valid_cache) > VALID_CACHE_CAP:
@@ -780,7 +770,7 @@ def evaluate(
         ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
         with agent.fixed_parameters():
             while not ep.done:
-                mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+                mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
                 s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
                 decoded = agent.decode_action(s_t, [mask], mode="greedy")
                 action = decoded.actions[0]
@@ -836,8 +826,9 @@ def random_valid_baseline(
     while steps < max_steps:
         ep = Episode(spec, seed)
         while not ep.done and steps < max_steps:
-            mask, in_scope = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
-            valid = pipe.valid_set(ep.state, mask.words, in_scope, ep.scope)
+            mask = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
+            valid = pipe.valid_set(ep.state, mask.words,
+                                   engine.in_scope_words(ep.state, spec))
             if len(valid):
                 action = valid.actions[rng.integers(len(valid))]
             else:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from gradcheck import finite_difference_check
 
-from kga2c import agent as agent_module, numerics as nm, tokenizer as tok, trainer
+from kga2c import agent as agent_module, engine, numerics as nm, tokenizer as tok, trainer
 from kga2c.agent import CHANNELS, AgentConfig, KgA2CAgent
 
 
@@ -77,9 +77,10 @@ def walk_graphs(pipe, count, seed=0):
     while len(graphs) < count:
         if ep.done:
             ep = trainer.Episode(pipe.spec, int(rng.integers(1000)))
-        mask, in_scope = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
         graphs.append(ep.graph.copy())
-        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        valid = pipe.valid_set(ep.state, mask.words,
+                               engine.in_scope_words(ep.state, pipe.spec))
         ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
     return graphs
 
@@ -153,7 +154,7 @@ def test_whole_agent_gradcheck(pipe):
     # one step first, so the encoders start from carried, non-zero hiddens
     _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
     assert len(ep.graph.nodes()) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
     def decode():
@@ -192,7 +193,7 @@ def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
     ep.observe(pipe.space.vocabulary, 0.0, 0)
     _, (carried,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
     assert len(ep.graph) >= 1
     embedded = record_gat_blocks(agent)
 
@@ -232,10 +233,11 @@ def walk_states(pipe, agent, count, seed=0):
     states = []
     ep = trainer.Episode(pipe.spec, seed, agent.cfg.gru_hidden)
     while len(states) < count:
-        mask, in_scope = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
         states.append((ep.obs, ep.graph.copy(), ep.enc, mask))
         _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        valid = pipe.valid_set(ep.state, mask.words,
+                               engine.in_scope_words(ep.state, pipe.spec))
         ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
     return states
 
@@ -456,7 +458,7 @@ def test_fixed_parameters_records_no_tape_without_no_grad(pipe):
     ``adam_step`` is refused inside."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     ep = trainer.Episode(pipe.spec, 0, agent.cfg.gru_hidden)
-    mask, _ = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
 
     def one_pass():
         s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])

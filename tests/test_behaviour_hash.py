@@ -1,8 +1,7 @@
 """``tools/behaviour_hash.py --compare`` on small synthetic dumps: round-off
 passes; a larger difference, a non-finite value, a changed action or eval
-result, and a missing run fail.  And the ``full`` runs on every bundled game
-against their pinned dump, ``data/behaviour_full.json``, and every other
-ablation on microzork against ``data/behaviour_microzork.json``."""
+result, and a missing run fail.  And every run, each bundled game under each
+ablation, against the pinned dump ``data/behaviour.json``."""
 
 import importlib.util
 import json
@@ -10,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from kga2c import BUNDLED_GAMES
 from kga2c.agent import ABLATIONS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "behaviour_hash.py"
-PINNED = Path(__file__).resolve().parent / "data" / "behaviour_full.json"
-PINNED_MICROZORK = PINNED.with_name("behaviour_microzork.json")
+PINNED = Path(__file__).resolve().parent / "data" / "behaviour.json"
 
 
 @pytest.fixture(scope="module")
@@ -107,24 +106,13 @@ def test_relative_difference_of_non_finite_values(tool):
     assert tool.relative_difference(float("-inf"), float("inf")) == float("inf")
 
 
-def test_full_runs_match_the_pinned_dump(tool, tmp_path, capsys):
+def test_every_run_matches_the_pinned_dump(tool, tmp_path, capsys):
     runs: dict = {}
-    for game, ablation, run in tool.behaviour_runs(("full",)):
+    for game, ablation, run in tool.behaviour_runs():
         runs.setdefault(game, {})[ablation] = run
     path = tmp_path / "change.json"
     path.write_text(json.dumps(runs, sort_keys=True))
     assert tool.compare(str(PINNED), str(path)) == 0, capsys.readouterr().out
-
-
-def test_microzork_ablations_match_the_pinned_dump(tool, tmp_path, capsys):
-    ablations = [a for a in ABLATIONS if a != "full"]  # full: the test above
-    runs = {"microzork": {ablation: run for _, ablation, run
-                          in tool.behaviour_runs(ablations, ("microzork",))}}
-    pinned = json.loads(PINNED_MICROZORK.read_text())
-    parent = tmp_path / "parent.json"
-    parent.write_text(json.dumps(
-        {"microzork": {a: pinned["microzork"][a] for a in ablations}}))
-    change = tmp_path / "change.json"
-    change.write_text(json.dumps(runs, sort_keys=True))
-    assert tool.compare(str(parent), str(change)) == 0, capsys.readouterr().out
-    assert sorted(pinned["microzork"]) == sorted(ABLATIONS)
+    pinned = json.loads(PINNED.read_text())
+    assert {game: sorted(r) for game, r in pinned.items()} == {
+        game: sorted(ABLATIONS) for game in BUNDLED_GAMES}

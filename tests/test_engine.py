@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -570,3 +571,41 @@ class TestPredicateEdges:
             state, _, reward, _ = step(state, action, spec)
             rewards.append(reward)
         assert rewards == [0, 0] + [points for _, points in EDGE_WALK[2:]]
+
+
+def fresh_words(state, spec):
+    return tuple(sorted({word for obj in engine._objects_in_scope(state, spec)
+                         for ref in obj.reference_words for word in ref.split()}))
+
+
+class TestScopeMemo:
+    """The engine's one-slot scope memo answers as a fresh computation does,
+    whatever the order of the states asked about, and for equal states that
+    are distinct objects."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("game", ["microzork", "corridor", "pantry"])
+    def test_memo_equals_a_fresh_computation_on_seeded_walks(
+        self, request, walkthroughs, game, seed
+    ):
+        spec = request.getfixturevalue(game)
+        rng = random.Random(seed)
+        state, _ = reset(spec, 0)
+        changed_in_place = False
+        for action in walkthroughs[game]:
+            noise = f"{rng.choice(['take', 'open', 'drop'])} {rng.choice(spec.vocabulary)}"
+            for command in (noise, action):
+                before = state
+                state, _, _, _ = step(before, command, spec)
+                for s in (before, state, before, replace(state), state, replace(before)):
+                    if rng.random() < 0.5:  # the words first, then the objects
+                        assert engine.in_scope_words(s, spec) == fresh_words(s, spec)
+                    assert (engine.objects_in_scope(s, spec)
+                            == engine._objects_in_scope(s, spec))
+                    assert engine.in_scope_words(s, spec) == fresh_words(s, spec)
+                changed_in_place |= before.room == state.room and (
+                    engine._objects_in_scope(before, spec)
+                    != engine._objects_in_scope(state, spec))
+        # on pantry, opening a container changes the scope without a move,
+        # so a memo keyed on the room alone would fail there
+        assert changed_in_place or game != "pantry"

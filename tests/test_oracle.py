@@ -265,18 +265,21 @@ class TestParseMemo:
         self, microzork, microzork_space, monkeypatch
     ):
         scopes, probes = [], []
-        real_scope, real_step = engine.objects_in_scope, engine.step_core
-        monkeypatch.setattr(engine, "objects_in_scope",
+        real_scope, real_step = engine._objects_in_scope, engine.step_core
+        monkeypatch.setattr(engine, "_objects_in_scope",
                             lambda *a: scopes.append(a) or real_scope(*a))
         monkeypatch.setattr(engine, "step_core",
                             lambda *a: probes.append(a[1]) or real_step(*a))
-        state, obs = reset(microzork, 0)
-        in_scope = engine.in_scope_words(state, microzork)
-        for kwargs in ({}, {"candidates": ("key", "north"), "in_scope": in_scope}):
+        for kwargs in ({}, {"candidates": ("key", "north")}):
+            state, obs = reset(microzork, 0)  # a new state: nothing memoized
             scopes.clear()
             probes.clear()
             oracle.valid_actions(state, microzork, microzork_space, **kwargs)
             assert len(scopes) == 1 and len(probes) > 1
+            # asking about the same state again computes nothing
+            oracle.valid_actions(state, microzork, microzork_space, **kwargs)
+            assert len(scopes) == 1
+        state, obs = reset(microzork, 0)
         scopes.clear()
         probes.clear()
         kg.detect_interactive_objects(obs, state, microzork)
@@ -284,8 +287,8 @@ class TestParseMemo:
         # one examine probe per tagged word, as before the scope was shared
         tagged = kg._tagged_words(obs.o_desc + "\n" + obs.o_game, microzork)
         assert probes == [f"examine {w}" for w in tagged] and tagged
-        # an env step's detection, in-scope words and oracle share one scope,
-        # whether the valid set misses the cache or hits it
+        # a prepare computes its state's scope once, whether the valid set
+        # misses the cache or hits it, and the act after it computes none
         pipe = trainer.Pipeline(microzork, microzork_space, None,
                                 oracle.DEFAULT_PROBE_BUDGET)
         cfg = trainer.TrainConfig(seed=0)
@@ -295,7 +298,10 @@ class TestParseMemo:
             worker.prepare()
             assert len(scopes) == 1
             assert (pipe.valid_hits, pipe.valid_misses) == (hits, 1)
-            assert worker.ep.scope == real_scope(worker.ep.state, microzork)
+            state = worker.ep.state
+            assert engine.objects_in_scope(state, microzork) == real_scope(state, microzork)
+            worker.ep.act("open mailbox")
+            assert len(scopes) == 1
 
 
 class TestPruning:
@@ -361,14 +367,18 @@ class TestPruning:
         pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
         ep = trainer.Episode(microzork, 0)
         calls = []
-        real = engine.in_scope_words
+        real = engine._objects_in_scope
         monkeypatch.setattr(
-            engine, "in_scope_words", lambda *a: calls.append(a) or real(*a)
+            engine, "_objects_in_scope", lambda *a: calls.append(a) or real(*a)
         )
-        mask, in_scope = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        in_scope = engine.in_scope_words(ep.state, microzork)
         valid = pipe.valid_set(ep.state, mask.words, in_scope)
         assert pipe.valid_misses == 1  # the oracle probed
         assert len(calls) == 1  # in Episode.observe only
+        # the words were built once and kept beside the scope
+        assert engine.in_scope_words(ep.state, microzork) is in_scope
+        assert len(calls) == 1
         words = set(mask.words) | set(in_scope)
         assert as_map(valid) == brute_force_map(ep.state, microzork, pipe.space,
                                                 sorted(words))

@@ -22,7 +22,7 @@ from kga2c import engine, numerics as nm, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
-PINNED_FULL = Path(__file__).resolve().parent / "data" / "behaviour_full.json"
+PINNED = Path(__file__).resolve().parent / "data" / "behaviour.json"
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +303,19 @@ def test_config_file_key_value_coerces_and_sets_the_agent_ablation(tmp_path):
                                       ).with_ablation("seq")
 
 
+def test_config_file_key_value_sets_agent_fields_as_its_json_twin(tmp_path):
+    kv = tmp_path / "run.cfg"
+    kv.write_text("ablation = seq\nagent.max_seq_words = 2\nagent.emb_dim = 8\n"
+                  "workers = 2\n")
+    twin = tmp_path / "run.json"
+    twin.write_text(json.dumps({"ablation": "seq", "workers": 2,
+                                "agent": {"max_seq_words": 2, "emb_dim": 8}}))
+    cfg = trainer.TrainConfig.from_file(kv)
+    assert cfg == trainer.TrainConfig.from_file(twin)
+    assert (cfg.agent.ablation, cfg.agent.max_seq_words, cfg.agent.emb_dim) == ("seq", 2, 8)
+    assert isinstance(cfg.agent.max_seq_words, int)
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"workers": 2.0, "lr": 1, "gamma": 1, "seed": "7"}),
     "workers = 2.0\nlr = 1\ngamma = 1\nseed = 7\n",
@@ -339,6 +352,7 @@ def test_config_file_rejects_a_value_of_another_type(tmp_path, text, message):
     (json.dumps({"agent": {"emb": 3}, "lr": 0.1}), "agent.emb"),
     (json.dumps({"seed": 1, "bogus": 2, "agent": {"hidden": 3}}),
      "agent.hidden, bogus"),
+    ("agent.x = 1\nagent.emb_dim = 8\nwrokers = 2\n", "agent.x, wrokers"),
 ])
 def test_config_file_unknown_keys_are_named(tmp_path, text, named):
     path = tmp_path / "run.cfg"
@@ -354,6 +368,9 @@ def test_config_file_ablation_must_agree_with_the_agent(tmp_path):
         trainer.TrainConfig.from_file(path)
     path.write_text(json.dumps({"ablation": "seq", "agent": {"ablation": "seq"}}))
     assert trainer.TrainConfig.from_file(path).agent.ablation == "seq"
+    path.write_text("ablation = seq\nagent.ablation = full\n")
+    with pytest.raises(ValueError, match="differs from agent.ablation"):
+        trainer.TrainConfig.from_file(path)
 
 
 def test_failing_worker_is_logged_and_dropped(short_corridor, corpus, caplog):
@@ -708,10 +725,10 @@ def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
 
 def test_episode_observe_at_microzork_start(microzork, microzork_space):
     ep = trainer.Episode(microzork, 0)
-    mask, in_scope = ep.observe(microzork_space.vocabulary, 0.0, 0)
+    mask = ep.observe(microzork_space.vocabulary, 0.0, 0)
     assert ("field", "has", "key") in ep.graph.triples
     assert "key" in mask
-    assert "key" in in_scope
+    assert "key" in engine.in_scope_words(ep.state, microzork)
     assert ep.prev_action == "<start>" and not ep.done
     ep.act("take key")
     assert ep.prev_action == "take key"
@@ -723,19 +740,20 @@ def test_episode_observe_at_microzork_start(microzork, microzork_space):
                                     "north", "take nothing"])
 def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, action,
                                                monkeypatch):
-    """``act`` hands ``observe``'s scope to the environment step, which then
-    computes none, and the step equals one that computes its own."""
+    """``act`` finds ``observe``'s scope in the engine's memo and computes
+    none, and the step equals one from an equal state that computes its
+    own."""
     ep = trainer.Episode(microzork, 0)
     ep.observe(microzork_space.vocabulary, 0.0, 0)
     before = ep.state
     want = engine.step(before, action, microzork)
-    scopes, real_scope = [], engine.objects_in_scope
-    monkeypatch.setattr(engine, "objects_in_scope",
+    scopes, real_scope = [], engine._objects_in_scope
+    monkeypatch.setattr(engine, "_objects_in_scope",
                         lambda *a: scopes.append(a) or real_scope(*a))
     reward = ep.act(action)
-    assert scopes == [] and ep.scope is None
+    assert scopes == []
     assert (ep.state, ep.obs, reward, ep.done) == want
-    assert engine.step(before, action, microzork)[0] == want[0]
+    assert engine.step(replace(before), action, microzork) == want
     assert scopes == [] if action == "north" else len(scopes) == 1
 
 
@@ -787,7 +805,7 @@ def test_train_writes_artifacts_and_matches_the_pinned_behaviour_run(
     result = trainer.train(spec, corpus, cfg, out_dir=tmp_path)
     for name in ("metrics.jsonl", "metrics.csv", "checkpoint.bin"):
         assert (tmp_path / name).is_file(), name
-    pinned = json.loads(PINNED_FULL.read_text())[game]["full"]
+    pinned = json.loads(PINNED.read_text())[game]["full"]
     rows = [json.loads(line) for line in
             (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [row["update"] for row in rows] == list(range(tool.UPDATES))
@@ -833,10 +851,9 @@ def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
     def request(state):
         in_scope = engine.in_scope_words(state, microzork)
         got = pipe.valid_set(state, pipe.space.vocabulary, in_scope)
-        words = oracle.probe_words(state, microzork, pipe.space,
-                                   pipe.space.vocabulary, in_scope)
+        words = oracle.probe_words(state, microzork, pipe.space, pipe.space.vocabulary)
         assert got == oracle.valid_actions(state, microzork, pipe.space, words,
-                                           pipe.probe_budget, in_scope)
+                                           pipe.probe_budget)
         return (pipe.valid_hits, pipe.valid_misses, len(pipe._valid_cache))
 
     assert request(a) == (0, 1, 1)

@@ -23,11 +23,9 @@ a NaN or an infinity stands where the parent has another value, if a run is
 missing, or if any eval result or action differs, so a refactor whose
 arithmetic changes only by round-off passes where its hashes do not.
 
-The tier-1 suite pins the ``full`` runs of every game this way, against
-``tests/data/behaviour_full.json``, and the other five ablations on
-microzork, against ``tests/data/behaviour_microzork.json`` (which holds all
-six); a change of fixed-seed behaviour re-pins both files from ``--dump``,
-keeping the ``full`` runs and the microzork runs.
+The tier-1 suite pins every run this way, each game under each ablation,
+against ``tests/data/behaviour.json``; a change of fixed-seed behaviour
+re-pins it with ``--dump tests/data/behaviour.json``.
 """
 
 from __future__ import annotations
