@@ -1,7 +1,9 @@
 """``tools/behaviour_hash.py --compare`` on small synthetic dumps: round-off
 passes; a larger difference, a non-finite value, a changed action or eval
 result, and a missing run fail.  And every run, each bundled game under each
-ablation, against the pinned dump ``data/behaviour.json``."""
+ablation, against the pinned dump ``data/behaviour.json``: the full runs and
+the microzork ablations on their own, then all 18 together, each run made
+once."""
 
 import importlib.util
 import json
@@ -106,10 +108,40 @@ def test_relative_difference_of_non_finite_values(tool):
     assert tool.relative_difference(float("-inf"), float("inf")) == float("inf")
 
 
-def test_every_run_matches_the_pinned_dump(tool, tmp_path, capsys):
-    runs: dict = {}
+@pytest.fixture(scope="module")
+def runs(tool):
+    """All 18 runs, each bundled game under each ablation, made once."""
+    out: dict = {}
     for game, ablation, run in tool.behaviour_runs():
-        runs.setdefault(game, {})[ablation] = run
+        out.setdefault(game, {})[ablation] = run
+    return out
+
+
+def compare_with_pinned(tool, tmp_path, runs, games, ablations):
+    """``compare`` the pinned runs of ``games`` x ``ablations`` with ``runs``."""
+    pinned = json.loads(PINNED.read_text())
+    paths = []
+    for name, source in (("parent.json", pinned), ("change.json", runs)):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            {g: {a: source[g][a] for a in ablations} for g in games},
+            sort_keys=True))
+        paths.append(str(path))
+    return tool.compare(*paths)
+
+
+def test_full_runs_match_the_pinned_dump(tool, tmp_path, capsys, runs):
+    assert compare_with_pinned(tool, tmp_path, runs, BUNDLED_GAMES,
+                               ("full",)) == 0, capsys.readouterr().out
+
+
+def test_microzork_ablations_match_the_pinned_dump(tool, tmp_path, capsys, runs):
+    ablations = [a for a in ABLATIONS if a != "full"]  # full: the test above
+    assert compare_with_pinned(tool, tmp_path, runs, ("microzork",),
+                               ablations) == 0, capsys.readouterr().out
+
+
+def test_every_run_matches_the_pinned_dump(tool, tmp_path, capsys, runs):
     path = tmp_path / "change.json"
     path.write_text(json.dumps(runs, sort_keys=True))
     assert tool.compare(str(PINNED), str(path)) == 0, capsys.readouterr().out
