@@ -136,12 +136,3 @@ def valid_actions(
         truncated=truncated,
     )
 
-
-def valid_templates(valid: ValidSet) -> frozenset[int]:
-    """T_valid: the template ids of the valid actions."""
-    return frozenset(valid.template_ids)
-
-
-def valid_objects(mask: Iterable[str], space: ActionSpace) -> frozenset[int]:
-    """O_valid: vocabulary ids of the graph-mask words (this is its definition)."""
-    return frozenset(space.word_id(w) for w in mask)

@@ -13,26 +13,31 @@ et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
   executes its own.  Each row samples from its worker's RNG in the order
   that worker alone would, so the schedule changes no sampled action, and
   fixed seeds give bitwise-identical metrics.  Each step's ``StepRecord``
-  keeps what the learner replays as plain data: the observation, graph,
-  starting encoder hiddens and mask its row read, and the ids it chose.
+  keeps, as plain data, only what its row read and chose: the observation,
+  graph, starting encoder hiddens, mask and valid set, the ids it chose and
+  the action it executed.
 * The learning pass, ``learner_pass``, is one taped pass over all U x B
   kept records of the unroll: ``state_embedding``, ``critic_value`` and
   ``decode_action`` in ``replay`` mode, which takes the recorded choices
   instead of sampling.  ``train_step`` then builds ``combined_loss``, walks
   one backward and takes one Adam step.
 
-Each step's record carries the targets of the terms its ablation trains.
-``combined_loss`` builds each term once per decoding head, as one value per
-row over all rows of the unroll, and adds the terms in one fixed order:
+``combined_loss`` is the one place that derives the targets of the terms an
+ablation trains, from each record's valid set, mask and teacher.  It builds
+each term once per decoding head, as one value per row over all rows of the
+unroll, and adds the terms in one fixed order:
 
     ablation                       decoder       trained besides actor, critic
-    full, a2c, no-gat, no-mask     template      template BCE, object BCE per
-                                                 blank, entropy over the valid
-                                                 templates and each blank's mask
+    full, a2c, no-gat, no-mask     template      template BCE toward the valid
+                                                 templates, object BCE per blank
+                                                 toward the graph mask, entropy
+                                                 over the valid templates and
+                                                 each blank's decoder mask
     unsupervised                   template      entropy over all templates
-                                                 and each blank's mask
-    seq                            word by word  seq_valid CE and entropy per
-                                                 decoded position
+                                                 and each blank's decoder mask
+    seq                            word by word  seq_valid CE toward the
+                                                 teacher's words, and entropy
+                                                 per decoded position
 """
 
 from __future__ import annotations
@@ -45,14 +50,13 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from . import engine, kg, numerics as nm, oracle, tokenizer as tok
 from .agent import AgentConfig, Decoded, EncoderState, KgA2CAgent
-from .templates import (ActionSpace, FrequencyTable, OutOfVocabularyError,
-                        build_action_space)
+from .templates import ActionSpace, FrequencyTable, build_action_space
 
 log = logging.getLogger(__name__)
 
@@ -91,18 +95,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        # written as "not (valid)" so that NaN is rejected too
         for name in ("lambda_critic", "lambda_template", "lambda_object",
-                     "lambda_entropy"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                     "lambda_entropy", "lr"):  # lr = 0 is the untrained-agent control
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if self.workers < 1 or self.unroll < 1 or self.updates < 0:
             raise ValueError("workers, unroll must be positive; updates >= 0")
-        # written as "not (valid)" so that NaN is rejected too
         for name in ("p_m", "p_valid"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not self.lr >= 0.0:  # lr = 0 is the untrained-agent control
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
         if not self.grad_clip > 0.0:
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
         for name, low in (("probe_budget", 1), ("eval_episodes", 1),
@@ -183,36 +186,26 @@ def _number(text: str) -> int | float | None:
 # Rollouts
 
 
-def _indicator(size: int, ids: Iterable[int]) -> np.ndarray:
-    y = np.zeros(size)
-    y[sorted(ids)] = 1.0
-    return y
-
-
 @dataclass
 class StepRecord:
-    """One worker's environment step: floats for the actor and critic terms,
-    what the learner replays of its acting row (plain data, no tensors), and
-    the targets of the terms its ablation trains (None where it trains
-    none)."""
+    """One worker's environment step, as plain data (no tensors): what its
+    acting row read and chose, and what the step returned.  The learner
+    replays the row from it, and ``combined_loss`` derives every loss target
+    from it."""
 
     worker: int
     value: float  # V(s_t), which the advantage holds constant
-    log_prob: float  # joint log-prob of the decoded action
     reward: float
     done: bool
-    valid_count: int
-    executed_valid: bool
     obs: engine.Observation
     graph: kg.KnowledgeGraph
     enc: EncoderState  # the encoder hiddens the step started from
     mask: kg.GraphMask
+    valid: oracle.ValidSet  # the valid-action cache's own set, shared
     choices: list[int]  # the ids each decoding head chose (``Decoded.choices``)
+    action: str  # the executed text
+    teacher: str | None  # seq: the valid action drawn as the target, if any
     v_next: float = 0.0
-    valid_templates: np.ndarray | None = None  # 0/1 over templates
-    valid_objects: np.ndarray | None = None  # 0/1 over V, every blank's target
-    template_support: np.ndarray | None = None  # bool over templates: the entropy's
-    teacher: np.ndarray | None = None  # seq: the teacher's word ids, then stop
 
 
 @dataclass
@@ -269,9 +262,6 @@ class Worker:
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
         self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
-        # this worker's row of the step's batch pass: (new hiddens, action,
-        # value, log-prob, chosen ids)
-        self.row: tuple[EncoderState, str, float, float, list[int]] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
@@ -290,23 +280,29 @@ class Worker:
             self.pending = mask, valid
         return self.pending
 
-    def step(self, agent: KgA2CAgent) -> tuple[StepRecord, int | None]:
-        """Execute this worker's row of the step's batch pass, which
-        ``run_rollouts`` runs over all workers first, and advance one
-        environment step; returns the record and, when an episode finished,
-        its final score."""
-        enc2, action, value, log_prob, choices = self.row
+    def step(self, agent: KgA2CAgent, row: tuple[EncoderState, str, float, list[int]]
+             ) -> tuple[StepRecord, int | None]:
+        """Execute this worker's ``row`` of the step's batch pass (new
+        hiddens, decoded action, value, chosen ids), which ``run_rollouts``
+        runs over all workers first, and advance one environment step;
+        returns the record and, when an episode finished, its final score.
+
+        Under ``seq``, when there is a valid action, one drawn at random is
+        the teacher, and it is executed instead of the decoded words with
+        probability ``p_valid``."""
+        enc2, action, value, choices = row
         mask, valid = self.pending
-        self.row = self.pending = None
-        if agent.cfg.ablation == "seq":
-            action, targets = self._seq_targets(agent, action, valid)
-        else:
-            targets = self._template_targets(agent, mask, valid)
+        self.pending = None
+        teacher = None
+        if agent.cfg.ablation == "seq" and len(valid):
+            teacher = valid.actions[self.rng.integers(len(valid))]
+            if self.rng.random() < self.cfg.p_valid:
+                action = teacher
         ep = self.ep
         obs, graph, enc = ep.obs, ep.graph, ep.enc
         reward = float(ep.act(action))
-        record = StepRecord(self.idx, value, log_prob, reward, ep.done, len(valid),
-                            action in valid, obs, graph, enc, mask, choices, **targets)
+        record = StepRecord(self.idx, value, reward, ep.done, obs, graph, enc, mask,
+                            valid, choices, action, teacher)
         ep.enc = enc2
 
         final_score: int | None = None
@@ -314,38 +310,6 @@ class Worker:
             final_score = self.ep.state.score
             self._begin_episode()
         return record, final_score
-
-    @staticmethod
-    def _template_targets(agent: KgA2CAgent, mask: kg.GraphMask,
-                          valid: oracle.ValidSet) -> dict[str, np.ndarray]:
-        """The supervised ablations train both BCE terms and the entropy over
-        the valid templates; ``unsupervised`` trains only the entropy, over
-        every template."""
-        if agent.cfg.ablation == "unsupervised":
-            return {"template_support": np.ones(agent.n_templates, dtype=bool)}
-        y_tau = _indicator(agent.n_templates, oracle.valid_templates(valid))
-        y_o = _indicator(agent.n_vocab, oracle.valid_objects(mask.words, agent.space))
-        return {"valid_templates": y_tau, "valid_objects": y_o,
-                "template_support": y_tau > 0}
-
-    def _seq_targets(self, agent: KgA2CAgent, decoded: str, valid: oracle.ValidSet
-                     ) -> tuple[str, dict[str, np.ndarray]]:
-        """With probability ``p_valid`` execute a random valid action instead
-        of the decoded words.  That valid action (when there is one), as word
-        ids ending in the stop token, is the cross-entropy's target."""
-        if not len(valid):
-            return decoded, {}
-        teacher = valid.actions[self.rng.integers(len(valid))]
-        action = teacher if self.rng.random() < self.cfg.p_valid else decoded
-        stop_id = agent.n_vocab
-        ids = []
-        for w in teacher.split()[: agent.cfg.max_seq_words]:
-            try:
-                ids.append(agent.space.word_id(w))
-            except OutOfVocabularyError:
-                ids.append(stop_id)
-        ids.append(stop_id)
-        return action, {"teacher": np.array(ids, dtype=np.intp)}
 
 
 def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[EncoderState]]:
@@ -436,8 +400,8 @@ def run_rollouts(
             kept.append(w)
         return kept
 
-    def step(w: Worker) -> None:
-        record, final_score = w.step(agent)
+    def step(w: Worker, row: tuple) -> None:
+        record, final_score = w.step(agent, row)
         records[w.idx].append(record)
         if final_score is not None:
             finished.append(final_score)
@@ -451,11 +415,9 @@ def run_rollouts(
             values = agent.critic_value(s_t).data
             decoded = agent.decode_action(s_t, [w.pending[0] for w in live],
                                           [w.rng for w in live])
-            rows = zip(encs, decoded.actions, values.tolist(),
-                       decoded.log_prob.data.tolist(), decoded.choices())
-            for w, row in zip(live, rows):
-                w.row = row
-            live = each(step, live)
+            rows = dict(zip(live, zip(encs, decoded.actions, values.tolist(),
+                                      decoded.choices())))
+            live = each(lambda w: step(w, rows[w]), live)
         open_ended = each(lambda w: w.prepare(),
                           [w for w in live if not records[w.idx][-1].done])
         if open_ended:
@@ -495,15 +457,26 @@ def learner_pass(batch: RolloutBatch, agent: KgA2CAgent) -> tuple[nm.Tensor, Dec
 
 
 def combined_loss(
-    batch: RolloutBatch, values: nm.Tensor, decoded: Decoded, cfg: TrainConfig
+    batch: RolloutBatch, values: nm.Tensor, decoded: Decoded, agent: KgA2CAgent,
+    cfg: TrainConfig,
 ) -> tuple[nm.Tensor, dict[str, nm.Tensor]]:
     """The batch loss and its parts, each averaged over the N records, from
     the learner pass's ``values`` and ``decoded`` (row i is record i).  Each
     term is one vector over all rows, or over the rows of one decoding
     head, reduced by one product with the rows' weights 1/N.  The actor and
     critic terms use Q = r + gamma * V(s') on non-terminal steps; the
-    advantage Q - V takes V from the record's float.  A term no record has
-    targets for contributes zero."""
+    advantage Q - V takes V from the record's float.
+
+    This is the one place that turns records into targets, by
+    ``agent.cfg.ablation``.  The supervised ablations (``full``, ``a2c``,
+    ``no-gat``, ``no-mask``) train the template BCE toward the templates of
+    ``r.valid``, the object BCE at every blank toward the words of
+    ``r.mask`` (under ``no-mask`` too, where the decoder may pick all of V),
+    and the template entropy over the valid templates only.  ``seq`` trains
+    the cross-entropy of each decoded position toward ``_teacher_ids`` of
+    ``r.teacher``; a position past the teacher's end, or a row with no
+    teacher, trains none.  ``unsupervised`` trains no target.  A term no
+    row has targets for contributes zero."""
     parts: dict[str, list[nm.Tensor]] = {name: [] for name in PARTS}
 
     def reduce(name: str, vector: nm.Tensor, weights: np.ndarray) -> None:
@@ -518,24 +491,32 @@ def combined_loss(
     reduce("actor", decoded.log_prob, (value - q) * weight)
     diff = nm.sub(nm.Tensor(q), values)
     reduce("critic", nm.mul(diff, diff), 0.5 * weight)
-    y_tau = _row_targets(records, "valid_templates")
-    if y_tau is not None:
+    ablation = agent.cfg.ablation
+    supervised = ablation not in ("unsupervised", "seq")
+    if supervised:
+        y_tau = np.zeros((len(records), agent.n_templates))
+        y_o = np.zeros((len(records), agent.n_vocab))
+        for b, r in enumerate(records):
+            y_tau[b, list(r.valid.template_ids)] = 1.0
+            y_o[b, [agent.space.word_id(w) for w in r.mask.words]] = 1.0
         reduce("template", nm.binary_cross_entropy(heads[0].logits, y_tau), weight)
-    y_o = _row_targets(records, "valid_objects")
-    support = _row_targets(records, "template_support")
     for k, head in enumerate(heads):
         w = weight[head.rows]
-        if k and y_o is not None:
+        if k and supervised:
             reduce("object", nm.binary_cross_entropy(head.logits, y_o[head.rows]), w)
         keep = head.probs.data > 0.0
-        if not k and support is not None:
-            keep &= support > 0.0
+        if not k and supervised:
+            keep &= y_tau > 0.0
         # p log p over each row's support: off it p is 0 and log(p + 1) is 0
         p = nm.mul(head.probs, nm.Tensor(keep))
         plogp = nm.mul(p, nm.log(nm.add(p, nm.Tensor(~keep))))
         reduce("entropy", nm.sum_(plogp, axis=1), w)
-    teacher = _row_targets(records, "teacher", width=len(heads), fill=-1)
-    if teacher is not None:  # zip(positions, teacher ids) per row
+    if ablation == "seq":  # zip(positions, teacher ids) per row; -1 trains none
+        teacher = np.full((len(records), len(heads)), -1)
+        for b, r in enumerate(records):
+            if r.teacher is not None:
+                ids = _teacher_ids(r.teacher, agent)[:len(heads)]
+                teacher[b, :len(ids)] = ids
         for k, head in enumerate(heads):
             target = teacher[head.rows, k]
             reduce("seq_valid", nm.cross_entropy_with_logits(
@@ -551,21 +532,13 @@ def combined_loss(
     return total, parts
 
 
-def _row_targets(records: list[StepRecord], name: str,
-                 width: int | None = None, fill: float = 0.0) -> np.ndarray | None:
-    """The records' ``name`` arrays as the rows of one matrix, cut or padded
-    with ``fill`` to ``width`` (default: their own), and all ``fill`` for a
-    row with none; None when no row has one."""
-    rows = [getattr(r, name) for r in records]
-    if all(row is None for row in rows):
-        return None
-    if width is None:
-        width = next(len(row) for row in rows if row is not None)
-    out = np.full((len(rows), width), fill, dtype=float)
-    for b, row in enumerate(rows):
-        if row is not None:
-            out[b, :len(row[:width])] = row[:width]
-    return out
+def _teacher_ids(teacher: str, agent: KgA2CAgent) -> list[int]:
+    """The ``seq`` decoder's targets for the action ``teacher``: each word's
+    id, with the stop id for a word outside V, cut to ``max_seq_words``, and
+    then the stop id."""
+    stop_id = agent.n_vocab
+    ids = [agent.space.word_ids.get(w, stop_id) for w in teacher.split()]
+    return ids[:agent.cfg.max_seq_words] + [stop_id]
 
 
 def _sum(terms: list[nm.Tensor]) -> nm.Tensor:
@@ -586,24 +559,24 @@ def train_step(
     records = batch.records
     if not records:
         raise ValueError("empty rollout batch")
-    total, parts = combined_loss(batch, *learner_pass(batch, agent), cfg)
+    total, parts = combined_loss(batch, *learner_pass(batch, agent), agent, cfg)
     if not math.isfinite(total.item()):
         worst = max(records, key=lambda r: abs(r.value) + abs(r.reward))
         raise RuntimeError(
             "non-finite loss; offending record: "
             f"worker={worst.worker} reward={worst.reward} value={worst.value} "
-            f"done={worst.done} valid_count={worst.valid_count}"
+            f"done={worst.done} valid_count={len(worst.valid)}"
         )
 
     agent.params.zero_grad()
     nm.backward(total)
     grad_norm = nm.adam_step(agent.params, lr=cfg.lr, grad_clip=cfg.grad_clip)
     row = {f"loss_{name}": t.item() for name, t in parts.items()}
-    sampled_valid_rate = float(np.mean([r.executed_valid for r in records]))
+    sampled_valid_rate = float(np.mean([r.action in r.valid for r in records]))
     row.update(
         loss_total=total.item(),
         grad_norm=grad_norm,
-        mean_valid_actions=float(np.mean([r.valid_count for r in records])),
+        mean_valid_actions=float(np.mean([len(r.valid) for r in records])),
         mean_mask_size=float(np.mean([len(r.mask) for r in records])),
         sampled_valid_rate=sampled_valid_rate,
         # under seq every step is decoded word by word
@@ -817,7 +790,9 @@ def random_valid_baseline(
     seed: int = 0,
 ) -> tuple[float, list[int]]:
     """Uniform-random-valid policy under the same step budget; the floor any
-    learner must beat."""
+    learner must beat.  Returns the mean final score and the final scores of
+    the episodes that ended within ``max_steps``; when none ended, ``[]`` and
+    a NaN mean, since an unfinished episode has no final score."""
     pipe = build_pipeline(spec, corpus, cfg)
     rng = np.random.default_rng(seed)
     mask_rng = random.Random(seed)
@@ -837,6 +812,4 @@ def random_valid_baseline(
             steps += 1
         if ep.done:
             scores.append(ep.state.score)
-    if not scores:
-        scores = [0]
-    return float(np.mean(scores)), scores
+    return (float(np.mean(scores)) if scores else math.nan), scores

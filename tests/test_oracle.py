@@ -137,44 +137,6 @@ class TestValidActions:
             assert microzork_space.instantiate(tid, list(fillers)) == action
 
 
-class TestProjections:
-    def test_valid_templates_projection(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
-        valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
-        tids = oracle.valid_templates(valid)
-        assert tids == frozenset(valid.template_ids)
-        patterns = {microzork_space.templates[t].pattern for t in tids}
-        assert "take OBJ" in patterns
-        assert "north" in patterns
-
-    def test_empty_set_projects_empty(self):
-        empty = oracle.ValidSet(actions=(), template_ids=(), fillers=())
-        assert oracle.valid_templates(empty) == frozenset()
-
-    def test_duplicate_templates_collapse(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
-        valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
-        take_like = [
-            a for a, t in zip(valid.actions, valid.template_ids)
-            if microzork_space.templates[t].pattern == "take OBJ"
-        ]
-        assert len(take_like) >= 2  # take key / take brass
-        assert len(oracle.valid_templates(valid)) < len(valid.actions)
-
-    def test_valid_objects_identity(self, microzork_space):
-        ids = oracle.valid_objects({"key", "chest"}, microzork_space)
-        assert ids == frozenset(
-            {microzork_space.word_id("key"), microzork_space.word_id("chest")}
-        )
-
-    def test_valid_objects_empty(self, microzork_space):
-        assert oracle.valid_objects((), microzork_space) == frozenset()
-
-    def test_valid_objects_oov(self, microzork_space):
-        with pytest.raises(OutOfVocabularyError):
-            oracle.valid_objects({"zeppelin"}, microzork_space)
-
-
 class TestCompleteness:
     @pytest.mark.parametrize("prefix", [
         [],

@@ -160,7 +160,7 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation):
         held.append(record.value)
         record.value, record.v_next = held[0], 0.5
         total, terms = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent),
-                                             cfg)
+                                             agent, cfg)
         parts.update((name, t.item()) for name, t in terms.items())
         return total
 
@@ -173,12 +173,24 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation):
     assert all(parts[name] != 0.0 for name in ("actor", "critic", "entropy") + trained)
 
 
-def reference_parts(batch, decoded, cfg):
+def reference_teacher_ids(teacher, space, max_words):
+    """The seq targets of the action text ``teacher``: its first
+    ``max_words`` words as vocabulary ids, an out-of-vocabulary word as the
+    stop id len(V), and then the stop id."""
+    vocabulary = list(space.vocabulary)
+    stop = len(vocabulary)
+    return [vocabulary.index(w) if w in vocabulary else stop
+            for w in teacher.split()[:max_words]] + [stop]
+
+
+def reference_parts(batch, decoded, cfg, space):
     """Every loss part recomputed one record at a time with numpy, from the
-    learner pass's heads that decoded the record's row: template BCE, object
-    BCE per blank, p log p over the support, seq CE over zip(positions,
-    teacher ids), -log pi * A and (Q - V)^2 / 2, each summed over the
-    records and averaged."""
+    learner pass's heads that decoded the record's row and targets derived
+    here from the record: template BCE toward ``valid.template_ids``, object
+    BCE per blank toward ``mask.words``, p log p over the support (the
+    valid templates at a supervised template head), seq CE over
+    zip(positions, teacher ids), -log pi * A and (Q - V)^2 / 2, each summed
+    over the records and averaged."""
     def bce(x, t):
         return np.mean(np.logaddexp(0.0, x) - x * t)
 
@@ -186,6 +198,9 @@ def reference_parts(batch, decoded, cfg):
         p = p[support & (p > 0.0)]
         return np.sum(p * np.log(p))
 
+    ablation = cfg.agent.ablation
+    supervised = ablation not in ("unsupervised", "seq")
+    vocabulary = np.array(space.vocabulary)
     parts = dict.fromkeys(trainer.PARTS, 0.0)
     for b, record in enumerate(batch.records):
         row = [(h.chosen[i], h.logits.data[i], h.probs.data[i])
@@ -194,18 +209,20 @@ def reference_parts(batch, decoded, cfg):
         log_pi = sum(np.log(probs[c]) for c, _, probs in row)
         parts["actor"] += -log_pi * (q - record.value)
         parts["critic"] += 0.5 * (q - record.value) ** 2
-        if record.valid_templates is not None:
-            parts["template"] += bce(row[0][1], record.valid_templates)
+        support = [probs > 0.0 for _, _, probs in row]
+        if supervised:  # the template head, then one head per blank
+            y_tau = np.zeros(len(space.templates))
+            y_tau[np.array(record.valid.template_ids, dtype=int)] = 1.0
+            y_o = np.isin(vocabulary, sorted(record.mask.words)).astype(float)
+            parts["template"] += bce(row[0][1], y_tau)
             for _, logits, _ in row[1:]:
-                parts["object"] += bce(logits, record.valid_objects)
-        if record.template_support is not None:  # then one head per blank
-            parts["entropy"] += plogp(row[0][2], record.template_support)
-            parts["entropy"] += sum(plogp(probs, probs > 0) for _, _, probs in row[1:])
-        else:  # seq: every decoded position, over every word and stop
-            parts["entropy"] += sum(plogp(probs, probs > 0) for _, _, probs in row)
-        if record.teacher is not None:
+                parts["object"] += bce(logits, y_o)
+            support[0] = y_tau > 0.0
+        parts["entropy"] += sum(plogp(probs, keep) for (_, _, probs), keep in zip(row, support))
+        if ablation == "seq" and record.teacher is not None:
+            ids = reference_teacher_ids(record.teacher, space, cfg.agent.max_seq_words)
             parts["seq_valid"] += sum(np.logaddexp.reduce(logits) - logits[t]
-                                      for (_, logits, _), t in zip(row, record.teacher))
+                                      for (_, logits, _), t in zip(row, ids))
     return {name: v / len(batch.records) for name, v in parts.items()}
 
 
@@ -223,7 +240,7 @@ def empty_valid_set_at_step(worker, at):
     worker.prepare = emptied
 
 
-@pytest.mark.parametrize("ablation", ["full", "unsupervised", "seq"])
+@pytest.mark.parametrize("ablation", ABLATIONS)
 def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, ablation):
     cfg = replace(SMALL, workers=3, unroll=6).with_ablation(ablation)
     pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
@@ -237,19 +254,30 @@ def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, a
     if ablation == "full":  # dropped at step 2, its rows of steps 0 and 1 with it
         assert batch.degraded_workers == 1 and len(batch.records) == 2 * cfg.unroll
         assert len(calls) == 3 and all(r.worker != 1 for r in batch.records)
+    cached = [id(v) for v in pipe._valid_cache.values()]
+    shared = [id(r.valid) in cached for r in batch.records]
+    # each record holds the cache's own valid set, except the emptied one
+    assert sum(not s for s in shared) == (ablation == "seq")
     if ablation == "seq":
         teachers = [r.teacher for r in batch.records]
         assert sum(t is None for t in teachers) == 1
-        lengths = [len(r.teacher) - len(r.choices)
-                   for r in batch.records if r.teacher is not None]
+        lengths = [len(reference_teacher_ids(r.teacher, pipe.space, cfg.agent.max_seq_words))
+                   - len(r.choices) for r in batch.records if r.teacher is not None]
         assert min(lengths) < 0 < max(lengths)  # teachers shorter and longer
+        assert 0 < sum(r.action == r.teacher for r in batch.records) < len(batch.records)
+    else:
+        assert all(r.teacher is None for r in batch.records)
     values, decoded = trainer.learner_pass(batch, agent)
-    _, parts = trainer.combined_loss(batch, values, decoded, cfg)
-    want = reference_parts(batch, decoded, cfg)
+    if ablation == "no-mask":  # the object target is the graph mask, the support all V
+        objects = [h.probs.data for h in decoded.heads[1:]]
+        assert objects and all((p > 0.0).all() for p in objects)
+        assert max(len(r.mask) for r in batch.records) < agent.n_vocab
+    _, parts = trainer.combined_loss(batch, values, decoded, agent, cfg)
+    want = reference_parts(batch, decoded, cfg, pipe.space)
     for name in trainer.PARTS:
         assert abs(parts[name].item() - want[name]) <= 1e-12 * abs(want[name]), name
-    trained = {"full": ("template", "object"), "unsupervised": (),
-               "seq": ("seq_valid",)}[ablation]
+    trained = {"unsupervised": (), "seq": ("seq_valid",)}.get(
+        ablation, ("template", "object"))
     assert [n for n in trainer.PARTS if want[n] != 0.0] == [
         n for n in trainer.PARTS if n in ("actor", "critic", "entropy") + trained]
 
@@ -379,7 +407,7 @@ def test_failing_worker_is_logged_and_dropped(short_corridor, corpus, caplog):
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
     workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
 
-    def broken(agent):
+    def broken(agent, row):
         raise RuntimeError("engine exploded")
 
     workers[1].step = broken
@@ -400,11 +428,11 @@ def fail_at_step_two(worker):
     """Make ``worker.step`` raise on its third call; returns the call log."""
     step, calls = worker.step, []
 
-    def failing(agent):
+    def failing(agent, row):
         calls.append(agent)
         if len(calls) == 3:
             raise RuntimeError("engine exploded")
-        return step(agent)
+        return step(agent, row)
 
     worker.step = failing
     return calls
@@ -457,24 +485,45 @@ def test_episodes_ending_on_the_last_step_need_no_bootstrap(corridor, corpus):
     assert batch.degraded_workers == 0
 
 
-def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus):
+def recording_acting_decodes(monkeypatch) -> list:
+    """Patch ``decode_action`` to append each acting pass's ``Decoded`` to
+    the returned list; the learner's ``replay`` passes are not kept."""
+    acting, decode_action = [], KgA2CAgent.decode_action
+
+    def recorded(self, s_t, masks, *args, **kwargs):
+        decoded = decode_action(self, s_t, masks, *args, **kwargs)
+        if kwargs.get("mode") != "replay":
+            acting.append(decoded)
+        return decoded
+
+    monkeypatch.setattr(KgA2CAgent, "decode_action", recorded)
+    return acting
+
+
+def test_lockstep_rollouts_equal_each_worker_run_alone(short_microzork, corpus,
+                                                       monkeypatch):
     """Each worker samples from its own RNGs, so stepping the workers
     together takes the actions each takes on its own, with the same values
-    up to round-off."""
+    and joint log-probs up to round-off."""
     cfg = replace(SMALL, workers=3)
     pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    acting = recording_acting_decodes(monkeypatch)
     together = trainer.run_rollouts(
         [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)], agent, cfg)
+    together_decodes = list(acting)
+    assert len(together_decodes) == cfg.unroll
     for i in range(cfg.workers):
+        acting.clear()
         alone = trainer.run_rollouts([trainer.Worker(i, pipe, cfg)], agent, cfg)
         rows = [r for r in together.records if r.worker == i]
-        assert len(rows) == len(alone.records) == cfg.unroll
-        for got, want in zip(rows, alone.records):
-            assert (got.reward, got.done, got.valid_count, len(got.mask), got.choices) == (
-                want.reward, want.done, want.valid_count, len(want.mask), want.choices)
-            for a, b in ((got.value, want.value), (got.log_prob, want.log_prob),
-                         (got.v_next, want.v_next)):
+        assert len(rows) == len(alone.records) == len(acting) == cfg.unroll
+        for k, (got, want) in enumerate(zip(rows, alone.records)):
+            assert (got.reward, got.done, len(got.valid), len(got.mask), got.choices,
+                    got.action) == (want.reward, want.done, len(want.valid),
+                                    len(want.mask), want.choices, want.action)
+            for a, b in ((got.value, want.value), (got.v_next, want.v_next),
+                         (together_decodes[k].log_prob.data[i], acting[k].log_prob.data[0])):
                 assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
 
@@ -506,25 +555,31 @@ def test_rollout_loss_and_gradients_equal_the_unmemoized_pass(
         agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
         workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
         rows.update(requested=0, embedded=0)
+        acting.clear()
         batch = trainer.run_rollouts(workers, agent, cfg)
-        total, _ = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent), cfg)
+        log_probs = [d.log_prob.data for d in acting]
+        total, _ = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent),
+                                         agent, cfg)
         agent.params.zero_grad()
         nm.backward(total)
         grads = {n: agent.params[n].grad for n in agent.params.names()}
-        return batch, total.item(), grads, dict(rows)
+        return batch, log_probs, total.item(), grads, dict(rows)
 
+    acting = recording_acting_decodes(monkeypatch)
     monkeypatch.setattr(KgA2CAgent, "_gat_block", counted_block)
     monkeypatch.setattr(KgA2CAgent, "gat_embed", counted_embed)
-    batch, loss, grads, memo_rows = run()
+    batch, log_probs, loss, grads, memo_rows = run()
     monkeypatch.setattr(KgA2CAgent, "gat_embed", unmemoized)
-    fresh_batch, fresh_loss, fresh_grads, fresh_rows = run()
+    fresh_batch, fresh_log_probs, fresh_loss, fresh_grads, fresh_rows = run()
     # 8 acting passes of 4 rows, the bootstrap pass and the learner's 32 rows
     assert fresh_rows["embedded"] == fresh_rows["requested"] == memo_rows["requested"] > 64
     assert memo_rows["embedded"] < memo_rows["requested"]
     assert [r.choices for r in batch.records] == [r.choices for r in fresh_batch.records]
     for got, want in zip(batch.records, fresh_batch.records, strict=True):
         assert abs(got.value - want.value) <= BATCH_TOL
-        assert abs(got.log_prob - want.log_prob) <= BATCH_TOL
+    assert len(log_probs) == len(fresh_log_probs) == cfg.unroll
+    for got, want in zip(log_probs, fresh_log_probs):
+        assert np.abs(got - want).max() <= BATCH_TOL
     assert abs(loss - fresh_loss) <= BATCH_TOL * max(abs(fresh_loss), 1.0)
     assert any(n.startswith("gat.") and g is not None for n, g in grads.items())
     for name, want in fresh_grads.items():
@@ -598,7 +653,7 @@ def test_learner_pass_equals_the_acting_pass(microzork, corpus, ablation, monkey
     assert values.shape == decoded.log_prob.shape == (len(batch.records),)
     for i, (record, (k, b)) in enumerate(zip(batch.records, rows)):
         assert abs(values.data[i] - record.value) <= BATCH_TOL
-        assert abs(decoded.log_prob.data[i] - record.log_prob) <= BATCH_TOL
+        assert abs(decoded.log_prob.data[i] - acting[k].log_prob.data[b]) <= BATCH_TOL
         assert decoded.actions[i] == acting[k].actions[b]
         got, want = row_of(decoded, i), row_of(acting[k], b)
         assert [c for c, _, _ in got] == [c for c, _, _ in want] == record.choices
@@ -621,7 +676,8 @@ def test_learner_loss_and_gradients_equal_a_per_step_replay(
         nm.backward(total)
         return {n: agent.params[n].grad for n in agent.params.names()}
 
-    total, parts = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent), cfg)
+    total, parts = trainer.combined_loss(batch, *trainer.learner_pass(batch, agent),
+                                         agent, cfg)
     grads = backward(total)
     ref_total, ref_parts = nm.Tensor(0.0), dict.fromkeys(trainer.PARTS, 0.0)
     for step in range(len(acting)):
@@ -629,7 +685,7 @@ def test_learner_loss_and_gradients_equal_a_per_step_replay(
         sub = trainer.RolloutBatch(records, [], 0)
         share = len(records) / len(batch.records)
         step_total, step_parts = trainer.combined_loss(
-            sub, *trainer.learner_pass(sub, agent), cfg)
+            sub, *trainer.learner_pass(sub, agent), agent, cfg)
         ref_total = nm.add(ref_total, nm.mul(nm.Tensor(share), step_total))
         for name, t in step_parts.items():
             ref_parts[name] += share * t.item()
@@ -892,18 +948,30 @@ def test_random_valid_baseline_is_seeded_and_plays_only_valid_actions(
     assert len(played) == 60 and len(first[1]) >= 1
 
 
+def test_random_valid_baseline_reports_no_score_when_no_episode_ends(microzork, corpus):
+    mean, scores = trainer.random_valid_baseline(microzork, corpus, SMALL, 5)
+    assert scores == [] and math.isnan(mean)
+
+
 @pytest.mark.parametrize("field, value", [
     ("p_m", 1.5), ("p_m", -0.1), ("p_m", float("nan")),
     ("p_valid", 2.0), ("p_valid", -1.0),
-    ("lr", -1.0), ("lr", float("nan")),
+    ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("lambda_critic", -1.0), ("lambda_critic", float("nan")),
+    ("lambda_template", float("inf")), ("lambda_object", float("nan")),
+    ("lambda_entropy", float("inf")),
     ("grad_clip", 0.0), ("grad_clip", -1.0),
     ("probe_budget", 0),
     ("eval_episodes", 0),
     ("checkpoint_every", -1),
 ])
-def test_config_rejects_values_that_break_a_run(field, value):
-    with pytest.raises(ValueError, match=field):
+def test_config_rejects_values_that_break_a_run(field, value, tmp_path):
+    with pytest.raises(ValueError, match=f"^{field} must"):
         trainer.TrainConfig(**{field: value})
+    path = tmp_path / "run.cfg"  # a config file is refused by the same name
+    path.write_text(f"workers = 1\n{field} = {value}\n")
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        trainer.TrainConfig.from_file(path)
 
 
 @pytest.mark.parametrize("field, value", [
