@@ -7,9 +7,16 @@ score matrix and one row-wise masked softmax), a binary score encoding, and
 a graph-masked two-stage action decoder (template head, then a shared object
 GRU conditioned by attention over everything decoded so far).  A critic head
 shares the same state embedding.  The ``seq`` ablation swaps the template
-decoder for a word-by-word one; each ablation allocates only the parameters
-it uses.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U`` and
-``.b`` that ``numerics.ParameterSet.gru`` allocates.
+decoder for a word-by-word one and allocates only the decoder it uses.  Not
+every allocated parameter is used: ``gat.*`` is allocated under every
+ablation, so under ``a2c`` and ``no-gat`` it is never read, and the template
+GRU runs one step from a zero hidden, so ``dec.tmpl.gru.U`` never gets a
+gradient.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U``
+and ``.b`` that ``numerics.ParameterSet.gru`` allocates.
+
+The passes take plain values: a belief graph is a ``kg.Graph`` (a frozenset
+of triples), a mask a frozenset of words, and one episode's encoder hiddens
+one (len(CHANNELS), gru_hidden) array whose row c is channel c's hidden.
 
 Every forward pass is batch-major: it takes B states (one per worker) and
 returns tensors whose leading axis is the row, and a single state is the
@@ -33,7 +40,7 @@ parameters do not change inside (``nm.adam_step`` on them raises there).
 The scope enters ``nm.no_grad()``, so no pass inside records a tape, and
 every pass inside shares two memos:
 
-* ``gat_embed`` keys each graph by its triple set, runs the block-diagonal
+* ``gat_embed`` keys each graph by itself, runs the block-diagonal
   attention only over graphs the scope has not embedded yet, and builds
   every row from the stored blocks.
 * ``encode_observation`` keys each channel row by (channel, text, carried
@@ -68,7 +75,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import tokenizer as tok
-from .kg import KnowledgeGraph, GraphMask
+from . import kg
 from .engine import Observation
 from .templates import ActionSpace
 
@@ -120,17 +127,6 @@ class AgentConfig:
     def state_dim(self) -> int:
         g = self.gat_dim if self.use_gat else 0
         return g + self.obs_dim + self.score_width
-
-
-@dataclass
-class EncoderState:
-    """Per-channel GRU hiddens carried across timesteps within one episode."""
-
-    hiddens: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros(cls, hidden_dim: int) -> "EncoderState":
-        return cls({ch: np.zeros(hidden_dim) for ch in CHANNELS})
 
 
 @dataclass
@@ -196,8 +192,8 @@ class KgA2CAgent:
             self._check_params(params)
         self.params = params if params is not None else self._build(seed)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
-        # inside fixed_parameters(): triple set -> (GAT block, its row)
-        self._gat_memo: dict[frozenset, tuple[nm.Tensor, int]] | None = None
+        # inside fixed_parameters(): graph -> (GAT block, its row)
+        self._gat_memo: dict[kg.Graph, tuple[nm.Tensor, int]] | None = None
         # inside fixed_parameters():
         # (channel, text, carried hidden bytes) -> that row's final hidden
         self._enc_memo: dict[tuple[str, str, bytes], np.ndarray] | None = None
@@ -275,11 +271,12 @@ class KgA2CAgent:
         return cached
 
     def encode_observation(
-        self, observations: Sequence[Observation], encs: Sequence[EncoderState]
-    ) -> tuple[nm.Tensor, list[EncoderState]]:
+        self, observations: Sequence[Observation], encs: Sequence[np.ndarray]
+    ) -> tuple[nm.Tensor, list[np.ndarray]]:
         """Per-channel GRU over subword embeddings for B observations, each
-        row from its own carried hidden; concatenated finals go through one
-        linear layer, giving (B, obs_dim) and each row's new hiddens.  Each
+        row from its own carried hiddens ``encs[b]`` (one row per channel);
+        concatenated finals go through one linear layer, giving (B, obs_dim)
+        and each row's new hiddens, read-only.  Each
         channel is one ``nm.gru_sequence`` node over the rows' token
         embeddings, padded to the longest text; an empty text has length 0,
         which carries its row's hidden unchanged.
@@ -290,10 +287,10 @@ class KgA2CAgent:
         in row order, and their finals are stored."""
         memo = self._enc_memo
         finals = []
-        new_hiddens: list[dict[str, np.ndarray]] = [{} for _ in encs]
-        for ch, field_name in zip(CHANNELS, ("o_desc", "o_game", "o_inv", "a_prev")):
+        fields = ("o_desc", "o_game", "o_inv", "a_prev")
+        for c, (ch, field_name) in enumerate(zip(CHANNELS, fields)):
             texts = [getattr(obs, field_name) for obs in observations]
-            h0s = [enc.hiddens[ch] for enc in encs]
+            h0s = [enc[c] for enc in encs]
             if memo is None:
                 h = self._encode_channel(ch, texts, h0s)
             else:
@@ -308,13 +305,13 @@ class KgA2CAgent:
                         memo.setdefault(keys[b], held[b].copy())
                 h = block if len(new) == len(keys) else nm.Tensor(np.array(held))
             finals.append(h)
-            for b, hiddens in enumerate(new_hiddens):
-                hiddens[ch] = h.data[b].copy()
         p = self.params
         o_t = nm.add(
             nm.matmul(nm.concat(finals), p["enc.combine.W"]), p["enc.combine.b"]
         )
-        return o_t, [EncoderState(h) for h in new_hiddens]
+        hiddens = np.stack([h.data for h in finals], axis=1)  # (B, channels, H)
+        hiddens.flags.writeable = False
+        return o_t, list(hiddens)
 
     def _encode_channel(self, ch: str, texts: Sequence[str],
                         h0s: Sequence[np.ndarray]) -> nm.Tensor:
@@ -348,26 +345,22 @@ class KgA2CAgent:
             self._gat_memo = self._enc_memo = None
             self.params.fixed = False
 
-    def gat_embed(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
+    def gat_embed(self, graphs: Sequence[kg.Graph]) -> nm.Tensor:
         """The graph embedding of B graphs, (B, gat_dim).  ``_gat_block``
-        embeds the graphs this call needs: each distinct triple set once,
-        and inside ``fixed_parameters`` only those the scope has not stored.
+        embeds the graphs this call needs: each distinct graph once, and
+        inside ``fixed_parameters`` only those the scope has not stored.
         When every graph is new and distinct the block itself is returned;
         otherwise each row is read from its stored block."""
         memo = {} if self._gat_memo is None else self._gat_memo
-        keys = [frozenset(graph.triples) for graph in graphs]
-        fresh: dict[frozenset, KnowledgeGraph] = {}
-        for key, graph in zip(keys, graphs):
-            if key not in memo:
-                fresh.setdefault(key, graph)
+        fresh = list(dict.fromkeys(g for g in graphs if g not in memo))
         if fresh:
-            block = self._gat_block(list(fresh.values()))
-            memo.update((key, (block, i)) for i, key in enumerate(fresh))
+            block = self._gat_block(fresh)
+            memo.update((graph, (block, i)) for i, graph in enumerate(fresh))
             if len(fresh) == len(graphs):
                 return block
-        return nm.stack0([nm.take(*memo[key]) for key in keys])
+        return nm.stack0([nm.take(*memo[graph]) for graph in graphs])
 
-    def _gat_block(self, graphs: Sequence[KnowledgeGraph]) -> nm.Tensor:
+    def _gat_block(self, graphs: Sequence[kg.Graph]) -> nm.Tensor:
         """Dense multi-head graph attention (Velickovic et al. 2018, arXiv
         1710.10903) over B graphs at once, head outputs mean-pooled over each
         graph's nodes and concatenated, then one linear layer under tanh;
@@ -386,7 +379,7 @@ class KgA2CAgent:
         """
         cfg = self.cfg
         p = self.params
-        per_graph = [sorted(graph.nodes()) for graph in graphs]
+        per_graph = [sorted(kg.nodes(graph)) for graph in graphs]
         total = sum(len(nodes) for nodes in per_graph)
         adj = np.zeros((total, total), dtype=bool)  # adj[i, j]: node i attends to j
         pool = np.zeros((len(graphs), total))  # per-graph means = pool @ outputs
@@ -402,7 +395,7 @@ class KgA2CAgent:
             pool[b, off:off + n] = 1.0 / n
             incoming: dict[int, list[str]] = {}
             # sorted: set order follows the hash seed, and the sums below must not
-            for s, rel, o in sorted(graph.triples):
+            for s, rel, o in sorted(graph):
                 adj[index[o], index[s]] = True
                 incoming.setdefault(index[o], []).append(rel)
             for node, i in index.items():
@@ -437,9 +430,9 @@ class KgA2CAgent:
     def state_embedding(
         self,
         observations: Sequence[Observation],
-        graphs: Sequence[KnowledgeGraph],
-        encs: Sequence[EncoderState],
-    ) -> tuple[nm.Tensor, list[EncoderState]]:
+        graphs: Sequence[kg.Graph],
+        encs: Sequence[np.ndarray],
+    ) -> tuple[nm.Tensor, list[np.ndarray]]:
         """s_t = g_t (+) o_t (+) c_t for B states, as (B, state_dim) (g_t
         dropped in the no-gat/a2c paths), and each row's new hiddens."""
         o_t, encs2 = self.encode_observation(observations, encs)
@@ -453,18 +446,18 @@ class KgA2CAgent:
 
     # -- decoders ----------------------------------------------------------
 
-    def _decoder_mask(self, mask: GraphMask) -> np.ndarray:
+    def _decoder_mask(self, mask: frozenset[str]) -> np.ndarray:
         if not self.cfg.use_mask:
             return np.ones(self.n_vocab, dtype=bool)
         word_ids = self.space.word_ids
         arr = np.zeros(self.n_vocab, dtype=bool)
-        arr[[word_ids[w] for w in mask.words]] = True
+        arr[[word_ids[w] for w in mask]] = True
         return arr
 
     def decode_action(
         self,
         s_t: nm.Tensor,
-        masks: Sequence[GraphMask],
+        masks: Sequence[frozenset[str]],
         rngs: Sequence[np.random.Generator] | None = None,
         mode: str = "sample",
         choices: Sequence[Sequence[int]] | None = None,

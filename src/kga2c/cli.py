@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
     print(
         f"trained {cfg.updates} updates on {spec.name} "
         f"({result.metrics[-1]['steps'] if result.metrics else 0} steps); "
-        f"eval mean={result.eval_mean:.3f} std={result.eval_std:.3f}"
+        f"eval score={result.eval_score:g}"
     )
     print(f"artifacts in {out_dir}")
     return 0
@@ -165,14 +165,12 @@ def cmd_eval(args) -> int:
     params = nm.load_checkpoint(args.checkpoint)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, params=params)
     trace: list | None = [] if args.trace else None
-    mean, std, scores = trainer.evaluate(
-        agent, pipe, args.episodes, seed=cfg.seed, trace=trace
-    )
-    if trace is not None and args.trace:
+    score, _, _ = trainer.evaluate(agent, pipe, 1, seed=cfg.seed, trace=trace)
+    if trace is not None:
         Path(args.trace).write_text(
             "\n".join(json.dumps(row) for row in trace) + "\n", encoding="utf-8"
         )
-    print(f"eval mean={mean:.3f} std={std:.3f} episodes={len(scores)}")
+    print(f"eval score={score:g}")
     return 0
 
 
@@ -186,10 +184,7 @@ def cmd_ablate(args) -> int:
         out_dir = out_root / name
         log.info("ablation %s -> %s", name, out_dir)
         result = trainer.train(spec, corpus, cfg, out_dir=out_dir)
-        print(
-            f"{name}: eval mean={result.eval_mean:.3f} std={result.eval_std:.3f} "
-            f"({out_dir})"
-        )
+        print(f"{name}: eval score={result.eval_score:g} ({out_dir})")
     return 0
 
 
@@ -287,7 +282,6 @@ def build_parser() -> _Parser:
     common(p_eval)
     p_eval.add_argument("--config", help="JSON or key = value config file")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=5)
     p_eval.add_argument("--ablation", choices=ABLATIONS, default=None)
     p_eval.add_argument("--trace", help="write an action-trace JSONL here")
     p_eval.set_defaults(fn=cmd_eval)

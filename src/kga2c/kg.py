@@ -5,14 +5,19 @@ interactive objects are detected by lexicon tagging plus an examine probe,
 linked to the current room and the distinguished "you" node, movement actions
 add navigation triples, and a small set of deterministic clause rules stands
 in for open information extraction over the grammar-controlled room text.
-The graph induces the decoding mask m_t = entities(G_t) intersected with V.
+
+The graph is a plain ``frozenset`` of triples (``Graph``): ``update_graph``
+returns a new one, so a graph once handed out never changes, and it can key
+a memo as it is.  Its nodes are every subject and object plus "you", which
+is always a node.  The graph induces the decoding mask
+m_t = entities(G_t) intersected with V, a ``frozenset`` of words, where the
+entities are the nodes other than "you".
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 
 from . import engine
 
@@ -21,52 +26,16 @@ YOU = "you"
 _SENTENCE_SPLIT = re.compile(r"[.!?\n]+")
 _WORD = re.compile(r"[a-z][a-z'-]*")
 
-
-class KnowledgeGraph:
-    """Triple store with a distinguished "you" node."""
-
-    def __init__(self) -> None:
-        self.triples: set[tuple[str, str, str]] = set()
-
-    def copy(self) -> "KnowledgeGraph":
-        g = KnowledgeGraph()
-        g.triples = set(self.triples)
-        return g
-
-    def add(self, subj: str, rel: str, obj: str) -> None:
-        self.triples.add((subj, rel, obj))
-
-    def discard(self, subj: str, rel: str, obj: str) -> None:
-        self.triples.discard((subj, rel, obj))
-
-    def nodes(self) -> set[str]:
-        out = {YOU}
-        for s, _, o in self.triples:
-            out.add(s)
-            out.add(o)
-        return out
-
-    def entities(self) -> set[str]:
-        return self.nodes() - {YOU}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KnowledgeGraph) and self.triples == other.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
+Graph = frozenset[tuple[str, str, str]]  # <subject, relation, object> triples
 
 
-@dataclass(frozen=True)
-class GraphMask:
-    """Vocabulary subset the object decoder may emit."""
-
-    words: frozenset[str]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
+def nodes(graph: Graph) -> set[str]:
+    """Every subject and object of the graph, and always "you"."""
+    out = {YOU}
+    for s, _, o in graph:
+        out.add(s)
+        out.add(o)
+    return out
 
 
 def normalize_entity(text: str, spec: engine.GameSpec) -> str | None:
@@ -120,55 +89,52 @@ def detect_interactive_objects(
     return detected
 
 
-def _current_room_node(graph: KnowledgeGraph) -> str | None:
-    for s, r, o in graph.triples:
+def _current_room_node(graph: Graph) -> str | None:
+    for s, r, o in graph:
         if s == YOU and r == "in":
             return o
     return None
 
 
 def update_graph(
-    graph: KnowledgeGraph,
+    graph: Graph,
     obs: engine.Observation,
     prev_action: str,
     current_room: str,
     detected: list[str],
     spec: engine.GameSpec,
-) -> KnowledgeGraph:
+) -> Graph:
     """Apply the update rules for one new observation; returns a new graph.
 
     Growth is monotone except the single <you, in, room> edge and
     <room, has, obj> edges for objects that moved into the inventory.
     """
-    g = graph.copy()
+    g = set(graph)
     room = normalize_entity(spec.rooms[current_room].name, spec) or current_room
 
     prev_room = _current_room_node(graph)
     direction = engine.direction(prev_action.lower().split())
     if direction and prev_room is not None and prev_room != room:
-        g.add(prev_room, direction, room)
+        g.add((prev_room, direction, room))
 
-    for s, r, o in list(g.triples):
-        if s == YOU and r == "in":
-            g.discard(s, r, o)
-    g.add(YOU, "in", room)
+    g -= {t for t in g if t[0] == YOU and t[1] == "in"}
+    g.add((YOU, "in", room))
 
     inventory_words = set(_tagged_words(obs.o_inv, spec))
     for word in detected:
         if word in inventory_words:
-            g.add(YOU, "have", word)
-            g.discard(room, "has", word)
+            g.add((YOU, "have", word))
+            g.discard((room, "has", word))
         else:
             if word != room:
-                g.add(room, "has", word)
-            g.add(YOU, "surrounded_by", word)
+                g.add((room, "has", word))
+            g.add((YOU, "surrounded_by", word))
     for word in sorted(inventory_words):
-        g.add(YOU, "have", word)
-        g.discard(room, "has", word)
+        g.add((YOU, "have", word))
+        g.discard((room, "has", word))
 
-    for subj, rel, obj in _clause_triples(obs.o_desc, room, spec):
-        g.add(subj, rel, obj)
-    return g
+    g.update(_clause_triples(obs.o_desc, room, spec))
+    return frozenset(g)
 
 
 def _clause_triples(
@@ -215,13 +181,14 @@ def _clause_triples(
 
 
 def graph_mask(
-    graph: KnowledgeGraph,
+    graph: Graph,
     vocabulary: tuple[str, ...],
     p_m: float,
     rng: random.Random | int | None = None,
     in_scope: tuple[str, ...] = (),
-) -> GraphMask:
+) -> frozenset[str]:
     """m_t = entities(G) in V, each remaining V word added with probability p_m.
+    The entities are the graph's nodes other than "you".
 
     Deterministic given (graph, V, p_m, seed).  Never empty while V is
     nonempty: falls back to in-scope object words, then to all of V.
@@ -230,7 +197,7 @@ def graph_mask(
         raise ValueError(f"p_m must be in [0, 1], got {p_m}")
     r = random.Random(rng) if not isinstance(rng, random.Random) else rng
     vocab = set(vocabulary)
-    base = graph.entities() & vocab
+    base = (nodes(graph) - {YOU}) & vocab
     added: set[str] = set()
     if p_m > 0.0:
         for word in vocabulary:  # fixed order for determinism
@@ -241,32 +208,32 @@ def graph_mask(
         words = set(in_scope) & vocab
     if not words and vocabulary:
         words = set(vocab)
-    return GraphMask(frozenset(words))
+    return frozenset(words)
 
 
-def export_graph(graph: KnowledgeGraph, format: str = "triples") -> str:
+def export_graph(graph: Graph, format: str = "triples") -> str:
     """Render the graph as sorted DOT or tab-separated triples."""
     if format == "triples":
-        return "\n".join(f"{s}\t{r}\t{o}" for s, r, o in sorted(graph.triples))
+        return "\n".join(f"{s}\t{r}\t{o}" for s, r, o in sorted(graph))
     if format == "dot":
         lines = ["digraph knowledge_graph {"]
-        for node in sorted(graph.nodes()):
+        for node in sorted(nodes(graph)):
             lines.append(f'  "{node}";')
-        for s, r, o in sorted(graph.triples):
+        for s, r, o in sorted(graph):
             lines.append(f'  "{s}" -> "{o}" [label="{r}"];')
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown export format: {format!r}")
 
 
-def import_triples(text: str) -> KnowledgeGraph:
+def import_triples(text: str) -> Graph:
     """Inverse of the triples export."""
-    g = KnowledgeGraph()
+    g = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        g.add(parts[0], parts[1], parts[2])
-    return g
+        g.add(tuple(parts))
+    return frozenset(g)

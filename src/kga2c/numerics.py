@@ -17,8 +17,8 @@ per row of a matrix.
 
 A GRU is three packed tensors, W (in, 3H), U (H, 3H) and b (3H,), with the
 gate blocks in z, r, n order.  ``gru_sequence`` is the one GRU tape node: it
-runs the recurrence over a (T, in) input for one hidden, or over a padded
-(T, B, in) batch with per-row lengths for B hiddens, and its backward does
+runs the recurrence over a padded (T, B, in) batch with per-row lengths for
+B hiddens (a single sequence is the B = 1 batch), and its backward does
 backpropagation through time in one reverse loop over the forward's own
 per-step arrays, then sends one gradient each to X, h0, W, U and b;
 ``gru_cell`` is its T = 1 case.  The input projection X @ W + b is one
@@ -412,11 +412,10 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
     """The standard gated update (Cho et al. 2014), h' = (1-z)*h + z*n with
     z, r and n read as H-wide blocks of x_t @ W and h @ U.
 
-    One sequence: X is (T, in) and h0 a hidden vector; returns the last
-    hidden.  A batch: X is a padded (T, B, in) batch and h0 is (B, H); row b
-    runs its first ``lengths[b]`` steps (all T by default), so a row that
-    ends early carries its hidden and a zero-length row keeps its h0; returns
-    (B, H).  Either way h0 itself comes back when no row has a step.
+    X is a padded (T, B, in) batch and h0 is (B, H); row b runs its first
+    ``lengths[b]`` steps (all T by default), so a row that ends early
+    carries its hidden and a zero-length row keeps its h0; returns the (B, H)
+    last hiddens, or h0 itself when no row has a step.
 
     X @ W + b is one product.  The rows run longest first, so step t updates
     the prefix of the n_t rows still running.  The forward keeps each step's
@@ -427,12 +426,10 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
     """
     W, U, b = p
     Xd, hd = X.data, h0.data
-    single = Xd.ndim == 2
-    if not (single and hd.ndim == 1 and lengths is None
-            or Xd.ndim == 3 and hd.ndim == 2 and Xd.shape[1] == hd.shape[0]):
+    if not (Xd.ndim == 3 and hd.ndim == 2 and Xd.shape[1] == hd.shape[0]):
         raise ShapeError(
-            f"gru_sequence expects a (T, in) matrix and a hidden vector, or a "
-            f"(T, B, in) batch and (B, H) hiddens, got {Xd.shape} and {hd.shape}"
+            f"gru_sequence expects a (T, B, in) batch and (B, H) hiddens, "
+            f"got {Xd.shape} and {hd.shape}"
         )
     H = hd.shape[-1]
     if Xd.shape[-1] != W.data.shape[0] or U.data.shape != (H, 3 * H):
@@ -440,8 +437,7 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
             f"gru_sequence: X {Xd.shape} / h {hd.shape} disagree with params "
             f"{W.data.shape} / {U.data.shape}"
         )
-    X3 = Xd[:, None, :] if single else Xd
-    T, B, n_in = X3.shape
+    T, B, n_in = Xd.shape
     order = None  # the row permutation that puts the longest rows first
     if lengths is None:
         steps, counts = T, [B] * T  # counts[t]: the rows still running at step t
@@ -461,8 +457,8 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
     if steps == 0 or B == 0:
         return h0
     Wd, Ud = W.data, U.data
-    XW = (X3[:steps].reshape(-1, n_in) @ Wd + b.data).reshape(steps, B, 3 * H)
-    h = hd[None] if single else hd
+    XW = (Xd[:steps].reshape(-1, n_in) @ Wd + b.data).reshape(steps, B, 3 * H)
+    h = hd
     if order is not None:
         XW, h = XW[:, order], h[order]
     x_zr, x_n = XW[:, :, :2 * H], XW[:, :, 2 * H:]
@@ -482,7 +478,7 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
         hn = hp + zr[:, :H] * (gn - hp)
         h = hn if n == B else np.concatenate((hn, h[n:]))  # a new array: hp stays
     inverse = None if order is None else np.argsort(order)
-    out = h[0] if single else h if inverse is None else h[inverse]
+    out = h if inverse is None else h[inverse]
 
     def backward(g, grads):
         # d(x_t @ W) of the rows still running at step t, in (z, r, n)
@@ -490,7 +486,7 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
         dXW = np.zeros((steps, B, 3 * H))  # also d/db
         dU = np.zeros_like(Ud)
         UT = Ud.T
-        dh = (g[None] if single else g if order is None else g[order]).copy()
+        dh = (g if order is None else g[order]).copy()
         for t in range(steps - 1, -1, -1):
             n, zr, gn, hU, hp = counts[t], zrs[t], ns[t], hUs[t], hs[t]
             z, r, d, dxw = zr[:, :H], zr[:, H:], dh[:n], dXW[t, :n]
@@ -507,9 +503,9 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
         dX = (dXW @ Wd.T).reshape(steps, B, n_in)
         if steps < T:
             dX = np.concatenate((dX, np.zeros((T - steps, B, n_in))))
-        grads[0] = dX[:, 0] if single else dX
-        grads[1] = dh[0] if single else dh
-        grads[2] = X3[:steps].reshape(-1, n_in).T @ dXW
+        grads[0] = dX
+        grads[1] = dh
+        grads[2] = Xd[:steps].reshape(-1, n_in).T @ dXW
         grads[3] = dU
         grads[4] = dXW.sum(axis=0)
 
@@ -517,8 +513,8 @@ def gru_sequence(X: Tensor, h0: Tensor, p: GRU,
 
 
 def gru_cell(x: Tensor, h: Tensor, p: GRU) -> Tensor:
-    """One GRU step for a hidden vector, or for each row of (B, H) hiddens
-    with (B, in) inputs: ``gru_sequence`` over a single step."""
+    """One GRU step for each row of (B, H) hiddens with (B, in) inputs:
+    ``gru_sequence`` over a single step."""
     return gru_sequence(stack0([x]), h, p)
 
 
@@ -702,7 +698,7 @@ def save_checkpoint(params: ParameterSet, path) -> None:
         fh.write(blob)
 
 
-def load_checkpoint(path, seed: int = 0) -> ParameterSet:
+def load_checkpoint(path) -> ParameterSet:
     """Exact round trip of parameter values; Adam state starts fresh."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -714,7 +710,7 @@ def load_checkpoint(path, seed: int = 0) -> ParameterSet:
     (version,) = struct.unpack("<H", blob[4:6])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    params = ParameterSet(seed)
+    params = ParameterSet()
     off = 6
     try:
         (count,) = struct.unpack_from("<I", blob, off)

@@ -1,7 +1,7 @@
 """Advantage actor-critic training over parallel game environments.
 
 Workers are independent environment pipelines advanced between updates;
-each owns an ``Episode`` (engine state, knowledge graph, encoder state) and
+each owns an ``Episode`` (engine state, belief graph, encoder hiddens) and
 its own sampling and mask RNGs, and shares the valid-action cache.  Each
 update is two passes, as in IMPALA's split of actors and learner (Espeholt
 et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
@@ -13,9 +13,10 @@ et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
   executes its own.  Each row samples from its worker's RNG in the order
   that worker alone would, so the schedule changes no sampled action, and
   fixed seeds give bitwise-identical metrics.  Each step's ``StepRecord``
-  keeps, as plain data, only what its row read and chose: the observation,
-  graph, starting encoder hiddens, mask and valid set, the ids it chose and
-  the action it executed.
+  keeps, as plain immutable values, only what its row read and chose: the
+  observation, the graph (a ``kg.Graph``), the starting encoder hiddens (one
+  row per channel), the mask (a frozenset of words), the valid
+  set, the ids it chose and the action it executed.
 * The learning pass, ``learner_pass``, is one taped pass over all U x B
   kept records of the unroll: ``state_embedding``, ``critic_value`` and
   ``decode_action`` in ``replay`` mode, which takes the recorded choices
@@ -55,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine, kg, numerics as nm, oracle, tokenizer as tok
-from .agent import AgentConfig, Decoded, EncoderState, KgA2CAgent
+from .agent import CHANNELS, AgentConfig, Decoded, KgA2CAgent
 from .templates import ActionSpace, FrequencyTable, build_action_space
 
 log = logging.getLogger(__name__)
@@ -89,7 +90,6 @@ class TrainConfig:
     seed: int = 0
     tokenizer_size: int = 512
     checkpoint_every: int = 0
-    eval_episodes: int = 5
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     def __post_init__(self) -> None:
@@ -101,15 +101,13 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {getattr(self, name)}")
-        if self.workers < 1 or self.unroll < 1 or self.updates < 0:
-            raise ValueError("workers, unroll must be positive; updates >= 0")
         for name in ("p_m", "p_valid"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not self.grad_clip > 0.0:
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
-        for name, low in (("probe_budget", 1), ("eval_episodes", 1),
-                          ("checkpoint_every", 0)):
+        for name, low in (("workers", 1), ("unroll", 1), ("updates", 0),
+                          ("probe_budget", 1), ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -198,9 +196,9 @@ class StepRecord:
     reward: float
     done: bool
     obs: engine.Observation
-    graph: kg.KnowledgeGraph
-    enc: EncoderState  # the encoder hiddens the step started from
-    mask: kg.GraphMask
+    graph: kg.Graph
+    enc: np.ndarray  # the encoder hiddens the step started from, a row per channel
+    mask: frozenset[str]  # the words the object decoder could choose from
     valid: oracle.ValidSet  # the valid-action cache's own set, shared
     choices: list[int]  # the ids each decoding head chose (``Decoded.choices``)
     action: str  # the executed text
@@ -226,14 +224,14 @@ class Episode:
                  gru_hidden: int = AgentConfig.gru_hidden):
         self.spec = spec
         self.state, self.obs = engine.reset(spec, seed)
-        self.graph = kg.KnowledgeGraph()
-        self.enc = EncoderState.zeros(gru_hidden)
+        self.graph: kg.Graph = frozenset()
+        self.enc = np.zeros((len(CHANNELS), gru_hidden))
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
 
     def observe(
         self, vocabulary: tuple[str, ...], p_m: float, rng: random.Random | int
-    ) -> kg.GraphMask:
+    ) -> frozenset[str]:
         """Detect objects, update the graph, then mask V by it."""
         detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
         self.graph = kg.update_graph(
@@ -261,26 +259,26 @@ class Worker:
         self.rng = np.random.default_rng(cfg.seed * 10_007 + idx)
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
-        self.pending: tuple[kg.GraphMask, oracle.ValidSet] | None = None
+        self.pending: tuple[frozenset[str], oracle.ValidSet] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
         self.ep = Episode(self.pipe.spec, self.cfg.seed + self.idx,
                           self.cfg.agent.gru_hidden)
 
-    def prepare(self) -> tuple[kg.GraphMask, oracle.ValidSet]:
+    def prepare(self) -> tuple[frozenset[str], oracle.ValidSet]:
         """Graph update, mask and valid set for the current observation;
         memoized until the next step consumes it, so the mask RNG and the
         oracle run once per environment step."""
         if self.pending is None:
             ep = self.ep
             mask = ep.observe(self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
-            valid = self.pipe.valid_set(ep.state, mask.words,
+            valid = self.pipe.valid_set(ep.state, mask,
                                         engine.in_scope_words(ep.state, ep.spec))
             self.pending = mask, valid
         return self.pending
 
-    def step(self, agent: KgA2CAgent, row: tuple[EncoderState, str, float, list[int]]
+    def step(self, agent: KgA2CAgent, row: tuple[np.ndarray, str, float, list[int]]
              ) -> tuple[StepRecord, int | None]:
         """Execute this worker's ``row`` of the step's batch pass (new
         hiddens, decoded action, value, chosen ids), which ``run_rollouts``
@@ -312,7 +310,7 @@ class Worker:
         return record, final_score
 
 
-def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[EncoderState]]:
+def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[np.ndarray]]:
     eps = [w.ep for w in workers]
     return agent.state_embedding(
         [ep.obs for ep in eps], [ep.graph for ep in eps], [ep.enc for ep in eps])
@@ -498,7 +496,7 @@ def combined_loss(
         y_o = np.zeros((len(records), agent.n_vocab))
         for b, r in enumerate(records):
             y_tau[b, list(r.valid.template_ids)] = 1.0
-            y_o[b, [agent.space.word_id(w) for w in r.mask.words]] = 1.0
+            y_o[b, [agent.space.word_id(w) for w in r.mask]] = 1.0
         reduce("template", nm.binary_cross_entropy(heads[0].logits, y_tau), weight)
     for k, head in enumerate(heads):
         w = weight[head.rows]
@@ -627,8 +625,7 @@ class TrainResult:
     metrics: list[dict]
     agent: KgA2CAgent
     pipeline: Pipeline
-    eval_mean: float
-    eval_std: float
+    eval_score: float  # the greedy eval episode's final score
 
 
 def build_pipeline(
@@ -709,8 +706,8 @@ def train(
         nm.save_checkpoint(agent.params, out_path / "checkpoint.bin")
         write_metrics_csv(metrics, out_path / "metrics.csv")
 
-    mean, std, _ = evaluate(agent, pipe, cfg.eval_episodes, seed=cfg.seed)
-    return TrainResult(metrics, agent, pipe, mean, std)
+    score, _, _ = evaluate(agent, pipe, 1, seed=cfg.seed)
+    return TrainResult(metrics, agent, pipe, score)
 
 
 def write_metrics_csv(metrics: list[dict], path) -> None:
@@ -729,7 +726,12 @@ def evaluate(
     trace: list | None = None,
 ) -> tuple[float, float, list[int]]:
     """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
-    p_m = 0 so evaluation is deterministic.  Each episode runs inside one
+    p_m = 0, decoding takes the argmax and ``engine.reset`` ignores its
+    seed, so evaluation is deterministic: every episode replays the first,
+    whatever ``seed``.  Callers in this package ask for one episode; the
+    count and the (mean, std, scores) result stay, since the benchmark
+    harness calls ``evaluate(agent, pipe, 1, seed=...)`` and unpacks three
+    values.  Each episode runs inside one
     ``agent.fixed_parameters()`` scope, so no pass records a tape, a graph
     that stays the same across steps is embedded once, and a (channel, text,
     carried hidden) row the episode met before is read from the encoder memo
@@ -759,8 +761,8 @@ def evaluate(
 STOP_WORD = "<stop>"  # the seq decoder's end-of-action token, as traces name it
 
 
-def _trace_row(agent: KgA2CAgent, decoded: Decoded, mask: kg.GraphMask,
-               graph: kg.KnowledgeGraph, action: str) -> dict:
+def _trace_row(agent: KgA2CAgent, decoded: Decoded, mask: frozenset[str],
+               graph: kg.Graph, action: str) -> dict:
     """The top-5 templates, and the top-5 words at each object blank or, under
     ``seq``, at each decoded position (where the template list is empty and
     the words include the stop token), with the mask, graph and action."""
@@ -776,8 +778,8 @@ def _trace_row(agent: KgA2CAgent, decoded: Decoded, mask: kg.GraphMask,
         "template_probs": [pair for probs in heads[:first] for pair in top5(probs, patterns)],
         "object_probs": [top5(probs, words) for probs in heads[first:]],
         "mask_size": len(mask),
-        "mask": sorted(mask.words),
-        "graph": sorted(graph.triples),
+        "mask": sorted(mask),
+        "graph": sorted(graph),
         "action": action,
     }
 
@@ -802,7 +804,7 @@ def random_valid_baseline(
         ep = Episode(spec, seed)
         while not ep.done and steps < max_steps:
             mask = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
-            valid = pipe.valid_set(ep.state, mask.words,
+            valid = pipe.valid_set(ep.state, mask,
                                    engine.in_scope_words(ep.state, spec))
             if len(valid):
                 action = valid.actions[rng.integers(len(valid))]

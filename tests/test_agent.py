@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from gradcheck import finite_difference_check
 
-from kga2c import agent as agent_module, engine, numerics as nm, tokenizer as tok, trainer
+from kga2c import agent as agent_module, engine, kg, numerics as nm, tokenizer as tok, trainer
 from kga2c.agent import CHANNELS, AgentConfig, KgA2CAgent
 
 
@@ -34,17 +34,17 @@ def loop_gat_embed(agent, graph):
         ent = (mean_rows(nm.take(emb, ids)) if ids
                else nm.Tensor(np.zeros(cfg.emb_dim)))
         rel_vecs = []
-        for rel in sorted(r for _, r, o in graph.triples if o == node):
+        for rel in sorted(r for _, r, o in graph if o == node):
             rel_ids = agent._token_ids(rel.replace("_", " "))
             if rel_ids:
                 rel_vecs.append(mean_rows(nm.take(emb, rel_ids)))
         return nm.add(ent, mean_rows(nm.stack0(rel_vecs))) if rel_vecs else ent
 
-    nodes = sorted(graph.nodes())
+    nodes = sorted(kg.nodes(graph))
     feats = nm.stack0([feature(n) for n in nodes])
     index = {n: i for i, n in enumerate(nodes)}
     neighbors = [[i] for i in range(len(nodes))]
-    for s, _, o in sorted(graph.triples):
+    for s, _, o in sorted(graph):
         j, i = index[s], index[o]
         if j not in neighbors[i]:
             neighbors[i].append(j)
@@ -78,8 +78,8 @@ def walk_graphs(pipe, count, seed=0):
         if ep.done:
             ep = trainer.Episode(pipe.spec, int(rng.integers(1000)))
         mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
-        graphs.append(ep.graph.copy())
-        valid = pipe.valid_set(ep.state, mask.words,
+        graphs.append(ep.graph)
+        valid = pipe.valid_set(ep.state, mask,
                                engine.in_scope_words(ep.state, pipe.spec))
         ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
     return graphs
@@ -93,7 +93,8 @@ def pipe(microzork, corpus):
 def test_dense_gat_matches_per_node_loop(pipe):
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=5)
     graphs = walk_graphs(pipe, 200)
-    assert max(len(g.nodes()) for g in graphs) > min(len(g.nodes()) for g in graphs)
+    sizes = [len(kg.nodes(g)) for g in graphs]
+    assert max(sizes) > min(sizes)
     tracked = ["emb"] + [n for n in agent.params.names() if n.startswith("gat.")]
     weights = nm.Tensor(np.random.default_rng(0).normal(size=agent.cfg.gat_dim))
 
@@ -155,7 +156,7 @@ def test_whole_agent_gradcheck(pipe):
     _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
     mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
-    assert len(ep.graph.nodes()) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
+    assert len(kg.nodes(ep.graph)) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
     def decode():
         s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
@@ -227,16 +228,16 @@ def row_of(decoded, b):
 
 
 def walk_states(pipe, agent, count, seed=0):
-    """(observation, graph, encoder state, mask) along a random valid-action
+    """(observation, graph, encoder hiddens, mask) along a random valid-action
     episode, with the encoder hiddens carried as a rollout carries them."""
     rng = np.random.default_rng(seed)
     states = []
     ep = trainer.Episode(pipe.spec, seed, agent.cfg.gru_hidden)
     while len(states) < count:
         mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
-        states.append((ep.obs, ep.graph.copy(), ep.enc, mask))
+        states.append((ep.obs, ep.graph, ep.enc, mask))
         _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-        valid = pipe.valid_set(ep.state, mask.words,
+        valid = pipe.valid_set(ep.state, mask,
                                engine.in_scope_words(ep.state, pipe.spec))
         ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
     return states
@@ -267,17 +268,19 @@ def test_encoder_and_critic_batch_equals_rows(batch_agent, states):
         s_b, (enc_b,) = agent.state_embedding([obs[b]], [graphs[b]], [encs[b]])
         assert_close(s_t.data[b], s_b.data[0])
         assert_close(values.data[b], agent.critic_value(s_b).data[0])
-        for ch in CHANNELS:
-            assert_close(encs2[b].hiddens[ch], enc_b.hiddens[ch])
+        assert encs2[b].shape == (len(CHANNELS), agent.cfg.gru_hidden)
+        assert not encs2[b].flags.writeable
+        assert_close(encs2[b], enc_b)
     # the empty channels carry their hidden unchanged
-    assert np.array_equal(encs2[2].hiddens["inv"], encs[2].hiddens["inv"])
-    assert np.array_equal(encs2[2].hiddens["prev"], encs[2].hiddens["prev"])
+    for ch in ("inv", "prev"):
+        c = CHANNELS.index(ch)
+        assert np.array_equal(encs2[2][c], encs[2][c])
 
 
 def test_block_diagonal_gat_batch_equals_rows(batch_agent, pipe):
     agent = batch_agent
     graphs = walk_graphs(pipe, 30, seed=1)[::7]
-    assert len({len(g.nodes()) for g in graphs}) > 1
+    assert len({len(kg.nodes(g)) for g in graphs}) > 1
     batch = agent.gat_embed(graphs)
     assert batch.shape == (len(graphs), agent.cfg.gat_dim)
     for b, graph in enumerate(graphs):
@@ -389,7 +392,7 @@ def test_memo_rows_repeating_one_graph_equal_separate_fresh_calls(pipe):
     pass over graphs already stored reads them."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=11)
     g0, g1 = walk_graphs(pipe, 30, seed=2)[::29]
-    assert g0.triples != g1.triples
+    assert g0 != g1
     graphs = [g0, g1, g0, g0]
     weights = nm.Tensor(np.random.default_rng(1).normal(size=(4, agent.cfg.gat_dim)))
     fresh = [agent.gat_embed([g]) for g in graphs]
@@ -434,7 +437,7 @@ def test_memo_no_grad_rows_never_reach_a_taped_pass(pipe):
     is embedded again by the next scope."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     graph, other = walk_graphs(pipe, 5)[-1], walk_graphs(pipe, 5)[0]
-    assert graph.triples != other.triples
+    assert graph != other
     embedded = record_gat_blocks(agent)
     with agent.fixed_parameters():
         untaped = agent.gat_embed([graph, graph])
@@ -544,8 +547,8 @@ def count_gru_rows(monkeypatch):
 
 
 def assert_hiddens_equal(got, want):
-    for ch in CHANNELS:
-        assert np.array_equal(got.hiddens[ch], want.hiddens[ch]), ch
+    assert got.shape == (len(CHANNELS), want.shape[1])
+    assert np.array_equal(got, want)
 
 
 def test_enc_memo_reads_a_repeated_pair_without_running_the_gru(

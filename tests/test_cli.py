@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -73,7 +74,7 @@ def test_inspect_checkpoint_exits_0(corridor, tmp_path, capsys):
 def test_eval_refuses_checkpoint_of_another_ablation(corridor, tmp_path, capsys):
     path = tmp_path / "seq.bin"
     _save_checkpoint(corridor, "seq", path)
-    argv = ["eval", "--game", "corridor", "--checkpoint", str(path), "--episodes", "1"]
+    argv = ["eval", "--game", "corridor", "--checkpoint", str(path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "'dec.ctx.W' is missing" in err and "'full'" in err
@@ -108,7 +109,7 @@ def test_eval_refuses_nine_tensor_gru_checkpoint(corridor, tmp_path, capsys):
             old.tensors[f"{prefix}.{kind}{gate}"] = nm.Tensor(data[..., k * hid:(k + 1) * hid])
     path = tmp_path / "nine.bin"
     nm.save_checkpoint(old, path)
-    argv = ["eval", "--game", "corridor", "--checkpoint", str(path), "--episodes", "1"]
+    argv = ["eval", "--game", "corridor", "--checkpoint", str(path)]
     assert cli.main(argv) == 2
     assert "'dec.obj.gru.U' is missing" in capsys.readouterr().err
 
@@ -169,10 +170,13 @@ def test_eval_trace_round_trips_through_inspect(corridor, tmp_path, capsys):
     _save_checkpoint(corridor, "full", ckpt)
     trace = tmp_path / "trace.jsonl"
     argv = ["eval", "--game", "corridor", "--checkpoint", str(ckpt),
-            "--episodes", "1", "--trace", str(trace)]
+            "--trace", str(trace)]
     assert cli.main(argv) == 0
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert rows
+    # greedy eval is deterministic, so eval plays one episode and prints its score
+    assert re.fullmatch(r"eval score=-?\d+\n", capsys.readouterr().out)
+    assert cli.main(argv + ["--episodes", "2"]) == 1
     for row in rows:
         assert row["mask"] == sorted(row["mask"]) and len(row["mask"]) == row["mask_size"]
         assert row["graph"] == sorted(row["graph"])

@@ -5,15 +5,17 @@ import pytest
 from kga2c import kg
 from kga2c.engine import SENTINEL_PREV_ACTION, load_game, reset, step
 from kga2c.kg import (
-    GraphMask,
-    KnowledgeGraph,
+    YOU,
     detect_interactive_objects,
     export_graph,
     graph_mask,
     import_triples,
+    nodes,
     normalize_entity,
     update_graph,
 )
+
+EMPTY: kg.Graph = frozenset()
 
 ZORKISH = """
 [meta]
@@ -115,7 +117,7 @@ class TestDetection:
 class TestUpdateGraph:
     def walk(self, spec, actions):
         state, obs = reset(spec, 0)
-        graph = KnowledgeGraph()
+        graph = EMPTY
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, spec)
         graph = update_graph(graph, obs, prev, state.room, detected, spec)
@@ -129,18 +131,32 @@ class TestUpdateGraph:
 
     def test_go_down_adds_navigation_triple(self, zorkish):
         _, _, graph = self.walk(zorkish, ["north", "go down"])
-        assert ("kitchen", "down", "cellar") in graph.triples
+        assert ("kitchen", "down", "cellar") in graph
 
     def test_take_key_moves_edge_to_you(self, microzork):
         _, _, before = self.walk(microzork, [])
-        assert ("field", "has", "key") in before.triples
-        assert ("field", "has", "brass") in before.triples
+        assert ("field", "has", "key") in before
+        assert ("field", "has", "brass") in before
         _, _, after = self.walk(microzork, ["take key"])
-        assert ("you", "have", "key") in after.triples
-        assert ("field", "has", "key") not in after.triples
+        assert ("you", "have", "key") in after
+        assert ("field", "has", "key") not in after
         # "brass key" gives one object two nodes; they move together
-        assert ("you", "have", "brass") in after.triples
-        assert ("field", "has", "brass") not in after.triples
+        assert ("you", "have", "brass") in after
+        assert ("field", "has", "brass") not in after
+
+    def test_update_returns_a_new_frozen_graph(self, microzork):
+        state, _, graph = self.walk(microzork, [])
+        before = set(graph)
+        state, obs, _, _ = step(state, "take key", microzork)
+        detected = detect_interactive_objects(obs, state, microzork)
+        after = update_graph(graph, obs, "take key", state.room, detected, microzork)
+        assert isinstance(graph, frozenset) and isinstance(after, frozenset)
+        assert after != graph and graph == before
+
+    def test_you_is_always_a_node(self, microzork):
+        assert nodes(EMPTY) == {YOU}
+        _, _, graph = self.walk(microzork, ["north"])
+        assert nodes(graph) == {YOU} | {s for s, _, _ in graph} | {o for _, _, o in graph}
 
     def test_noop_action_preserves_graph(self, microzork):
         state, obs, graph = self.walk(microzork, ["look"])
@@ -152,12 +168,12 @@ class TestUpdateGraph:
 
     def test_you_in_edge_is_unique(self, microzork):
         _, _, graph = self.walk(microzork, ["north", "east", "west", "south"])
-        in_edges = [t for t in graph.triples if t[0] == "you" and t[1] == "in"]
+        in_edges = [t for t in graph if t[0] == "you" and t[1] == "in"]
         assert in_edges == [("you", "in", "field")]
 
     def test_growth_monotone_except_sanctioned_removals(self, microzork):
         state, obs = reset(microzork, 0)
-        graph = KnowledgeGraph()
+        graph = EMPTY
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, microzork)
         graph = update_graph(graph, obs, prev, state.room, detected, microzork)
@@ -168,7 +184,7 @@ class TestUpdateGraph:
             new_graph = update_graph(
                 graph, obs, action, state.room, detected, microzork
             )
-            removed = graph.triples - new_graph.triples
+            removed = graph - new_graph
             for s, r, o in removed:
                 assert (s == "you" and r == "in") or r == "has"
             graph = new_graph
@@ -177,7 +193,7 @@ class TestUpdateGraph:
         _, _, graph = self.walk(
             microzork, ["take key", "north", "north", "open chest with key", "look"]
         )
-        assert ("chest", "contains", "coin") in graph.triples
+        assert ("chest", "contains", "coin") in graph
 
     def test_chest_prize_enters_mask_after_opening(self, microzork, microzork_space):
         _, _, graph = self.walk(
@@ -207,26 +223,24 @@ class TestNormalization:
 
 class TestGraphMask:
     def graph_with(self, *entities):
-        g = KnowledgeGraph()
-        for e in entities:
-            g.add("you", "surrounded_by", e)
-        return g
+        return frozenset(("you", "surrounded_by", e) for e in entities)
 
     def test_pm_zero_exact(self, microzork_space):
         g = self.graph_with("key", "chest", "nonword")
         mask = graph_mask(g, microzork_space.vocabulary, 0.0)
-        assert mask.words == frozenset({"key", "chest"})
+        assert mask == frozenset({"key", "chest"})
+        assert isinstance(mask, frozenset)
 
     def test_pm_one_full_vocabulary(self, microzork_space):
         g = self.graph_with("key")
         mask = graph_mask(g, microzork_space.vocabulary, 1.0, random.Random(0))
-        assert mask.words == frozenset(microzork_space.vocabulary)
+        assert mask == frozenset(microzork_space.vocabulary)
 
     def test_reproducible_given_seed(self, microzork_space):
         g = self.graph_with("key", "chest")
         m1 = graph_mask(g, microzork_space.vocabulary, 0.3, random.Random(7))
         m2 = graph_mask(g, microzork_space.vocabulary, 0.3, random.Random(7))
-        assert m1.words == m2.words
+        assert m1 == m2
 
     def test_monte_carlo_mean_size(self):
         # |V|=50, |base|=10, p_m=0.05: E[size] = 10 + 0.05*40 = 12
@@ -242,33 +256,30 @@ class TestGraphMask:
     def test_soundness_at_pm_zero(self, microzork_space):
         g = self.graph_with("key", "mailbox")
         mask = graph_mask(g, microzork_space.vocabulary, 0.0)
-        for word in mask.words:
-            assert word in g.entities()
+        for word in mask:
+            assert word in nodes(g) - {YOU}
 
     def test_fallback_to_in_scope_then_vocab(self, microzork_space):
-        empty = KnowledgeGraph()
         mask = graph_mask(
-            empty, microzork_space.vocabulary, 0.0, in_scope=("key", "mailbox")
+            EMPTY, microzork_space.vocabulary, 0.0, in_scope=("key", "mailbox")
         )
-        assert mask.words == frozenset({"key", "mailbox"})
-        mask2 = graph_mask(empty, microzork_space.vocabulary, 0.0)
-        assert mask2.words == frozenset(microzork_space.vocabulary)
+        assert mask == frozenset({"key", "mailbox"})
+        mask2 = graph_mask(EMPTY, microzork_space.vocabulary, 0.0)
+        assert mask2 == frozenset(microzork_space.vocabulary)
 
     def test_invalid_pm_rejected(self, microzork_space):
         with pytest.raises(ValueError):
-            graph_mask(KnowledgeGraph(), microzork_space.vocabulary, 1.5)
+            graph_mask(EMPTY, microzork_space.vocabulary, 1.5)
 
 
 class TestExport:
     def test_empty_graph_dot_has_you(self):
-        dot = export_graph(KnowledgeGraph(), "dot")
+        dot = export_graph(EMPTY, "dot")
         assert '"you";' in dot
         assert dot.startswith("digraph")
 
     def test_triples_sorted_lines(self):
-        g = KnowledgeGraph()
-        g.add("kitchen", "down", "cellar")
-        g.add("you", "in", "kitchen")
+        g = frozenset({("kitchen", "down", "cellar"), ("you", "in", "kitchen")})
         text = export_graph(g, "triples")
         assert text.splitlines() == sorted(text.splitlines())
         assert "kitchen\tdown\tcellar" in text
@@ -276,7 +287,7 @@ class TestExport:
     def test_round_trip(self, microzork):
         state, obs = reset(microzork, 0)
         g = update_graph(
-            KnowledgeGraph(),
+            EMPTY,
             obs,
             SENTINEL_PREV_ACTION,
             state.room,
@@ -287,14 +298,14 @@ class TestExport:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            export_graph(KnowledgeGraph(), "gml")
+            export_graph(EMPTY, "gml")
 
     def test_byte_identical_across_runs(self, microzork):
         outs = set()
         for _ in range(2):
             state, obs = reset(microzork, 0)
             g = update_graph(
-                KnowledgeGraph(),
+                EMPTY,
                 obs,
                 SENTINEL_PREV_ACTION,
                 state.room,

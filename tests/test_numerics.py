@@ -214,8 +214,8 @@ class TestCoreOps:
 class TestGRU:
     def test_zero_params_halve_hidden(self):
         rng = np.random.default_rng(0)
-        x = nm.Tensor(rng.normal(size=4))
-        h = nm.Tensor(rng.normal(size=3))
+        x = nm.Tensor(rng.normal(size=(1, 4)))
+        h = nm.Tensor(rng.normal(size=(1, 3)))
         zeros = (nm.Tensor(np.zeros((4, 9))), nm.Tensor(np.zeros((3, 9))),
                  nm.Tensor(np.zeros(9)))
         out = nm.gru_cell(x, h, zeros)
@@ -250,17 +250,18 @@ class TestGRU:
         z = sigmoid(x @ blocks["Wz"] + h @ blocks["Uz"] + bz)
         r = sigmoid(x @ blocks["Wr"] + h @ blocks["Ur"] + br)
         n = np.tanh(x @ blocks["Wn"] + r * (h @ blocks["Un"]) + bn)
-        out = nm.gru_cell(nm.Tensor(x), nm.Tensor(h), (W, U, b))
-        assert np.allclose(out.data, (1 - z) * h + z * n, rtol=0, atol=1e-14)
+        out = nm.gru_cell(nm.Tensor(x[None]), nm.Tensor(h[None]), (W, U, b))
+        assert out.shape == (1, 3)
+        assert np.allclose(out.data[0], (1 - z) * h + z * n, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients(self, seed):
         rng = np.random.default_rng(seed)
         params = nm.ParameterSet(seed)
         gp = params.gru("g", 4, 3)
-        x = rand(rng, 4)
-        h = rand(rng, 3)
-        y = nm.Tensor(rng.normal(size=3))
+        x = rand(rng, 1, 4)
+        h = rand(rng, 1, 3)
+        y = nm.Tensor(rng.normal(size=(1, 3)))
 
         def f():
             h1 = nm.gru_cell(x, h, gp)
@@ -272,21 +273,25 @@ class TestGRU:
     def test_empty_sequence_returns_h0(self):
         params = nm.ParameterSet(0)
         gp = params.gru("g", 4, 3)
-        h0 = nm.Tensor(np.array([1.0, -2.0, 3.0]))
-        assert nm.gru_sequence(nm.Tensor(np.zeros((0, 4))), h0, gp) is h0
+        h0 = nm.Tensor(np.array([[1.0, -2.0, 3.0]]))
+        assert nm.gru_sequence(nm.Tensor(np.zeros((0, 1, 4))), h0, gp) is h0
 
     def test_shape_mismatch_rejected(self):
         params = nm.ParameterSet(0)
         gp = params.gru("g", 4, 3)
-        h = nm.Tensor(np.zeros(3))
-        with pytest.raises(nm.ShapeError):  # X is a vector, not (T, in)
-            nm.gru_sequence(nm.Tensor(np.zeros(4)), h, gp)
+        h = nm.Tensor(np.zeros((1, 3)))
+        with pytest.raises(nm.ShapeError):  # X is a (T, in) matrix, not (T, B, in)
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 4))), h, gp)
+        with pytest.raises(nm.ShapeError):  # h is a vector, not (B, H)
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 1, 4))), nm.Tensor(np.zeros(3)), gp)
+        with pytest.raises(nm.ShapeError):  # two rows of X, one hidden
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 2, 4))), h, gp)
         with pytest.raises(nm.ShapeError):  # in-dim disagrees with W
-            nm.gru_sequence(nm.Tensor(np.zeros((2, 5))), h, gp)
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 1, 5))), h, gp)
         with pytest.raises(nm.ShapeError):  # hidden size disagrees with U
-            nm.gru_sequence(nm.Tensor(np.zeros((2, 4))), nm.Tensor(np.zeros(4)), gp)
+            nm.gru_sequence(nm.Tensor(np.zeros((2, 1, 4))), nm.Tensor(np.zeros((1, 4))), gp)
         with pytest.raises(nm.ShapeError):
-            nm.gru_cell(nm.Tensor(np.zeros(5)), h, gp)
+            nm.gru_cell(nm.Tensor(np.zeros((1, 5))), h, gp)
 
     @staticmethod
     def reference_sequence(X, h, p):
@@ -311,8 +316,9 @@ class TestGRU:
     @pytest.mark.parametrize("T", [1, 2, 7, 20])
     @pytest.mark.parametrize("seed", range(3))
     def test_sequence_matches_per_token_reference(self, T, seed):
-        """Outputs bitwise equal to the primitive-node GRU; gradients of X,
-        h0, W, U and b equal to 1e-12 of each tensor's largest entry."""
+        """A one-row batch: its output bitwise equal to the primitive-node
+        GRU over the row's (T, in) sequence and hidden vector; gradients of
+        X, h0, W, U and b equal to 1e-12 of each tensor's largest entry."""
         rng = np.random.default_rng(100 * T + seed)
         params = nm.ParameterSet(seed)
         gp = params.gru("g", 6, 5)
@@ -320,17 +326,20 @@ class TestGRU:
         X = rand(rng, T, 6)
         h0 = rand(rng, 5)
         y = nm.Tensor(rng.normal(size=5))
-        tensors = [X, h0, *gp]
 
-        def run(fn):
+        def run(fn, X, h0, y):
             out = fn(X, h0, gp)
+            tensors = [X, h0, *gp]
             for t in tensors:
                 t.zero_grad()
             nm.backward(nm.sum_(nm.mul(out, y)))
             return out.data, [t.grad.copy() for t in tensors]
 
-        out, grads = run(nm.gru_sequence)
-        ref_out, ref_grads = run(self.reference_sequence)
+        Xb = nm.Tensor(X.data[:, None], requires_grad=True)  # (T, 1, in)
+        hb = nm.Tensor(h0.data[None], requires_grad=True)  # (1, H)
+        out, grads = run(nm.gru_sequence, Xb, hb, nm.Tensor(y.data[None]))
+        ref_out, ref_grads = run(self.reference_sequence, X, h0, y)
+        out, grads[0], grads[1] = out[0], grads[0][:, 0], grads[1][0]
         assert np.array_equal(out, ref_out)
         for name, g, ref in zip(["X", "h0", "W", "U", "b"], grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), name
@@ -341,9 +350,9 @@ class TestGRU:
         params = nm.ParameterSet(T)
         gp = params.gru("g", 4, 3)
         gp[2].data = rng.normal(size=9)
-        X = rand(rng, T, 4)
-        h0 = rand(rng, 3)
-        y = nm.Tensor(rng.normal(size=3))
+        X = rand(rng, T, 1, 4)
+        h0 = rand(rng, 1, 3)
+        y = nm.Tensor(rng.normal(size=(1, 3)))
         finite_difference_check(
             lambda: nm.sum_(nm.mul(nm.gru_sequence(X, h0, gp), y)), [X, h0, *gp]
         )
@@ -380,19 +389,19 @@ class TestGRU:
         for t in gp:
             t.zero_grad()
         for b, n in enumerate(lengths):
-            Xb = nm.Tensor(X.data[:n, b].copy(), requires_grad=True)
-            hb = nm.Tensor(h0.data[b].copy(), requires_grad=True)
-            ob = nm.gru_sequence(Xb, hb, gp)
-            rows_out.append(ob.data)
+            Xb = nm.Tensor(X.data[:n, b:b + 1].copy(), requires_grad=True)
+            hb = nm.Tensor(h0.data[b:b + 1].copy(), requires_grad=True)
+            ob = nm.gru_sequence(Xb, hb, gp)  # the row as a one-row batch
+            rows_out.append(ob.data[0])
             if ob is hb:  # T = 0: h0 itself, so d/dh0 is y
                 assert n == 0
-                hb.grad = y[b]
-                Xb.grad = np.zeros((0, 4))
+                hb.grad = y[b:b + 1]
+                Xb.grad = np.zeros((0, 1, 4))
             else:
-                nm.backward(nm.sum_(nm.mul(ob, nm.Tensor(y[b]))))
-            assert np.abs(batch_grads[0][:n, b] - Xb.grad).max(initial=0) <= 1e-12
+                nm.backward(nm.sum_(nm.mul(ob, nm.Tensor(y[b:b + 1]))))
+            assert np.abs(batch_grads[0][:n, b] - Xb.grad[:, 0]).max(initial=0) <= 1e-12
             assert not batch_grads[0][n:, b].any()
-            assert np.abs(batch_grads[1][b] - hb.grad).max() <= 1e-12
+            assert np.abs(batch_grads[1][b] - hb.grad[0]).max() <= 1e-12
         assert np.abs(out.data - np.array(rows_out)).max() <= 1e-12
         for got, t in zip(batch_grads[2:], gp):
             assert np.abs(got - t.grad).max() <= 1e-12 * max(np.abs(t.grad).max(), 1)

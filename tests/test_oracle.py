@@ -335,13 +335,13 @@ class TestPruning:
         )
         mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
         in_scope = engine.in_scope_words(ep.state, microzork)
-        valid = pipe.valid_set(ep.state, mask.words, in_scope)
+        valid = pipe.valid_set(ep.state, mask, in_scope)
         assert pipe.valid_misses == 1  # the oracle probed
         assert len(calls) == 1  # in Episode.observe only
         # the words were built once and kept beside the scope
         assert engine.in_scope_words(ep.state, microzork) is in_scope
         assert len(calls) == 1
-        words = set(mask.words) | set(in_scope)
+        words = set(mask) | set(in_scope)
         assert as_map(valid) == brute_force_map(ep.state, microzork, pipe.space,
                                                 sorted(words))
 

@@ -1,7 +1,8 @@
 """Trainer: fixed-seed determinism, per-ablation smoke runs, a ``train`` run
 against the pinned behaviour dump, parameters and loss terms, the combined
 loss's gradient, config files, loud worker failures, greedy eval with and
-without the encoder memo, and the episode belief loop."""
+without the encoder memo and its episodes replaying the first, and the
+episode belief loop."""
 
 import contextlib
 import csv
@@ -18,7 +19,7 @@ import pytest
 from gradcheck import finite_difference_check
 from test_agent import BATCH_TOL, row_of
 
-from kga2c import engine, numerics as nm, oracle, tokenizer as tok, trainer
+from kga2c import BUNDLED_GAMES, engine, numerics as nm, oracle, tokenizer as tok, trainer
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
@@ -187,7 +188,7 @@ def reference_parts(batch, decoded, cfg, space):
     """Every loss part recomputed one record at a time with numpy, from the
     learner pass's heads that decoded the record's row and targets derived
     here from the record: template BCE toward ``valid.template_ids``, object
-    BCE per blank toward ``mask.words``, p log p over the support (the
+    BCE per blank toward ``mask``, p log p over the support (the
     valid templates at a supervised template head), seq CE over
     zip(positions, teacher ids), -log pi * A and (Q - V)^2 / 2, each summed
     over the records and averaged."""
@@ -213,7 +214,7 @@ def reference_parts(batch, decoded, cfg, space):
         if supervised:  # the template head, then one head per blank
             y_tau = np.zeros(len(space.templates))
             y_tau[np.array(record.valid.template_ids, dtype=int)] = 1.0
-            y_o = np.isin(vocabulary, sorted(record.mask.words)).astype(float)
+            y_o = np.isin(vocabulary, sorted(record.mask)).astype(float)
             parts["template"] += bce(row[0][1], y_tau)
             for _, logits, _ in row[1:]:
                 parts["object"] += bce(logits, y_o)
@@ -304,7 +305,7 @@ def test_sampled_object_ids_lie_inside_their_rows_mask(request, corpus, game, mo
     for masks, decoded in seen:
         for head in decoded.heads[1:]:
             for b, oid in zip(head.rows, head.chosen):
-                assert pipe.space.vocabulary[oid] in masks[b].words
+                assert pipe.space.vocabulary[oid] in masks[b]
                 sampled += 1
     assert sampled >= 20
 
@@ -732,6 +733,40 @@ def test_evaluate_records_no_tape_and_plays_as_with_it(
     assert embeddings and not any(e._parents for e in embeddings)
 
 
+@pytest.mark.parametrize("ablation", ["full", "seq"])
+@pytest.mark.parametrize("game", BUNDLED_GAMES)
+def test_greedy_eval_episodes_replay_the_first(request, corpus, game, ablation,
+                                               monkeypatch):
+    """Greedy eval is deterministic: ``engine.reset`` ignores its seed, the
+    decoders take the argmax and the mask adds no word at p_m = 0.  So every
+    episode replays the first, whatever the seed, which is why ``train`` and
+    ``kga2c eval`` play one.  If the engine or eval gains randomness, this
+    names the assumption that broke."""
+    spec = replace(request.getfixturevalue(game), turn_cap=40)
+    cfg = trainer.TrainConfig().with_ablation(ablation)
+    pipe = trainer.build_pipeline(spec, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    episode, trace, starts = trainer.Episode, [], []
+
+    def started(*args):
+        starts.append(len(trace))
+        return episode(*args)
+
+    monkeypatch.setattr(trainer, "Episode", started)
+    runs, scores = [], []
+    for seed in (0, 7):
+        trace.clear()
+        starts.clear()
+        scores += trainer.evaluate(agent, pipe, 3, seed=seed, trace=trace)[2]
+        bounds = starts + [len(trace)]
+        runs.append([trace[a:b] for a, b in zip(bounds, bounds[1:])])
+    assert len(scores) == 6 and len(set(scores)) == 1
+    for episodes in runs:
+        assert len(episodes) == 3 and episodes[0]
+        assert episodes[1] == episodes[0] and episodes[2] == episodes[0]
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("game", ["microzork", "pantry"])
 def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
     request, corpus, game, monkeypatch
@@ -782,14 +817,14 @@ def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
 def test_episode_observe_at_microzork_start(microzork, microzork_space):
     ep = trainer.Episode(microzork, 0)
     mask = ep.observe(microzork_space.vocabulary, 0.0, 0)
-    assert ("field", "has", "key") in ep.graph.triples
+    assert ("field", "has", "key") in ep.graph
     assert "key" in mask
     assert "key" in engine.in_scope_words(ep.state, microzork)
     assert ep.prev_action == "<start>" and not ep.done
     ep.act("take key")
     assert ep.prev_action == "take key"
     ep.observe(microzork_space.vocabulary, 0.0, 0)
-    assert ("you", "have", "key") in ep.graph.triples
+    assert ("you", "have", "key") in ep.graph
 
 
 @pytest.mark.parametrize("action", ["take key", "open mailbox", "examine key",
@@ -814,7 +849,7 @@ def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, actio
 
 
 def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
-    cfg = replace(SMALL, updates=2, eval_episodes=1)
+    cfg = replace(SMALL, updates=2)
     result = trainer.train(short_corridor, corpus, cfg, out_dir=tmp_path)
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in lines]
@@ -857,7 +892,7 @@ def test_train_writes_artifacts_and_matches_the_pinned_behaviour_run(
     tool = behaviour_tool
     spec = replace(request.getfixturevalue(game), turn_cap=tool.TURN_CAP)
     cfg = trainer.TrainConfig(workers=tool.WORKERS, unroll=tool.UNROLL, seed=tool.SEED,
-                              updates=tool.UPDATES, eval_episodes=1)
+                              updates=tool.UPDATES)
     result = trainer.train(spec, corpus, cfg, out_dir=tmp_path)
     for name in ("metrics.jsonl", "metrics.csv", "checkpoint.bin"):
         assert (tmp_path / name).is_file(), name
@@ -869,8 +904,8 @@ def test_train_writes_artifacts_and_matches_the_pinned_behaviour_run(
     for want, row in zip(pinned["rows"], rows):
         for key, value in want.items():
             assert tool.relative_difference(value, row[key]) <= tool.ROW_RTOL, key
-    mean, std, scores = pinned["eval"]
-    assert (result.eval_mean, result.eval_std) == (mean, std) and len(scores) == 1
+    mean, _, scores = pinned["eval"]
+    assert result.eval_score == mean and len(scores) == 1
 
 
 def test_records_carry_the_size_of_the_graph_they_embedded(short_microzork, corpus,
@@ -961,8 +996,8 @@ def test_random_valid_baseline_reports_no_score_when_no_episode_ends(microzork, 
     ("lambda_template", float("inf")), ("lambda_object", float("nan")),
     ("lambda_entropy", float("inf")),
     ("grad_clip", 0.0), ("grad_clip", -1.0),
+    ("workers", 0), ("unroll", 0), ("updates", -1),
     ("probe_budget", 0),
-    ("eval_episodes", 0),
     ("checkpoint_every", -1),
 ])
 def test_config_rejects_values_that_break_a_run(field, value, tmp_path):
