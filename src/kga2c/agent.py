@@ -6,13 +6,13 @@ steps), a dense multi-head graph-attention embedding of the belief graph
 score matrix and one row-wise masked softmax), a binary score encoding, and
 a graph-masked two-stage action decoder (template head, then a shared object
 GRU conditioned by attention over everything decoded so far).  A critic head
-shares the same state embedding.  The ``seq`` ablation swaps the template
-decoder for a word-by-word one and allocates only the decoder it uses.  Not
-every allocated parameter is used: ``gat.*`` is allocated under every
-ablation, so under ``a2c`` and ``no-gat`` it is never read, and the template
-GRU runs one step from a zero hidden, so ``dec.tmpl.gru.U`` never gets a
-gradient.  Every GRU is the three packed tensors ``<prefix>.gru.W``, ``.U``
-and ``.b`` that ``numerics.ParameterSet.gru`` allocates.
+shares the same state embedding.  The template head is one GRU step from a
+zero hidden, sigmoid(s Wz + bz) * tanh(s Wn + bn) over ``dec.tmpl.{z,n}.*``.
+The ``seq`` ablation swaps the template decoder for a word-by-word one.  Only
+tensors some pass reads are allocated: no ``gat.*`` under ``a2c`` and
+``no-gat``, no object decoder when no template has a blank.  Every GRU is the
+three packed tensors ``<prefix>.gru.W``, ``.U`` and ``.b`` that
+``numerics.ParameterSet.gru`` allocates.
 
 The passes take plain values: a belief graph is a ``kg.Graph`` (a frozenset
 of triples), a mask a frozenset of words, and one episode's encoder hiddens
@@ -208,37 +208,38 @@ class KgA2CAgent:
             p.gru(f"enc.{ch}.gru", cfg.emb_dim, cfg.gru_hidden)
         p.add("enc.combine.W", (4 * cfg.gru_hidden, cfg.obs_dim))
         p.add("enc.combine.b", (cfg.obs_dim,), "bias")
-        for k in range(cfg.gat_heads):
-            p.add(f"gat.h{k}.W", (cfg.emb_dim, cfg.emb_dim))
-            p.add(f"gat.h{k}.p", (2 * cfg.emb_dim,))
-        p.add("gat.out.W", (cfg.gat_heads * cfg.emb_dim, cfg.gat_dim))
-        p.add("gat.out.b", (cfg.gat_dim,), "bias")
-        # gat.* stays allocated under a2c/no-gat: every init draws from one
-        # RNG in allocation order, so skipping it would shift all later ones.
-        s_dim = cfg.state_dim
-        seq = cfg.ablation == "seq"
-        if not seq:
-            p.gru("dec.tmpl.gru", s_dim, cfg.dec_hidden)
-            p.add("dec.tmpl.W", (cfg.dec_hidden, self.n_templates))
-            p.add("dec.tmpl.b", (self.n_templates,), "bias")
-            p.gru("dec.obj.gru", cfg.dec_hidden, cfg.dec_hidden)
-            p.add("dec.obj.W", (cfg.dec_hidden, self.n_vocab))
-            p.add("dec.obj.b", (self.n_vocab,), "bias")
-            p.add("dec.tmpl_emb", (self.n_templates, cfg.dec_hidden), "embedding")
-            p.add("dec.obj_emb", (self.n_vocab, cfg.dec_hidden), "embedding")
-            p.add("dec.ctx.W", (s_dim, cfg.dec_hidden))
-            p.add("dec.query.W", (s_dim, cfg.dec_hidden))
-        p.add("critic.W1", (s_dim, cfg.dec_hidden))
-        p.add("critic.b1", (cfg.dec_hidden,), "bias")
-        p.add("critic.w2", (cfg.dec_hidden,))
+        if cfg.use_gat:
+            for k in range(cfg.gat_heads):
+                p.add(f"gat.h{k}.W", (cfg.emb_dim, cfg.emb_dim))
+                p.add(f"gat.h{k}.p", (2 * cfg.emb_dim,))
+            p.add("gat.out.W", (cfg.gat_heads * cfg.emb_dim, cfg.gat_dim))
+            p.add("gat.out.b", (cfg.gat_dim,), "bias")
+        s_dim, H = cfg.state_dim, cfg.dec_hidden
+        p.add("critic.W1", (s_dim, H))
+        p.add("critic.b1", (H,), "bias")
+        p.add("critic.w2", (H,))
         p.add("critic.b2", (), "bias")
-        if seq:
-            p.add("seq.init.W", (s_dim, cfg.dec_hidden))
-            p.add("seq.init.b", (cfg.dec_hidden,), "bias")
-            p.gru("seq.gru", cfg.dec_hidden, cfg.dec_hidden)
-            p.add("seq.emb", (self.n_vocab + 1, cfg.dec_hidden), "embedding")
-            p.add("seq.W", (cfg.dec_hidden, self.n_vocab + 1))
+        if cfg.ablation == "seq":
+            p.add("seq.init.W", (s_dim, H))
+            p.add("seq.init.b", (H,), "bias")
+            p.gru("seq.gru", H, H)
+            p.add("seq.emb", (self.n_vocab + 1, H), "embedding")
+            p.add("seq.W", (H, self.n_vocab + 1))
             p.add("seq.b", (self.n_vocab + 1,), "bias")
+            return p
+        for gate in ("z", "n"):
+            p.add(f"dec.tmpl.{gate}.W", (s_dim, H))
+            p.add(f"dec.tmpl.{gate}.b", (H,), "bias")
+        p.add("dec.tmpl.W", (H, self.n_templates))
+        p.add("dec.tmpl.b", (self.n_templates,), "bias")
+        if any(t.blanks for t in self.space.templates):
+            p.gru("dec.obj.gru", H, H)
+            p.add("dec.obj.W", (H, self.n_vocab))
+            p.add("dec.obj.b", (self.n_vocab,), "bias")
+            p.add("dec.tmpl_emb", (self.n_templates, H), "embedding")
+            p.add("dec.obj_emb", (self.n_vocab, H), "embedding")
+            p.add("dec.ctx.W", (s_dim, H))
+            p.add("dec.query.W", (s_dim, H))
         return p
 
     def _check_params(self, params: nm.ParameterSet) -> None:
@@ -508,10 +509,8 @@ class KgA2CAgent:
         cfg = self.cfg
         p = self.params
         B = s_t.shape[0]
-        h_t = nm.gru_cell(
-            s_t, nm.Tensor(np.zeros((B, cfg.dec_hidden))), p.gru_params("dec.tmpl.gru")
-        )
-        t_logits = nm.add(nm.matmul(h_t, p["dec.tmpl.W"]), p["dec.tmpl.b"])
+        t_logits = nm.add(nm.matmul(self._template_hidden(s_t), p["dec.tmpl.W"]),
+                          p["dec.tmpl.b"])
         rows = np.arange(B)  # the rows decoding this step
         t_probs = nm.softmax(t_logits)
         heads = [Head(rows, t_logits, t_probs, pick(0, rows, t_probs.data))]
@@ -542,6 +541,13 @@ class KgA2CAgent:
                 context.append(nm.take(p["dec.obj_emb"], heads[-1].chosen))
         actions = [self.space.instantiate(tid, words) for tid, words in zip(tids, objects)]
         return heads, actions
+
+    def _template_hidden(self, s_t: nm.Tensor) -> nm.Tensor:
+        """One GRU step from a zero hidden: sigmoid(s Wz + bz) * tanh(s Wn + bn)."""
+        p = self.params
+        z, n = (nm.add(nm.matmul(s_t, p[f"dec.tmpl.{g}.W"]), p[f"dec.tmpl.{g}.b"])
+                for g in "zn")
+        return nm.mul(nm.sigmoid(z), nm.tanh(n))
 
     def _decode_words(self, s_t, pick) -> tuple[list[Head], list[str]]:
         cfg = self.cfg

@@ -78,7 +78,7 @@ def cmd_play(args) -> int:
     freq = trainer.FrequencyTable.from_lines(corpus)
     space = trainer.build_action_space(spec.templates, spec.vocabulary, freq)
     ep = trainer.Episode(spec, args.seed or 0)
-    ep.observe(space.vocabulary, 0.0, 0)
+    ep.observe(space.vocabulary)
     print(ep.obs.o_desc)
     out = sys.stdout
     while True:
@@ -112,7 +112,7 @@ def cmd_play(args) -> int:
             # abandoned timeline
             ep = trainer.Episode(spec, args.seed or 0)
             ep.state, ep.obs = state, engine.observation(state, spec)
-            ep.observe(space.vocabulary, 0.0, 0)
+            ep.observe(space.vocabulary)
             print(f"Restored from {path}.")
             continue
         reward = ep.act(command)
@@ -125,7 +125,7 @@ def cmd_play(args) -> int:
         if ep.done:
             print(f"*** The game is over. Final score: {ep.obs.score} ***")
             return 0
-        ep.observe(space.vocabulary, 0.0, 0)
+        ep.observe(space.vocabulary)
     print(f"Final score: {ep.obs.score}")
     return 0
 

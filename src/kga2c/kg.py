@@ -184,24 +184,25 @@ def graph_mask(
     graph: Graph,
     vocabulary: tuple[str, ...],
     p_m: float,
-    rng: random.Random | int | None = None,
+    rng: random.Random | None = None,
     in_scope: tuple[str, ...] = (),
 ) -> frozenset[str]:
     """m_t = entities(G) in V, each remaining V word added with probability p_m.
     The entities are the graph's nodes other than "you".
 
-    Deterministic given (graph, V, p_m, seed).  Never empty while V is
-    nonempty: falls back to in-scope object words, then to all of V.
+    Deterministic given (graph, V, p_m, rng state); p_m > 0 needs ``rng``.
+    Never empty while V is nonempty: falls back to in-scope words, then to V.
     """
     if not 0.0 <= p_m <= 1.0:
         raise ValueError(f"p_m must be in [0, 1], got {p_m}")
-    r = random.Random(rng) if not isinstance(rng, random.Random) else rng
+    if p_m > 0.0 and rng is None:
+        raise ValueError("graph_mask with p_m > 0 needs an rng")
     vocab = set(vocabulary)
     base = (nodes(graph) - {YOU}) & vocab
     added: set[str] = set()
     if p_m > 0.0:
         for word in vocabulary:  # fixed order for determinism
-            if word not in base and r.random() < p_m:
+            if word not in base and rng.random() < p_m:
                 added.add(word)
     words = base | added
     if not words:

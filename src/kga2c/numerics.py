@@ -25,6 +25,8 @@ per-step arrays, then sends one gradient each to X, h0, W, U and b;
 product over every row and step, not one per token, and so are d/dX and
 d/dW; h @ U, and d/dU with it, runs per step over the rows still running, so
 the backward builds no (steps x rows)-sized copy of the forward's gates.
+``ParameterSet`` draws each tensor's initial values from a stream of its own,
+so they depend only on the seed, the tensor's name and its shape.
 
 ``take`` is the one indexed read: an element, a slice or rows of a tensor
 along axis 0, or the elements at given (row, column) pairs.  Its backward
@@ -569,10 +571,11 @@ def backward(loss: Tensor) -> None:
 
 
 class ParameterSet:
-    """Named trainable tensors plus Adam state, seeded deterministically."""
+    """Named trainable tensors plus Adam state; each tensor's initial values
+    come from its own stream, seeded by (seed, crc32 of its name)."""
 
     def __init__(self, seed: int = 0):
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self.tensors: dict[str, Tensor] = {}
         self.adam_m: dict[str, np.ndarray] = {}
         self.adam_v: dict[str, np.ndarray] = {}
@@ -585,12 +588,9 @@ class ParameterSet:
         (uniform +-1/sqrt(dim))."""
         if kind == "bias":
             return self._put(name, np.zeros(shape))
-        fan = shape[-1] if kind == "embedding" else shape[0]
-        return self._put(name, self._uniform(shape, fan))
-
-    def _uniform(self, shape: tuple[int, ...], fan: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan)
-        return self.rng.uniform(-bound, bound, size=shape)
+        bound = 1.0 / np.sqrt(shape[-1] if kind == "embedding" else shape[0])
+        rng = np.random.default_rng([self.seed, zlib.crc32(name.encode("utf-8"))])
+        return self._put(name, rng.uniform(-bound, bound, size=shape))
 
     def _put(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.tensors:
@@ -614,17 +614,10 @@ class ParameterSet:
     def gru(self, prefix: str, in_dim: int, hid_dim: int) -> GRU:
         """One GRU as three packed tensors, ``prefix.W`` (in_dim, 3H),
         ``prefix.U`` (H, 3H) and ``prefix.b`` (3H,), gate blocks in z, r, n
-        order.  The six weight blocks draw from the RNG in the order Wz, Uz,
-        Wr, Ur, Wn, Un, each bounded by its own fan-in, so every parameter
-        starts as it did when each block was a tensor of its own."""
-        W = np.empty((in_dim, 3 * hid_dim))
-        U = np.empty((hid_dim, 3 * hid_dim))
-        for k in range(3):
-            block = slice(k * hid_dim, (k + 1) * hid_dim)
-            W[:, block] = self._uniform((in_dim, hid_dim), in_dim)
-            U[:, block] = self._uniform((hid_dim, hid_dim), hid_dim)
-        return (self._put(f"{prefix}.W", W), self._put(f"{prefix}.U", U),
-                self._put(f"{prefix}.b", np.zeros(3 * hid_dim)))
+        order; W is bounded by in_dim and U by H."""
+        return (self.add(f"{prefix}.W", (in_dim, 3 * hid_dim)),
+                self.add(f"{prefix}.U", (hid_dim, 3 * hid_dim)),
+                self.add(f"{prefix}.b", (3 * hid_dim,), "bias"))
 
     def gru_params(self, prefix: str) -> GRU:
         t = self.tensors

@@ -16,7 +16,7 @@ et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
   keeps, as plain immutable values, only what its row read and chose: the
   observation, the graph (a ``kg.Graph``), the starting encoder hiddens (one
   row per channel), the mask (a frozenset of words), the valid
-  set, the ids it chose and the action it executed.
+  set, the action it executed and that action's decoder ids.
 * The learning pass, ``learner_pass``, is one taped pass over all U x B
   kept records of the unroll: ``state_embedding``, ``critic_value`` and
   ``decode_action`` in ``replay`` mode, which takes the recorded choices
@@ -200,7 +200,7 @@ class StepRecord:
     enc: np.ndarray  # the encoder hiddens the step started from, a row per channel
     mask: frozenset[str]  # the words the object decoder could choose from
     valid: oracle.ValidSet  # the valid-action cache's own set, shared
-    choices: list[int]  # the ids each decoding head chose (``Decoded.choices``)
+    choices: list[int]  # per decoding head, the id of ``action`` the learner replays
     action: str  # the executed text
     teacher: str | None  # seq: the valid action drawn as the target, if any
     v_next: float = 0.0
@@ -229,9 +229,8 @@ class Episode:
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
 
-    def observe(
-        self, vocabulary: tuple[str, ...], p_m: float, rng: random.Random | int
-    ) -> frozenset[str]:
+    def observe(self, vocabulary: tuple[str, ...], p_m: float = 0.0,
+                rng: random.Random | None = None) -> frozenset[str]:
         """Detect objects, update the graph, then mask V by it."""
         detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
         self.graph = kg.update_graph(
@@ -287,7 +286,8 @@ class Worker:
 
         Under ``seq``, when there is a valid action, one drawn at random is
         the teacher, and it is executed instead of the decoded words with
-        probability ``p_valid``."""
+        probability ``p_valid``; the record then keeps the teacher's ids as
+        its choices, so the learner replays the executed sequence."""
         enc2, action, value, choices = row
         mask, valid = self.pending
         self.pending = None
@@ -295,7 +295,7 @@ class Worker:
         if agent.cfg.ablation == "seq" and len(valid):
             teacher = valid.actions[self.rng.integers(len(valid))]
             if self.rng.random() < self.cfg.p_valid:
-                action = teacher
+                action, choices = teacher, _teacher_ids(teacher, agent)
         ep = self.ep
         obs, graph, enc = ep.obs, ep.graph, ep.enc
         reward = float(ep.act(action))
@@ -745,7 +745,7 @@ def evaluate(
         ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
         with agent.fixed_parameters():
             while not ep.done:
-                mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+                mask = ep.observe(pipe.space.vocabulary)
                 s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
                 decoded = agent.decode_action(s_t, [mask], mode="greedy")
                 action = decoded.actions[0]

@@ -77,7 +77,7 @@ def walk_graphs(pipe, count, seed=0):
     while len(graphs) < count:
         if ep.done:
             ep = trainer.Episode(pipe.spec, int(rng.integers(1000)))
-        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary)
         graphs.append(ep.graph)
         valid = pipe.valid_set(ep.state, mask,
                                engine.in_scope_words(ep.state, pipe.spec))
@@ -146,16 +146,18 @@ def test_dense_gat_is_bitwise_independent_of_the_hash_seed():
 
 def test_whole_agent_gradcheck(pipe):
     """Finite differences through the state embedding (encoders and GAT),
-    the greedy decode's log-prob and the critic, over every GRU tensor."""
+    the greedy decode's log-prob and the critic, over every GRU tensor and
+    the template head.  Seed 14 is one whose greedy decode here fills two
+    blanks."""
     cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
                       score_width=4, dec_hidden=4)
-    agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=14)
     ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
-    ep.observe(pipe.space.vocabulary, 0.0, 0)
+    ep.observe(pipe.space.vocabulary)
     # one step first, so the encoders start from carried, non-zero hiddens
     _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary)
     assert len(kg.nodes(ep.graph)) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
     def decode():
@@ -170,15 +172,45 @@ def test_whole_agent_gradcheck(pipe):
     # so its U is reached
     assert len(row_of(decode()[1], 0)) == 1 + 2
     names = [n for n in agent.params.names()
-             if n.startswith(("gat.", "enc.combine.", "critic.")) or n == "dec.ctx.W"
-             or ".gru." in n]
+             if n.startswith(("gat.", "enc.combine.", "critic.", "dec.tmpl."))
+             or n == "dec.ctx.W" or ".gru." in n]
     assert sum(n.startswith("gat.h") for n in names) == 2 * cfg.gat_heads
-    assert sum(".gru." in n for n in names) == 3 * (len(CHANNELS) + 2)
+    assert sum(".gru." in n for n in names) == 3 * (len(CHANNELS) + 1)
     finite_difference_check(scalar, [agent.params[n] for n in names])
-    # a tensor the scalar never reaches would pass as zeros; only the template
-    # GRU's U is unreachable, since that GRU runs one step from a zero hidden
+    # a tensor the scalar never reaches would pass as zeros
     unreached = [n for n in names if not np.any(agent.params[n].grad)]
-    assert unreached == ["dec.tmpl.gru.U"]
+    assert unreached == []
+
+
+def test_template_head_is_a_gru_step_from_a_zero_hidden(pipe):
+    """The template head equals ``nm.gru_cell`` from a zero hidden whose W
+    and b hold the head's z and n blocks, whatever U and the r blocks are."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
+    p, H, dim = agent.params, agent.cfg.dec_hidden, agent.cfg.state_dim
+    rng = np.random.default_rng(0)
+    for gate in "zn":  # biases start at zero; make them count
+        p[f"dec.tmpl.{gate}.b"].data = rng.normal(size=H)
+    W = np.concatenate([p["dec.tmpl.z.W"].data, rng.normal(size=(dim, H)),
+                        p["dec.tmpl.n.W"].data], axis=1)
+    b = np.concatenate([p["dec.tmpl.z.b"].data, rng.normal(size=H), p["dec.tmpl.n.b"].data])
+    gru = (nm.Tensor(W), nm.Tensor(rng.normal(size=(H, 3 * H))), nm.Tensor(b))
+    s_t = nm.Tensor(rng.normal(size=(5, dim)))
+    want = nm.gru_cell(s_t, nm.Tensor(np.zeros((5, H))), gru)
+    assert np.abs(agent._template_hidden(s_t).data - want.data).max() <= 1e-14
+
+
+def test_agents_share_the_values_of_the_tensors_they_share(pipe):
+    """Initial values depend only on the seed, the name and the shape, so a
+    ``full`` and a ``seq`` agent start with the same encoders, embedding and
+    critic, though they allocate different decoders."""
+    full = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=4).params
+    seq = KgA2CAgent(pipe.space, pipe.model, AgentConfig(ablation="seq"), seed=4).params
+    shared = set(full.names()) & set(seq.names())
+    assert {n for n in shared if n.startswith("enc.")} == {
+        n for n in full.names() if n.startswith("enc.")}
+    assert {"emb", "critic.W1", "gat.out.W"} <= shared
+    for name in shared:
+        assert np.array_equal(full[name].data, seq[name].data), name
 
 
 def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
@@ -191,10 +223,10 @@ def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
                       score_width=4, dec_hidden=4)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
     ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
-    ep.observe(pipe.space.vocabulary, 0.0, 0)
+    ep.observe(pipe.space.vocabulary)
     _, (carried,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary)
     assert len(ep.graph) >= 1
     embedded = record_gat_blocks(agent)
 
@@ -234,7 +266,7 @@ def walk_states(pipe, agent, count, seed=0):
     states = []
     ep = trainer.Episode(pipe.spec, seed, agent.cfg.gru_hidden)
     while len(states) < count:
-        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary)
         states.append((ep.obs, ep.graph, ep.enc, mask))
         _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
         valid = pipe.valid_set(ep.state, mask,
@@ -461,7 +493,7 @@ def test_fixed_parameters_records_no_tape_without_no_grad(pipe):
     ``adam_step`` is refused inside."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
     ep = trainer.Episode(pipe.spec, 0, agent.cfg.gru_hidden)
-    mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+    mask = ep.observe(pipe.space.vocabulary)
 
     def one_pass():
         s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])

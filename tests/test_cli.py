@@ -77,7 +77,7 @@ def test_eval_refuses_checkpoint_of_another_ablation(corridor, tmp_path, capsys)
     argv = ["eval", "--game", "corridor", "--checkpoint", str(path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "'dec.ctx.W' is missing" in err and "'full'" in err
+    assert "'dec.tmpl.W' is missing" in err and "'full'" in err
 
 
 def test_agent_refuses_unexpected_parameter(corridor, tmp_path):
@@ -111,7 +111,23 @@ def test_eval_refuses_nine_tensor_gru_checkpoint(corridor, tmp_path, capsys):
     nm.save_checkpoint(old, path)
     argv = ["eval", "--game", "corridor", "--checkpoint", str(path)]
     assert cli.main(argv) == 2
-    assert "'dec.obj.gru.U' is missing" in capsys.readouterr().err
+    assert "'enc.desc.gru.U' is missing" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_template_gru_checkpoint(microzork, tmp_path, capsys):
+    """A checkpoint from when the template head was a GRU holds
+    ``dec.tmpl.gru.{W,U,b}`` in place of ``dec.tmpl.{z,n}.{W,b}``; it is
+    refused, naming the first tensor that does not fit."""
+    agent = _save_checkpoint(microzork, "full", tmp_path / "head.bin")
+    old = nm.load_checkpoint(tmp_path / "head.bin")
+    for name in [n for n in old.names() if n.startswith(("dec.tmpl.z.", "dec.tmpl.n."))]:
+        del old.tensors[name]
+    old.gru("dec.tmpl.gru", agent.cfg.state_dim, agent.cfg.dec_hidden)
+    path = tmp_path / "gru.bin"
+    nm.save_checkpoint(old, path)
+    argv = ["eval", "--game", "microzork", "--checkpoint", str(path)]
+    assert cli.main(argv) == 2
+    assert "'dec.tmpl.gru.U' is unexpected" in capsys.readouterr().err
 
 
 def test_seq_eval_trace_has_a_row_per_step(corridor, corpus, tmp_path, capsys):

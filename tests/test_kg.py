@@ -242,6 +242,14 @@ class TestGraphMask:
         m2 = graph_mask(g, microzork_space.vocabulary, 0.3, random.Random(7))
         assert m1 == m2
 
+    def test_positive_pm_requires_an_rng(self, microzork_space):
+        """Without an rng a p_m > 0 mask would draw from OS entropy, so two
+        calls could differ; it is refused.  At p_m = 0 nothing is drawn."""
+        g = self.graph_with("key", "chest")
+        with pytest.raises(ValueError, match="needs an rng"):
+            graph_mask(g, microzork_space.vocabulary, 0.3)
+        assert graph_mask(g, microzork_space.vocabulary, 0.0) == {"key", "chest"}
+
     def test_monte_carlo_mean_size(self):
         # |V|=50, |base|=10, p_m=0.05: E[size] = 10 + 0.05*40 = 12
         vocab = tuple(f"w{i}" for i in range(50))

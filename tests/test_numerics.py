@@ -222,22 +222,21 @@ class TestGRU:
         assert np.allclose(out.data, 0.5 * h.data)
 
     def test_packed_blocks_match_separate_gates(self):
-        """W, U and b hold the z, r, n gates in that order, each block drawn
-        as its own weight tensor would be, in the order Wz, Uz, Wr, Ur, Wn,
-        Un; the cell is the textbook GRU over those blocks."""
+        """A GRU is three tensors added by name, W bounded by in_dim and U
+        by H, with the z, r, n gates in that order; the cell is the textbook
+        GRU over those blocks."""
         params = nm.ParameterSet(3)
         W, U, b = params.gru("g", 4, 3)
         assert params.names() == ["g.U", "g.W", "g.b"]
         ref = nm.ParameterSet(3)
+        assert np.array_equal(W.data, ref.add("g.W", (4, 9)).data)
+        assert np.array_equal(U.data, ref.add("g.U", (3, 9)).data)
+        assert np.array_equal(b.data, ref.add("g.b", (9,), "bias").data)
+        assert np.abs(W.data).max() <= 0.5 and np.abs(U.data).max() <= 1 / np.sqrt(3)
         blocks = {}
-        for gate in "zrn":
-            blocks[f"W{gate}"] = ref.add(f"W{gate}", (4, 3)).data
-            blocks[f"U{gate}"] = ref.add(f"U{gate}", (3, 3)).data
         for k, gate in enumerate("zrn"):
             cols = slice(3 * k, 3 * k + 3)
-            assert np.array_equal(W.data[:, cols], blocks[f"W{gate}"])
-            assert np.array_equal(U.data[:, cols], blocks[f"U{gate}"])
-        assert params.rng.random() == ref.rng.random()  # no extra draws
+            blocks[f"W{gate}"], blocks[f"U{gate}"] = W.data[:, cols], U.data[:, cols]
 
         rng = np.random.default_rng(0)
         b.data = rng.normal(size=9)
@@ -585,6 +584,25 @@ class TestParameterSet:
         a = nm.ParameterSet(11).add("W", (5, 5))
         b = nm.ParameterSet(11).add("W", (5, 5))
         assert np.array_equal(a.data, b.data)
+
+    def test_init_depends_only_on_seed_name_and_shape(self):
+        """A tensor's initial values do not depend on what was allocated
+        before it: the same name and shape under the same seed are bitwise
+        equal in any order, and another name or seed draws other values."""
+        shapes = {"emb": (7, 3), "gat.out.W": (4, 5), "critic.w2": (6,), "seq.W": (2, 8)}
+        a, b = nm.ParameterSet(2), nm.ParameterSet(2)
+        for name in shapes:
+            a.add(name, shapes[name], "embedding" if name == "emb" else "weight")
+        b.add("extra", (9, 9))
+        b.gru("g", 3, 2)
+        for name in reversed(list(shapes)):
+            b.add(name, shapes[name], "embedding" if name == "emb" else "weight")
+        for name in shapes:
+            assert np.array_equal(a[name].data, b[name].data), name
+        assert not np.array_equal(nm.ParameterSet(2).add("x", (4, 5)).data,
+                                  a["gat.out.W"].data)
+        assert not np.array_equal(nm.ParameterSet(3).add("gat.out.W", (4, 5)).data,
+                                  a["gat.out.W"].data)
 
 
 class TestCheckpoint:

@@ -333,7 +333,7 @@ class TestPruning:
         monkeypatch.setattr(
             engine, "_objects_in_scope", lambda *a: calls.append(a) or real(*a)
         )
-        mask = ep.observe(pipe.space.vocabulary, 0.0, 0)
+        mask = ep.observe(pipe.space.vocabulary)
         in_scope = engine.in_scope_words(ep.state, microzork)
         valid = pipe.valid_set(ep.state, mask, in_scope)
         assert pipe.valid_misses == 1  # the oracle probed

@@ -19,7 +19,8 @@ import pytest
 from gradcheck import finite_difference_check
 from test_agent import BATCH_TOL, row_of
 
-from kga2c import BUNDLED_GAMES, engine, numerics as nm, oracle, tokenizer as tok, trainer
+from kga2c import (BUNDLED_GAMES, bundled_corpus_lines, bundled_game_text, engine,
+                   numerics as nm, oracle, tokenizer as tok, trainer)
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
@@ -645,8 +646,9 @@ def replay_setup(microzork, corpus, ablation, monkeypatch):
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_learner_pass_equals_the_acting_pass(microzork, corpus, ablation, monkeypatch):
     """The learner's V, joint log-probs, choices and every head's logits and
-    probs equal the no-grad acting pass's, row by row; the batch holds no
-    tensor, and the learner replays only the kept records."""
+    probs equal the no-grad acting pass's, row by row, except on a ``seq``
+    row that executed its teacher, which replays the teacher's ids; the
+    batch holds no tensor, and the learner replays only the kept records."""
     _, agent, batch, acting, rows = replay_setup(microzork, corpus, ablation, monkeypatch)
     assert tensors_reachable(batch) == [] and tensors_reachable(acting[0])
     values, decoded = trainer.learner_pass(batch, agent)
@@ -654,13 +656,63 @@ def test_learner_pass_equals_the_acting_pass(microzork, corpus, ablation, monkey
     assert values.shape == decoded.log_prob.shape == (len(batch.records),)
     for i, (record, (k, b)) in enumerate(zip(batch.records, rows)):
         assert abs(values.data[i] - record.value) <= BATCH_TOL
+        got, want = row_of(decoded, i), row_of(acting[k], b)
+        assert [c for c, _, _ in got] == record.choices
+        if record.choices != [c for c, _, _ in want]:
+            assert ablation == "seq" and record.action == record.teacher
+            continue
         assert abs(decoded.log_prob.data[i] - acting[k].log_prob.data[b]) <= BATCH_TOL
         assert decoded.actions[i] == acting[k].actions[b]
-        got, want = row_of(decoded, i), row_of(acting[k], b)
-        assert [c for c, _, _ in got] == [c for c, _, _ in want] == record.choices
         for (_, logits, probs), (_, acting_logits, acting_probs) in zip(got, want):
             assert np.abs(logits - acting_logits).max() <= BATCH_TOL
             assert np.abs(probs - acting_probs).max() <= BATCH_TOL
+
+
+@pytest.fixture(scope="module", params=[(g, a) for g in BUNDLED_GAMES for a in ABLATIONS],
+                ids="-".join)
+def learned_batch(request):
+    """(game, ablation, agent, batch, decoded, gradients) after one acting
+    pass of 2 workers x 4 steps and one learner pass, its combined loss and
+    one backward, at seed 1: a seed whose batch decodes a two-blank template
+    on microzork and pantry under every template ablation.  Module-scoped,
+    so the tests that read one (game, ablation) run together and share it."""
+    game, ablation = request.param
+    cfg = replace(SMALL, seed=1).with_ablation(ablation)
+    pipe = trainer.build_pipeline(engine.load_game(bundled_game_text(game)),
+                                  bundled_corpus_lines(), cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    batch = trainer.run_rollouts([trainer.Worker(i, pipe, cfg) for i in range(2)],
+                                 agent, cfg)
+    values, decoded = trainer.learner_pass(batch, agent)
+    total, _ = trainer.combined_loss(batch, values, decoded, agent, cfg)
+    agent.params.zero_grad()
+    nm.backward(total)
+    grads = {n: agent.params[n].grad for n in agent.params.names()}
+    return game, ablation, agent, batch, decoded, grads
+
+
+def test_learner_replays_the_executed_action(learned_batch):
+    """Row i of the learner pass decodes record i's executed action, also
+    on a ``seq`` step that executed the teacher instead of its own words."""
+    _, ablation, _, batch, decoded, _ = learned_batch
+    assert decoded.actions == [r.action for r in batch.records]
+    if ablation == "seq":
+        assert any(r.action == r.teacher for r in batch.records)
+
+
+def test_one_learner_pass_reaches_every_tensor(learned_batch):
+    """Every tensor the agent allocates, and each z, r and n column block of
+    every GRU's W, gets a non-zero gradient from one learner pass."""
+    game, ablation, agent, batch, _, grads = learned_batch
+    unreached = [n for n, g in grads.items() if g is None or not np.any(g)]
+    for name in (n for n in grads if n.endswith(".gru.W") and grads[n] is not None):
+        for k, block in enumerate(np.split(grads[name], 3, axis=1)):
+            if not np.any(block):
+                unreached.append(f"{name}[{'zrn'[k]}]")
+    assert unreached == []
+    if game != "corridor" and ablation != "seq":  # corridor has no blanks
+        templates = agent.space.templates
+        assert any(templates[r.choices[0]].blanks == 2 for r in batch.records)
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -816,14 +868,14 @@ def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
 
 def test_episode_observe_at_microzork_start(microzork, microzork_space):
     ep = trainer.Episode(microzork, 0)
-    mask = ep.observe(microzork_space.vocabulary, 0.0, 0)
+    mask = ep.observe(microzork_space.vocabulary)
     assert ("field", "has", "key") in ep.graph
     assert "key" in mask
     assert "key" in engine.in_scope_words(ep.state, microzork)
     assert ep.prev_action == "<start>" and not ep.done
     ep.act("take key")
     assert ep.prev_action == "take key"
-    ep.observe(microzork_space.vocabulary, 0.0, 0)
+    ep.observe(microzork_space.vocabulary)
     assert ("you", "have", "key") in ep.graph
 
 
@@ -835,7 +887,7 @@ def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, actio
     none, and the step equals one from an equal state that computes its
     own."""
     ep = trainer.Episode(microzork, 0)
-    ep.observe(microzork_space.vocabulary, 0.0, 0)
+    ep.observe(microzork_space.vocabulary)
     before = ep.state
     want = engine.step(before, action, microzork)
     scopes, real_scope = [], engine._objects_in_scope
