@@ -21,9 +21,9 @@ one (len(CHANNELS), gru_hidden) array whose row c is channel c's hidden.
 Every forward pass is batch-major: it takes B states (one per worker) and
 returns tensors whose leading axis is the row, and a single state is the
 B = 1 case.  Each observation channel is one ``numerics.gru_sequence`` tape
-node over the rows' padded token embeddings, so the encoders add four GRU
-nodes to the tape per step, however many rows and however long the texts
-are; the graphs of all rows are one block-diagonal graph; the decoders'
+node over the distinct rows' padded token embeddings, so the encoders add
+four GRU nodes to the tape per step, however many rows and however long the
+texts are; the distinct graphs are one block-diagonal graph; the decoders'
 one-step GRUs are the same kernel with T = 1, over the rows still decoding.
 Row b samples with its own RNG, in the order a lone pass would.
 ``decode_action`` returns one ``Decoded`` for the batch: each row's action
@@ -35,41 +35,40 @@ the logits, probabilities and choices of the rows that took it.
 each row takes the ids a recorded decode chose (``Decoded.choices``), so a
 taped learner pass rebuilds the heads an untaped acting pass sampled.
 
+``encode_observation`` and ``gat_embed`` share one rule, taped or not:
+each distinct row of a call is computed once, and every row is read from
+that block (``_rows_once``).  A row's key is everything it depends on: an
+encoder row's is (channel, text, carried hidden bytes), a GAT row's its
+graph.  Rows repeat often: a carried hidden often settles into an exact
+fixed point, so a stuck greedy episode repeats most of its encoder rows bit
+for bit, and ``engine.reset`` ignores its seed, so workers that start an
+episode repeat each other's first rows.  In a taped pass the B rows are one
+``nm.take`` from the block, so a repeated row's gradients add up in the
+take's backward.
+
 ``with agent.fixed_parameters():`` is the caller's promise that the
 parameters do not change inside (``nm.adam_step`` on them raises there).
 The scope enters ``nm.no_grad()``, so no pass inside records a tape, and
-every pass inside shares two memos:
-
-* ``gat_embed`` keys each graph by itself, runs the block-diagonal
-  attention only over graphs the scope has not embedded yet, and builds
-  every row from the stored blocks.
-* ``encode_observation`` keys each channel row by (channel, text, carried
-  hidden bytes): a carried hidden often settles into an exact fixed point,
-  so a stuck greedy episode repeats most of its encoder rows bit for bit,
-  and a training episode that restarts repeats its first rows.  A row the
-  memo held before the call is read from it; every other row of the
-  channel, duplicates included, runs as one block in row order, and its
-  final hidden is stored, so a call whose rows are all new returns the
-  tensor it would without the memo.
+every pass inside shares two memos of rows by key, one per method: a row
+the scope has computed is read from its memo, not computed again.
 
 A row's last bits can depend on the rest of its block: a GAT row's on the
 other graphs of its block, and a GRU row's on whether it runs a step alone
 (a one-row product goes through numpy's matrix-vector kernel, which rounds
-differently).  So in a batch of several rows a memo row equals a fresh
+differently).  So a row read from a block or a memo equals a fresh
 computation up to round-off; in greedy eval (B = 1) it is bitwise equal.
 
 Leaving the outermost scope drops both memos and records the tape again.
-Outside any scope every pass computes afresh, except that ``gat_embed``
-still embeds each distinct graph of one call once.  ``trainer.run_rollouts``
-holds one scope over an unroll and its bootstrap, ``trainer.evaluate`` one
-per episode; the taped learner pass runs outside any scope.
+``trainer.run_rollouts`` holds one scope over an unroll and its bootstrap,
+``trainer.evaluate`` one per episode; the taped learner pass runs outside
+any scope.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,6 +171,29 @@ def score_encode(score: int, width: int) -> np.ndarray:
     return bits
 
 
+def _rows_once(keys: Sequence[Hashable], memo: dict | None,
+               run: Callable[[list], nm.Tensor]) -> nm.Tensor:
+    """The rows of ``keys``, each distinct key computed once: ``run`` turns
+    the keys to compute, in first-seen order, into one block of a row each.
+    In a taped pass (``memo`` None) those are all the distinct keys, and the
+    rows are one ``nm.take`` from the block.  Inside ``fixed_parameters``
+    they are the keys ``memo`` does not hold; the block's rows are stored,
+    and every row is read from ``memo``.  When every key is new and
+    distinct the block is returned."""
+    fresh = list(dict.fromkeys(k for k in keys if memo is None or k not in memo))
+    if fresh:
+        block = run(fresh)
+        if memo is not None:
+            # copies: a view would keep its whole block alive
+            memo.update((k, row.copy()) for k, row in zip(fresh, block.data))
+        if len(fresh) == len(keys):
+            return block
+    if memo is not None:
+        return nm.Tensor(np.array([memo[k] for k in keys]))
+    at = {k: i for i, k in enumerate(fresh)}
+    return nm.take(block, [at[k] for k in keys])
+
+
 class KgA2CAgent:
     """Parameter container plus all forward passes."""
 
@@ -192,10 +214,10 @@ class KgA2CAgent:
             self._check_params(params)
         self.params = params if params is not None else self._build(seed)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
-        # inside fixed_parameters(): graph -> (GAT block, its row)
-        self._gat_memo: dict[kg.Graph, tuple[nm.Tensor, int]] | None = None
-        # inside fixed_parameters():
-        # (channel, text, carried hidden bytes) -> that row's final hidden
+        # inside fixed_parameters(), a row's key -> the row (see _rows_once):
+        # graph -> its GAT row; (channel, text, carried hidden bytes) -> that
+        # channel row's final hidden
+        self._gat_memo: dict[kg.Graph, np.ndarray] | None = None
         self._enc_memo: dict[tuple[str, str, bytes], np.ndarray] | None = None
 
     # -- parameters ------------------------------------------------------
@@ -277,35 +299,16 @@ class KgA2CAgent:
         """Per-channel GRU over subword embeddings for B observations, each
         row from its own carried hiddens ``encs[b]`` (one row per channel);
         concatenated finals go through one linear layer, giving (B, obs_dim)
-        and each row's new hiddens, read-only.  Each
-        channel is one ``nm.gru_sequence`` node over the rows' token
-        embeddings, padded to the longest text; an empty text has length 0,
-        which carries its row's hidden unchanged.
-
-        Inside ``fixed_parameters``, a row whose (channel, text, carried
-        hidden) the scope's encoder memo held before this call is read from
-        it; the channel's other rows, duplicates included, run as one block
-        in row order, and their finals are stored."""
-        memo = self._enc_memo
+        and each row's new hiddens, read-only.  Each channel's rows are
+        keyed (channel, text, carried hidden bytes), and its distinct rows
+        run as one ``nm.gru_sequence`` node (``_encode_channel``), read as
+        ``_rows_once`` reads rows."""
         finals = []
         fields = ("o_desc", "o_game", "o_inv", "a_prev")
         for c, (ch, field_name) in enumerate(zip(CHANNELS, fields)):
-            texts = [getattr(obs, field_name) for obs in observations]
-            h0s = [enc[c] for enc in encs]
-            if memo is None:
-                h = self._encode_channel(ch, texts, h0s)
-            else:
-                keys = [(ch, text, h0.tobytes()) for text, h0 in zip(texts, h0s)]
-                held = [memo.get(key) for key in keys]
-                new = [b for b, row in enumerate(held) if row is None]
-                if new:
-                    block = self._encode_channel(
-                        ch, [texts[b] for b in new], [h0s[b] for b in new])
-                    for i, b in enumerate(new):
-                        held[b] = block.data[i]
-                        memo.setdefault(keys[b], held[b].copy())
-                h = block if len(new) == len(keys) else nm.Tensor(np.array(held))
-            finals.append(h)
+            keys = [(ch, getattr(obs, field_name), enc[c].tobytes())
+                    for obs, enc in zip(observations, encs)]
+            finals.append(_rows_once(keys, self._enc_memo, self._encode_channel))
         p = self.params
         o_t = nm.add(
             nm.matmul(nm.concat(finals), p["enc.combine.W"]), p["enc.combine.b"]
@@ -314,26 +317,28 @@ class KgA2CAgent:
         hiddens.flags.writeable = False
         return o_t, list(hiddens)
 
-    def _encode_channel(self, ch: str, texts: Sequence[str],
-                        h0s: Sequence[np.ndarray]) -> nm.Tensor:
-        """One ``nm.gru_sequence`` node over the texts' padded subword
-        embeddings from the hiddens ``h0s``: the (B, gru_hidden) finals."""
-        rows = [self._token_ids(text) for text in texts]
+    def _encode_channel(self, keys: Sequence[tuple[str, str, bytes]]) -> nm.Tensor:
+        """One ``nm.gru_sequence`` node over the rows keyed (channel, text,
+        carried hidden bytes): the texts' subword embeddings, padded to the
+        longest text, from the carried hiddens; the (B, gru_hidden) finals.
+        An empty text has length 0, which carries its row's hidden
+        unchanged."""
+        rows = [self._token_ids(text) for _, text, _ in keys]
         lengths = [len(ids) for ids in rows]
         padded = np.zeros((max(lengths), len(rows)), dtype=np.intp)
         for b, ids in enumerate(rows):
             padded[:len(ids), b] = ids
-        return nm.gru_sequence(nm.take(self.params["emb"], padded),
-                               nm.Tensor(np.array(h0s)),
-                               self.params.gru_params(f"enc.{ch}.gru"), lengths)
+        h0 = np.array([np.frombuffer(h, dtype=np.float64) for _, _, h in keys])
+        return nm.gru_sequence(nm.take(self.params["emb"], padded), nm.Tensor(h0),
+                               self.params.gru_params(f"enc.{keys[0][0]}.gru"), lengths)
 
     @contextmanager
     def fixed_parameters(self) -> Iterator[None]:
         """Hold the parameters fixed: inside, no pass records a tape, each
-        distinct graph is embedded once and each (channel, text, carried
-        hidden) encoded once (see the module docstring), and
-        ``nm.adam_step`` on them raises.  An inner scope shares the outer
-        one's memos; leaving the outermost drops both."""
+        row ``_rows_once`` computes is kept in its method's memo and read
+        from it again (see the module docstring), and ``nm.adam_step`` on
+        them raises.  An inner scope shares the outer one's memos; leaving
+        the outermost drops both."""
         if self._gat_memo is not None:
             yield
             return
@@ -347,19 +352,10 @@ class KgA2CAgent:
             self.params.fixed = False
 
     def gat_embed(self, graphs: Sequence[kg.Graph]) -> nm.Tensor:
-        """The graph embedding of B graphs, (B, gat_dim).  ``_gat_block``
-        embeds the graphs this call needs: each distinct graph once, and
-        inside ``fixed_parameters`` only those the scope has not stored.
-        When every graph is new and distinct the block itself is returned;
-        otherwise each row is read from its stored block."""
-        memo = {} if self._gat_memo is None else self._gat_memo
-        fresh = list(dict.fromkeys(g for g in graphs if g not in memo))
-        if fresh:
-            block = self._gat_block(fresh)
-            memo.update((graph, (block, i)) for i, graph in enumerate(fresh))
-            if len(fresh) == len(graphs):
-                return block
-        return nm.stack0([nm.take(*memo[graph]) for graph in graphs])
+        """The graph embedding of B graphs, (B, gat_dim): ``_gat_block``
+        over the distinct graphs, each graph its row's key, read as
+        ``_rows_once`` reads rows."""
+        return _rows_once(graphs, self._gat_memo, self._gat_block)
 
     def _gat_block(self, graphs: Sequence[kg.Graph]) -> nm.Tensor:
         """Dense multi-head graph attention (Velickovic et al. 2018, arXiv

@@ -77,7 +77,7 @@ _FAILURE_PREFIXES = (
 def is_failure(response: str) -> bool:
     """True when a parser response indicates the command had no real referent
     or effect (used by the examine probe)."""
-    return any(response.startswith(p) for p in _FAILURE_PREFIXES)
+    return response.startswith(_FAILURE_PREFIXES)
 
 
 class GameError(ValueError):
@@ -184,6 +184,11 @@ class GameSpec:
                     (template, _verb_meaning(template)))
         return {first: tuple(sorted(entries, key=lambda e: len(e[0].slots), reverse=True))
                 for first, entries in index.items()}
+
+    @cached_property
+    def vocabulary_set(self) -> frozenset[str]:
+        """``vocabulary`` as a set, for membership tests."""
+        return frozenset(self.vocabulary)
 
     @cached_property
     def parser_words(self) -> frozenset[str]:

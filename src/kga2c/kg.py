@@ -46,12 +46,11 @@ def normalize_entity(text: str, spec: engine.GameSpec) -> str | None:
     words = [w for w in _WORD.findall(text.lower()) if w not in engine.ARTICLES]
     if not words:
         return None
-    vocab = set(spec.vocabulary)
     for w in reversed(words):
         if w in spec.nouns:
             return w
     for w in reversed(words):
-        if w in vocab:
+        if w in spec.vocabulary_set:
             return w
     return None
 

@@ -284,16 +284,19 @@ class Worker:
         runs over all workers first, and advance one environment step;
         returns the record and, when an episode finished, its final score.
 
-        Under ``seq``, when there is a valid action, one drawn at random is
-        the teacher, and it is executed instead of the decoded words with
-        probability ``p_valid``; the record then keeps the teacher's ids as
-        its choices, so the learner replays the executed sequence."""
+        Under ``seq``, when some valid action is one the decoder can spell
+        (``_teacher_ids``), one of those drawn at random is the teacher, and
+        it is executed instead of the decoded words with probability
+        ``p_valid``; the record then keeps the teacher's ids as its choices,
+        so the learner replays the executed sequence."""
         enc2, action, value, choices = row
         mask, valid = self.pending
         self.pending = None
         teacher = None
-        if agent.cfg.ablation == "seq" and len(valid):
-            teacher = valid.actions[self.rng.integers(len(valid))]
+        spelled = ([a for a in valid.actions if _teacher_ids(a, agent)]
+                   if agent.cfg.ablation == "seq" else [])
+        if spelled:
+            teacher = spelled[self.rng.integers(len(spelled))]
             if self.rng.random() < self.cfg.p_valid:
                 action, choices = teacher, _teacher_ids(teacher, agent)
         ep = self.ep
@@ -443,9 +446,10 @@ def learner_pass(batch: RolloutBatch, agent: KgA2CAgent) -> tuple[nm.Tensor, Dec
     """The learning pass: one taped pass over every record the batch kept,
     one row each, in ``batch.records`` order.  Each row embeds the
     observation and graph its acting step read, from the encoder hiddens
-    that step started from, and decodes in ``replay`` mode: the ids the
-    acting pass chose, under the mask it chose them with.  Returns V as an
-    (N,) vector and the ``Decoded``, whose heads span all N rows."""
+    that step started from (rows that repeat one are computed once, see
+    the ``agent`` module docstring), and decodes in ``replay`` mode: the
+    ids the acting pass chose, under the mask it chose them with.  Returns
+    V as an (N,) vector and the ``Decoded``, whose heads span all N rows."""
     records = batch.records
     s_t, _ = agent.state_embedding([r.obs for r in records], [r.graph for r in records],
                                    [r.enc for r in records])
@@ -532,11 +536,12 @@ def combined_loss(
 
 def _teacher_ids(teacher: str, agent: KgA2CAgent) -> list[int]:
     """The ``seq`` decoder's targets for the action ``teacher``: each word's
-    id, with the stop id for a word outside V, cut to ``max_seq_words``, and
-    then the stop id."""
-    stop_id = agent.n_vocab
-    ids = [agent.space.word_ids.get(w, stop_id) for w in teacher.split()]
-    return ids[:agent.cfg.max_seq_words] + [stop_id]
+    id, then the stop id; empty when the decoder cannot spell ``teacher``,
+    which has a word outside V or more than ``max_seq_words`` words."""
+    word_ids, words = agent.space.word_ids, teacher.split()
+    if len(words) > agent.cfg.max_seq_words or not all(w in word_ids for w in words):
+        return []
+    return [word_ids[w] for w in words] + [agent.n_vocab]
 
 
 def _sum(terms: list[nm.Tensor]) -> nm.Tensor:

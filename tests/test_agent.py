@@ -1,7 +1,8 @@
 """The agent's forward passes: dense graph attention against the per-node
 formulation it replaced, finite-difference gradients of the whole model,
-every batch-major pass against its rows run one at a time, and the graph and
-encoder memos of ``fixed_parameters`` against computing afresh."""
+every batch-major pass against its rows run one at a time, the graph and
+encoder memos of ``fixed_parameters`` against computing afresh, and each
+distinct row of a call computed once, taped or not."""
 
 import os
 import subprocess
@@ -602,15 +603,15 @@ def test_enc_memo_reads_a_repeated_pair_without_running_the_gru(
 def test_enc_memo_new_rows_with_duplicates_equal_the_unmemoized_call(
     batch_agent, states, monkeypatch
 ):
-    """Rows new to the memo, a duplicate among them, run as the block
-    today's code runs over them; a row the memo held is read."""
+    """Rows new to the memo, a duplicate among them, run once each, as the
+    block the call without a memo runs, so both calls are bitwise equal; a
+    row the memo held is read."""
     agent = batch_agent
     (o0, _, e0, _), (o1, _, e1, _), (o2, _, e2, _) = states[2], states[6], states[9]
     with nm.no_grad():
         want, want_encs = agent.encode_observation([o1, o2, o1], [e1, e2, e1])
         _, (want0,) = agent.encode_observation([o0], [e0])
         with agent.fixed_parameters():
-            # every row new: today's tensor, duplicate included
             got, got_encs = agent.encode_observation([o1, o2, o1], [e1, e2, e1])
         rows = count_gru_rows(monkeypatch)
         with agent.fixed_parameters():
@@ -621,7 +622,71 @@ def test_enc_memo_new_rows_with_duplicates_equal_the_unmemoized_call(
         assert_hiddens_equal(got_encs[b], want_encs[b])
         assert_hiddens_equal(mixed[b + 1], want_encs[b])
     assert_hiddens_equal(mixed[0], want0)
-    assert rows == [1] * len(CHANNELS) + [3] * len(CHANNELS)
+    assert rows == [1] * len(CHANNELS) + [2] * len(CHANNELS)
+
+
+# -- each distinct row of a call once ------------------------------------------
+
+
+def row_pass(kind, agent, pipe, states, monkeypatch):
+    """For rows a and b of one kind: ``call(picks)``, the taped pass over
+    them in that order (0 is a, 1 is b); the list that records the rows of
+    each block the pass runs; the prefix of the tensors it reaches; the
+    blocks per pass; and the method's scope memo, read after the call."""
+    if kind == "encoder":
+        (oa, _, ea, _), (ob, _, eb, _) = states[3], states[7]
+        blocks = count_gru_rows(monkeypatch)
+        return (lambda picks: agent.encode_observation(
+                    [(oa, ob)[i] for i in picks], [(ea, eb)[i] for i in picks])[0],
+                blocks, "enc.", len(CHANNELS), lambda: agent._enc_memo)
+    ga, gb = walk_graphs(pipe, 30, seed=2)[::29]
+    blocks = record_gat_blocks(agent)
+    return (lambda picks: agent.gat_embed([(ga, gb)[i] for i in picks]),
+            blocks, "gat.", 1, lambda: agent._gat_memo)
+
+
+@pytest.mark.parametrize("kind", ["encoder", "gat"])
+def test_a_taped_pass_runs_each_distinct_row_once(pipe, states, monkeypatch, kind):
+    """Rows [a, b, a] run a and b once, as one block; rows 0 and 2 are
+    bitwise equal, and each parameter's gradient is the sum of three
+    one-row passes' within 1e-12 relative: the take's backward adds the
+    repeat's gradient into a's row."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=7)
+    call, blocks, prefix, per_pass, _ = row_pass(kind, agent, pipe, states, monkeypatch)
+    picks = [0, 1, 0]
+    out = call(picks)
+    assert blocks == [2] * per_pass
+    assert np.array_equal(out.data[0], out.data[2])
+    assert not np.array_equal(out.data[0], out.data[1])
+    weights = np.random.default_rng(5).normal(size=out.shape)
+    names = [n for n in agent.params.names() if n.startswith(prefix)]
+    agent.params.zero_grad()
+    nm.backward(nm.sum_(nm.mul(out, nm.Tensor(weights))))
+    got = {n: agent.params[n].grad.copy() for n in names}
+    agent.params.zero_grad()
+    for pick, w in zip(picks, weights):  # gradients add across the passes
+        nm.backward(nm.sum_(nm.mul(call([pick]), nm.Tensor(w[None]))))
+    for name in names:
+        want = agent.params[name].grad
+        assert np.any(want), name
+        assert np.abs(got[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("kind", ["encoder", "gat"])
+def test_the_scope_runs_new_duplicates_once_and_stores_them(
+    pipe, states, monkeypatch, kind
+):
+    """Inside the scope a call's new rows run once each, a repeat included,
+    and are stored; a later call over them runs nothing."""
+    agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=7)
+    call, blocks, _, per_pass, memo = row_pass(kind, agent, pipe, states, monkeypatch)
+    with agent.fixed_parameters():
+        first = call([0, 1, 0])
+        assert blocks == [2] * per_pass and len(memo()) == 2 * per_pass
+        again = call([1, 0, 0])
+    assert blocks == [2] * per_pass
+    assert np.array_equal(first.data[0], first.data[2])
+    assert np.array_equal(again.data, first.data[[1, 0, 0]])
 
 
 def test_enc_memo_is_untouched_by_a_taped_pass(batch_agent, states, monkeypatch):

@@ -1,8 +1,8 @@
 """Trainer: fixed-seed determinism, per-ablation smoke runs, a ``train`` run
 against the pinned behaviour dump, parameters and loss terms, the combined
 loss's gradient, config files, loud worker failures, greedy eval with and
-without the encoder memo and its episodes replaying the first, and the
-episode belief loop."""
+without the encoder memo and its episodes replaying the first, ``seq``
+teachers the decoder can spell, and the episode belief loop."""
 
 import contextlib
 import csv
@@ -176,13 +176,12 @@ def test_combined_loss_gradcheck(microzork, corpus, ablation):
 
 
 def reference_teacher_ids(teacher, space, max_words):
-    """The seq targets of the action text ``teacher``: its first
-    ``max_words`` words as vocabulary ids, an out-of-vocabulary word as the
-    stop id len(V), and then the stop id."""
-    vocabulary = list(space.vocabulary)
-    stop = len(vocabulary)
-    return [vocabulary.index(w) if w in vocabulary else stop
-            for w in teacher.split()[:max_words]] + [stop]
+    """The seq targets of the action text ``teacher``, which is always one
+    the decoder can spell: its at most ``max_words`` words as vocabulary
+    ids, then the stop id len(V)."""
+    words = teacher.split()
+    assert len(words) <= max_words
+    return [list(space.vocabulary).index(w) for w in words] + [len(space.vocabulary)]
 
 
 def reference_parts(batch, decoded, cfg, space):
@@ -700,6 +699,27 @@ def test_learner_replays_the_executed_action(learned_batch):
         assert any(r.action == r.teacher for r in batch.records)
 
 
+def test_seq_teachers_are_actions_the_decoder_can_spell(pantry, corpus):
+    """With ``max_seq_words = 2`` the decoder cannot spell pantry's longer
+    valid actions, so a teacher is drawn only from the ones it can: every
+    record's executed action is the one the learner replays, and steps
+    executed their teachers."""
+    cfg = trainer.TrainConfig(seed=1).with_ablation("seq")
+    cfg = replace(cfg, agent=replace(cfg.agent, max_seq_words=2))
+    pipe = trainer.build_pipeline(pantry, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    records = []
+    for _ in range(3):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+        _, decoded = trainer.learner_pass(batch, agent)
+        assert decoded.actions == [r.action for r in batch.records]
+        records += batch.records
+    assert any(len(a.split()) > 2 for r in records for a in r.valid.actions)
+    assert any(r.action == r.teacher for r in records)
+    assert all(len(r.teacher.split()) <= 2 for r in records if r.teacher is not None)
+
+
 def test_one_learner_pass_reaches_every_tensor(learned_batch):
     """Every tensor the agent allocates, and each z, r and n column block of
     every GRU's W, gets a non-zero gradient from one learner pass."""
@@ -845,9 +865,9 @@ def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
         runs[use_memo][1].append(len(memo))
         return out
 
-    def counted(self, ch, texts, h0s):
-        runs[use_memo][2].append(len(texts))
-        return encode_channel(self, ch, texts, h0s)
+    def counted(self, keys):
+        runs[use_memo][2].append(len(keys))
+        return encode_channel(self, keys)
 
     monkeypatch.setattr(KgA2CAgent, "encode_observation", recorded)
     monkeypatch.setattr(KgA2CAgent, "_encode_channel", counted)
