@@ -41,10 +41,10 @@ that block (``_rows_once``).  A row's key is everything it depends on: an
 encoder row's is (channel, text, carried hidden bytes), a GAT row's its
 graph.  Rows repeat often: a carried hidden often settles into an exact
 fixed point, so a stuck greedy episode repeats most of its encoder rows bit
-for bit, and ``engine.reset`` ignores its seed, so workers that start an
-episode repeat each other's first rows.  In a taped pass the B rows are one
-``nm.take`` from the block, so a repeated row's gradients add up in the
-take's backward.
+for bit, and every episode starts from ``engine.reset``'s one state, so
+workers that start an episode repeat each other's first rows.  In a taped
+pass the B rows are one ``nm.take`` from the block, so a repeated row's
+gradients add up in the take's backward.
 
 ``with agent.fixed_parameters():`` is the caller's promise that the
 parameters do not change inside (``nm.adam_step`` on them raises there).

@@ -77,8 +77,7 @@ def cmd_play(args) -> int:
     corpus = _load_corpus(args.corpus)
     freq = trainer.FrequencyTable.from_lines(corpus)
     space = trainer.build_action_space(spec.templates, spec.vocabulary, freq)
-    ep = trainer.Episode(spec, args.seed or 0)
-    ep.observe(space.vocabulary)
+    ep = trainer.Episode(spec, space.vocabulary)
     print(ep.obs.o_desc)
     out = sys.stdout
     while True:
@@ -107,12 +106,14 @@ def cmd_play(args) -> int:
             continue
         if command.startswith(":load"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
-            state = engine.restore(Path(path).read_bytes())
+            try:
+                state = engine.restore(Path(path).read_bytes(), spec)
+            except (OSError, engine.SnapshotError) as exc:
+                print(f"Cannot load {path}: {exc}")
+                continue
             # a fresh episode: the graph and the last action belong to the
             # abandoned timeline
-            ep = trainer.Episode(spec, args.seed or 0)
-            ep.state, ep.obs = state, engine.observation(state, spec)
-            ep.observe(space.vocabulary)
+            ep = trainer.Episode(spec, space.vocabulary, state=state)
             print(f"Restored from {path}.")
             continue
         reward = ep.act(command)
@@ -125,7 +126,6 @@ def cmd_play(args) -> int:
         if ep.done:
             print(f"*** The game is over. Final score: {ep.obs.score} ***")
             return 0
-        ep.observe(space.vocabulary)
     print(f"Final score: {ep.obs.score}")
     return 0
 
@@ -252,15 +252,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kga2c", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_game=True):
-        if needs_game:
-            p.add_argument("--game", required=True,
-                           help=f"bundled name ({', '.join(BUNDLED_GAMES)}) or a file path")
+    def common(p, seeded=True):
+        p.add_argument("--game", required=True,
+                       help=f"bundled name ({', '.join(BUNDLED_GAMES)}) or a file path")
         p.add_argument("--corpus", help="playthrough corpus file (default: bundled)")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
 
     p_play = sub.add_parser("play", help="interactive REPL over the engine")
-    common(p_play)
+    common(p_play, seeded=False)
     p_play.add_argument("--dump-valid", action="store_true",
                         help="print the oracle's valid set after every step")
     p_play.set_defaults(fn=cmd_play)

@@ -99,7 +99,7 @@ class VocabularyError(GameError):
 
 
 class SnapshotError(ValueError):
-    """Snapshot bytes are corrupt or from an incompatible version."""
+    """Snapshot bytes are corrupt, of another version, or of another game."""
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +529,8 @@ def load_game_file(path) -> GameSpec:
 # State construction and rendering
 
 
-def reset(spec: GameSpec, seed: int = 0) -> tuple[WorldState, Observation]:
-    """Initial state and observation.  Games are deterministic: the seed is
-    accepted for interface symmetry and does not change the result."""
+def reset(spec: GameSpec) -> tuple[WorldState, Observation]:
+    """The game's one initial state and its observation."""
     locations = {o.id: _normalize_loc(o.location) for o in spec.objects.values()}
     flags = [f"visited:{spec.start}"]
     for o in spec.objects.values():
@@ -658,7 +657,9 @@ def snapshot(state: WorldState) -> bytes:
     return header + payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def restore(blob: bytes) -> WorldState:
+def restore(blob: bytes, spec: GameSpec) -> WorldState:
+    """The state ``snapshot`` wrote, refused unless it is one of ``spec``'s:
+    in a game room, placing exactly the game's objects in places it has."""
     if len(blob) < 14 or blob[:4] != SNAPSHOT_MAGIC:
         raise SnapshotError("not a snapshot (bad magic)")
     version, length = struct.unpack("<HI", blob[4:10])
@@ -672,7 +673,7 @@ def restore(blob: bytes) -> WorldState:
         raise SnapshotError("snapshot checksum mismatch")
     try:
         data = json.loads(payload.decode("utf-8"))
-        return WorldState(
+        state = WorldState(
             room=data["room"],
             locations=tuple((a, b) for a, b in data["locations"]),
             flags=tuple(data["flags"]),
@@ -683,6 +684,12 @@ def restore(blob: bytes) -> WorldState:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"malformed snapshot payload: {exc}") from exc
+    places = {INVENTORY, *spec.rooms, *(f"in {oid}" for oid in spec.objects)}
+    ids = [oid for oid, _ in state.locations]
+    if (state.room not in spec.rooms or ids != sorted(spec.objects)
+            or not places.issuperset(place for _, place in state.locations)):
+        raise SnapshotError(f"not a state of game {spec.name!r}")
+    return state
 
 
 # ---------------------------------------------------------------------------

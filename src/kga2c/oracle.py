@@ -128,7 +128,7 @@ def valid_actions(
                 template_ids.append(tid)
                 fillers.append(combo)
 
-    assert engine.digest(engine.restore(guard)) == before == engine.digest(state)
+    assert engine.digest(engine.restore(guard, spec)) == before == engine.digest(state)
     return ValidSet(
         actions=tuple(actions),
         template_ids=tuple(template_ids),

@@ -8,9 +8,9 @@ et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
 2016, arXiv 1602.01783):
 
 * The acting pass, ``run_rollouts``, records no tape.  It steps the workers
-  in lockstep: per unroll step every worker prepares its observation, one
-  batch-major pass values and decodes all workers' rows, and every worker
-  executes its own.  Each row samples from its worker's RNG in the order
+  in lockstep: per unroll step one batch-major pass values and decodes all
+  workers' rows, and every worker executes its own and observes the state
+  it reaches.  Each row samples from its worker's RNG in the order
   that worker alone would, so the schedule changes no sampled action, and
   fixed seeds give bitwise-identical metrics.  Each step's ``StepRecord``
   keeps, as plain immutable values, only what its row read and chose: the
@@ -214,42 +214,52 @@ class RolloutBatch:
 
 
 class Episode:
-    """One episode's belief loop: engine state and observation, the graph
-    built from them, encoder hiddens and the last action.  Call ``observe``
-    once before each ``act``.  Both read the state's scope from the engine's
-    memo, so they share one computation of it unless another state of the
-    game is scoped in between, as lockstep workers' ``prepare`` calls are."""
+    """One episode's belief loop, observing each state it reaches as
+    KG-A2C's loop does on arrival: the constructor and each ``act`` that
+    does not end the episode detect objects, update the graph and leave
+    ``kg.graph_mask``'s mask in ``mask``.  It starts from ``state``, by
+    default ``engine.reset``'s, with an empty graph, zero encoder hiddens
+    and the sentinel last action.  An observation and the step after it
+    share one computation of the state's scope (the engine's memo) unless
+    another state of the game is scoped in between."""
 
-    def __init__(self, spec: engine.GameSpec, seed: int,
+    def __init__(self, spec: engine.GameSpec, vocabulary: tuple[str, ...],
+                 p_m: float = 0.0, rng: random.Random | None = None,
+                 state: engine.WorldState | None = None,
                  gru_hidden: int = AgentConfig.gru_hidden):
-        self.spec = spec
-        self.state, self.obs = engine.reset(spec, seed)
+        self.spec, self.vocabulary, self.p_m, self.rng = spec, vocabulary, p_m, rng
+        self.state, self.obs = (engine.reset(spec) if state is None
+                                else (state, engine.observation(state, spec)))
         self.graph: kg.Graph = frozenset()
         self.enc = np.zeros((len(CHANNELS), gru_hidden))
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
+        self._observe()
 
-    def observe(self, vocabulary: tuple[str, ...], p_m: float = 0.0,
-                rng: random.Random | None = None) -> frozenset[str]:
-        """Detect objects, update the graph, then mask V by it."""
+    def _observe(self) -> None:
         detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
         self.graph = kg.update_graph(
             self.graph, self.obs, self.prev_action, self.state.room, detected,
             self.spec,
         )
         in_scope = engine.in_scope_words(self.state, self.spec)
-        return kg.graph_mask(self.graph, vocabulary, p_m, rng, in_scope)
+        self.mask = kg.graph_mask(self.graph, self.vocabulary, self.p_m, self.rng, in_scope)
 
     def act(self, action: str) -> int:
-        """Execute ``action`` from the observed state."""
+        """Execute ``action`` and observe the state it reaches, unless the
+        episode ended there."""
         self.state, self.obs, reward, self.done = engine.step(
             self.state, action, self.spec)
         self.prev_action = action
+        if not self.done:
+            self._observe()
         return reward
 
 
 class Worker:
-    """One environment pipeline: an episode, its RNGs, the memoized step."""
+    """One environment pipeline: an episode, its RNGs, and ``valid``, the
+    valid set of the state the episode is at, requested once per state
+    reached.  A first observation that raises fails ``Worker(...)``."""
 
     def __init__(self, idx: int, pipeline: "Pipeline", cfg: TrainConfig):
         self.idx = idx
@@ -258,24 +268,17 @@ class Worker:
         self.rng = np.random.default_rng(cfg.seed * 10_007 + idx)
         self.mask_rng = random.Random(cfg.seed * 20_011 + idx)
         self.failed = False
-        self.pending: tuple[frozenset[str], oracle.ValidSet] | None = None
         self._begin_episode()
 
     def _begin_episode(self) -> None:
-        self.ep = Episode(self.pipe.spec, self.cfg.seed + self.idx,
-                          self.cfg.agent.gru_hidden)
+        self.ep = Episode(self.pipe.spec, self.pipe.space.vocabulary, self.cfg.p_m,
+                          self.mask_rng, gru_hidden=self.cfg.agent.gru_hidden)
+        self._request_valid()
 
-    def prepare(self) -> tuple[frozenset[str], oracle.ValidSet]:
-        """Graph update, mask and valid set for the current observation;
-        memoized until the next step consumes it, so the mask RNG and the
-        oracle run once per environment step."""
-        if self.pending is None:
-            ep = self.ep
-            mask = ep.observe(self.pipe.space.vocabulary, self.cfg.p_m, self.mask_rng)
-            valid = self.pipe.valid_set(ep.state, mask,
-                                        engine.in_scope_words(ep.state, ep.spec))
-            self.pending = mask, valid
-        return self.pending
+    def _request_valid(self) -> None:
+        ep = self.ep
+        self.valid = self.pipe.valid_set(ep.state, ep.mask,
+                                         engine.in_scope_words(ep.state, ep.spec))
 
     def step(self, agent: KgA2CAgent, row: tuple[np.ndarray, str, float, list[int]]
              ) -> tuple[StepRecord, int | None]:
@@ -290,8 +293,7 @@ class Worker:
         ``p_valid``; the record then keeps the teacher's ids as its choices,
         so the learner replays the executed sequence."""
         enc2, action, value, choices = row
-        mask, valid = self.pending
-        self.pending = None
+        ep, valid = self.ep, self.valid
         teacher = None
         spelled = ([a for a in valid.actions if _teacher_ids(a, agent)]
                    if agent.cfg.ablation == "seq" else [])
@@ -299,18 +301,16 @@ class Worker:
             teacher = spelled[self.rng.integers(len(spelled))]
             if self.rng.random() < self.cfg.p_valid:
                 action, choices = teacher, _teacher_ids(teacher, agent)
-        ep = self.ep
-        obs, graph, enc = ep.obs, ep.graph, ep.enc
+        obs, graph, enc, mask = ep.obs, ep.graph, ep.enc, ep.mask
         reward = float(ep.act(action))
         record = StepRecord(self.idx, value, reward, ep.done, obs, graph, enc, mask,
                             valid, choices, action, teacher)
         ep.enc = enc2
-
-        final_score: int | None = None
-        if record.done:
-            final_score = self.ep.state.score
+        if ep.done:
             self._begin_episode()
-        return record, final_score
+        else:
+            self._request_valid()
+        return record, ep.state.score if ep.done else None
 
 
 def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[np.ndarray]]:
@@ -369,58 +369,46 @@ def run_rollouts(
     """The acting pass: advance the live workers unroll-length steps in
     lockstep and bootstrap V(s_{t+1}) at the boundary.
 
-    Each unroll step has three phases: every worker prepares its observation
-    (graph, mask, valid set), one batch-major pass embeds, values and decodes
-    all workers' rows, and every worker executes its row in ``step``.  The
-    bootstrap is one more batched critic pass.  The unroll and the bootstrap
-    run inside one ``agent.fixed_parameters()`` scope, so no pass records a
-    tape, each distinct graph is embedded once, and each repeated (channel,
-    text, carried hidden) is encoded once.  A worker that raises in
-    ``prepare`` or ``step`` is logged and dropped with its records of this
-    unroll, and the others go on; with one worker the error propagates.  The
-    batched passes read only what ``prepare`` built, so an error there is
+    Each unroll step has two phases: one batch-major pass embeds, values
+    and decodes all live workers' rows, from the state each worker's
+    episode is at and its mask, and then every worker executes its row in
+    ``step``, which also observes the state reached and requests its valid
+    set.  The bootstrap is one more batched critic pass.  The unroll and the
+    bootstrap run inside one ``agent.fixed_parameters()`` scope, so no pass
+    records a tape, each distinct graph is embedded once, and each repeated
+    (channel, text, carried hidden) is encoded once.  A worker that raises
+    in ``step`` is logged and dropped with its records of this unroll, and
+    the others go on; with one worker the error propagates.  The batched
+    passes read only what the workers built, so an error there is
     the agent's, not a worker's, and propagates.  The records come out
     worker-major."""
     live = [w for w in workers if not w.failed]
     records: dict[int, list[StepRecord]] = {w.idx: [] for w in live}
     finished: list[int] = []
-
-    def each(fn: Callable[[Worker], object], rows: list[Worker]) -> list[Worker]:
-        """The rows for which fn(row) returned; the others are dropped."""
-        kept = []
-        for w in rows:
-            try:
-                fn(w)
-            except Exception:
-                if cfg.workers == 1:
-                    raise
-                log.exception("worker %d failed at state %s; dropping it",
-                              w.idx, engine.digest(w.ep.state))
-                w.failed = True
-                continue
-            kept.append(w)
-        return kept
-
-    def step(w: Worker, row: tuple) -> None:
-        record, final_score = w.step(agent, row)
-        records[w.idx].append(record)
-        if final_score is not None:
-            finished.append(final_score)
-
     with agent.fixed_parameters():
         for _ in range(cfg.unroll):
-            live = each(lambda w: w.prepare(), live)
             if not live:
                 break
             s_t, encs = _embed(agent, live)
             values = agent.critic_value(s_t).data
-            decoded = agent.decode_action(s_t, [w.pending[0] for w in live],
+            decoded = agent.decode_action(s_t, [w.ep.mask for w in live],
                                           [w.rng for w in live])
-            rows = dict(zip(live, zip(encs, decoded.actions, values.tolist(),
-                                      decoded.choices())))
-            live = each(lambda w: step(w, rows[w]), live)
-        open_ended = each(lambda w: w.prepare(),
-                          [w for w in live if not records[w.idx][-1].done])
+            for w, *row in zip(live, encs, decoded.actions, values.tolist(),
+                               decoded.choices()):
+                try:
+                    record, final_score = w.step(agent, tuple(row))
+                except Exception:
+                    if cfg.workers == 1:
+                        raise
+                    log.exception("worker %d failed at state %s; dropping it",
+                                  w.idx, engine.digest(w.ep.state))
+                    w.failed = True
+                    continue
+                records[w.idx].append(record)
+                if final_score is not None:
+                    finished.append(final_score)
+            live = [w for w in live if not w.failed]
+        open_ended = [w for w in live if not records[w.idx][-1].done]
         if open_ended:
             values = agent.critic_value(_embed(agent, open_ended)[0]).data
             for w, v in zip(open_ended, values):
@@ -730,13 +718,13 @@ def evaluate(
     seed: int = 0,
     trace: list | None = None,
 ) -> tuple[float, float, list[int]]:
-    """Greedy-policy episodes; returns (mean, std, scores).  Masking uses
-    p_m = 0, decoding takes the argmax and ``engine.reset`` ignores its
-    seed, so evaluation is deterministic: every episode replays the first,
-    whatever ``seed``.  Callers in this package ask for one episode; the
-    count and the (mean, std, scores) result stay, since the benchmark
-    harness calls ``evaluate(agent, pipe, 1, seed=...)`` and unpacks three
-    values.  Each episode runs inside one
+    """Greedy-policy episodes; returns (mean, std, scores).  Every episode
+    starts from ``engine.reset``'s state, masking uses p_m = 0 and decoding
+    takes the argmax, so evaluation is deterministic: every episode replays
+    the first.  Callers in this package ask for one episode.  The count,
+    the unused ``seed`` and the (mean, std, scores) result stay only because
+    the benchmark harness calls ``evaluate(agent, pipe, 1, seed=...)`` and
+    unpacks three values.  Each episode runs inside one
     ``agent.fixed_parameters()`` scope, so no pass records a tape, a graph
     that stays the same across steps is embedded once, and a (channel, text,
     carried hidden) row the episode met before is read from the encoder memo
@@ -746,16 +734,15 @@ def evaluate(
     if episodes <= 0:
         raise ValueError("episodes must be positive")
     scores: list[int] = []
-    for i in range(episodes):
-        ep = Episode(pipe.spec, seed + i, agent.cfg.gru_hidden)
+    for _ in range(episodes):
+        ep = Episode(pipe.spec, pipe.space.vocabulary, gru_hidden=agent.cfg.gru_hidden)
         with agent.fixed_parameters():
             while not ep.done:
-                mask = ep.observe(pipe.space.vocabulary)
                 s_t, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
-                decoded = agent.decode_action(s_t, [mask], mode="greedy")
+                decoded = agent.decode_action(s_t, [ep.mask], mode="greedy")
                 action = decoded.actions[0]
                 if trace is not None:
-                    trace.append(_trace_row(agent, decoded, mask, ep.graph, action))
+                    trace.append(_trace_row(agent, decoded, ep.mask, ep.graph, action))
                 ep.act(action)
         scores.append(ep.state.score)
     mean = float(np.mean(scores))
@@ -806,11 +793,9 @@ def random_valid_baseline(
     scores: list[int] = []
     steps = 0
     while steps < max_steps:
-        ep = Episode(spec, seed)
+        ep = Episode(spec, pipe.space.vocabulary, cfg.p_m, mask_rng)
         while not ep.done and steps < max_steps:
-            mask = ep.observe(pipe.space.vocabulary, cfg.p_m, mask_rng)
-            valid = pipe.valid_set(ep.state, mask,
-                                   engine.in_scope_words(ep.state, spec))
+            valid = pipe.valid_set(ep.state, ep.mask, engine.in_scope_words(ep.state, spec))
             if len(valid):
                 action = valid.actions[rng.integers(len(valid))]
             else:

@@ -74,13 +74,13 @@ def walk_graphs(pipe, count, seed=0):
     """Graphs seen along random valid-action episodes on the pipeline's game."""
     rng = np.random.default_rng(seed)
     graphs = []
-    ep = trainer.Episode(pipe.spec, seed)
+    ep = trainer.Episode(pipe.spec, pipe.space.vocabulary)
     while len(graphs) < count:
         if ep.done:
-            ep = trainer.Episode(pipe.spec, int(rng.integers(1000)))
-        mask = ep.observe(pipe.space.vocabulary)
+            rng.integers(1000)  # an old episode seed's draw, so later draws stay put
+            ep = trainer.Episode(pipe.spec, pipe.space.vocabulary)
         graphs.append(ep.graph)
-        valid = pipe.valid_set(ep.state, mask,
+        valid = pipe.valid_set(ep.state, ep.mask,
                                engine.in_scope_words(ep.state, pipe.spec))
         ep.act(valid.actions[rng.integers(len(valid))] if len(valid) else "look")
     return graphs
@@ -153,12 +153,11 @@ def test_whole_agent_gradcheck(pipe):
     cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
                       score_width=4, dec_hidden=4)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=14)
-    ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
-    ep.observe(pipe.space.vocabulary)
+    ep = trainer.Episode(pipe.spec, pipe.space.vocabulary, gru_hidden=cfg.gru_hidden)
     # one step first, so the encoders start from carried, non-zero hiddens
     _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask = ep.observe(pipe.space.vocabulary)
+    mask = ep.mask
     assert len(kg.nodes(ep.graph)) >= 5 and len(ep.graph) >= 1  # edges beyond self-loops
 
     def decode():
@@ -223,11 +222,10 @@ def test_whole_agent_gradcheck_through_a_shared_graph_row(pipe):
     cfg = AgentConfig(emb_dim=4, gru_hidden=4, obs_dim=4, gat_heads=2, gat_dim=4,
                       score_width=4, dec_hidden=4)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg, seed=0)
-    ep = trainer.Episode(pipe.spec, 0, cfg.gru_hidden)
-    ep.observe(pipe.space.vocabulary)
+    ep = trainer.Episode(pipe.spec, pipe.space.vocabulary, gru_hidden=cfg.gru_hidden)
     _, (carried,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
     ep.act("open mailbox")
-    mask = ep.observe(pipe.space.vocabulary)
+    mask = ep.mask
     assert len(ep.graph) >= 1
     embedded = record_gat_blocks(agent)
 
@@ -265,9 +263,9 @@ def walk_states(pipe, agent, count, seed=0):
     episode, with the encoder hiddens carried as a rollout carries them."""
     rng = np.random.default_rng(seed)
     states = []
-    ep = trainer.Episode(pipe.spec, seed, agent.cfg.gru_hidden)
+    ep = trainer.Episode(pipe.spec, pipe.space.vocabulary, gru_hidden=agent.cfg.gru_hidden)
     while len(states) < count:
-        mask = ep.observe(pipe.space.vocabulary)
+        mask = ep.mask
         states.append((ep.obs, ep.graph, ep.enc, mask))
         _, (ep.enc,) = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])
         valid = pipe.valid_set(ep.state, mask,
@@ -493,8 +491,8 @@ def test_fixed_parameters_records_no_tape_without_no_grad(pipe):
     is left; leaving the outer scope tapes again, with the same values; and
     ``adam_step`` is refused inside."""
     agent = KgA2CAgent(pipe.space, pipe.model, AgentConfig(), seed=3)
-    ep = trainer.Episode(pipe.spec, 0, agent.cfg.gru_hidden)
-    mask = ep.observe(pipe.space.vocabulary)
+    ep = trainer.Episode(pipe.spec, pipe.space.vocabulary, gru_hidden=agent.cfg.gru_hidden)
+    mask = ep.mask
 
     def one_pass():
         s_t, _ = agent.state_embedding([ep.obs], [ep.graph], [ep.enc])

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from kga2c import bundled_corpus_lines, cli, numerics as nm, trainer
+from kga2c import bundled_corpus_lines, cli, engine, numerics as nm, trainer
 from kga2c.agent import KgA2CAgent
 
 
@@ -29,6 +29,9 @@ def test_malformed_valid_trace_exits_2(tmp_path, capsys):
 def test_bad_flag_exits_1(capsys):
     assert cli.main(["train", "--game", "corridor", "--no-such-flag"]) == 1
     assert "usage error" in capsys.readouterr().err
+    # play has no --seed: every game starts from its one state
+    assert cli.main(["play", "--game", "corridor", "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_out_of_range_p_m_exits_2_before_any_worker_runs(tmp_path, capsys, caplog):
@@ -139,7 +142,7 @@ def test_seq_eval_trace_has_a_row_per_step(corridor, corpus, tmp_path, capsys):
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent)
     trace: list = []
     trainer.evaluate(agent, pipe, 1, trace=trace)
-    ep = trainer.Episode(spec, 0)
+    ep = trainer.Episode(spec, pipe.space.vocabulary)
     for row in trace:  # replaying the traced actions ends the episode exactly
         assert not ep.done
         ep.act(row["action"])
@@ -179,6 +182,23 @@ def test_play_load_starts_a_fresh_graph(monkeypatch, capsys, tmp_path):
     assert '"you" -> "hall" [label="in"];' in graph
     assert '"bend" -> "hall"' not in graph
     assert '"you" -> "bend"' not in graph
+
+
+def test_play_survives_bad_loads(corridor, monkeypatch, capsys, tmp_path):
+    """A :load of another game's save or of a missing file prints the
+    reason and leaves the session where it was."""
+    foreign = tmp_path / "corridor.bin"
+    foreign.write_bytes(engine.snapshot(engine.reset(corridor)[0]))
+    missing = tmp_path / "missing.bin"
+    script = f":load {foreign}\n:load {missing}\nlook\n:quit\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+    assert cli.main(["play", "--game", "microzork"]) == 0
+    out = capsys.readouterr().out
+    assert f"Cannot load {foreign}: not a state of game 'microzork'" in out
+    assert f"Cannot load {missing}: " in out
+    assert "Restored" not in out
+    assert out.count("Field") == 2  # the start, then the look
+    assert "Final score: 0" in out
 
 
 def test_eval_trace_round_trips_through_inspect(corridor, tmp_path, capsys):

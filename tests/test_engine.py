@@ -130,25 +130,19 @@ class TestLoadGame:
 
 class TestReset:
     def test_start_room_and_score(self, microzork):
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         assert state.room == "field"
         assert state.score == 0
         assert obs.score == 0
         assert obs.o_desc.startswith("Field")
 
-    def test_seed_does_not_matter_for_deterministic_spec(self, microzork):
-        s1, o1 = reset(microzork, 0)
-        s2, o2 = reset(microzork, 12345)
-        assert s1 == s2
-        assert o1 == o2
-
     def test_reset_twice_equal_digest(self, microzork):
-        s1, _ = reset(microzork, 0)
-        s2, _ = reset(microzork, 0)
+        s1, _ = reset(microzork)
+        s2, _ = reset(microzork)
         assert digest(s1) == digest(s2)
 
     def test_observation_channels_nonempty(self, microzork):
-        _, obs = reset(microzork, 0)
+        _, obs = reset(microzork)
         assert obs.o_desc and obs.o_game and obs.o_inv and obs.a_prev
         assert obs.a_prev == engine.SENTINEL_PREV_ACTION
         assert obs.o_game == obs.o_desc
@@ -156,21 +150,21 @@ class TestReset:
 
 class TestStep:
     def test_take_key(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, obs, reward, done = step(state, "take key", microzork)
         assert obs.o_game == "Taken."
         assert after.location_of("key") == engine.INVENTORY
         assert reward == 0 and not done
 
     def test_unknown_phrase_changes_nothing(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, obs, reward, done = step(state, "frobnicate zork", microzork)
         assert obs.o_game == engine.RESP_UNRECOGNIZED
         assert digest(after) == digest(state)
         assert reward == 0
 
     def test_open_chest_with_key_scores_ten(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in ["take key", "north", "north"]:
             state, _, _, _ = step(state, action, microzork)
         assert state.score == 0
@@ -180,7 +174,7 @@ class TestStep:
         assert "revealing" in obs.o_game
 
     def test_walkthrough_reaches_max_score(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         total = 0
         for action in MICROZORK_WALKTHROUGH:
             state, _, reward, done = step(state, action, microzork)
@@ -189,30 +183,30 @@ class TestStep:
         assert state.score == 30 == total
 
     def test_pantry_walkthrough(self, pantry):
-        state, _ = reset(pantry, 0)
+        state, _ = reset(pantry)
         for action in PANTRY_WALKTHROUGH:
             state, _, _, done = step(state, action, pantry)
         assert done and state.score == 20
 
     def test_corridor_walkthrough(self, corridor):
-        state, _ = reset(corridor, 0)
+        state, _ = reset(corridor)
         for action in CORRIDOR_WALKTHROUGH:
             state, _, _, done = step(state, action, corridor)
         assert done and state.score == 5
 
     def test_step_does_not_mutate_input(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         before = digest(state)
         step(state, "take key", microzork)
         assert digest(state) == before
 
     def test_input_case_insensitive(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         _, obs, _, _ = step(state, "TAKE Key", microzork)
         assert obs.o_game == "Taken."
 
     def test_alias_and_adjective_reference(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         _, obs, _, _ = step(state, "take brass", microzork)
         assert obs.o_game == "Taken."
         _, obs, _, _ = step(state, "get brass key", microzork)
@@ -225,13 +219,13 @@ class TestStep:
             "\n[template]\npattern: [open] OBJ\n"
         )
         spec = load_game(game)
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         after, obs, _, _ = step(state, "open door", spec)
         assert obs.o_game.startswith("Which door do you mean")
         assert digest(after) == digest(state)
 
     def test_locked_chest_refuses_plain_open(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in ["north", "north"]:
             state, _, _, _ = step(state, action, microzork)
         after, obs, _, _ = step(state, "open chest", microzork)
@@ -239,7 +233,7 @@ class TestStep:
         assert digest(after) == digest(state)
 
     def test_wrong_key_does_not_fit(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in ["north", "east", "take lamp", "west", "north"]:
             state, _, _, _ = step(state, action, microzork)
         after, obs, _, _ = step(state, "open chest with lamp", microzork)
@@ -247,38 +241,38 @@ class TestStep:
         assert digest(after) == digest(state)
 
     def test_turn_counters(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         state, _, _, _ = step(state, "look", microzork)
         assert state.turn == 1 and state.valid_steps == 0
         state, _, _, _ = step(state, "take key", microzork)
         assert state.turn == 2 and state.valid_steps == 1
 
     def test_go_direction_form(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, _, _, _ = step(state, "go north", microzork)
         assert after.room == "path"
 
 
 class TestRendering:
     def test_start_look_text(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         text = render_look(state, microzork)
         assert "open field" in text
         assert "There is a brass key here." in text
 
     def test_inventory_after_take(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         assert render_inventory(state, microzork) == "You are empty-handed."
         state, _, _, _ = step(state, "take key", microzork)
         assert "brass key" in render_inventory(state, microzork)
 
     def test_render_is_pure(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         assert render_look(state, microzork) == render_look(state, microzork)
         assert render_inventory(state, microzork) == render_inventory(state, microzork)
 
     def test_render_matches_look_step(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         state, _, _, _ = step(state, "take key", microzork)
         _, obs, _, _ = step(state, "look", microzork)
         assert obs.o_game == render_look(state, microzork)
@@ -286,57 +280,75 @@ class TestRendering:
         assert obs.o_game == render_inventory(state, microzork)
 
     def test_open_container_lists_contents(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         state, _, _, _ = step(state, "open mailbox", microzork)
         assert "The mailbox contains a leaflet." in render_look(state, microzork)
 
 
 class TestSnapshot:
     def test_round_trip_digest(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         state, _, _, _ = step(state, "take key", microzork)
-        assert digest(restore(snapshot(state))) == digest(state)
-        assert restore(snapshot(state)) == state
+        assert digest(restore(snapshot(state), microzork)) == digest(state)
+        assert restore(snapshot(state), microzork) == state
 
     def test_snapshot_then_step_then_restore(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         blob = snapshot(state)
         stepped, _, _, _ = step(state, "take key", microzork)
         assert digest(stepped) != digest(state)
-        assert digest(restore(blob)) == digest(state)
+        assert digest(restore(blob, microzork)) == digest(state)
 
     def test_corrupted_snapshot_rejected(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         blob = bytearray(snapshot(state))
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(SnapshotError):
-            restore(bytes(blob))
+            restore(bytes(blob), microzork)
 
-    def test_foreign_bytes_rejected(self):
+    def test_foreign_bytes_rejected(self, microzork):
         with pytest.raises(SnapshotError):
-            restore(b"this is not a snapshot at all")
+            restore(b"this is not a snapshot at all", microzork)
+
+    def test_state_of_another_game_rejected(self, microzork, corridor):
+        """A well-formed snapshot whose room or objects are not the game's is
+        refused before any renderer or step reads it."""
+        state, _ = reset(microzork)
+        foreign, _ = reset(corridor)
+        locations = dict(state.locations)
+        bad = [
+            foreign,
+            replace(state, room="nowhere"),
+            replace(state, locations=tuple(sorted(locations.items()))[1:]),
+            replace(state, locations=tuple(sorted({**locations, "ghost": "field"}.items()))),
+            replace(state, locations=tuple(sorted({**locations, "key": "in ghost"}.items()))),
+        ]
+        for other in bad:
+            with pytest.raises(SnapshotError, match="not a state of game 'microzork'"):
+                restore(snapshot(other), microzork)
+        assert restore(snapshot(foreign), corridor) == foreign
 
     def test_version_mismatch_rejected(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         blob = bytearray(snapshot(state))
         blob[4] = 99
         with pytest.raises(SnapshotError):
-            restore(bytes(blob))
+            restore(bytes(blob), microzork)
 
 
 class TestWorldChanged:
     def test_take_changes_world(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, _, _, _ = step(state, "take key", microzork)
         assert digest(state) != digest(after)
 
     def test_look_does_not_change_world(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, _, _, _ = step(state, "look", microzork)
         assert digest(state) == digest(after)
 
     def test_walking_into_wall_does_not_change_world(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         after, _, _, _ = step(state, "south", microzork)
         assert digest(state) == digest(after)
 
@@ -355,8 +367,8 @@ class TestInvariants:
     def test_determinism_and_reward_conservation(self, microzork, microzork_space, seed):
         rng = random.Random(seed)
         actions = self._random_actions(microzork, microzork_space, rng, 120)
-        state, _ = reset(microzork, 0)
-        replay, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
+        replay, _ = reset(microzork)
         total = 0
         for action in actions:
             nxt, obs, reward, done = step(state, action, microzork)
@@ -372,7 +384,7 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_once_rules_never_fire_twice(self, microzork, microzork_space, seed):
         rng = random.Random(seed)
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         fired: dict[str, int] = {}
         for action in self._random_actions(microzork, microzork_space, rng, 300):
             before = state.collected
@@ -384,7 +396,7 @@ class TestInvariants:
         assert all(count == 1 for count in fired.values())
 
     def test_score_equals_collected_points(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in MICROZORK_WALKTHROUGH:
             state, _, _, _ = step(state, action, microzork)
             expected = sum(
@@ -395,7 +407,7 @@ class TestInvariants:
             assert state.score == expected
 
     def test_episode_ends_by_valid_step_cap(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         done = False
         steps = 0
         # alternating movement is always a valid action
@@ -407,7 +419,7 @@ class TestInvariants:
         assert state.valid_steps == microzork.valid_step_cap == 100
 
     def test_hard_turn_cap_bounds_invalid_loops(self, microzork):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         done = False
         turns = 0
         while not done:
@@ -554,7 +566,7 @@ class TestPredicateEdges:
             "take", "drop", "open", "unlock", "visit", "enter", "bring", "in"}
         assert {p[0] for p in spec.victory} == {
             "has", "at", "open", "in", "score", "visit"}
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         for i, (action, points) in enumerate(EDGE_WALK):
             state, obs, reward, done = step(state, action, spec)
             assert not engine.is_failure(obs.o_game), action
@@ -565,7 +577,7 @@ class TestPredicateEdges:
     def test_an_object_predicate_over_a_room_never_fires(self):
         spec = load_game(EDGE_GAME.replace("when: take key", "when: take yard")
                          .replace("when: drop key", "when: drop shed"))
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         rewards = []
         for action, _ in EDGE_WALK:
             state, _, reward, _ = step(state, action, spec)
@@ -590,7 +602,7 @@ class TestScopeMemo:
     ):
         spec = request.getfixturevalue(game)
         rng = random.Random(seed)
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         changed_in_place = False
         for action in walkthroughs[game]:
             noise = f"{rng.choice(['take', 'open', 'drop'])} {rng.choice(spec.vocabulary)}"

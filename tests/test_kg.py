@@ -80,13 +80,13 @@ def zorkish():
 
 class TestDetection:
     def test_small_mailbox_detected_with_adjective(self, zorkish):
-        state, obs = reset(zorkish, 0)
+        state, obs = reset(zorkish)
         detected = detect_interactive_objects(obs, state, zorkish)
         assert "mailbox" in detected
         assert "small" in detected
 
     def test_microzork_start_golden(self, microzork):
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         # The look text names the field, a "brass key" and a mailbox. The
         # detector keeps every lexicon noun or adjective that examines
         # cleanly, in order of appearance, so "brass" is kept next to "key",
@@ -101,14 +101,14 @@ class TestDetection:
     def test_no_vocabulary_nouns_gives_empty(self, microzork):
         from dataclasses import replace
 
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         stripped = replace(obs, o_desc="nothing to see.", o_game="move along.")
         assert detect_interactive_objects(stripped, state, microzork) == []
 
     def test_detection_does_not_perturb_state(self, microzork):
         from kga2c.engine import digest
 
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         before = digest(state)
         detect_interactive_objects(obs, state, microzork)
         assert digest(state) == before
@@ -116,7 +116,7 @@ class TestDetection:
 
 class TestUpdateGraph:
     def walk(self, spec, actions):
-        state, obs = reset(spec, 0)
+        state, obs = reset(spec)
         graph = EMPTY
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, spec)
@@ -172,7 +172,7 @@ class TestUpdateGraph:
         assert in_edges == [("you", "in", "field")]
 
     def test_growth_monotone_except_sanctioned_removals(self, microzork):
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         graph = EMPTY
         prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, microzork)
@@ -293,7 +293,7 @@ class TestExport:
         assert "kitchen\tdown\tcellar" in text
 
     def test_round_trip(self, microzork):
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         g = update_graph(
             EMPTY,
             obs,
@@ -311,7 +311,7 @@ class TestExport:
     def test_byte_identical_across_runs(self, microzork):
         outs = set()
         for _ in range(2):
-            state, obs = reset(microzork, 0)
+            state, obs = reset(microzork)
             g = update_graph(
                 EMPTY,
                 obs,

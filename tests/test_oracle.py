@@ -50,14 +50,14 @@ def spaces(microzork, corridor, pantry, corpus):
 
 class TestValidActions:
     def test_start_contains_take_key_not_take_chest(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
         assert "take key" in valid.actions
         assert "take chest" not in valid.actions
         assert "north" in valid.actions
 
     def test_matches_brute_force_at_start(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
         expected = brute_force_valid(
             state, microzork, microzork_space, microzork_space.vocabulary
@@ -65,7 +65,7 @@ class TestValidActions:
         assert sorted(valid.actions) == expected
 
     def test_soundness_every_action_changes_digest(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in ["take key", "north", "north"]:
             state, _, _, _ = step(state, action, microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
@@ -75,7 +75,7 @@ class TestValidActions:
             assert digest(after) != before, action
 
     def test_empty_candidates_only_blankless(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, candidates=())
         blankless = {
             t.pattern for t in microzork_space.templates if t.blanks == 0
@@ -88,7 +88,7 @@ class TestValidActions:
         space = build_action_space(
             corridor.templates, corridor.vocabulary, FrequencyTable.from_lines(corpus)
         )
-        state, _ = reset(corridor, 0)
+        state, _ = reset(corridor)
         # walk into the alcove: the only exits are back the way we came
         for action in ["east", "east", "north"]:
             state, _, _, _ = step(state, action, corridor)
@@ -99,13 +99,13 @@ class TestValidActions:
         assert set(blocked.actions) == {"south"}
 
     def test_non_perturbation(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         before = digest(state)
         oracle.valid_actions(state, microzork, microzork_space, budget=None)
         assert digest(state) == before
 
     def test_probe_budget_truncates_with_flag(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         full = oracle.valid_actions(state, microzork, microzork_space, budget=None)
         cut = oracle.valid_actions(state, microzork, microzork_space, budget=10)
         assert not full.truncated
@@ -113,7 +113,7 @@ class TestValidActions:
         assert len(cut) <= len(full)
 
     def test_candidate_restriction(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         valid = oracle.valid_actions(
             state, microzork, microzork_space, candidates=("key", "mailbox")
         )
@@ -122,14 +122,14 @@ class TestValidActions:
         assert all("chest" not in a for a in valid.actions)
 
     def test_out_of_vocabulary_candidate_rejected(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         with pytest.raises(OutOfVocabularyError):
             oracle.valid_actions(
                 state, microzork, microzork_space, candidates=("zeppelin",)
             )
 
     def test_fillers_aligned_with_actions(self, microzork, microzork_space):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
         for action, tid, fillers in zip(
             valid.actions, valid.template_ids, valid.fillers
@@ -149,7 +149,7 @@ class TestCompleteness:
     def test_full_vocab_equivalence_along_walkthrough(
         self, microzork, microzork_space, prefix
     ):
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         for action in prefix:
             state, _, _, _ = step(state, action, microzork)
         valid = oracle.valid_actions(state, microzork, microzork_space, budget=None)
@@ -176,7 +176,7 @@ class TestParseMemo:
                             lambda *a: calls.append(a) or real(*a))
         for seed in (0, 1, 2):
             rng = random.Random(seed)
-            state, obs = reset(spec, 0)
+            state, obs = reset(spec)
             for _ in range(30):
                 kg.detect_interactive_objects(obs, state, spec)
                 words = set(engine.in_scope_words(state, spec))
@@ -188,7 +188,7 @@ class TestParseMemo:
                     space.instantiate(tid, fillers)])
                 state, obs, _, done = step(state, action, spec)
                 if done:
-                    state, obs = reset(spec, 0)
+                    state, obs = reset(spec)
         monkeypatch.undo()
         assert len(calls) > 500
         for args in calls:
@@ -200,7 +200,7 @@ class TestParseMemo:
         monkeypatch.setattr(engine, "PARSE_MEMO_CAP", 50)
         spec = load_game(bundled_game_text("microzork"))
         reference = load_game(bundled_game_text("microzork"))
-        start, _ = reset(spec, 0)
+        start, _ = reset(spec)
         rng = random.Random(3)
         words = list(spec.vocabulary) + ["xyzzy", "plugh", "the", "with", "in"]
         commands = set()
@@ -233,7 +233,7 @@ class TestParseMemo:
         monkeypatch.setattr(engine, "step_core",
                             lambda *a: probes.append(a[1]) or real_step(*a))
         for kwargs in ({}, {"candidates": ("key", "north")}):
-            state, obs = reset(microzork, 0)  # a new state: nothing memoized
+            state, obs = reset(microzork)  # a new state: nothing memoized
             scopes.clear()
             probes.clear()
             oracle.valid_actions(state, microzork, microzork_space, **kwargs)
@@ -241,7 +241,7 @@ class TestParseMemo:
             # asking about the same state again computes nothing
             oracle.valid_actions(state, microzork, microzork_space, **kwargs)
             assert len(scopes) == 1
-        state, obs = reset(microzork, 0)
+        state, obs = reset(microzork)
         scopes.clear()
         probes.clear()
         kg.detect_interactive_objects(obs, state, microzork)
@@ -249,21 +249,21 @@ class TestParseMemo:
         # one examine probe per tagged word, as before the scope was shared
         tagged = kg._tagged_words(obs.o_desc + "\n" + obs.o_game, microzork)
         assert probes == [f"examine {w}" for w in tagged] and tagged
-        # a prepare computes its state's scope once, whether the valid set
-        # misses the cache or hits it, and the act after it computes none
+        # a worker's first observation and valid set compute its state's
+        # scope once, whether the valid set misses the cache or hits it, and
+        # the act after them computes only the scope of the state it reaches
         pipe = trainer.Pipeline(microzork, microzork_space, None,
                                 oracle.DEFAULT_PROBE_BUDGET)
         cfg = trainer.TrainConfig(seed=0)
         for hits in (0, 1):
             scopes.clear()
             worker = trainer.Worker(0, pipe, cfg)
-            worker.prepare()
             assert len(scopes) == 1
             assert (pipe.valid_hits, pipe.valid_misses) == (hits, 1)
             state = worker.ep.state
             assert engine.objects_in_scope(state, microzork) == real_scope(state, microzork)
             worker.ep.act("open mailbox")
-            assert len(scopes) == 1
+            assert len(scopes) == 2 and scopes[1][0] is worker.ep.state
 
 
 class TestPruning:
@@ -280,7 +280,7 @@ class TestPruning:
                                                 share):
         spec, space = spaces[game]
         rng = random.Random(seed)
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         for _ in range(walk):
             moves = oracle.valid_actions(
                 state, spec, space, engine.in_scope_words(state, spec)
@@ -304,7 +304,7 @@ class TestPruning:
             spec.templates, spec.vocabulary, FrequencyTable.from_lines(corpus)
         )
         go = [t.pattern for t in space.templates].index("go OBJ")
-        state, _ = reset(spec, 0)
+        state, _ = reset(spec)
         valid = oracle.valid_actions(state, spec, space, budget=None)
         assert as_map(valid)["go north"] == (go, ("north",))
         assert as_map(valid) == brute_force_map(state, spec, space, space.vocabulary)
@@ -318,7 +318,7 @@ class TestPruning:
             monkeypatch.setattr(
                 engine, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a)
             )
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         oracle.valid_actions(state, microzork, microzork_space, budget=None)
         assert "step" not in calls
         assert 0 < calls.count("step_core") < action_space_size(microzork_space)
@@ -327,17 +327,17 @@ class TestPruning:
         self, microzork, corpus, monkeypatch
     ):
         pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
-        ep = trainer.Episode(microzork, 0)
         calls = []
         real = engine._objects_in_scope
         monkeypatch.setattr(
             engine, "_objects_in_scope", lambda *a: calls.append(a) or real(*a)
         )
-        mask = ep.observe(pipe.space.vocabulary)
+        ep = trainer.Episode(microzork, pipe.space.vocabulary)
+        mask = ep.mask
         in_scope = engine.in_scope_words(ep.state, microzork)
         valid = pipe.valid_set(ep.state, mask, in_scope)
         assert pipe.valid_misses == 1  # the oracle probed
-        assert len(calls) == 1  # in Episode.observe only
+        assert len(calls) == 1  # in the episode's first observation only
         # the words were built once and kept beside the scope
         assert engine.in_scope_words(ep.state, microzork) is in_scope
         assert len(calls) == 1
@@ -347,7 +347,7 @@ class TestPruning:
 
     def test_pruned_words_share_a_cache_entry(self, microzork, corpus, monkeypatch):
         pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
-        state, _ = reset(microzork, 0)
+        state, _ = reset(microzork)
         in_scope = engine.in_scope_words(state, microzork)
         assert "chest" not in in_scope
         assert "chest" not in microzork.parser_words

@@ -10,16 +10,18 @@ import importlib.util
 import json
 import logging
 import math
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from gradcheck import finite_difference_check
 from test_agent import BATCH_TOL, row_of
 
-from kga2c import (BUNDLED_GAMES, bundled_corpus_lines, bundled_game_text, engine,
+from kga2c import (BUNDLED_GAMES, bundled_corpus_lines, bundled_game_text, engine, kg,
                    numerics as nm, oracle, tokenizer as tok, trainer)
 from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
 
@@ -100,8 +102,6 @@ def test_first_step_of_an_update_uses_the_updated_parameters(short_corridor, cor
     workers = [trainer.Worker(i, pipe, SMALL) for i in range(SMALL.workers)]
     batch = trainer.run_rollouts(workers, agent, SMALL)
     trainer.train_step(batch, agent, SMALL)
-    for w in workers:
-        w.prepare()  # the observation the next step acts on
     # the next step's batched pass, over the same workers
     s_t, _ = agent.state_embedding([w.ep.obs for w in workers],
                                    [w.ep.graph for w in workers],
@@ -228,17 +228,16 @@ def reference_parts(batch, decoded, cfg, space):
 
 
 def empty_valid_set_at_step(worker, at):
-    """Make ``worker.prepare`` report no valid action on its step ``at``."""
-    prepare, fresh = worker.prepare, []
+    """Make ``worker`` find no valid action at its step ``at``."""
+    step, calls = worker.step, []
 
-    def emptied():
-        if worker.pending is None:  # a new step's observation
-            fresh.append(prepare())
-            if len(fresh) == at + 1:
-                worker.pending = fresh[-1][0], oracle.ValidSet((), (), ())
-        return prepare()
+    def emptied(agent, row):
+        calls.append(agent)
+        if len(calls) == at + 1:
+            worker.valid = oracle.ValidSet((), (), ())
+        return step(agent, row)
 
-    worker.prepare = emptied
+    worker.step = emptied
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -471,6 +470,85 @@ def test_a_single_worker_failing_mid_unroll_raises(short_corridor, corpus):
     fail_at_step_two(worker)
     with pytest.raises(RuntimeError, match="engine exploded"):
         trainer.run_rollouts([worker], agent, cfg)
+
+
+def test_a_failed_observation_drops_only_its_worker(short_corridor, corpus, caplog):
+    """A worker observes the state it reaches inside its step, so when that
+    observation raises, only that worker is dropped, with its records of
+    the unroll, and the log names the state it reached.  The others keep
+    every record, each acting as it does with no worker dropped."""
+    cfg = replace(SMALL, workers=3)
+    pipe = trainer.build_pipeline(short_corridor, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    healthy = trainer.run_rollouts(
+        [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)], agent, cfg)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    ep, reached = workers[1].ep, []
+    observe = ep._observe
+
+    def failing():
+        reached.append(ep.state)
+        if len(reached) == 2:  # the state its second step reaches
+            raise RuntimeError("detector exploded")
+        observe()
+
+    ep._observe = failing
+    with caplog.at_level(logging.ERROR, logger="kga2c.trainer"):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+    assert workers[1].failed and batch.degraded_workers == 1
+    assert [r.worker for r in batch.records] == [0] * cfg.unroll + [2] * cfg.unroll
+    (error,) = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert "worker 1" in error.getMessage()
+    assert engine.digest(reached[-1]) in error.getMessage()
+    assert "detector exploded" in error.exc_text
+    survivors = [r for r in healthy.records if r.worker != 1]
+    for got, want in zip(batch.records, survivors, strict=True):
+        assert (got.action, got.choices, got.reward, got.mask, got.graph) == (
+            want.action, want.choices, want.reward, want.mask, want.graph)
+        for a, b in ((got.value, want.value), (got.v_next, want.v_next)):
+            assert abs(a - b) <= BATCH_TOL * max(abs(b), 1.0)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("turn_cap", [4, 6], ids=["end-mid-unroll", "end-at-boundary"])
+def test_the_mask_rng_is_drawn_once_per_env_step_per_worker(corridor, corpus, turn_cap,
+                                                            monkeypatch):
+    """At p_m = 0.5 one observation draws once per word of V outside the
+    graph's entities.  So each worker's mask RNG has drawn exactly that many
+    for each state its records acted from, plus the state it is at: across
+    unroll boundaries and episode ends, which fall mid-unroll (turn cap 4)
+    or on an unroll's last step (6), no state is observed twice, and no
+    terminal one is observed."""
+    monkeypatch.setattr(trainer, "random", SimpleNamespace(Random=CountingRandom))
+    cfg = replace(SMALL, workers=2, unroll=3, p_m=0.5)
+    pipe = trainer.build_pipeline(replace(corridor, turn_cap=turn_cap), corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+    vocabulary = pipe.space.vocabulary
+
+    def draws(graph):
+        entities = kg.nodes(graph) - {kg.YOU}
+        return sum(w not in entities for w in vocabulary)
+
+    records = []
+    for _ in range(3):
+        batch = trainer.run_rollouts(workers, agent, cfg)
+        records += batch.records
+    assert sum(r.done for r in records) == 9 // turn_cap * cfg.workers
+    for w in workers:
+        observed = [r.graph for r in records if r.worker == w.idx] + [w.ep.graph]
+        assert len(observed) == 3 * cfg.unroll + 1
+        assert w.mask_rng.draws == sum(draws(g) for g in observed) > 0
+        assert w.ep.rng is w.mask_rng
 
 
 def test_episodes_ending_on_the_last_step_need_no_bootstrap(corridor, corpus):
@@ -809,20 +887,21 @@ def test_evaluate_records_no_tape_and_plays_as_with_it(
 @pytest.mark.parametrize("game", BUNDLED_GAMES)
 def test_greedy_eval_episodes_replay_the_first(request, corpus, game, ablation,
                                                monkeypatch):
-    """Greedy eval is deterministic: ``engine.reset`` ignores its seed, the
-    decoders take the argmax and the mask adds no word at p_m = 0.  So every
-    episode replays the first, whatever the seed, which is why ``train`` and
-    ``kga2c eval`` play one.  If the engine or eval gains randomness, this
-    names the assumption that broke."""
+    """Greedy eval is deterministic: every episode starts from
+    ``engine.reset``'s one state, the decoders take the argmax and the mask
+    adds no word at p_m = 0.  So every episode replays the first, whatever
+    ``evaluate``'s seed, which is why ``train`` and ``kga2c eval`` play one.
+    If the engine or eval gains randomness, this names the assumption that
+    broke."""
     spec = replace(request.getfixturevalue(game), turn_cap=40)
     cfg = trainer.TrainConfig().with_ablation(ablation)
     pipe = trainer.build_pipeline(spec, corpus, cfg)
     agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
     episode, trace, starts = trainer.Episode, [], []
 
-    def started(*args):
+    def started(*args, **kwargs):
         starts.append(len(trace))
-        return episode(*args)
+        return episode(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "Episode", started)
     runs, scores = [], []
@@ -887,35 +966,72 @@ def test_evaluate_with_the_encoder_memo_equals_it_bypassed(
 
 
 def test_episode_observe_at_microzork_start(microzork, microzork_space):
-    ep = trainer.Episode(microzork, 0)
-    mask = ep.observe(microzork_space.vocabulary)
+    ep = trainer.Episode(microzork, microzork_space.vocabulary)
     assert ("field", "has", "key") in ep.graph
-    assert "key" in mask
+    assert "key" in ep.mask
     assert "key" in engine.in_scope_words(ep.state, microzork)
     assert ep.prev_action == "<start>" and not ep.done
     ep.act("take key")
     assert ep.prev_action == "take key"
-    ep.observe(microzork_space.vocabulary)
     assert ("you", "have", "key") in ep.graph
+
+
+def observed_alone(spec, vocabulary, state, prev_action=engine.SENTINEL_PREV_ACTION):
+    """The (observation, graph, mask) of ``state`` seen from an empty graph."""
+    obs = engine.observation(state, spec)
+    graph = kg.update_graph(frozenset(), obs, prev_action, state.room,
+                            kg.detect_interactive_objects(obs, state, spec), spec)
+    mask = kg.graph_mask(graph, vocabulary, 0.0, None, engine.in_scope_words(state, spec))
+    return obs, graph, mask
+
+
+@pytest.mark.parametrize("actions", [(), ("take key", "north"), ("open mailbox",)],
+                         ids=["reset", "moved", "opened"])
+def test_an_episode_started_at_a_state_observes_exactly_that_state(
+    microzork, microzork_space, actions
+):
+    """``Episode(state=s)`` observes ``s`` alone: its observation, the
+    sentinel last action, and a graph and mask built from ``s`` with no
+    trace of the steps that led there.  The default start is
+    ``engine.reset``'s state."""
+    vocabulary = microzork_space.vocabulary
+    state, _ = engine.reset(microzork)
+    for action in actions:
+        state, _, _, _ = engine.step(state, action, microzork)
+    ep = trainer.Episode(microzork, vocabulary, state=state)
+    assert ep.state is state and not ep.done
+    assert ep.prev_action == engine.SENTINEL_PREV_ACTION
+    assert (ep.obs, ep.graph, ep.mask) == observed_alone(microzork, vocabulary, state)
+    assert ep.obs == engine.observation(state, microzork)
+    assert not ep.enc.any()
+    default = trainer.Episode(microzork, vocabulary)
+    start = trainer.Episode(microzork, vocabulary, state=engine.reset(microzork)[0])
+    assert (start.state, start.obs, start.graph, start.mask) == (
+        default.state, default.obs, default.graph, default.mask)
+    if state.room != microzork.start:  # a walked graph keeps the room left behind
+        walked = trainer.Episode(microzork, vocabulary)
+        for action in actions:
+            walked.act(action)
+        assert walked.state == state and walked.graph != ep.graph
 
 
 @pytest.mark.parametrize("action", ["take key", "open mailbox", "examine key",
                                     "north", "take nothing"])
 def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, action,
                                                monkeypatch):
-    """``act`` finds ``observe``'s scope in the engine's memo and computes
-    none, and the step equals one from an equal state that computes its
-    own."""
-    ep = trainer.Episode(microzork, 0)
-    ep.observe(microzork_space.vocabulary)
+    """``act`` finds the observed state's scope in the engine's memo and
+    computes only the scope of the state it reaches, for its observation;
+    the step equals one from an equal state that computes its own."""
+    ep = trainer.Episode(microzork, microzork_space.vocabulary)
     before = ep.state
     want = engine.step(before, action, microzork)
     scopes, real_scope = [], engine._objects_in_scope
     monkeypatch.setattr(engine, "_objects_in_scope",
                         lambda *a: scopes.append(a) or real_scope(*a))
     reward = ep.act(action)
-    assert scopes == []
+    assert len(scopes) == 1 and scopes[0][0] is ep.state
     assert (ep.state, ep.obs, reward, ep.done) == want
+    scopes.clear()
     assert engine.step(replace(before), action, microzork) == want
     assert scopes == [] if action == "north" else len(scopes) == 1
 
@@ -1007,7 +1123,7 @@ def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
 ):
     monkeypatch.setattr(trainer, "VALID_CACHE_CAP", 2)
     pipe = trainer.build_pipeline(microzork, corpus, trainer.TrainConfig())
-    a, _ = engine.reset(microzork, 0)
+    a, _ = engine.reset(microzork)
     b, _, _, _ = engine.step(a, "take key", microzork)
     c, _, _, _ = engine.step(b, "north", microzork)
 
