@@ -101,7 +101,11 @@ def cmd_play(args) -> int:
             continue
         if command.startswith(":save"):
             path = command.split(None, 1)[1] if " " in command else "save.bin"
-            Path(path).write_bytes(engine.snapshot(ep.state))
+            try:
+                Path(path).write_bytes(engine.snapshot(ep.state))
+            except OSError as exc:
+                print(f"Cannot save {path}: {exc}")
+                continue
             print(f"Saved to {path}.")
             continue
         if command.startswith(":load"):

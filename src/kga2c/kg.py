@@ -69,20 +69,29 @@ def _tagged_words(text: str, spec: engine.GameSpec) -> list[str]:
 
 
 def detect_interactive_objects(
-    obs: engine.Observation, state: engine.WorldState, spec: engine.GameSpec
+    obs: engine.Observation, state: engine.WorldState, spec: engine.GameSpec,
+    examined: dict[tuple[str, str], bool] | None = None,
 ) -> list[str]:
     """Candidate nouns/adjectives from o_desc and o_game that examine cleanly.
 
     The examine probe runs against a throwaway copy of the state (snapshot
     semantics), so detection never perturbs the engine.  Every probe reads
     the same state, so the engine's scope memo computes its scope at most
-    once.
+    once.  ``examined``, when given, memoizes each probe's outcome keyed by
+    (state digest, word): its holder (an ``Episode``, for its lifetime)
+    probes each word once per state.  The outcome depends only on the
+    fields the digest covers, so a memoized answer is the probe's own.
     """
     guard = engine.digest(state)
+    if examined is None:
+        examined = {}
     detected: list[str] = []
     for word in _tagged_words(obs.o_desc + "\n" + obs.o_game, spec):
-        _, response, _, _ = engine.step_core(state, f"examine {word}", spec)
-        if not engine.is_failure(response):
+        key = (guard, word)
+        if key not in examined:
+            _, response, _, _ = engine.step_core(state, f"examine {word}", spec)
+            examined[key] = not engine.is_failure(response)
+        if examined[key]:
             detected.append(word)
     assert engine.digest(state) == guard
     return detected

@@ -21,21 +21,29 @@ So every pruned grounding leaves the world unchanged, and the product over
 the kept words, in candidate order, keeps the order of the groundings that
 survive: the result equals probing every candidate.
 
-A probe pays only for what depends on the state.  The parse of a command
-(its template readings and object spans) depends only on the game and the
+A probe pays only for what depends on the state, and only once per state
+while the state's ``StateRecord`` is kept.  The parse of a command (its
+template readings and object spans) depends only on the game and the
 command, so ``engine.parse`` memoizes it per game and each command is parsed
 once, whatever the state.  The scope (``engine.objects_in_scope``) and its
 words depend only on the state, and the engine memoizes them for the last
 state asked about, so every probe of one call reads one scope, computed at
-most once, and usually already by the observation's detection probes.
-Each probe still resolves its spans against that scope and applies the
-command to this state, so it is the same transition ``engine.step`` makes,
-and the result stays exact.
+most once, and usually already by the observation's detection probes.  Each
+probe still resolves its spans against that scope and applies the command to
+this state, so it is the same transition ``engine.step`` makes.  Whether a
+grounding is valid depends only on its action text and on the fields
+``engine.digest`` covers: ``step_core`` reads ``turn`` and ``valid_steps``
+only to count them and to decide ``done``.  So a record of the groundings
+probed at one digest, and of the valid ones among them, answers a later
+request whose groundings it has all probed by filtering, exactly as probing
+afresh would, and any other request probes only the groundings it has not.
+The record keeps filler tuples, not words: requests over {a} and then {b}
+leave ``put a in b`` unprobed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable
 
@@ -80,12 +88,58 @@ def probe_words(
     return tuple(w for w in words if keep.issuperset(w.lower().split()))
 
 
+Grounding = tuple[int, tuple[str, ...], str]  # (template id, fillers, action)
+
+
+@dataclass
+class StateRecord:
+    """What probing the state with digest ``digest`` has found so far: the
+    filler tuples ``probed`` there, each under every template with as many
+    blanks, and the valid groundings among them in canonical order (template
+    order, then fillers in sorted-word order), keeping each grounding of an
+    action text that another one also produces.  ``valid_actions`` grows
+    it."""
+
+    digest: str
+    probed: set[tuple[str, ...]] = field(default_factory=set)
+    found: tuple[Grounding, ...] = ()
+
+    def covers(self, space: ActionSpace, words: Iterable[str]) -> bool:
+        """Whether every grounding over ``words`` was probed here."""
+        return self.probed.issuperset(_fillers(space, words))
+
+    def answer(self, words: Iterable[str]) -> ValidSet:
+        """The valid set over ``words``, which the record covers, as probing
+        them afresh gives it: the groundings whose fillers are all request
+        words, the first one per action text."""
+        keep = frozenset(words)
+        seen: set[str] = set()
+        kept = []
+        for grounding in self.found:
+            if grounding[2] not in seen and keep.issuperset(grounding[1]):
+                seen.add(grounding[2])
+                kept.append(grounding)
+        return ValidSet(
+            actions=tuple(a for _, _, a in kept),
+            template_ids=tuple(t for t, _, _ in kept),
+            fillers=tuple(f for _, f, _ in kept),
+        )
+
+
+def _fillers(space: ActionSpace, words: Iterable[str]) -> set[tuple[str, ...]]:
+    """Every filler tuple over ``words`` that some template takes."""
+    words = tuple(words)
+    return {combo for blanks in {t.blanks for t in space.templates}
+            for combo in product(words, repeat=blanks)}
+
+
 def valid_actions(
     state: engine.WorldState,
     spec: engine.GameSpec,
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
     budget: int | None = DEFAULT_PROBE_BUDGET,
+    record: StateRecord | None = None,
 ) -> ValidSet:
     """Probe every canonical instantiation over the ``probe_words`` of
     ``candidates`` (default: full V).
@@ -93,7 +147,15 @@ def valid_actions(
     The probe budget bounds the groundings tried, and so latency; when it is
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
+
+    With ``record``, the state's ``StateRecord`` (which needs
+    ``candidates``, since it keeps sorted-word order), only the groundings
+    it has not probed are probed, and it takes them in; the result is the
+    one probing afresh gives.  A request that the budget truncates leaves
+    the record as it was.
     """
+    if record is not None and candidates is None:
+        raise ValueError("a state record needs candidates")
     words = probe_words(state, spec, space, candidates)
 
     # Snapshot guards the caller's state; step_core is pure, and the trailing
@@ -101,6 +163,57 @@ def valid_actions(
     guard = engine.snapshot(state)
     before = engine.digest(state)
 
+    groundings = sum(len(words) ** t.blanks for t in space.templates)
+    if record is None or (budget is not None and groundings > budget):
+        result = _probe_afresh(state, spec, space, words, budget)
+    else:
+        assert record.digest == before, "the record is another state's"
+        _probe_into(state, spec, space, words, record)
+        result = record.answer(words)
+
+    assert engine.digest(engine.restore(guard, spec)) == before == engine.digest(state)
+    return result
+
+
+def _probe_into(
+    state: engine.WorldState,
+    spec: engine.GameSpec,
+    space: ActionSpace,
+    words: tuple[str, ...],
+    record: StateRecord,
+) -> None:
+    """Probe the groundings over ``words`` that ``record`` has not probed,
+    and merge the valid ones into it in canonical order.  An action text
+    already found valid is not probed again: validity depends on the text
+    alone."""
+    valid = {action for _, _, action in record.found}
+    new: list[Grounding] = []
+    for tid, template in enumerate(space.templates):
+        for combo in product(words, repeat=template.blanks):
+            if combo in record.probed:
+                continue
+            action = space.instantiate(tid, list(combo))
+            if action not in valid:
+                # step_core counts a step valid exactly when the fields the
+                # digest covers changed.
+                after, _, _, _ = engine.step_core(state, action, spec)
+                if after.valid_steps == state.valid_steps:
+                    continue
+                valid.add(action)
+            new.append((tid, combo, action))
+    record.probed |= _fillers(space, words)
+    record.found = tuple(sorted(record.found + tuple(new), key=lambda g: g[:2]))
+
+
+def _probe_afresh(
+    state: engine.WorldState,
+    spec: engine.GameSpec,
+    space: ActionSpace,
+    words: tuple[str, ...],
+    budget: int | None,
+) -> ValidSet:
+    """Every canonical instantiation over ``words`` in order, the first
+    grounding of each valid action text, at most ``budget`` of them tried."""
     actions: list[str] = []
     template_ids: list[int] = []
     fillers: list[tuple[str, ...]] = []
@@ -128,11 +241,9 @@ def valid_actions(
                 template_ids.append(tid)
                 fillers.append(combo)
 
-    assert engine.digest(engine.restore(guard, spec)) == before == engine.digest(state)
     return ValidSet(
         actions=tuple(actions),
         template_ids=tuple(template_ids),
         fillers=tuple(fillers),
         truncated=truncated,
     )
-

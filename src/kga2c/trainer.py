@@ -221,7 +221,11 @@ class Episode:
     default ``engine.reset``'s, with an empty graph, zero encoder hiddens
     and the sentinel last action.  An observation and the step after it
     share one computation of the state's scope (the engine's memo) unless
-    another state of the game is scoped in between."""
+    another state of the game is scoped in between.  ``examined`` keeps
+    each examine probe's outcome, keyed by (state digest, word), for the
+    episode's lifetime, so detection probes a word at a state the episode
+    reached before from memory; the outcome depends only on the fields the
+    digest covers, so the detected words are those a fresh probe finds."""
 
     def __init__(self, spec: engine.GameSpec, vocabulary: tuple[str, ...],
                  p_m: float = 0.0, rng: random.Random | None = None,
@@ -234,10 +238,12 @@ class Episode:
         self.enc = np.zeros((len(CHANNELS), gru_hidden))
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
+        self.examined: dict[tuple[str, str], bool] = {}
         self._observe()
 
     def _observe(self) -> None:
-        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
+        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec,
+                                                 self.examined)
         self.graph = kg.update_graph(
             self.graph, self.obs, self.prev_action, self.state.room, detected,
             self.spec,
@@ -319,15 +325,36 @@ def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[np
         [ep.obs for ep in eps], [ep.graph for ep in eps], [ep.enc for ep in eps])
 
 
-# The most valid sets ``Pipeline`` keeps; past it the least recently used is
-# evicted.  A benchmark repetition ends with 493 entries on train-microzork
-# and 110 on train-corridor-a2c (seed 1), so none evicts there and the hit
-# rate is unchanged; longer runs stay bounded.
+# The most valid sets, and separately the most states' records, that
+# ``Pipeline`` keeps; past it the least recently used is evicted.  Repetition
+# 0 of a benchmark run at seed 1 ends with 445 valid sets and 49 records on
+# train-microzork and 108 valid sets and 10 records on train-corridor-a2c, so
+# neither store evicts there; longer runs stay bounded.
 VALID_CACHE_CAP = 4096
 
 
+def _lru_put(store: OrderedDict, key, value):
+    """Store ``value`` as the most recently used entry of ``store``, evicting
+    the least recently used past ``VALID_CACHE_CAP``; returns ``value``."""
+    store[key] = value
+    if len(store) > VALID_CACHE_CAP:
+        store.popitem(last=False)
+    return value
+
+
 class Pipeline:
-    """Shared immutable pieces plus the valid-set cache and counters."""
+    """Shared immutable pieces plus the valid-action stores and counters.
+
+    Valid sets come from two stores, each holding its ``VALID_CACHE_CAP``
+    most recently used entries.  The valid-set cache keys each set on the
+    state's digest and the words the oracle would probe there, so a repeated
+    request returns the very set it returned before.  Beside it, one
+    ``oracle.StateRecord`` per digest holds the groundings probed at that
+    state so far and the valid ones among them: a missed request whose
+    groundings it has all probed is answered by filtering it, and any other
+    request probes only the groundings it has not.  Validity depends only
+    on what the digest covers, so each answer is the one a fresh oracle
+    call gives."""
 
     def __init__(self, spec: engine.GameSpec, space: ActionSpace,
                  model: tok.SubwordModel, probe_budget: int):
@@ -336,6 +363,7 @@ class Pipeline:
         self.model = model
         self.probe_budget = probe_budget
         self._valid_cache: OrderedDict[tuple, oracle.ValidSet] = OrderedDict()
+        self._records: OrderedDict[str, oracle.StateRecord] = OrderedDict()
         self.valid_hits = 0
         self.valid_misses = 0
         self.oracle_truncated = 0
@@ -344,23 +372,29 @@ class Pipeline:
         """The valid set over the mask and in-scope words, cached on the
         words the oracle would probe: candidates it prunes split no entries.
         ``in_scope`` is ``engine.in_scope_words(state, spec)``; the oracle
-        reads the state's scope from the engine's memo.  The cache keeps the
-        ``VALID_CACHE_CAP`` most recently used sets."""
+        reads the state's scope from the engine's memo."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
         words = oracle.probe_words(state, self.spec, self.space, candidates)
-        key = (engine.digest(state), words)
+        digest = engine.digest(state)
+        key = (digest, words)
         hit = self._valid_cache.get(key)
         if hit is not None:
             self._valid_cache.move_to_end(key)
             self.valid_hits += 1
             return hit
         self.valid_misses += 1
-        hit = oracle.valid_actions(state, self.spec, self.space, words, self.probe_budget)
+        record = self._records.get(digest)
+        if record is None:
+            record = _lru_put(self._records, digest, oracle.StateRecord(digest))
+        else:
+            self._records.move_to_end(digest)
+        if record.covers(self.space, words):
+            hit = record.answer(words)
+        else:
+            hit = oracle.valid_actions(state, self.spec, self.space, words,
+                                       self.probe_budget, record)
         self.oracle_truncated += hit.truncated
-        self._valid_cache[key] = hit
-        if len(self._valid_cache) > VALID_CACHE_CAP:
-            self._valid_cache.popitem(last=False)
-        return hit
+        return _lru_put(self._valid_cache, key, hit)
 
 
 def run_rollouts(

@@ -201,6 +201,19 @@ def test_play_survives_bad_loads(corridor, monkeypatch, capsys, tmp_path):
     assert "Final score: 0" in out
 
 
+def test_play_survives_a_save_it_cannot_write(monkeypatch, capsys, tmp_path):
+    """A :save to a path it cannot write prints the reason and the session
+    goes on."""
+    unwritable = tmp_path / "no_such_dir" / "x.bin"
+    monkeypatch.setattr("sys.stdin", io.StringIO(f":save {unwritable}\neast\n:quit\n"))
+    assert cli.main(["play", "--game", "corridor"]) == 0
+    out = capsys.readouterr().out
+    assert f"Cannot save {unwritable}: [Errno 2] No such file or directory" in out
+    assert "Saved" not in out
+    assert "Final score: " in out
+    assert not unwritable.parent.exists()
+
+
 def test_eval_trace_round_trips_through_inspect(corridor, tmp_path, capsys):
     ckpt = tmp_path / "checkpoint.bin"
     _save_checkpoint(corridor, "full", ckpt)

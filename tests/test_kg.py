@@ -113,6 +113,19 @@ class TestDetection:
         detect_interactive_objects(obs, state, microzork)
         assert digest(state) == before
 
+    def test_the_digest_guard_holds_when_the_memo_answers(self, microzork, monkeypatch):
+        state, obs = reset(microzork)
+        examined = {}
+        detected = detect_interactive_objects(obs, state, microzork, examined)
+        assert detected and detect_interactive_objects(obs, state, microzork,
+                                                       examined) == detected
+        # every probe answered from memory, and the state's digest changes
+        digests = iter(["before", "after"])
+        monkeypatch.setattr(kg.engine, "digest", lambda s: next(digests))
+        memo = {("before", w): ok for (_, w), ok in examined.items()}
+        with pytest.raises(AssertionError):
+            detect_interactive_objects(obs, state, microzork, memo)
+
 
 class TestUpdateGraph:
     def walk(self, spec, actions):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORRIDOR_WALKTHROUGH, MICROZORK_WALKTHROUGH, PANTRY_WALKTHROUGH
 from kga2c import bundled_game_text, engine, kg, oracle, trainer
 from kga2c.engine import digest, load_game, reset, step
 from kga2c.templates import (FrequencyTable, OutOfVocabularyError,
@@ -361,3 +362,102 @@ class TestPruning:
         assert len(calls) == 1
         assert second is first
         assert (pipe.valid_hits, pipe.valid_misses) == (1, 1)
+
+
+WALKTHROUGHS = {"microzork": MICROZORK_WALKTHROUGH, "pantry": PANTRY_WALKTHROUGH,
+               "corridor": CORRIDOR_WALKTHROUGH}
+
+
+@pytest.fixture(scope="module")
+def doubled(corpus):
+    """Microzork with a second template that spells ``take OBJ``, so that two
+    groundings produce one action text."""
+    spec = load_game(bundled_game_text("microzork") + "\n[template]\npattern: [take] OBJ\n")
+    space = build_action_space(spec.templates, spec.vocabulary,
+                               FrequencyTable.from_lines(corpus))
+    return spec, space
+
+
+def walked_states(spec, space, seed, steps=12):
+    """The distinct states along the game's walkthrough and along a seeded
+    walk over valid actions, in order."""
+    rng = random.Random(seed)
+    state, _ = reset(spec)
+    states = {digest(state): state}
+    for action in WALKTHROUGHS[spec.name]:
+        state, _, _, _ = step(state, action, spec)
+        states.setdefault(digest(state), state)
+    state, _ = reset(spec)
+    for _ in range(steps):
+        moves = oracle.valid_actions(
+            state, spec, space, engine.in_scope_words(state, spec)).actions
+        state, _, _, _ = step(state, rng.choice(moves) if moves else "look", spec)
+        states.setdefault(digest(state), state)
+    return list(states.values())
+
+
+class TestStateRecord:
+    """A pipeline's per-state records answer exactly as fresh oracle calls."""
+
+    @pytest.mark.parametrize("cap", [trainer.VALID_CACHE_CAP, 2])
+    @pytest.mark.parametrize("game", ["microzork", "corridor", "pantry", "doubled"])
+    def test_records_answer_as_fresh_calls(self, spaces, doubled, game, cap, monkeypatch):
+        """Per state: a first visit with no words, each word alone, all of
+        them (whose pairs no earlier request held), then, from the record, a
+        subset, a repeat, a smaller subset, a larger one and an overlap.  The
+        states take turns, so that a cap of 2 evicts from both stores and
+        every request is a first visit."""
+        spec, space = doubled if game == "doubled" else spaces[game]
+        fresh = oracle.valid_actions
+        states = walked_states(spec, space, seed=len(game))
+        requests = []
+        for state in states:
+            words = list(oracle.probe_words(state, spec, space, space.vocabulary))
+            random.Random(digest(state)).shuffle(words)
+            n = len(words)
+            first, superset = words[: n // 3], words[: n // 2]
+            overlap = words[n // 4: 3 * n // 4]
+            requests.append([[], *([w] for w in words), words, first, first, first[1:],
+                             superset, overlap])
+        monkeypatch.setattr(trainer, "VALID_CACHE_CAP", cap)
+        calls = []
+        monkeypatch.setattr(oracle, "valid_actions",
+                            lambda *a: calls.append(a) or fresh(*a))
+        pipe = trainer.Pipeline(spec, space, None, oracle.DEFAULT_PROBE_BUDGET)
+        for k in range(max(map(len, requests))):
+            for state, asked in zip(states, requests):
+                if k < len(asked):
+                    got = pipe.valid_set(state, asked[k], ())
+                    assert got == fresh(state, spec, space, asked[k], pipe.probe_budget)
+        assert len(pipe._records) == min(cap, len(states))
+        assert len(pipe._valid_cache) <= cap
+        if cap == 2:  # each state's record is evicted before it is asked again
+            assert len(states) > 2 and pipe.valid_misses == len(calls)
+        else:  # records answered some misses
+            assert pipe.valid_misses > len(calls)
+
+    def test_a_truncated_request_leaves_the_record_as_it_was(self, spaces):
+        spec, space = spaces["microzork"]
+        pipe = trainer.Pipeline(spec, space, None, 10)
+        state, _ = reset(spec)
+        # the empty word set has only the blankless groundings, within budget
+        assert pipe.valid_set(state, (), ()) == oracle.valid_actions(state, spec, space, (), 10)
+        record = pipe._records[digest(state)]
+        kept = (set(record.probed), record.found)
+        assert kept[1]
+        words = oracle.probe_words(state, spec, space, space.vocabulary)
+        cut = pipe.valid_set(state, words, ())
+        assert cut.truncated and pipe.oracle_truncated == 1
+        assert cut == oracle.valid_actions(state, spec, space, words, 10)
+        assert (record.probed, record.found) == kept
+        full = oracle.valid_actions(state, spec, space, words,
+                                    oracle.DEFAULT_PROBE_BUDGET, record)
+        assert full == oracle.valid_actions(state, spec, space, words)
+        assert not full.truncated and record.covers(space, words)
+
+    def test_a_record_needs_candidates(self, spaces):
+        spec, space = spaces["corridor"]
+        state, _ = reset(spec)
+        with pytest.raises(ValueError, match="candidates"):
+            oracle.valid_actions(state, spec, space, None, None,
+                                 oracle.StateRecord(digest(state)))

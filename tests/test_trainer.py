@@ -976,6 +976,51 @@ def test_episode_observe_at_microzork_start(microzork, microzork_space):
     assert ("you", "have", "key") in ep.graph
 
 
+def counted_examines(monkeypatch) -> list:
+    """The commands of the examine probes run from now on."""
+    calls, real = [], engine.step_core
+    monkeypatch.setattr(engine, "step_core", lambda state, action, spec: (
+        action.startswith("examine ") and calls.append(action),
+        real(state, action, spec))[1])
+    return calls
+
+
+@pytest.mark.parametrize("game", ["microzork", "corridor", "pantry"])
+def test_detection_from_the_episode_memo_equals_probing_afresh(request, game,
+                                                               monkeypatch):
+    """Along a seeded walk that revisits states, detection reading the
+    episode's examine memo returns what probing afresh returns, and the
+    episode probes each (state, word) once."""
+    spec = request.getfixturevalue(game)
+    moves = list(engine.DIRECTIONS[:4]) + ["take key", "open mailbox", "take jar",
+                                           "open cupboard", "look"]
+    rng = random.Random(11)
+    probes = counted_examines(monkeypatch)
+    ep = trainer.Episode(spec, spec.vocabulary)
+    for steps in range(30):
+        if ep.done:
+            break
+        memo, before = dict(ep.examined), len(probes)
+        detected = kg.detect_interactive_objects(ep.obs, ep.state, spec, ep.examined)
+        assert len(probes) == before and ep.examined == memo  # observed on arrival
+        assert detected == kg.detect_interactive_objects(ep.obs, ep.state, spec)
+        del probes[before:]
+        ep.act(rng.choice(moves))
+    assert len(probes) == len(ep.examined) > 0
+    assert steps > len({d for d, _ in ep.examined}) > 1  # states were revisited
+
+
+def test_a_new_episode_starts_with_an_empty_examine_memo(microzork, monkeypatch):
+    first = trainer.Episode(microzork, microzork.vocabulary)
+    first.act("take key")
+    first.act("drop key")
+    probes = counted_examines(monkeypatch)
+    second = trainer.Episode(microzork, microzork.vocabulary)
+    assert second.examined is not first.examined
+    assert {d for d, _ in second.examined} == {engine.digest(second.state)}
+    assert sorted(probes) == sorted(f"examine {w}" for _, w in second.examined)
+
+
 def observed_alone(spec, vocabulary, state, prev_action=engine.SENTINEL_PREV_ACTION):
     """The (observation, graph, mask) of ``state`` seen from an empty graph."""
     obs = engine.observation(state, spec)
