@@ -36,15 +36,16 @@ grounding is valid depends only on its action text and on the fields
 only to count them and to decide ``done``.  So a record of the groundings
 probed at one digest, and of the valid ones among them, answers a later
 request whose groundings it has all probed by filtering, exactly as probing
-afresh would, and any other request probes only the groundings it has not.
+them all would, and any other request probes only the groundings it has not.
 The record keeps filler tuples, not words: requests over {a} and then {b}
-leave ``put a in b`` unprobed.
+leave ``put a in b`` unprobed.  A call without a record probes into a fresh
+one and answers from it, so there is one probe loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterable
 
 from . import engine
@@ -75,15 +76,12 @@ def probe_words(
     space: ActionSpace,
     candidates: Iterable[str] | None = None,
 ) -> tuple[str, ...]:
-    """The candidate words (default: full V, else sorted) that can change the
-    world in ``state``, in candidate order.  Raises on a word outside V."""
-    if candidates is None:
-        words: Iterable[str] = space.vocabulary
-    else:
-        words = sorted(set(candidates))
-        for w in words:
-            if w not in space.word_ids:
-                raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
+    """The candidate words (default: full V) that can change the world in
+    ``state``, sorted.  Raises on a word outside V."""
+    words = sorted(set(space.vocabulary if candidates is None else candidates))
+    for w in words:
+        if w not in space.word_ids:
+            raise OutOfVocabularyError(f"candidate word not in V: {w!r}")
     keep = spec.parser_words.union(engine.in_scope_words(state, spec))
     return tuple(w for w in words if keep.issuperset(w.lower().split()))
 
@@ -98,7 +96,7 @@ class StateRecord:
     blanks, and the valid groundings among them in canonical order (template
     order, then fillers in sorted-word order), keeping each grounding of an
     action text that another one also produces.  ``valid_actions`` grows
-    it."""
+    it, and the valid set over any words it covers is read from it."""
 
     digest: str
     probed: set[tuple[str, ...]] = field(default_factory=set)
@@ -106,11 +104,13 @@ class StateRecord:
 
     def covers(self, space: ActionSpace, words: Iterable[str]) -> bool:
         """Whether every grounding over ``words`` was probed here."""
-        return self.probed.issuperset(_fillers(space, words))
+        words = tuple(words)
+        return all(self.probed.issuperset(product(words, repeat=blanks))
+                   for blanks in {t.blanks for t in space.templates})
 
-    def answer(self, words: Iterable[str]) -> ValidSet:
-        """The valid set over ``words``, which the record covers, as probing
-        them afresh gives it: the groundings whose fillers are all request
+    def answer(self, words: Iterable[str], truncated: bool = False) -> ValidSet:
+        """The valid set over ``words``, as probing every grounding over them
+        gives it: the groundings found here whose fillers are all request
         words, the first one per action text."""
         keep = frozenset(words)
         seen: set[str] = set()
@@ -123,14 +123,8 @@ class StateRecord:
             actions=tuple(a for _, _, a in kept),
             template_ids=tuple(t for t, _, _ in kept),
             fillers=tuple(f for _, f, _ in kept),
+            truncated=truncated,
         )
-
-
-def _fillers(space: ActionSpace, words: Iterable[str]) -> set[tuple[str, ...]]:
-    """Every filler tuple over ``words`` that some template takes."""
-    words = tuple(words)
-    return {combo for blanks in {t.blanks for t in space.templates}
-            for combo in product(words, repeat=blanks)}
 
 
 def valid_actions(
@@ -148,14 +142,12 @@ def valid_actions(
     hit the result is flagged truncated rather than failing.  The engine
     state is unchanged on return.
 
-    With ``record``, the state's ``StateRecord`` (which needs
-    ``candidates``, since it keeps sorted-word order), only the groundings
-    it has not probed are probed, and it takes them in; the result is the
-    one probing afresh gives.  A request that the budget truncates leaves
-    the record as it was.
+    With ``record``, the state's ``StateRecord``, only the groundings it has
+    not probed are probed, and it takes them in.  Without one, or when the
+    budget truncates the request, the groundings are probed into a fresh
+    record that is then dropped, so a truncated request leaves ``record``
+    as it was.  Either way the result is the record's answer.
     """
-    if record is not None and candidates is None:
-        raise ValueError("a state record needs candidates")
     words = probe_words(state, spec, space, candidates)
 
     # Snapshot guards the caller's state; step_core is pure, and the trailing
@@ -163,87 +155,45 @@ def valid_actions(
     guard = engine.snapshot(state)
     before = engine.digest(state)
 
-    groundings = sum(len(words) ** t.blanks for t in space.templates)
-    if record is None or (budget is not None and groundings > budget):
-        result = _probe_afresh(state, spec, space, words, budget)
-    else:
-        assert record.digest == before, "the record is another state's"
-        _probe_into(state, spec, space, words, record)
-        result = record.answer(words)
+    truncated = budget is not None and budget < sum(
+        len(words) ** t.blanks for t in space.templates)
+    if record is None or truncated:
+        record = StateRecord(before)
+    assert record.digest == before, "the record is another state's"
+    groundings = ((tid, combo) for tid, template in enumerate(space.templates)
+                  for combo in product(words, repeat=template.blanks))
+    _probe_into(state, spec, space, islice(groundings, budget), record)
 
     assert engine.digest(engine.restore(guard, spec)) == before == engine.digest(state)
-    return result
+    return record.answer(words, truncated)
 
 
 def _probe_into(
     state: engine.WorldState,
     spec: engine.GameSpec,
     space: ActionSpace,
-    words: tuple[str, ...],
+    groundings: Iterable[tuple[int, tuple[str, ...]]],
     record: StateRecord,
 ) -> None:
-    """Probe the groundings over ``words`` that ``record`` has not probed,
-    and merge the valid ones into it in canonical order.  An action text
-    already found valid is not probed again: validity depends on the text
-    alone."""
+    """Probe those of ``groundings``, (template id, fillers) pairs in
+    canonical order, whose fillers ``record`` has not probed, and merge the
+    valid ones into it in canonical order.  An action text already found
+    valid is not probed again: validity depends on the text alone."""
     valid = {action for _, _, action in record.found}
+    walked: set[tuple[str, ...]] = set()
     new: list[Grounding] = []
-    for tid, template in enumerate(space.templates):
-        for combo in product(words, repeat=template.blanks):
-            if combo in record.probed:
-                continue
-            action = space.instantiate(tid, list(combo))
-            if action not in valid:
-                # step_core counts a step valid exactly when the fields the
-                # digest covers changed.
-                after, _, _, _ = engine.step_core(state, action, spec)
-                if after.valid_steps == state.valid_steps:
-                    continue
-                valid.add(action)
-            new.append((tid, combo, action))
-    record.probed |= _fillers(space, words)
-    record.found = tuple(sorted(record.found + tuple(new), key=lambda g: g[:2]))
-
-
-def _probe_afresh(
-    state: engine.WorldState,
-    spec: engine.GameSpec,
-    space: ActionSpace,
-    words: tuple[str, ...],
-    budget: int | None,
-) -> ValidSet:
-    """Every canonical instantiation over ``words`` in order, the first
-    grounding of each valid action text, at most ``budget`` of them tried."""
-    actions: list[str] = []
-    template_ids: list[int] = []
-    fillers: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    probes = 0
-    truncated = False
-
-    for tid, template in enumerate(space.templates):
-        if truncated:
-            break
-        for combo in product(words, repeat=template.blanks):
-            if budget is not None and probes >= budget:
-                truncated = True
-                break
-            probes += 1
-            action = space.instantiate(tid, list(combo))
-            if action in seen:
-                continue
+    for tid, combo in groundings:
+        if combo in record.probed:
+            continue
+        walked.add(combo)
+        action = space.instantiate(tid, list(combo))
+        if action not in valid:
             # step_core counts a step valid exactly when the fields the
             # digest covers changed.
             after, _, _, _ = engine.step_core(state, action, spec)
-            if after.valid_steps != state.valid_steps:
-                seen.add(action)
-                actions.append(action)
-                template_ids.append(tid)
-                fillers.append(combo)
-
-    return ValidSet(
-        actions=tuple(actions),
-        template_ids=tuple(template_ids),
-        fillers=tuple(fillers),
-        truncated=truncated,
-    )
+            if after.valid_steps == state.valid_steps:
+                continue
+            valid.add(action)
+        new.append((tid, combo, action))
+    record.probed |= walked
+    record.found = tuple(sorted(record.found + tuple(new), key=lambda g: g[:2]))

@@ -2,10 +2,10 @@
 
 Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, belief graph, encoder hiddens) and
-its own sampling and mask RNGs, and shares the valid-action cache.  Each
-update is two passes, as in IMPALA's split of actors and learner (Espeholt
-et al. 2018, arXiv 1802.01561) over a synchronous A2C batch (Mnih et al.
-2016, arXiv 1602.01783):
+its own sampling and mask RNGs, and shares the pipeline's per-state
+valid-action records.  Each update is two passes, as in IMPALA's split of
+actors and learner (Espeholt et al. 2018, arXiv 1802.01561) over a
+synchronous A2C batch (Mnih et al. 2016, arXiv 1602.01783):
 
 * The acting pass, ``run_rollouts``, records no tape.  It steps the workers
   in lockstep: per unroll step one batch-major pass values and decodes all
@@ -85,7 +85,6 @@ class TrainConfig:
     p_m: float = 0.05
     p_valid: float = 0.5
     grad_clip: float = 5.0
-    probe_budget: int = oracle.DEFAULT_PROBE_BUDGET
     updates: int = 100
     seed: int = 0
     tokenizer_size: int = 512
@@ -107,7 +106,7 @@ class TrainConfig:
         if not self.grad_clip > 0.0:
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
         for name, low in (("workers", 1), ("unroll", 1), ("updates", 0),
-                          ("probe_budget", 1), ("checkpoint_every", 0)):
+                          ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -125,7 +124,9 @@ class TrainConfig:
         agent_data: dict = {}
         if stripped.startswith("{"):
             data = json.loads(stripped)
-            agent_data = dict(data.pop("agent", {}))
+            agent_data = data.pop("agent", {})
+            if not isinstance(agent_data, dict):
+                raise ValueError(f"config field agent must be an object, got {agent_data!r}")
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 line = line.split("#", 1)[0].strip()
@@ -199,7 +200,7 @@ class StepRecord:
     graph: kg.Graph
     enc: np.ndarray  # the encoder hiddens the step started from, a row per channel
     mask: frozenset[str]  # the words the object decoder could choose from
-    valid: oracle.ValidSet  # the valid-action cache's own set, shared
+    valid: oracle.ValidSet  # the valid set its state's record answered
     choices: list[int]  # per decoding head, the id of ``action`` the learner replays
     action: str  # the executed text
     teacher: str | None  # seq: the valid action drawn as the target, if any
@@ -325,76 +326,56 @@ def _embed(agent: KgA2CAgent, workers: list[Worker]) -> tuple[nm.Tensor, list[np
         [ep.obs for ep in eps], [ep.graph for ep in eps], [ep.enc for ep in eps])
 
 
-# The most valid sets, and separately the most states' records, that
-# ``Pipeline`` keeps; past it the least recently used is evicted.  Repetition
-# 0 of a benchmark run at seed 1 ends with 445 valid sets and 49 records on
-# train-microzork and 108 valid sets and 10 records on train-corridor-a2c, so
-# neither store evicts there; longer runs stay bounded.
+# The most states whose records ``Pipeline`` keeps; past it the least
+# recently used is evicted.  Repetition 0 of a benchmark run at seed 1 ends
+# with 49 states on train-microzork and 10 on train-corridor-a2c, so nothing
+# is evicted there; longer runs stay bounded.
 VALID_CACHE_CAP = 4096
 
 
-def _lru_put(store: OrderedDict, key, value):
-    """Store ``value`` as the most recently used entry of ``store``, evicting
-    the least recently used past ``VALID_CACHE_CAP``; returns ``value``."""
-    store[key] = value
-    if len(store) > VALID_CACHE_CAP:
-        store.popitem(last=False)
-    return value
-
-
 class Pipeline:
-    """Shared immutable pieces plus the valid-action stores and counters.
+    """Shared immutable pieces plus the valid-action records and counters.
 
-    Valid sets come from two stores, each holding its ``VALID_CACHE_CAP``
-    most recently used entries.  The valid-set cache keys each set on the
-    state's digest and the words the oracle would probe there, so a repeated
-    request returns the very set it returned before.  Beside it, one
-    ``oracle.StateRecord`` per digest holds the groundings probed at that
-    state so far and the valid ones among them: a missed request whose
-    groundings it has all probed is answered by filtering it, and any other
-    request probes only the groundings it has not.  Validity depends only
-    on what the digest covers, so each answer is the one a fresh oracle
-    call gives."""
+    ``_valid_cache`` keeps one ``oracle.StateRecord`` per state digest, the
+    ``VALID_CACHE_CAP`` most recently used: the groundings probed at that
+    state so far and the valid ones among them.  A request whose groundings
+    the record has all probed is answered by filtering it, a hit; any other
+    is a miss, and the oracle probes only the groundings the record lacks.
+    Validity depends only on what the digest covers, so each answer is the
+    one a fresh oracle call gives.  A truncated answer is not kept, so a
+    repeat of its request probes, and counts in ``oracle_truncated``,
+    again."""
 
     def __init__(self, spec: engine.GameSpec, space: ActionSpace,
-                 model: tok.SubwordModel, probe_budget: int):
+                 model: tok.SubwordModel):
         self.spec = spec
         self.space = space
         self.model = model
-        self.probe_budget = probe_budget
-        self._valid_cache: OrderedDict[tuple, oracle.ValidSet] = OrderedDict()
-        self._records: OrderedDict[str, oracle.StateRecord] = OrderedDict()
-        self.valid_hits = 0
-        self.valid_misses = 0
+        self._valid_cache: OrderedDict[str, oracle.StateRecord] = OrderedDict()
+        self.valid_hits = 0  # requests answered with no oracle call
+        self.valid_misses = 0  # oracle calls
         self.oracle_truncated = 0
 
     def valid_set(self, state, mask_words, in_scope) -> oracle.ValidSet:
-        """The valid set over the mask and in-scope words, cached on the
-        words the oracle would probe: candidates it prunes split no entries.
-        ``in_scope`` is ``engine.in_scope_words(state, spec)``; the oracle
+        """The valid set over the mask and in-scope words, read from the
+        state's record over the words the oracle would probe, so candidates
+        it prunes cost no probe.  ``in_scope`` is ``engine.in_scope_words(state, spec)``; the oracle
         reads the state's scope from the engine's memo."""
         candidates = frozenset(mask_words) | frozenset(in_scope)
         words = oracle.probe_words(state, self.spec, self.space, candidates)
         digest = engine.digest(state)
-        key = (digest, words)
-        hit = self._valid_cache.get(key)
-        if hit is not None:
-            self._valid_cache.move_to_end(key)
-            self.valid_hits += 1
-            return hit
-        self.valid_misses += 1
-        record = self._records.get(digest)
-        if record is None:
-            record = _lru_put(self._records, digest, oracle.StateRecord(digest))
-        else:
-            self._records.move_to_end(digest)
+        record = self._valid_cache.pop(digest, None) or oracle.StateRecord(digest)
+        self._valid_cache[digest] = record  # the most recently used
+        if len(self._valid_cache) > VALID_CACHE_CAP:
+            self._valid_cache.popitem(last=False)
         if record.covers(self.space, words):
-            hit = record.answer(words)
-        else:
-            hit = oracle.valid_actions(state, self.spec, self.space, words,
-                                       self.probe_budget, record)
-        self.oracle_truncated += hit.truncated
-        return _lru_put(self._valid_cache, key, hit)
+            self.valid_hits += 1
+            return record.answer(words)
+        self.valid_misses += 1
+        valid = oracle.valid_actions(state, self.spec, self.space, words,
+                                     oracle.DEFAULT_PROBE_BUDGET, record)
+        self.oracle_truncated += valid.truncated
+        return valid
 
 
 def run_rollouts(
@@ -665,7 +646,7 @@ def build_pipeline(
     model = tok.train_unigram(
         tokenizer_training_lines([spec], corpus), cfg.tokenizer_size
     )
-    return Pipeline(spec, space, model, cfg.probe_budget)
+    return Pipeline(spec, space, model)
 
 
 def train(

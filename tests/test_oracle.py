@@ -253,8 +253,7 @@ class TestParseMemo:
         # a worker's first observation and valid set compute its state's
         # scope once, whether the valid set misses the cache or hits it, and
         # the act after them computes only the scope of the state it reaches
-        pipe = trainer.Pipeline(microzork, microzork_space, None,
-                                oracle.DEFAULT_PROBE_BUDGET)
+        pipe = trainer.Pipeline(microzork, microzork_space, None)
         cfg = trainer.TrainConfig(seed=0)
         for hits in (0, 1):
             scopes.clear()
@@ -360,7 +359,7 @@ class TestPruning:
         first = pipe.valid_set(state, {"key"}, in_scope)
         second = pipe.valid_set(state, {"key", "chest"}, in_scope)
         assert len(calls) == 1
-        assert second is first
+        assert second == first
         assert (pipe.valid_hits, pipe.valid_misses) == (1, 1)
 
 
@@ -405,8 +404,8 @@ class TestStateRecord:
         """Per state: a first visit with no words, each word alone, all of
         them (whose pairs no earlier request held), then, from the record, a
         subset, a repeat, a smaller subset, a larger one and an overlap.  The
-        states take turns, so that a cap of 2 evicts from both stores and
-        every request is a first visit."""
+        states take turns, so that a cap of 2 evicts each state's record
+        before it is asked again and every request is a first visit."""
         spec, space = doubled if game == "doubled" else spaces[game]
         fresh = oracle.valid_actions
         states = walked_states(spec, space, seed=len(game))
@@ -423,41 +422,44 @@ class TestStateRecord:
         calls = []
         monkeypatch.setattr(oracle, "valid_actions",
                             lambda *a: calls.append(a) or fresh(*a))
-        pipe = trainer.Pipeline(spec, space, None, oracle.DEFAULT_PROBE_BUDGET)
+        pipe = trainer.Pipeline(spec, space, None)
         for k in range(max(map(len, requests))):
             for state, asked in zip(states, requests):
                 if k < len(asked):
                     got = pipe.valid_set(state, asked[k], ())
-                    assert got == fresh(state, spec, space, asked[k], pipe.probe_budget)
-        assert len(pipe._records) == min(cap, len(states))
-        assert len(pipe._valid_cache) <= cap
+                    assert got == fresh(state, spec, space, asked[k])
+        assert len(pipe._valid_cache) == min(cap, len(states))
+        assert pipe.valid_misses == len(calls)  # every miss, and only a miss, probes
         if cap == 2:  # each state's record is evicted before it is asked again
-            assert len(states) > 2 and pipe.valid_misses == len(calls)
-        else:  # records answered some misses
-            assert pipe.valid_misses > len(calls)
+            assert len(states) > 2 and pipe.valid_hits == 0
+        else:  # records answered some requests
+            assert pipe.valid_hits > 0
 
-    def test_a_truncated_request_leaves_the_record_as_it_was(self, spaces):
+    def test_a_truncated_request_leaves_the_record_as_it_was(self, spaces, monkeypatch):
+        """A truncated answer is never kept: each repeat of its request
+        calls the oracle, is truncated and counted again, and leaves the
+        state's record as it was."""
         spec, space = spaces["microzork"]
-        pipe = trainer.Pipeline(spec, space, None, 10)
+        monkeypatch.setattr(oracle, "DEFAULT_PROBE_BUDGET", 10)
+        pipe = trainer.Pipeline(spec, space, None)
         state, _ = reset(spec)
         # the empty word set has only the blankless groundings, within budget
         assert pipe.valid_set(state, (), ()) == oracle.valid_actions(state, spec, space, (), 10)
-        record = pipe._records[digest(state)]
+        record = pipe._valid_cache[digest(state)]
         kept = (set(record.probed), record.found)
         assert kept[1]
         words = oracle.probe_words(state, spec, space, space.vocabulary)
-        cut = pipe.valid_set(state, words, ())
-        assert cut.truncated and pipe.oracle_truncated == 1
-        assert cut == oracle.valid_actions(state, spec, space, words, 10)
-        assert (record.probed, record.found) == kept
-        full = oracle.valid_actions(state, spec, space, words,
-                                    oracle.DEFAULT_PROBE_BUDGET, record)
-        assert full == oracle.valid_actions(state, spec, space, words)
+        for repeat in (1, 2, 3):
+            cut = pipe.valid_set(state, words, ())
+            assert cut.truncated and pipe.oracle_truncated == repeat
+            assert cut == oracle.valid_actions(state, spec, space, words, 10)
+            assert (record.probed, record.found) == kept
+        assert (pipe.valid_hits, pipe.valid_misses) == (0, 4)
+        full = oracle.valid_actions(state, spec, space, words, None, record)
+        assert full == oracle.valid_actions(state, spec, space, words, None)
         assert not full.truncated and record.covers(space, words)
-
-    def test_a_record_needs_candidates(self, spaces):
-        spec, space = spaces["corridor"]
-        state, _ = reset(spec)
-        with pytest.raises(ValueError, match="candidates"):
-            oracle.valid_actions(state, spec, space, None, None,
-                                 oracle.StateRecord(digest(state)))
+        # a record probes each grounding once: asking it again probes nothing
+        probes, real = [], engine.step_core
+        monkeypatch.setattr(engine, "step_core", lambda *a: probes.append(a) or real(*a))
+        assert oracle.valid_actions(state, spec, space, words, None, record) == full
+        assert probes == []

@@ -254,10 +254,6 @@ def test_combined_loss_equals_the_per_record_formulas(short_microzork, corpus, a
     if ablation == "full":  # dropped at step 2, its rows of steps 0 and 1 with it
         assert batch.degraded_workers == 1 and len(batch.records) == 2 * cfg.unroll
         assert len(calls) == 3 and all(r.worker != 1 for r in batch.records)
-    cached = [id(v) for v in pipe._valid_cache.values()]
-    shared = [id(r.valid) in cached for r in batch.records]
-    # each record holds the cache's own valid set, except the emptied one
-    assert sum(not s for s in shared) == (ablation == "seq")
     if ablation == "seq":
         teachers = [r.teacher for r in batch.records]
         assert sum(t is None for t in teachers) == 1
@@ -363,11 +359,12 @@ def test_config_file_numbers_take_the_field_type(tmp_path, text):
     (json.dumps({"lr": False}), "lr must be float, got False"),
     (json.dumps({"agent": {"emb_dim": 8.5}}), "agent.emb_dim must be int, got 8.5"),
     (json.dumps({"ablation": 3}), "agent.ablation must be str, got 3"),
+    (json.dumps({"agent": 3}), "agent must be an object, got 3"),
     ("workers = 2.5\n", "workers must be int, got '2.5'"),
     ("seed = true\n", "seed must be int, got 'true'"),
     ("lr = fast\n", "lr must be float, got 'fast'"),
 ], ids=["json-fraction", "json-bool-int", "json-bool-float", "json-agent",
-        "json-str", "kv-fraction", "kv-bool", "kv-text"])
+        "json-str", "json-agent-object", "kv-fraction", "kv-bool", "kv-text"])
 def test_config_file_rejects_a_value_of_another_type(tmp_path, text, message):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -381,6 +378,7 @@ def test_config_file_rejects_a_value_of_another_type(tmp_path, text, message):
     (json.dumps({"seed": 1, "bogus": 2, "agent": {"hidden": 3}}),
      "agent.hidden, bogus"),
     ("agent.x = 1\nagent.emb_dim = 8\nwrokers = 2\n", "agent.x, wrokers"),
+    (json.dumps({"workers": 2, "probe_budget": 20_000}), "probe_budget"),
 ])
 def test_config_file_unknown_keys_are_named(tmp_path, text, named):
     path = tmp_path / "run.cfg"
@@ -1081,9 +1079,28 @@ def test_an_env_step_reuses_the_observed_scope(microzork, microzork_space, actio
     assert scopes == [] if action == "north" else len(scopes) == 1
 
 
-def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
+def recorded_requests(monkeypatch) -> tuple[list[str], list[tuple]]:
+    """Wrap ``Pipeline.valid_set`` and ``oracle.valid_actions`` so that they
+    record, from then on, the digest of each valid-set request and the
+    arguments of each oracle call."""
+    digests, calls = [], []
+    valid_set, valid_actions = trainer.Pipeline.valid_set, oracle.valid_actions
+
+    def requested(pipe, state, *args):
+        digests.append(engine.digest(state))
+        return valid_set(pipe, state, *args)
+
+    monkeypatch.setattr(trainer.Pipeline, "valid_set", requested)
+    monkeypatch.setattr(oracle, "valid_actions",
+                        lambda *a: calls.append(a) or valid_actions(*a))
+    return digests, calls
+
+
+def test_train_writes_health_counters(short_corridor, corpus, tmp_path, monkeypatch):
     cfg = replace(SMALL, updates=2)
+    digests, _ = recorded_requests(monkeypatch)
     result = trainer.train(short_corridor, corpus, cfg, out_dir=tmp_path)
+    monkeypatch.undo()
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in lines]
     assert len(rows) == 2
@@ -1095,7 +1112,7 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
         assert row["oracle_truncated"] == 0
         assert 0.0 <= row["valid_cache_hit_rate"] <= 1.0
     pipe = result.pipeline
-    assert rows[-1]["valid_cache_entries"] == len(pipe._valid_cache) == pipe.valid_misses
+    assert rows[-1]["valid_cache_entries"] == len(pipe._valid_cache) == len(set(digests))
     assert rows[0]["valid_cache_entries"] <= rows[1]["valid_cache_entries"]
     # the counters ride along: train_step's own fields are unchanged
     _, _, step_rows, batches = _run(short_corridor, corpus, cfg, 2)
@@ -1105,6 +1122,21 @@ def test_train_writes_health_counters(short_corridor, corpus, tmp_path):
         sizes = [len(r.graph) for r in batch.records]
         assert min(sizes) >= 1
         assert row["mean_graph_triples"] == float(np.mean(sizes))
+
+
+def test_valid_cache_hits_are_the_requests_answered_without_the_oracle(
+    short_microzork, corpus, monkeypatch
+):
+    """A hit is a request its state's record answered; every miss, and only a
+    miss, calls the oracle; the cache holds one entry per state asked about."""
+    digests, calls = recorded_requests(monkeypatch)
+    result = trainer.train(short_microzork, corpus, replace(SMALL, updates=3))
+    pipe = result.pipeline
+    assert pipe.valid_misses == len(calls) > 0
+    assert pipe.valid_hits + pipe.valid_misses == len(digests)
+    assert pipe.valid_hits > 0 and len(set(digests)) < pipe.valid_misses
+    assert result.metrics[-1]["valid_cache_entries"] == len(pipe._valid_cache) == len(
+        set(digests))
 
 
 @pytest.fixture(scope="module")
@@ -1176,8 +1208,7 @@ def test_valid_cache_evicts_the_least_recently_used_and_stays_exact(
         in_scope = engine.in_scope_words(state, microzork)
         got = pipe.valid_set(state, pipe.space.vocabulary, in_scope)
         words = oracle.probe_words(state, microzork, pipe.space, pipe.space.vocabulary)
-        assert got == oracle.valid_actions(state, microzork, pipe.space, words,
-                                           pipe.probe_budget)
+        assert got == oracle.valid_actions(state, microzork, pipe.space, words)
         return (pipe.valid_hits, pipe.valid_misses, len(pipe._valid_cache))
 
     assert request(a) == (0, 1, 1)
@@ -1230,7 +1261,6 @@ def test_random_valid_baseline_reports_no_score_when_no_episode_ends(microzork, 
     ("lambda_entropy", float("inf")),
     ("grad_clip", 0.0), ("grad_clip", -1.0),
     ("workers", 0), ("unroll", 0), ("updates", -1),
-    ("probe_budget", 0),
     ("checkpoint_every", -1),
 ])
 def test_config_rejects_values_that_break_a_run(field, value, tmp_path):
