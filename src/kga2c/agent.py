@@ -27,9 +27,11 @@ texts are; the distinct graphs are one block-diagonal graph; the decoders'
 one-step GRUs are the same kernel with T = 1, over the rows still decoding.
 Row b samples with its own RNG, in the order a lone pass would.
 ``decode_action`` returns one ``Decoded`` for the batch: each row's action
-text, the (B,) joint log-prob, and one ``Head`` per decoding step (the
-template head, then each object blank, or each ``seq`` word position) with
-the logits, probabilities and choices of the rows that took it.
+text and one ``Head`` per decoding step (the template head, then each
+object blank, or each ``seq`` word position) with the logits, probabilities
+and choices of the rows that took it.  The (B,) joint log-prob,
+``Decoded.log_prob``, is built from the heads on first read; only the
+learner's loss reads it, so acting and greedy eval build none.
 
 ``decode_action`` samples, decodes greedily, or replays: in ``replay`` mode
 each row takes the ids a recorded decode chose (``Decoded.choices``), so a
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -141,11 +144,27 @@ class Head:
 
 @dataclass
 class Decoded:
-    """One decoded action per row of a batch, and the heads that chose it."""
+    """One decoded action per row of a batch, and the heads that chose it.
+    ``log_prob`` is built on first read, under the taping mode of that
+    read; only the learner's taped loss reads it."""
 
     actions: list[str]  # the action text of each row
-    log_prob: nm.Tensor  # (B,) joint log-prob of each row's choices
     heads: list[Head]  # in decoding order
+
+    @cached_property
+    def log_prob(self) -> nm.Tensor:
+        """(B,) joint log-prob of each row's choices: the sum over the heads
+        of log p(chosen), each head's terms placed at its rows."""
+        B = len(self.actions)
+        log_prob = None
+        for head in self.heads:
+            lp = nm.log(nm.take(head.probs, range(len(head.rows)), head.chosen))
+            if len(head.rows) < B:  # to the rows' places, as lp @ one-hot
+                place = np.zeros((len(head.rows), B))
+                place[np.arange(len(head.rows)), head.rows] = 1.0
+                lp = nm.matmul(lp, nm.Tensor(place))
+            log_prob = lp if log_prob is None else nm.add(log_prob, lp)
+        return log_prob
 
     def choices(self) -> list[list[int]]:
         """Each row's chosen ids in decoding order, which ``decode_action``
@@ -491,15 +510,7 @@ class KgA2CAgent:
             heads, actions = self._decode_words(s_t, pick)
         else:
             heads, actions = self._decode_template(s_t, masks, pick)
-        log_prob = None
-        for head in heads:
-            lp = nm.log(nm.take(head.probs, range(len(head.rows)), head.chosen))
-            if len(head.rows) < B:  # to the rows' places, as lp @ one-hot
-                place = np.zeros((len(head.rows), B))
-                place[np.arange(len(head.rows)), head.rows] = 1.0
-                lp = nm.matmul(lp, nm.Tensor(place))
-            log_prob = lp if log_prob is None else nm.add(log_prob, lp)
-        return Decoded(actions, log_prob, heads)
+        return Decoded(actions, heads)
 
     def _decode_template(self, s_t, masks, pick) -> tuple[list[Head], list[str]]:
         cfg = self.cfg

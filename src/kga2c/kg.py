@@ -78,9 +78,11 @@ def detect_interactive_objects(
     semantics), so detection never perturbs the engine.  Every probe reads
     the same state, so the engine's scope memo computes its scope at most
     once.  ``examined``, when given, memoizes each probe's outcome keyed by
-    (state digest, word): its holder (an ``Episode``, for its lifetime)
-    probes each word once per state.  The outcome depends only on the
-    fields the digest covers, so a memoized answer is the probe's own.
+    (state digest, word): its holder (a ``trainer.Episode``, for its
+    lifetime, which calls this only on observations its own ``observed``
+    memo lacks) probes each word once per state.  The outcome depends only
+    on the fields the digest covers, so a memoized answer is the probe's
+    own.
     """
     guard = engine.digest(state)
     if examined is None:

@@ -118,12 +118,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape == b.shape:
+    """numpy's broadcasting rule: aligned from the right, each pair of
+    dimensions is equal or has a 1."""
+    sa, sb = a.shape, b.shape
+    if sa == sb:
         return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    for x, y in zip(sa[::-1], sb[::-1]):
+        if x != y and x != 1 and y != 1:
+            raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, belief graph, encoder hiddens) and
 its own sampling and mask RNGs, and shares the pipeline's per-state
-valid-action records.  Each update is two passes, as in IMPALA's split of
-actors and learner (Espeholt et al. 2018, arXiv 1802.01561) over a
-synchronous A2C batch (Mnih et al. 2016, arXiv 1602.01783):
+valid-action records.  An episode detects objects and updates its graph
+once per distinct (state, observation, last action, graph) it meets, and
+reads a repeat's graph from its ``observed`` memo.  Each update is two
+passes, as in IMPALA's split of actors and learner (Espeholt et al. 2018,
+arXiv 1802.01561) over a synchronous A2C batch (Mnih et al. 2016, arXiv
+1602.01783):
 
 * The acting pass, ``run_rollouts``, records no tape.  It steps the workers
   in lockstep: per unroll step one batch-major pass values and decodes all
@@ -16,7 +19,8 @@ synchronous A2C batch (Mnih et al. 2016, arXiv 1602.01783):
   keeps, as plain immutable values, only what its row read and chose: the
   observation, the graph (a ``kg.Graph``), the starting encoder hiddens (one
   row per channel), the mask (a frozenset of words), the valid
-  set, the action it executed and that action's decoder ids.
+  set, the action it executed and that action's decoder ids.  It builds no
+  joint log-prob: only the learner reads ``Decoded.log_prob``.
 * The learning pass, ``learner_pass``, is one taped pass over all U x B
   kept records of the unroll: ``state_embedding``, ``critic_value`` and
   ``decode_action`` in ``replay`` mode, which takes the recorded choices
@@ -222,11 +226,22 @@ class Episode:
     default ``engine.reset``'s, with an empty graph, zero encoder hiddens
     and the sentinel last action.  An observation and the step after it
     share one computation of the state's scope (the engine's memo) unless
-    another state of the game is scoped in between.  ``examined`` keeps
-    each examine probe's outcome, keyed by (state digest, word), for the
-    episode's lifetime, so detection probes a word at a state the episode
-    reached before from memory; the outcome depends only on the fields the
-    digest covers, so the detected words are those a fresh probe finds."""
+    another state of the game is scoped in between.
+
+    Two memos live as long as the episode.  ``observed`` maps each (state
+    digest, observation, last action, graph) the episode met to the graph
+    its belief update returned, so a repeat runs no detection and no
+    ``kg.update_graph``: detection's outcome depends only on the
+    observation and the fields the digest covers, and the update reads the
+    graph, the observation, the last action, the room and the detected
+    words.  The mask is drawn on every observation, so the mask RNG's
+    stream is the one a fresh update gives.  ``examined`` keeps each
+    examine probe's outcome, keyed by (state digest, word), so detection
+    on a miss probes a word at a state the episode reached before (with
+    another graph, say) from memory; the outcome depends only on the
+    fields the digest covers, so the detected words are those a fresh
+    probe finds.  ``observed`` grows by at most one entry per observation,
+    so the episode's length bounds it."""
 
     def __init__(self, spec: engine.GameSpec, vocabulary: tuple[str, ...],
                  p_m: float = 0.0, rng: random.Random | None = None,
@@ -240,15 +255,20 @@ class Episode:
         self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
         self.examined: dict[tuple[str, str], bool] = {}
+        self.observed: dict[tuple[str, engine.Observation, str, kg.Graph], kg.Graph] = {}
         self._observe()
 
     def _observe(self) -> None:
-        detected = kg.detect_interactive_objects(self.obs, self.state, self.spec,
-                                                 self.examined)
-        self.graph = kg.update_graph(
-            self.graph, self.obs, self.prev_action, self.state.room, detected,
-            self.spec,
-        )
+        key = (engine.digest(self.state), self.obs, self.prev_action, self.graph)
+        graph = self.observed.get(key)
+        if graph is None:
+            detected = kg.detect_interactive_objects(self.obs, self.state, self.spec,
+                                                     self.examined)
+            graph = self.observed[key] = kg.update_graph(
+                self.graph, self.obs, self.prev_action, self.state.room, detected,
+                self.spec,
+            )
+        self.graph = graph
         in_scope = engine.in_scope_words(self.state, self.spec)
         self.mask = kg.graph_mask(self.graph, self.vocabulary, self.p_m, self.rng, in_scope)
 

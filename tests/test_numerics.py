@@ -49,6 +49,22 @@ class TestCoreOps:
             nm.matmul(a, b)
         assert "(2, 3)" in str(err.value)
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_elementwise_ops_broadcast_as_numpy_does(self, op):
+        """Shapes that numpy cannot broadcast are refused by name, with both
+        shapes; shapes it can broadcast give numpy's result."""
+        fn = getattr(nm, op)
+        for sa, sb in (((2, 3), (4,)), ((3, 2), (2, 3))):
+            a, b = nm.Tensor(np.ones(sa)), nm.Tensor(np.ones(sb))
+            with pytest.raises(nm.ShapeError) as err:
+                fn(a, b)
+            assert str(err.value) == f"{op}: incompatible shapes {sa} and {sb}"
+        rng = np.random.default_rng(0)
+        for sa, sb in (((2, 3), (3,)), ((2, 1), (1, 3)), ((2, 3), ())):
+            a, b = rng.normal(size=sa), rng.normal(size=sb)
+            want = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b)
+            assert np.array_equal(fn(nm.Tensor(a), nm.Tensor(b)).data, want)
+
     def test_leaky_relu_definition(self):
         x = nm.Tensor(np.array([-1.0, 0.5]))
         y = nm.leaky_relu(x, 0.2)

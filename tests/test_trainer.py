@@ -2,7 +2,9 @@
 against the pinned behaviour dump, parameters and loss terms, the combined
 loss's gradient, config files, loud worker failures, greedy eval with and
 without the encoder memo and its episodes replaying the first, ``seq``
-teachers the decoder can spell, and the episode belief loop."""
+teachers the decoder can spell, the joint log-prob that only the learner
+builds, and the episode belief loop with its examine and observation
+memos."""
 
 import contextlib
 import csv
@@ -15,6 +17,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from test_agent import BATCH_TOL, row_of
 
 from kga2c import (BUNDLED_GAMES, bundled_corpus_lines, bundled_game_text, engine, kg,
                    numerics as nm, oracle, tokenizer as tok, trainer)
-from kga2c.agent import ABLATIONS, AgentConfig, KgA2CAgent
+from kga2c.agent import ABLATIONS, AgentConfig, Decoded, KgA2CAgent
+from kga2c.templates import FrequencyTable, build_action_space
 
 SMALL = trainer.TrainConfig(workers=2, unroll=4, seed=5)
 PINNED = Path(__file__).resolve().parent / "data" / "behaviour.json"
@@ -882,6 +886,27 @@ def test_evaluate_records_no_tape_and_plays_as_with_it(
 
 
 @pytest.mark.parametrize("ablation", ["full", "seq"])
+def test_only_the_learner_builds_the_joint_log_prob(short_microzork, corpus, ablation,
+                                                    monkeypatch):
+    """Acting and greedy eval never read ``Decoded.log_prob``, so they build
+    no log-prob graph; the learner's combined loss reads it."""
+    cfg = SMALL.with_ablation(ablation)
+    pipe = trainer.build_pipeline(short_microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    workers = [trainer.Worker(i, pipe, cfg) for i in range(cfg.workers)]
+
+    def refused(decoded):
+        raise AssertionError("the joint log-prob was built")
+
+    monkeypatch.setattr(Decoded, "log_prob", property(refused))
+    batch = trainer.run_rollouts(workers, agent, cfg)
+    assert len(batch.records) == cfg.workers * cfg.unroll
+    trainer.evaluate(agent, pipe, 1)
+    with pytest.raises(AssertionError, match="log-prob was built"):
+        trainer.train_step(batch, agent, cfg)
+
+
+@pytest.mark.parametrize("ablation", ["full", "seq"])
 @pytest.mark.parametrize("game", BUNDLED_GAMES)
 def test_greedy_eval_episodes_replay_the_first(request, corpus, game, ablation,
                                                monkeypatch):
@@ -1017,6 +1042,76 @@ def test_a_new_episode_starts_with_an_empty_examine_memo(microzork, monkeypatch)
     assert second.examined is not first.examined
     assert {d for d, _ in second.examined} == {engine.digest(second.state)}
     assert sorted(probes) == sorted(f"examine {w}" for _, w in second.examined)
+
+
+def counted_updates(monkeypatch) -> tuple[list, Callable]:
+    """The calls of ``kg.update_graph`` made from now on, and the real one."""
+    calls, real = [], kg.update_graph
+    monkeypatch.setattr(kg, "update_graph", lambda *a: calls.append(a) or real(*a))
+    return calls, real
+
+
+@pytest.mark.parametrize("game", BUNDLED_GAMES)
+def test_the_observation_memo_equals_a_fresh_belief_update(request, corpus, game,
+                                                           monkeypatch):
+    """Along a seeded walk of valid actions and ``look``, an episode's
+    graph, mask and mask RNG state equal, step by step, those of a
+    reference that detects objects and updates the graph afresh at every
+    observation.  The walk repeats (state, observation, last action, graph)
+    keys, so the episode updated its graph once per distinct key, fewer
+    times than it observed."""
+    spec = request.getfixturevalue(game)
+    space = build_action_space(spec.templates, spec.vocabulary,
+                               FrequencyTable.from_lines(corpus))
+    vocabulary, p_m = space.vocabulary, 0.05
+    walk, ref_rng = random.Random(3), random.Random(9)
+    updates, update_graph = counted_updates(monkeypatch)
+    ep = trainer.Episode(spec, vocabulary, p_m, random.Random(9))
+    graph, observations = frozenset(), 0
+    while not ep.done and observations < 60:
+        observations += 1
+        state, obs, in_scope = ep.state, ep.obs, engine.in_scope_words(ep.state, spec)
+        graph = update_graph(graph, obs, ep.prev_action, state.room,
+                             kg.detect_interactive_objects(obs, state, spec), spec)
+        mask = kg.graph_mask(graph, vocabulary, p_m, ref_rng, in_scope)
+        assert (ep.graph, ep.mask) == (graph, mask)
+        assert ep.rng.getstate() == ref_rng.getstate()
+        valid = oracle.valid_actions(state, spec, space, mask | frozenset(in_scope))
+        ep.act(walk.choice([*valid.actions, "look"]))
+    assert len(updates) == len(ep.observed) < observations
+
+
+def test_greedy_eval_updates_the_graph_once_per_distinct_observation(
+    microzork, corpus, monkeypatch
+):
+    """An untrained greedy agent at seed 1000 plays ``south`` for all 1,000
+    turns of microzork's cap, so its 1,000 observations hold 2 distinct
+    (state, observation, last action, graph) keys, and the episode runs
+    ``kg.update_graph`` once for each."""
+    cfg = trainer.TrainConfig(seed=1000)
+    pipe = trainer.build_pipeline(microzork, corpus, cfg)
+    agent = KgA2CAgent(pipe.space, pipe.model, cfg.agent, seed=cfg.seed)
+    keys, observe = [], trainer.Episode._observe
+
+    def keyed(ep):
+        keys.append((engine.digest(ep.state), ep.obs, ep.prev_action, ep.graph))
+        observe(ep)
+
+    monkeypatch.setattr(trainer.Episode, "_observe", keyed)
+    updates, _ = counted_updates(monkeypatch)
+    trainer.evaluate(agent, pipe, 1, seed=cfg.seed)
+    assert len(keys) == microzork.turn_cap
+    assert len(updates) == len(set(keys)) == 2
+
+
+def test_a_new_episode_starts_with_an_empty_observation_memo(microzork, monkeypatch):
+    first = trainer.Episode(microzork, microzork.vocabulary)
+    first.act("take key")
+    first.act("drop key")
+    updates, _ = counted_updates(monkeypatch)
+    second = trainer.Episode(microzork, microzork.vocabulary)
+    assert second.observed is not first.observed and len(first.observed) == 3
+    assert list(second.observed.values()) == [second.graph] and len(updates) == 1
 
 
 def observed_alone(spec, vocabulary, state, prev_action=engine.SENTINEL_PREV_ACTION):
