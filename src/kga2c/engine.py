@@ -22,7 +22,7 @@ keyed by the state object's identity, not its value: a ``WorldState`` is
 frozen and the slot holds a strong reference to it, so the object cannot
 change or be recycled while it is there, and the check costs no hashing.
 One slot fits the traffic, because the callers read one state in turn: an
-env step's detection probes, its in-scope words, its valid-action probes
+env step's object detection, its in-scope words, its valid-action probes
 and the step itself all ask about the state just observed.
 """
 
@@ -49,8 +49,7 @@ DIRECTIONS = (
 SNAPSHOT_MAGIC = b"KGSV"
 SNAPSHOT_VERSION = 1
 
-# Fixed in-fiction failure responses; the examine probe in the knowledge-graph
-# module treats exactly these as "not interactive".
+# Fixed in-fiction failure responses, and the prefixes ``is_failure`` reads.
 RESP_UNRECOGNIZED = "That phrase is not recognized."
 RESP_NO_SUCH_THING = "You can't see any such thing."
 RESP_NO_WAY = "You can't go that way."
@@ -75,8 +74,8 @@ _FAILURE_PREFIXES = (
 
 
 def is_failure(response: str) -> bool:
-    """True when a parser response indicates the command had no real referent
-    or effect (used by the examine probe)."""
+    """True when a response begins like a failure reply (no referent or no
+    effect); the tests check walkthroughs and ``examinable`` with it."""
     return response.startswith(_FAILURE_PREFIXES)
 
 
@@ -271,6 +270,16 @@ def _parse_bool(value: str, line: int) -> bool:
     raise GameParseError(line, f"expected yes/no, got {value!r}")
 
 
+def _parse_int(value: str, key: str, line: int, minimum: int | None = None) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise GameParseError(line, f"{key}: expected an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise GameParseError(line, f"{key}: must be at least {minimum}, got {number}")
+    return number
+
+
 def load_game(text: str) -> GameSpec:
     """Parse and validate a game-definition document."""
     sections: list[tuple[str, int, dict[str, str], list[tuple[str, str, int]]]] = []
@@ -299,6 +308,7 @@ def load_game(text: str) -> GameSpec:
         raise GameParseError(0, "empty game definition")
 
     meta: dict[str, str] = {}
+    meta_lines: dict[str, int] = {}
     rooms: dict[str, RoomDef] = {}
     exits: dict[tuple[str, str], str] = {}
     objects: dict[str, ObjectDef] = {}
@@ -312,9 +322,14 @@ def load_game(text: str) -> GameSpec:
             raise GameParseError(lineno, f"missing required key {key!r}")
         return kv[key]
 
+    def meta_int(key: str, default: int, minimum: int | None = None) -> int:
+        return _parse_int(meta.get(key, str(default)), key, meta_lines.get(key, 0), minimum)
+
     for name, lineno, kv, entry_list in sections:
+        lines = {key: entry_line for key, _, entry_line in entry_list}
         if name == "meta":
             meta.update(kv)
+            meta_lines.update(lines)
         elif name == "room":
             rid = need(kv, "id", lineno)
             if rid in rooms:
@@ -325,6 +340,9 @@ def load_game(text: str) -> GameSpec:
         elif name == "exit":
             src = need(kv, "from", lineno)
             direction = need(kv, "dir", lineno).lower()
+            if direction not in DIRECTIONS:
+                raise GameParseError(lines["dir"], f"dir: {direction!r} is not one of "
+                                     f"{', '.join(DIRECTIONS)}")
             dst = need(kv, "to", lineno)
             exits[(src, direction)] = dst
         elif name == "object":
@@ -369,7 +387,7 @@ def load_game(text: str) -> GameSpec:
             rewards.append(
                 RewardRule(
                     id=rid,
-                    points=int(need(kv, "points", lineno)),
+                    points=_parse_int(need(kv, "points", lineno), "points", lines["points"]),
                     once=_parse_bool(kv.get("once", "yes"), lineno),
                     trigger=trigger,
                 )
@@ -454,7 +472,7 @@ def load_game(text: str) -> GameSpec:
     return GameSpec(
         name=meta.get("name", "game"),
         start=start,
-        max_score=int(meta.get("max-score", "0")),
+        max_score=meta_int("max-score", 0),
         rooms=rooms,
         exits=exits,
         objects=objects,
@@ -464,8 +482,8 @@ def load_game(text: str) -> GameSpec:
         vocabulary=vocabulary,
         nouns=frozenset(nouns),
         adjectives=frozenset(adjectives),
-        valid_step_cap=int(meta.get("valid-step-cap", "100")),
-        turn_cap=int(meta.get("turn-cap", "1000")),
+        valid_step_cap=meta_int("valid-step-cap", 100, minimum=1),
+        turn_cap=meta_int("turn-cap", 1000, minimum=1),
     )
 
 
@@ -959,6 +977,14 @@ def _execute(
             continue
         return _dispatch(meaning, resolved, state, spec)
     return first_failure or (RESP_UNRECOGNIZED, state)
+
+
+def examinable(word: str, state: WorldState, spec: GameSpec) -> bool:
+    """True when ``examine <word>`` describes something at ``state``, read
+    from its scope as ``_execute`` resolves it: one object in scope answers
+    to ``word`` (two get "Which ...?"), or none does and it names the room."""
+    named = sum(word in obj.reference_words for obj in objects_in_scope(state, spec))
+    return named == 1 or (named == 0 and _resolve_room(word, state, spec))
 
 
 def _resolve_room(text: str, state: WorldState, spec: GameSpec) -> bool:

@@ -1,9 +1,10 @@
 """Knowledge-graph belief state.
 
 Builds a set of <subject, relation, object> triples from text observations:
-interactive objects are detected by lexicon tagging plus an examine probe,
-linked to the current room and the distinguished "you" node, movement actions
-add navigation triples, and a small set of deterministic clause rules stands
+interactive objects are the lexicon words of the text that name an object
+in the state's scope or the room (what ``examine`` would describe), linked
+to the current room and the distinguished "you" node, movement actions add
+navigation triples, and a small set of deterministic clause rules stands
 in for open information extraction over the grammar-controlled room text.
 
 The graph is a plain ``frozenset`` of triples (``Graph``): ``update_graph``
@@ -70,33 +71,12 @@ def _tagged_words(text: str, spec: engine.GameSpec) -> list[str]:
 
 def detect_interactive_objects(
     obs: engine.Observation, state: engine.WorldState, spec: engine.GameSpec,
-    examined: dict[tuple[str, str], bool] | None = None,
 ) -> list[str]:
-    """Candidate nouns/adjectives from o_desc and o_game that examine cleanly.
-
-    The examine probe runs against a throwaway copy of the state (snapshot
-    semantics), so detection never perturbs the engine.  Every probe reads
-    the same state, so the engine's scope memo computes its scope at most
-    once.  ``examined``, when given, memoizes each probe's outcome keyed by
-    (state digest, word): its holder (a ``trainer.Episode``, for its
-    lifetime, which calls this only on observations its own ``observed``
-    memo lacks) probes each word once per state.  The outcome depends only
-    on the fields the digest covers, so a memoized answer is the probe's
-    own.
-    """
-    guard = engine.digest(state)
-    if examined is None:
-        examined = {}
-    detected: list[str] = []
-    for word in _tagged_words(obs.o_desc + "\n" + obs.o_game, spec):
-        key = (guard, word)
-        if key not in examined:
-            _, response, _, _ = engine.step_core(state, f"examine {word}", spec)
-            examined[key] = not engine.is_failure(response)
-        if examined[key]:
-            detected.append(word)
-    assert engine.digest(state) == guard
-    return detected
+    """Nouns/adjectives of o_desc and o_game, in order of appearance, that
+    ``examine`` would describe at ``state`` (``engine.examinable``): each
+    names one object in the state's memoized scope, or the room."""
+    return [word for word in _tagged_words(obs.o_desc + "\n" + obs.o_game, spec)
+            if engine.examinable(word, state, spec)]
 
 
 def _current_room_node(graph: Graph) -> str | None:
@@ -109,13 +89,13 @@ def _current_room_node(graph: Graph) -> str | None:
 def update_graph(
     graph: Graph,
     obs: engine.Observation,
-    prev_action: str,
     current_room: str,
     detected: list[str],
     spec: engine.GameSpec,
 ) -> Graph:
     """Apply the update rules for one new observation; returns a new graph.
 
+    A move (``obs.a_prev``) that changed the room adds a navigation triple.
     Growth is monotone except the single <you, in, room> edge and
     <room, has, obj> edges for objects that moved into the inventory.
     """
@@ -123,7 +103,7 @@ def update_graph(
     room = normalize_entity(spec.rooms[current_room].name, spec) or current_room
 
     prev_room = _current_room_node(graph)
-    direction = engine.direction(prev_action.lower().split())
+    direction = engine.direction(obs.a_prev.split())
     if direction and prev_room is not None and prev_room != room:
         g.add((prev_room, direction, room))
 

@@ -4,8 +4,8 @@ Workers are independent environment pipelines advanced between updates;
 each owns an ``Episode`` (engine state, belief graph, encoder hiddens) and
 its own sampling and mask RNGs, and shares the pipeline's per-state
 valid-action records.  An episode detects objects and updates its graph
-once per distinct (state, observation, last action, graph) it meets, and
-reads a repeat's graph from its ``observed`` memo.  Each update is two
+once per distinct (state, observation, graph) it meets, and reads a
+repeat's graph from its one memo, ``observed``.  Each update is two
 passes, as in IMPALA's split of actors and learner (Espeholt et al. 2018,
 arXiv 1802.01561) over a synchronous A2C batch (Mnih et al. 2016, arXiv
 1602.01783):
@@ -228,20 +228,17 @@ class Episode:
     share one computation of the state's scope (the engine's memo) unless
     another state of the game is scoped in between.
 
-    Two memos live as long as the episode.  ``observed`` maps each (state
-    digest, observation, last action, graph) the episode met to the graph
-    its belief update returned, so a repeat runs no detection and no
-    ``kg.update_graph``: detection's outcome depends only on the
-    observation and the fields the digest covers, and the update reads the
-    graph, the observation, the last action, the room and the detected
-    words.  The mask is drawn on every observation, so the mask RNG's
-    stream is the one a fresh update gives.  ``examined`` keeps each
-    examine probe's outcome, keyed by (state digest, word), so detection
-    on a miss probes a word at a state the episode reached before (with
-    another graph, say) from memory; the outcome depends only on the
-    fields the digest covers, so the detected words are those a fresh
-    probe finds.  ``observed`` grows by at most one entry per observation,
-    so the episode's length bounds it."""
+    One memo lives as long as the episode.  ``observed`` maps each (state
+    digest, observation, graph) the episode met to the graph its belief
+    update returned, so a repeat runs no detection and no
+    ``kg.update_graph``: detection reads the observation and the state's
+    scope, which the digest covers (a carried open container's contents
+    are in scope, yet no observation shows them), and the update reads the
+    graph, the observation (its ``a_prev`` is the last action), the room
+    and the detected words.  The mask is drawn on every observation, so the
+    mask RNG's stream is the one a fresh update gives.  ``observed`` grows
+    by at most one entry per observation, so the episode's length bounds
+    it."""
 
     def __init__(self, spec: engine.GameSpec, vocabulary: tuple[str, ...],
                  p_m: float = 0.0, rng: random.Random | None = None,
@@ -252,22 +249,17 @@ class Episode:
                                 else (state, engine.observation(state, spec)))
         self.graph: kg.Graph = frozenset()
         self.enc = np.zeros((len(CHANNELS), gru_hidden))
-        self.prev_action = engine.SENTINEL_PREV_ACTION
         self.done = False
-        self.examined: dict[tuple[str, str], bool] = {}
-        self.observed: dict[tuple[str, engine.Observation, str, kg.Graph], kg.Graph] = {}
+        self.observed: dict[tuple[str, engine.Observation, kg.Graph], kg.Graph] = {}
         self._observe()
 
     def _observe(self) -> None:
-        key = (engine.digest(self.state), self.obs, self.prev_action, self.graph)
+        key = (engine.digest(self.state), self.obs, self.graph)
         graph = self.observed.get(key)
         if graph is None:
-            detected = kg.detect_interactive_objects(self.obs, self.state, self.spec,
-                                                     self.examined)
+            detected = kg.detect_interactive_objects(self.obs, self.state, self.spec)
             graph = self.observed[key] = kg.update_graph(
-                self.graph, self.obs, self.prev_action, self.state.room, detected,
-                self.spec,
-            )
+                self.graph, self.obs, self.state.room, detected, self.spec)
         self.graph = graph
         in_scope = engine.in_scope_words(self.state, self.spec)
         self.mask = kg.graph_mask(self.graph, self.vocabulary, self.p_m, self.rng, in_scope)
@@ -277,7 +269,6 @@ class Episode:
         episode ended there."""
         self.state, self.obs, reward, self.done = engine.step(
             self.state, action, self.spec)
-        self.prev_action = action
         if not self.done:
             self._observe()
         return reward

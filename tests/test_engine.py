@@ -100,6 +100,32 @@ class TestLoadGame:
         with pytest.raises(GameParseError):
             load_game(bad)
 
+    @pytest.mark.parametrize("old, new", [
+        ("start: cell", "start: cell\nmax-score: lots"),
+        ("start: cell", "start: cell\nvalid-step-cap: 1.5"),
+        ("start: cell", "start: cell\nturn-cap: many"),
+        ("start: cell", "start: cell\nvalid-step-cap: 0"),
+        ("start: cell", "start: cell\nturn-cap: -3"),
+        ("pattern: north", "pattern: north\n\n[reward]\nid: r\nwhen: take pebble\n"
+                           "points: ten"),
+        ("dir: north", "dir: sideways"),
+    ], ids=["max-score", "valid-step-cap", "turn-cap", "zero-valid-step-cap",
+            "negative-turn-cap", "points", "exit-direction"])
+    def test_a_malformed_value_is_refused_by_its_line(self, old, new):
+        """A number that is not an integer, a cap below 1, or an exit in no
+        direction a command can name is refused with the line and key."""
+        text = TINY_GAME.replace(old, new, 1)
+        bad = new.splitlines()[-1]
+        key = bad.split(":")[0]
+        with pytest.raises(GameParseError, match=re.escape(key)) as err:
+            load_game(text)
+        assert err.value.line == text.splitlines().index(bad) + 1
+
+    def test_caps_of_one_load(self):
+        spec = load_game(TINY_GAME.replace(
+            "start: cell", "start: cell\nvalid-step-cap: 1\nturn-cap: 1\nmax-score: 0"))
+        assert (spec.valid_step_cap, spec.turn_cap, spec.max_score) == (1, 1, 0)
+
     @pytest.mark.parametrize("old, new, section", [
         ("when: enter sanctum", "when: at sanctum", "[reward]"),
         ("when: at sanctum", "when: enter sanctum", "[victory]"),

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from kga2c import kg
-from kga2c.engine import SENTINEL_PREV_ACTION, load_game, reset, step
+from kga2c import bundled_game_text, engine, kg, oracle
+from kga2c.engine import load_game, reset, step
 from kga2c.kg import (
     YOU,
     detect_interactive_objects,
@@ -14,6 +15,7 @@ from kga2c.kg import (
     normalize_entity,
     update_graph,
 )
+from kga2c.templates import FrequencyTable, build_action_space
 
 EMPTY: kg.Graph = frozenset()
 
@@ -99,8 +101,6 @@ class TestDetection:
         ]
 
     def test_no_vocabulary_nouns_gives_empty(self, microzork):
-        from dataclasses import replace
-
         state, obs = reset(microzork)
         stripped = replace(obs, o_desc="nothing to see.", o_game="move along.")
         assert detect_interactive_objects(stripped, state, microzork) == []
@@ -113,33 +113,70 @@ class TestDetection:
         detect_interactive_objects(obs, state, microzork)
         assert digest(state) == before
 
-    def test_the_digest_guard_holds_when_the_memo_answers(self, microzork, monkeypatch):
-        state, obs = reset(microzork)
-        examined = {}
-        detected = detect_interactive_objects(obs, state, microzork, examined)
-        assert detected and detect_interactive_objects(obs, state, microzork,
-                                                       examined) == detected
-        # every probe answered from memory, and the state's digest changes
-        digests = iter(["before", "after"])
-        monkeypatch.setattr(kg.engine, "digest", lambda s: next(digests))
-        memo = {("before", w): ok for (_, w), ok in examined.items()}
-        with pytest.raises(AssertionError):
-            detect_interactive_objects(obs, state, microzork, memo)
+    def test_a_description_that_reads_like_a_failure_is_still_detected(self):
+        # "examine mailbox" answers with the mailbox's own description; one
+        # that begins like a failure reply ("You can't ...") still describes it
+        text = bundled_game_text("microzork").replace(
+            "desc: A dented tin mailbox on a post.",
+            "desc: You can't miss the dented tin mailbox on its post.")
+        spec = load_game(text)
+        state, obs = reset(spec)
+        assert engine.is_failure(step(state, "examine mailbox", spec)[1].o_game)
+        assert detect_interactive_objects(obs, state, spec) == [
+            "field", "brass", "key", "mailbox"]
+        graph = update_graph(EMPTY, obs, state.room,
+                             detect_interactive_objects(obs, state, spec), spec)
+        assert (YOU, "surrounded_by", "mailbox") in graph
+
+    def test_a_word_two_objects_answer_to_is_not_detected(self):
+        # "examine key" gets the parser's "Which key do you mean ...?"
+        spec = load_game(ZORKISH + "".join(
+            f"\n[object]\nid: {metal}-key\nname: {metal} key\nloc: west-of-house\n"
+            for metal in ("brass", "iron")))
+        state, obs = reset(spec)
+        obs = replace(obs, o_desc="", o_game="A brass key and an iron key lie by the mailbox.")
+        for word, described in [("key", False), ("brass", True), ("iron", True)]:
+            _, reply, _, _ = engine.step_core(state, f"examine {word}", spec)
+            assert engine.is_failure(reply) is not described
+            assert engine.examinable(word, state, spec) is described
+        assert detect_interactive_objects(obs, state, spec) == ["brass", "iron", "mailbox"]
+
+    @pytest.mark.parametrize("game", ["microzork", "corridor", "pantry"])
+    def test_examinable_equals_the_examine_probe(self, request, corpus, game):
+        """Along seeded walks of valid actions, ``engine.examinable`` answers
+        for every lexicon word exactly as running ``examine <word>`` and
+        reading its reply with ``engine.is_failure`` does."""
+        spec = request.getfixturevalue(game)
+        space = build_action_space(spec.templates, spec.vocabulary,
+                                   FrequencyTable.from_lines(corpus))
+        words = sorted(spec.nouns | spec.adjectives)
+        reached = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            state, _ = reset(spec)
+            for _ in range(80):
+                reached.add(engine.digest(state))
+                for word in words:
+                    _, reply, _, _ = engine.step_core(state, f"examine {word}", spec)
+                    assert engine.examinable(word, state, spec) == (
+                        not engine.is_failure(reply)), (word, engine.digest(state))
+                valid = oracle.valid_actions(state, spec, space, budget=None)
+                state, _, _, done = step(state, rng.choice(valid.actions), spec)
+                if done:
+                    state, _ = reset(spec)
+        assert len(reached) > 3  # the walks left the start and changed the world
 
 
 class TestUpdateGraph:
     def walk(self, spec, actions):
         state, obs = reset(spec)
         graph = EMPTY
-        prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, spec)
-        graph = update_graph(graph, obs, prev, state.room, detected, spec)
-        for i, action in enumerate(actions, start=1):
+        graph = update_graph(graph, obs, state.room, detected, spec)
+        for action in actions:
             state, obs, _, _ = step(state, action, spec)
             detected = detect_interactive_objects(obs, state, spec)
-            graph = update_graph(
-                graph, obs, action, state.room, detected, spec
-            )
+            graph = update_graph(graph, obs, state.room, detected, spec)
         return state, obs, graph
 
     def test_go_down_adds_navigation_triple(self, zorkish):
@@ -162,7 +199,7 @@ class TestUpdateGraph:
         before = set(graph)
         state, obs, _, _ = step(state, "take key", microzork)
         detected = detect_interactive_objects(obs, state, microzork)
-        after = update_graph(graph, obs, "take key", state.room, detected, microzork)
+        after = update_graph(graph, obs, state.room, detected, microzork)
         assert isinstance(graph, frozenset) and isinstance(after, frozenset)
         assert after != graph and graph == before
 
@@ -174,9 +211,7 @@ class TestUpdateGraph:
     def test_noop_action_preserves_graph(self, microzork):
         state, obs, graph = self.walk(microzork, ["look"])
         detected = detect_interactive_objects(obs, state, microzork)
-        again = update_graph(
-            graph, obs, "look", state.room, detected, microzork
-        )
+        again = update_graph(graph, obs, state.room, detected, microzork)
         assert again == graph
 
     def test_you_in_edge_is_unique(self, microzork):
@@ -187,16 +222,13 @@ class TestUpdateGraph:
     def test_growth_monotone_except_sanctioned_removals(self, microzork):
         state, obs = reset(microzork)
         graph = EMPTY
-        prev = SENTINEL_PREV_ACTION
         detected = detect_interactive_objects(obs, state, microzork)
-        graph = update_graph(graph, obs, prev, state.room, detected, microzork)
+        graph = update_graph(graph, obs, state.room, detected, microzork)
         actions = ["take key", "north", "north", "open chest with key", "take coin"]
-        for i, action in enumerate(actions, start=1):
+        for action in actions:
             state, obs, _, _ = step(state, action, microzork)
             detected = detect_interactive_objects(obs, state, microzork)
-            new_graph = update_graph(
-                graph, obs, action, state.room, detected, microzork
-            )
+            new_graph = update_graph(graph, obs, state.room, detected, microzork)
             removed = graph - new_graph
             for s, r, o in removed:
                 assert (s == "you" and r == "in") or r == "has"
@@ -310,7 +342,6 @@ class TestExport:
         g = update_graph(
             EMPTY,
             obs,
-            SENTINEL_PREV_ACTION,
             state.room,
             detect_interactive_objects(obs, state, microzork),
             microzork,
@@ -328,7 +359,6 @@ class TestExport:
             g = update_graph(
                 EMPTY,
                 obs,
-                SENTINEL_PREV_ACTION,
                 state.room,
                 detect_interactive_objects(obs, state, microzork),
                 microzork,

@@ -245,11 +245,10 @@ class TestParseMemo:
         state, obs = reset(microzork)
         scopes.clear()
         probes.clear()
-        kg.detect_interactive_objects(obs, state, microzork)
+        assert kg.detect_interactive_objects(obs, state, microzork)
         assert len(scopes) == 1
-        # one examine probe per tagged word, as before the scope was shared
-        tagged = kg._tagged_words(obs.o_desc + "\n" + obs.o_game, microzork)
-        assert probes == [f"examine {w}" for w in tagged] and tagged
+        # detection reads the scope and runs no command
+        assert probes == []
         # a worker's first observation and valid set compute its state's
         # scope once, whether the valid set misses the cache or hits it, and
         # the act after them computes only the scope of the state it reaches

@@ -3,8 +3,7 @@ against the pinned behaviour dump, parameters and loss terms, the combined
 loss's gradient, config files, loud worker failures, greedy eval with and
 without the encoder memo and its episodes replaying the first, ``seq``
 teachers the decoder can spell, the joint log-prob that only the learner
-builds, and the episode belief loop with its examine and observation
-memos."""
+builds, and the episode belief loop with its observation memo."""
 
 import contextlib
 import csv
@@ -993,55 +992,10 @@ def test_episode_observe_at_microzork_start(microzork, microzork_space):
     assert ("field", "has", "key") in ep.graph
     assert "key" in ep.mask
     assert "key" in engine.in_scope_words(ep.state, microzork)
-    assert ep.prev_action == "<start>" and not ep.done
+    assert ep.obs.a_prev == "<start>" and not ep.done
     ep.act("take key")
-    assert ep.prev_action == "take key"
+    assert ep.obs.a_prev == "take key"
     assert ("you", "have", "key") in ep.graph
-
-
-def counted_examines(monkeypatch) -> list:
-    """The commands of the examine probes run from now on."""
-    calls, real = [], engine.step_core
-    monkeypatch.setattr(engine, "step_core", lambda state, action, spec: (
-        action.startswith("examine ") and calls.append(action),
-        real(state, action, spec))[1])
-    return calls
-
-
-@pytest.mark.parametrize("game", ["microzork", "corridor", "pantry"])
-def test_detection_from_the_episode_memo_equals_probing_afresh(request, game,
-                                                               monkeypatch):
-    """Along a seeded walk that revisits states, detection reading the
-    episode's examine memo returns what probing afresh returns, and the
-    episode probes each (state, word) once."""
-    spec = request.getfixturevalue(game)
-    moves = list(engine.DIRECTIONS[:4]) + ["take key", "open mailbox", "take jar",
-                                           "open cupboard", "look"]
-    rng = random.Random(11)
-    probes = counted_examines(monkeypatch)
-    ep = trainer.Episode(spec, spec.vocabulary)
-    for steps in range(30):
-        if ep.done:
-            break
-        memo, before = dict(ep.examined), len(probes)
-        detected = kg.detect_interactive_objects(ep.obs, ep.state, spec, ep.examined)
-        assert len(probes) == before and ep.examined == memo  # observed on arrival
-        assert detected == kg.detect_interactive_objects(ep.obs, ep.state, spec)
-        del probes[before:]
-        ep.act(rng.choice(moves))
-    assert len(probes) == len(ep.examined) > 0
-    assert steps > len({d for d, _ in ep.examined}) > 1  # states were revisited
-
-
-def test_a_new_episode_starts_with_an_empty_examine_memo(microzork, monkeypatch):
-    first = trainer.Episode(microzork, microzork.vocabulary)
-    first.act("take key")
-    first.act("drop key")
-    probes = counted_examines(monkeypatch)
-    second = trainer.Episode(microzork, microzork.vocabulary)
-    assert second.examined is not first.examined
-    assert {d for d, _ in second.examined} == {engine.digest(second.state)}
-    assert sorted(probes) == sorted(f"examine {w}" for _, w in second.examined)
 
 
 def counted_updates(monkeypatch) -> tuple[list, Callable]:
@@ -1057,9 +1011,9 @@ def test_the_observation_memo_equals_a_fresh_belief_update(request, corpus, game
     """Along a seeded walk of valid actions and ``look``, an episode's
     graph, mask and mask RNG state equal, step by step, those of a
     reference that detects objects and updates the graph afresh at every
-    observation.  The walk repeats (state, observation, last action, graph)
-    keys, so the episode updated its graph once per distinct key, fewer
-    times than it observed."""
+    observation.  The walk repeats (state, observation, graph) keys, so the
+    episode updated its graph once per distinct key, fewer times than it
+    observed."""
     spec = request.getfixturevalue(game)
     space = build_action_space(spec.templates, spec.vocabulary,
                                FrequencyTable.from_lines(corpus))
@@ -1071,7 +1025,7 @@ def test_the_observation_memo_equals_a_fresh_belief_update(request, corpus, game
     while not ep.done and observations < 60:
         observations += 1
         state, obs, in_scope = ep.state, ep.obs, engine.in_scope_words(ep.state, spec)
-        graph = update_graph(graph, obs, ep.prev_action, state.room,
+        graph = update_graph(graph, obs, state.room,
                              kg.detect_interactive_objects(obs, state, spec), spec)
         mask = kg.graph_mask(graph, vocabulary, p_m, ref_rng, in_scope)
         assert (ep.graph, ep.mask) == (graph, mask)
@@ -1086,7 +1040,7 @@ def test_greedy_eval_updates_the_graph_once_per_distinct_observation(
 ):
     """An untrained greedy agent at seed 1000 plays ``south`` for all 1,000
     turns of microzork's cap, so its 1,000 observations hold 2 distinct
-    (state, observation, last action, graph) keys, and the episode runs
+    (state, observation, graph) keys, and the episode runs
     ``kg.update_graph`` once for each."""
     cfg = trainer.TrainConfig(seed=1000)
     pipe = trainer.build_pipeline(microzork, corpus, cfg)
@@ -1094,7 +1048,7 @@ def test_greedy_eval_updates_the_graph_once_per_distinct_observation(
     keys, observe = [], trainer.Episode._observe
 
     def keyed(ep):
-        keys.append((engine.digest(ep.state), ep.obs, ep.prev_action, ep.graph))
+        keys.append((engine.digest(ep.state), ep.obs, ep.graph))
         observe(ep)
 
     monkeypatch.setattr(trainer.Episode, "_observe", keyed)
@@ -1114,10 +1068,10 @@ def test_a_new_episode_starts_with_an_empty_observation_memo(microzork, monkeypa
     assert list(second.observed.values()) == [second.graph] and len(updates) == 1
 
 
-def observed_alone(spec, vocabulary, state, prev_action=engine.SENTINEL_PREV_ACTION):
+def observed_alone(spec, vocabulary, state):
     """The (observation, graph, mask) of ``state`` seen from an empty graph."""
     obs = engine.observation(state, spec)
-    graph = kg.update_graph(frozenset(), obs, prev_action, state.room,
+    graph = kg.update_graph(frozenset(), obs, state.room,
                             kg.detect_interactive_objects(obs, state, spec), spec)
     mask = kg.graph_mask(graph, vocabulary, 0.0, None, engine.in_scope_words(state, spec))
     return obs, graph, mask
@@ -1138,7 +1092,7 @@ def test_an_episode_started_at_a_state_observes_exactly_that_state(
         state, _, _, _ = engine.step(state, action, microzork)
     ep = trainer.Episode(microzork, vocabulary, state=state)
     assert ep.state is state and not ep.done
-    assert ep.prev_action == engine.SENTINEL_PREV_ACTION
+    assert ep.obs.a_prev == engine.SENTINEL_PREV_ACTION
     assert (ep.obs, ep.graph, ep.mask) == observed_alone(microzork, vocabulary, state)
     assert ep.obs == engine.observation(state, microzork)
     assert not ep.enc.any()
