@@ -34,7 +34,7 @@ import struct
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .templates import Template, TemplateError, parse_template
 
@@ -260,6 +260,20 @@ def digest(state: WorldState) -> str:
 
 _BOOL_KEYS = {"takeable", "openable", "lockable", "readable", "container", "open", "locked"}
 
+# The keys each section takes; each is given at most once per section,
+# except the entries of _REPEATABLE_KEYS, which list one item per line.
+_SECTION_KEYS = {
+    "meta": {"name", "start", "max-score", "valid-step-cap", "turn-cap"},
+    "room": {"id", "name", "desc"},
+    "exit": {"from", "dir", "to"},
+    "object": {"id", "name", "aliases", "loc", "key", "text", "desc"} | _BOOL_KEYS,
+    "template": {"pattern"},
+    "reward": {"id", "when", "points", "once"},
+    "victory": {"when"},
+    "vocab": {"words"},
+}
+_REPEATABLE_KEYS = {("template", "pattern"), ("victory", "when")}
+
 
 def _parse_bool(value: str, line: int) -> bool:
     v = value.strip().lower()
@@ -291,6 +305,8 @@ def load_game(text: str) -> GameSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
+            if name not in _SECTION_KEYS:
+                raise GameParseError(lineno, f"unknown section [{name}]")
             current = {}
             entries = []
             sections.append((name, lineno, current, entries))
@@ -302,6 +318,11 @@ def load_game(text: str) -> GameSpec:
         key, value = line.split(":", 1)
         key = key.strip().lower()
         value = value.strip()
+        if key not in _SECTION_KEYS[name]:
+            raise GameParseError(lineno, f"[{name}] takes no key {key!r}, expected one of "
+                                 f"{', '.join(sorted(_SECTION_KEYS[name]))}")
+        if key in current and (name, key) not in _REPEATABLE_KEYS:
+            raise GameParseError(lineno, f"[{name}]: {key!r} given twice")
         current[key] = value
         entries.append((key, value, lineno))
     if not sections:
@@ -315,6 +336,8 @@ def load_game(text: str) -> GameSpec:
     templates: list[Template] = []
     rewards: list[RewardRule] = []
     victory: list[tuple[str, ...]] = []
+    # (predicate, its section's table, section for errors, line of its when:)
+    predicates: list[tuple[tuple[str, ...], dict[str, Predicate], str, int]] = []
     declared_vocab: list[str] | None = None
 
     def need(kv: dict[str, str], key: str, lineno: int) -> str:
@@ -343,8 +366,9 @@ def load_game(text: str) -> GameSpec:
             if direction not in DIRECTIONS:
                 raise GameParseError(lines["dir"], f"dir: {direction!r} is not one of "
                                      f"{', '.join(DIRECTIONS)}")
-            dst = need(kv, "to", lineno)
-            exits[(src, direction)] = dst
+            if (src, direction) in exits:
+                raise GameParseError(lineno, f"duplicate exit {direction} from {src!r}")
+            exits[(src, direction)] = need(kv, "to", lineno)
         elif name == "object":
             oid = need(kv, "id", lineno)
             if oid in objects:
@@ -372,9 +396,7 @@ def load_game(text: str) -> GameSpec:
                 desc=kv.get("desc", ""),
             )
         elif name == "template":
-            for key, value, entry_line in entry_list:
-                if key != "pattern":
-                    raise GameParseError(entry_line, f"unknown template key {key!r}")
+            for _, value, entry_line in entry_list:
                 try:
                     templates.append(parse_template(value))
                 except TemplateError as exc:
@@ -384,6 +406,7 @@ def load_game(text: str) -> GameSpec:
             if any(r.id == rid for r in rewards):
                 raise GameParseError(lineno, f"duplicate reward id {rid!r}")
             trigger = tuple(need(kv, "when", lineno).lower().split())
+            predicates.append((trigger, REWARDS, f"[reward] {rid!r}", lines["when"]))
             rewards.append(
                 RewardRule(
                     id=rid,
@@ -393,18 +416,16 @@ def load_game(text: str) -> GameSpec:
                 )
             )
         elif name == "victory":
-            for key, value, entry_line in entry_list:
-                if key != "when":
-                    raise GameParseError(entry_line, f"unknown victory key {key!r}")
-                victory.append(tuple(value.lower().split()))
-        elif name == "vocab":
+            for _, value, entry_line in entry_list:
+                pred = tuple(value.lower().split())
+                victory.append(pred)
+                predicates.append((pred, VICTORY, "[victory]", entry_line))
+        else:  # vocab
             declared_vocab = [
                 w.strip().lower()
                 for w in kv.get("words", "").replace(",", " ").split()
                 if w.strip()
             ]
-        else:
-            raise GameParseError(lineno, f"unknown section [{name}]")
 
     if "start" not in meta:
         raise GameParseError(0, "missing [meta] start room")
@@ -432,10 +453,8 @@ def load_game(text: str) -> GameSpec:
             raise GameReferenceError(
                 f"object {obj.id!r} keyed by undeclared object {obj.key!r}"
             )
-    for rule in rewards:
-        _check_predicate(rule.trigger, REWARDS, rooms, objects, f"[reward] {rule.id!r}")
-    for pred in victory:
-        _check_predicate(pred, VICTORY, rooms, objects, "[victory]")
+    for pred, table, where, when_line in predicates:
+        _check_predicate(pred, table, rooms, objects, where, when_line)
 
     nouns: set[str] = set()
     adjectives: set[str] = set()
@@ -515,27 +534,28 @@ REWARDS: dict[str, Predicate] = {
 
 
 def _check_predicate(pred: tuple[str, ...], table: dict[str, Predicate], rooms,
-                     objects, where: str) -> None:
+                     objects, where: str, line: int) -> None:
+    """Refuse a ``when:`` predicate its section cannot test, by ``line``."""
     if not pred or pred[0] not in table:
         raise GameParseError(
-            0, f"{where}: unknown predicate {' '.join(pred)!r}, expected one "
+            line, f"{where}: unknown predicate {' '.join(pred)!r}, expected one "
             f"of {', '.join(table)}")
     kind, *args = pred
     arity = table[kind][0]
     if len(args) != arity:
-        raise GameParseError(0, f"{where}: predicate {kind!r} takes "
+        raise GameParseError(line, f"{where}: predicate {kind!r} takes "
                              f"{arity} argument(s)")
     if kind == "score":
         try:
             int(args[0])
         except ValueError:
             raise GameParseError(
-                0, f"{where}: score takes an integer, got {args[0]!r}") from None
+                line, f"{where}: score takes an integer, got {args[0]!r}") from None
         return
     ids = set(rooms) | set(objects)
     for a in args:
         if a not in ids:
-            raise GameReferenceError(f"{where}: unknown room/object {a!r}")
+            raise GameReferenceError(f"line {line}: {where}: unknown room/object {a!r}")
 
 
 def load_game_file(path) -> GameSpec:
@@ -768,55 +788,30 @@ def _match_template(template: Template, tokens: Sequence[str]) -> list[tuple[str
     """Try to match tokens against a template (any alias spelling).
 
     Returns the list of captured object word spans, or None when the template
-    does not match.  Spans between fixed parts are captured greedily; for the
-    two-blank shape every preposition split is tried, longest first span first.
+    does not match: the first match of a depth-first walk that tries longer
+    verb and preposition aliases first and, for an object blank, the longest
+    span first.  An object span of articles only is no span.
     """
-    joined = " ".join(tokens)
+    slots = template.slots
 
-    def phrase_matches(aliases: Iterable[str], words: Sequence[str]) -> list[int]:
-        """Lengths (token counts) of aliases matching a prefix of words."""
-        out = []
-        for alias in aliases:
-            parts = alias.split()
-            if list(words[: len(parts)]) == parts:
-                out.append(len(parts))
-        return sorted(set(out), reverse=True)
-
-    results: list[list[tuple[str, ...]]] = []
-
-    def walk(slot_idx: int, pos: int, captured: list[tuple[str, ...]]) -> None:
-        if results:
-            return
-        if slot_idx == len(template.slots):
+    def walk(slot_idx: int, pos: int) -> Iterator[list[tuple[str, ...]]]:
+        if slot_idx == len(slots):
             if pos == len(tokens):
-                results.append(captured)
-            return
-        slot = template.slots[slot_idx]
-        if slot == "V":
-            for length in phrase_matches(template.verbs, tokens[pos:]):
-                walk(slot_idx + 1, pos + length, captured)
-        elif slot == "P":
-            for length in phrase_matches(template.prepositions, tokens[pos:]):
-                walk(slot_idx + 1, pos + length, captured)
-        else:  # OBJ: try longest span first
-            rest = template.slots[slot_idx + 1 :]
-            if not rest:
-                span = _strip_articles(tokens[pos:])
-                if span:
-                    walk(slot_idx + 1, len(tokens), captured + [span])
-                return
+                yield []
+        elif slots[slot_idx] == "OBJ":
             for end in range(len(tokens), pos, -1):
                 span = _strip_articles(tokens[pos:end])
-                if not span:
-                    continue
-                walk(slot_idx + 1, end, captured + [span])
-                if results:
-                    return
+                if span:
+                    for rest in walk(slot_idx + 1, end):
+                        yield [span, *rest]
+        else:
+            phrases = template.verbs if slots[slot_idx] == "V" else template.prepositions
+            lengths = {len(words) for words in map(str.split, phrases)
+                       if list(tokens[pos:pos + len(words)]) == words}
+            for length in sorted(lengths, reverse=True):
+                yield from walk(slot_idx + 1, pos + length)
 
-    walk(0, 0, [])
-    if not results:
-        return None
-    return results[0]
+    return next(walk(0, 0), None)
 
 
 # A reading of a command: the verb meaning of one template that matches its
@@ -980,11 +975,11 @@ def _execute(
 
 
 def examinable(word: str, state: WorldState, spec: GameSpec) -> bool:
-    """True when ``examine <word>`` describes something at ``state``, read
-    from its scope as ``_execute`` resolves it: one object in scope answers
-    to ``word`` (two get "Which ...?"), or none does and it names the room."""
-    named = sum(word in obj.reference_words for obj in objects_in_scope(state, spec))
-    return named == 1 or (named == 0 and _resolve_room(word, state, spec))
+    """True when ``examine <word>`` describes something at ``state``: as
+    ``_execute`` resolves it, one object in scope answers to ``word`` (two
+    get "Which ...?"), or none does and it names the room."""
+    hit = _resolve_object(word, objects_in_scope(state, spec))
+    return isinstance(hit, ObjectDef) or (hit is None and _resolve_room(word, state, spec))
 
 
 def _resolve_room(text: str, state: WorldState, spec: GameSpec) -> bool:

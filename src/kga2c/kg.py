@@ -148,24 +148,16 @@ def _clause_triples(
             if ent:
                 out.append((room, "has", ent))
             continue
-        for i, w in enumerate(words):
-            if w in ("is", "are") and 0 < i < len(words) - 1:
+        # the first inner is/are/contains splits the clause
+        for i, w in enumerate(words[1:-1], start=1):
+            if w in ("is", "are", "contains"):
+                relation, rest = ("contains" if w == "contains" else "is"), words[i + 1:]
+                if relation == "is" and rest[0] in ("in", "on", "inside") and len(rest) > 1:
+                    relation, rest = rest[0], rest[1:]
                 subj = normalize_entity(" ".join(words[:i]), spec)
-                rest = words[i + 1 :]
-                if rest and rest[0] in ("in", "on", "inside") and len(rest) > 1:
-                    obj = normalize_entity(" ".join(rest[1:]), spec)
-                    if subj and obj and subj != obj:
-                        out.append((subj, rest[0], obj))
-                else:
-                    obj = normalize_entity(" ".join(rest), spec)
-                    if subj and obj and subj != obj:
-                        out.append((subj, "is", obj))
-                break
-            if w == "contains" and 0 < i < len(words) - 1:
-                subj = normalize_entity(" ".join(words[:i]), spec)
-                obj = normalize_entity(" ".join(words[i + 1 :]), spec)
+                obj = normalize_entity(" ".join(rest), spec)
                 if subj and obj and subj != obj:
-                    out.append((subj, "contains", obj))
+                    out.append((subj, relation, obj))
                 break
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from itertools import groupby
 from typing import Iterable, Sequence
 
 BOUNDARY = "▁"  # word-boundary marker, prefixed to every word
@@ -19,6 +20,8 @@ PAD, UNK, START = "<pad>", "<unk>", "<start>"
 SPECIALS = (PAD, UNK, START)
 MAX_PIECE_LEN = 8
 _FLOOR = 1e-6  # pseudo-count for specials and unused character pieces
+EM_ITERATIONS = 2  # EM rounds after seeding and after each pruning round
+PRUNE_FRACTION = 0.2  # share of the prunable pieces dropped per round
 
 
 class TokenizerError(ValueError):
@@ -201,12 +204,7 @@ def _viterbi(
     return best[0][0], out
 
 
-def train_unigram(
-    corpus_lines: Sequence[str],
-    target_size: int,
-    em_iterations: int = 2,
-    prune_fraction: float = 0.2,
-) -> SubwordModel:
+def train_unigram(corpus_lines: Sequence[str], target_size: int) -> SubwordModel:
     """Train a unigram piece inventory of exactly `target_size` pieces
     (fewer only if the corpus cannot seed that many candidates)."""
     word_freqs = _marked_word_freqs(corpus_lines)
@@ -235,7 +233,7 @@ def train_unigram(
 
     def em(counts: dict[str, float]) -> dict[str, float]:
         log_probs = _normalize(sanitize(counts))
-        for _ in range(em_iterations):
+        for _ in range(EM_ITERATIONS):
             expected: dict[str, float] = defaultdict(float)
             for word, freq in word_freqs.items():
                 word_counts, z = _forward_backward(word, log_probs)
@@ -256,7 +254,7 @@ def train_unigram(
         if not prunable:
             break
         overshoot = len(model_lp) + len(SPECIALS) - target_size
-        k = min(max(1, math.ceil(prune_fraction * len(prunable))), overshoot)
+        k = min(max(1, math.ceil(PRUNE_FRACTION * len(prunable))), overshoot)
 
         seg_cache: dict[str, tuple[float, list[str]]] = {}
         users: dict[str, list[str]] = defaultdict(list)
@@ -317,22 +315,11 @@ def _encode_word(model: SubwordModel, word: str) -> list[int]:
     # Split at unknown characters: known runs go through Viterbi, unknown
     # characters map to unk.
     out: list[int] = []
-    run = []
-    known = model.log_probs
-
-    def flush() -> None:
-        if run:
-            _, pieces = _viterbi("".join(run), known)
-            out.extend(model.ids[p] for p in pieces)
-            run.clear()
-
-    for ch in word:
-        if ch in known:
-            run.append(ch)
+    for known, run in groupby(word, model.log_probs.__contains__):
+        if known:
+            out.extend(model.ids[p] for p in _viterbi("".join(run), model.log_probs)[1])
         else:
-            flush()
-            out.append(model.unk_id)
-    flush()
+            out.extend(model.unk_id for _ in run)
     return out
 
 

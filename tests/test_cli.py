@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from kga2c import bundled_corpus_lines, cli, engine, numerics as nm, trainer
+from kga2c import bundled_corpus_lines, bundled_game_text, cli, engine, numerics as nm, trainer
 from kga2c.agent import KgA2CAgent
 
 
@@ -24,6 +24,15 @@ def test_malformed_valid_trace_exits_2(tmp_path, capsys):
     path.write_text("{}\n")
     assert cli.main(["inspect", "valid-trace", str(path)]) == 2
     assert "KeyError" in capsys.readouterr().err
+
+
+def test_a_game_file_with_a_misspelt_key_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "corridor.game"
+    path.write_text(bundled_game_text("corridor").replace(
+        "start: gate", "start: gate\nturn_cap: 50"), encoding="utf-8")
+    assert cli.main(["play", "--game", str(path)]) == 2
+    line = path.read_text(encoding="utf-8").splitlines().index("turn_cap: 50") + 1
+    assert f"error: line {line}: [meta] takes no key 'turn_cap'" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_1(capsys):

@@ -134,11 +134,62 @@ class TestLoadGame:
     def test_predicate_that_cannot_hold_in_its_section_rejected(self, old, new, section):
         """A reward fires on a transition and victory tests a state, so a
         state predicate as a reward never fires, a transition as victory
-        never holds, and score needs an integer."""
+        never holds, and score needs an integer.  The error names the line
+        of the ``when:`` entry."""
         text = bundled_game_text("corridor")
         assert text.count(old) == 1
-        with pytest.raises(GameParseError, match=re.escape(section)):
+        line = text[:text.index(old)].count("\n") + 1
+        with pytest.raises(GameParseError, match=re.escape(section)) as err:
             load_game(text.replace(old, new))
+        assert err.value.line == line
+
+    def test_a_predicate_over_an_unknown_id_names_its_line(self):
+        text = bundled_game_text("corridor").replace("when: at sanctum", "when: at attic")
+        with pytest.raises(GameReferenceError, match="attic") as err:
+            load_game(text)
+        assert f"line {text.splitlines().index('when: at attic') + 1}:" in str(err.value)
+
+    @pytest.mark.parametrize("old, new", [
+        ("start: cell", "start: cell\nturn_cap: 50"),
+        ("name: Hall", "nmae: Hall"),
+        ("takeable: yes", "takeable: yes\nweight: 3"),
+        ("pattern: north", "pattern: north\nverb: north"),
+    ], ids=["meta", "room", "object", "template"])
+    def test_a_key_its_section_does_not_take_is_refused_by_its_line(self, old, new):
+        """A misspelt key is refused, not ignored: ``turn_cap`` would leave
+        the turn cap at its default, and a room without ``name`` would be
+        refused only for the missing key."""
+        text = TINY_GAME.replace(old, new, 1)
+        bad = new.splitlines()[-1]
+        with pytest.raises(GameParseError, match=re.escape(repr(bad.split(":")[0]))) as err:
+            load_game(text)
+        assert err.value.line == text.splitlines().index(bad) + 1
+
+    @pytest.mark.parametrize("old, new", [
+        ("name: Hall", "name: Hall\nname: Attic"),
+        ("start: cell", "start: cell\nstart: hall"),
+        ("takeable: yes", "takeable: yes\ntakeable: no"),
+    ], ids=["room-name", "meta-start", "object-flag"])
+    def test_a_key_given_twice_in_a_section_is_refused_by_its_line(self, old, new):
+        text = TINY_GAME.replace(old, new, 1)
+        bad = new.splitlines()[-1]
+        with pytest.raises(GameParseError, match="given twice") as err:
+            load_game(text)
+        assert err.value.line == text.splitlines().index(bad) + 1
+
+    def test_patterns_and_victory_conditions_may_repeat_in_a_section(self):
+        spec = load_game(TINY_GAME.replace("pattern: north", "pattern: north\npattern: wait")
+                         + "\n[victory]\nwhen: at hall\nwhen: has pebble\n")
+        assert [t.pattern for t in spec.templates][:2] == ["north", "wait"]
+        assert spec.victory == (("at", "hall"), ("has", "pebble"))
+
+    def test_a_second_exit_from_a_room_in_one_direction_is_refused(self):
+        text = TINY_GAME.replace("[object]", "[exit]\nfrom: cell\ndir: north\nto: cell\n\n"
+                                 "[object]", 1)
+        with pytest.raises(GameParseError, match="duplicate exit") as err:
+            load_game(text)
+        headers = [i for i, line in enumerate(text.splitlines(), start=1) if line == "[exit]"]
+        assert err.value.line == headers[1]
 
     def test_incomplete_declared_vocabulary(self):
         bad = TINY_GAME + "\n[vocab]\nwords: north, take\n"
@@ -277,6 +328,74 @@ class TestStep:
         state, _ = reset(microzork)
         after, _, _, _ = step(state, "go north", microzork)
         assert after.room == "path"
+
+
+PARSE_GAME = TINY_GAME + """
+[object]
+id: box
+name: box
+loc: cell
+
+[template]
+pattern: [pick/pick up] OBJ
+
+[template]
+pattern: put OBJ down
+
+[template]
+pattern: [put] OBJ [in] OBJ
+
+[template]
+pattern: [open] OBJ [with] OBJ
+
+[template]
+pattern: [open] OBJ
+"""
+
+
+class TestParse:
+    """The readings ``engine.parse`` gives, first reading first: the one
+    ``_execute`` tries before any other."""
+
+    @pytest.mark.parametrize("command, first", [
+        # the longer of two verb aliases is tried first
+        ("pick up pebble", (None, ("pebble",))),
+        ("pick pebble", (None, ("pebble",))),
+        # the first object span is greedy: it ends at the last preposition
+        ("put pebble in box in box", ("put", ("pebble in box", "box"))),
+        ("put the pebble in the box", ("put", ("pebble", "box"))),
+        # a span of articles only is no span
+        ("take the", None),
+        ("put the in box", None),
+        ("put pebble in a", None),
+        # a trailing preposition ends the span before it
+        ("put pebble down", ("put", ("pebble",))),
+        ("put the box down", ("put", ("box",))),
+        # the template with more slots is read first
+        ("put the pebble in box down", ("put", ("pebble", "box down"))),
+        ("open box with pebble", ("open", ("box", "pebble"))),
+        ("open box", ("open", ("box",))),
+        # "go <direction>" reads as the bare direction; any other "go" does not
+        ("go north", ("north", ())),
+        ("north", ("north", ())),
+        ("go pebble", None),
+        ("go", None),
+        # builtins read in every game; extra words fail a zero-blank template
+        ("examine the pebble", ("examine", ("pebble",))),
+        ("look", ("look", ())),
+        ("look pebble", None),
+        ("", None),
+        ("frobnicate pebble", None),
+    ])
+    def test_first_reading(self, command, first):
+        spec = load_game(PARSE_GAME)
+        readings = engine.parse(tuple(command.split()), spec)
+        assert (readings[0] if readings else None) == first
+
+    def test_a_two_blank_reading_comes_before_its_one_blank_fallback(self):
+        spec = load_game(PARSE_GAME)
+        assert engine.parse(("open", "box", "with", "pebble"), spec) == (
+            ("open", ("box", "pebble")), ("open", ("box with pebble",)))
 
 
 class TestRendering:
