@@ -3,7 +3,8 @@
 Exposes the full environment loop (load/reset/step), pure side-effect-free
 renderers for the look and inventory handicaps, snapshot/restore, and a
 canonical state digest used for world-change detection.  All parser failures
-are in-fiction text responses; step never raises on player input.
+are in-fiction text responses; step never raises on player input.  The
+``.game`` format ``load_game`` reads is documented beside ``GAME_FORMAT``.
 
 What is fixed per game is built once, on first use, as cached properties of
 the definition: the parser's first-word index and word set
@@ -32,11 +33,11 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .templates import Template, TemplateError, parse_template
+from .templates import Template, parse_template
 
 SENTINEL_PREV_ACTION = "<start>"
 INVENTORY = "#inventory"
@@ -178,9 +179,8 @@ class GameSpec:
         tokens afterwards gives the order that sorting the matches would."""
         index: dict[str, list[tuple[Template, str | None]]] = {}
         for template in self.templates + _BUILTINS:
-            for alias in template.verbs:
-                index.setdefault(alias.split()[0], []).append(
-                    (template, _verb_meaning(template)))
+            for first in dict.fromkeys(alias.split()[0] for alias in template.verbs):
+                index.setdefault(first, []).append((template, _verb_meaning(template)))
         return {first: tuple(sorted(entries, key=lambda e: len(e[0].slots), reverse=True))
                 for first, entries in index.items()}
 
@@ -256,255 +256,7 @@ def digest(state: WorldState) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Game file loading
-
-_BOOL_KEYS = {"takeable", "openable", "lockable", "readable", "container", "open", "locked"}
-
-# The keys each section takes; each is given at most once per section,
-# except the entries of _REPEATABLE_KEYS, which list one item per line.
-_SECTION_KEYS = {
-    "meta": {"name", "start", "max-score", "valid-step-cap", "turn-cap"},
-    "room": {"id", "name", "desc"},
-    "exit": {"from", "dir", "to"},
-    "object": {"id", "name", "aliases", "loc", "key", "text", "desc"} | _BOOL_KEYS,
-    "template": {"pattern"},
-    "reward": {"id", "when", "points", "once"},
-    "victory": {"when"},
-    "vocab": {"words"},
-}
-_REPEATABLE_KEYS = {("template", "pattern"), ("victory", "when")}
-
-
-def _parse_bool(value: str, line: int) -> bool:
-    v = value.strip().lower()
-    if v in ("yes", "true", "1"):
-        return True
-    if v in ("no", "false", "0"):
-        return False
-    raise GameParseError(line, f"expected yes/no, got {value!r}")
-
-
-def _parse_int(value: str, key: str, line: int, minimum: int | None = None) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise GameParseError(line, f"{key}: expected an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise GameParseError(line, f"{key}: must be at least {minimum}, got {number}")
-    return number
-
-
-def load_game(text: str) -> GameSpec:
-    """Parse and validate a game-definition document."""
-    sections: list[tuple[str, int, dict[str, str], list[tuple[str, str, int]]]] = []
-    current: dict[str, str] | None = None
-    entries: list[tuple[str, str, int]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SECTION_KEYS:
-                raise GameParseError(lineno, f"unknown section [{name}]")
-            current = {}
-            entries = []
-            sections.append((name, lineno, current, entries))
-            continue
-        if current is None:
-            raise GameParseError(lineno, f"content before any section: {line.strip()!r}")
-        if ":" not in line:
-            raise GameParseError(lineno, f"expected 'key: value', got {line.strip()!r}")
-        key, value = line.split(":", 1)
-        key = key.strip().lower()
-        value = value.strip()
-        if key not in _SECTION_KEYS[name]:
-            raise GameParseError(lineno, f"[{name}] takes no key {key!r}, expected one of "
-                                 f"{', '.join(sorted(_SECTION_KEYS[name]))}")
-        if key in current and (name, key) not in _REPEATABLE_KEYS:
-            raise GameParseError(lineno, f"[{name}]: {key!r} given twice")
-        current[key] = value
-        entries.append((key, value, lineno))
-    if not sections:
-        raise GameParseError(0, "empty game definition")
-
-    meta: dict[str, str] = {}
-    meta_lines: dict[str, int] = {}
-    rooms: dict[str, RoomDef] = {}
-    exits: dict[tuple[str, str], str] = {}
-    objects: dict[str, ObjectDef] = {}
-    templates: list[Template] = []
-    rewards: list[RewardRule] = []
-    victory: list[tuple[str, ...]] = []
-    # (predicate, its section's table, section for errors, line of its when:)
-    predicates: list[tuple[tuple[str, ...], dict[str, Predicate], str, int]] = []
-    declared_vocab: list[str] | None = None
-
-    def need(kv: dict[str, str], key: str, lineno: int) -> str:
-        if key not in kv:
-            raise GameParseError(lineno, f"missing required key {key!r}")
-        return kv[key]
-
-    def meta_int(key: str, default: int, minimum: int | None = None) -> int:
-        return _parse_int(meta.get(key, str(default)), key, meta_lines.get(key, 0), minimum)
-
-    for name, lineno, kv, entry_list in sections:
-        lines = {key: entry_line for key, _, entry_line in entry_list}
-        if name == "meta":
-            meta.update(kv)
-            meta_lines.update(lines)
-        elif name == "room":
-            rid = need(kv, "id", lineno)
-            if rid in rooms:
-                raise GameParseError(lineno, f"duplicate room id {rid!r}")
-            rooms[rid] = RoomDef(
-                id=rid, name=need(kv, "name", lineno), desc=need(kv, "desc", lineno)
-            )
-        elif name == "exit":
-            src = need(kv, "from", lineno)
-            direction = need(kv, "dir", lineno).lower()
-            if direction not in DIRECTIONS:
-                raise GameParseError(lines["dir"], f"dir: {direction!r} is not one of "
-                                     f"{', '.join(DIRECTIONS)}")
-            if (src, direction) in exits:
-                raise GameParseError(lineno, f"duplicate exit {direction} from {src!r}")
-            exits[(src, direction)] = need(kv, "to", lineno)
-        elif name == "object":
-            oid = need(kv, "id", lineno)
-            if oid in objects:
-                raise GameParseError(lineno, f"duplicate object id {oid!r}")
-            aliases = tuple(
-                a.strip().lower() for a in kv.get("aliases", "").split(",") if a.strip()
-            )
-            bools = {
-                k: _parse_bool(kv[k], lineno) for k in _BOOL_KEYS if k in kv
-            }
-            objects[oid] = ObjectDef(
-                id=oid,
-                name=need(kv, "name", lineno).lower(),
-                aliases=aliases,
-                location=need(kv, "loc", lineno),
-                takeable=bools.get("takeable", False),
-                openable=bools.get("openable", False),
-                lockable=bools.get("lockable", False),
-                readable=bools.get("readable", False),
-                container=bools.get("container", False) or bools.get("openable", False),
-                is_open=bools.get("open", False),
-                locked=bools.get("locked", False),
-                key=kv.get("key"),
-                text=kv.get("text", ""),
-                desc=kv.get("desc", ""),
-            )
-        elif name == "template":
-            for _, value, entry_line in entry_list:
-                try:
-                    templates.append(parse_template(value))
-                except TemplateError as exc:
-                    raise GameParseError(entry_line, str(exc)) from exc
-        elif name == "reward":
-            rid = need(kv, "id", lineno)
-            if any(r.id == rid for r in rewards):
-                raise GameParseError(lineno, f"duplicate reward id {rid!r}")
-            trigger = tuple(need(kv, "when", lineno).lower().split())
-            predicates.append((trigger, REWARDS, f"[reward] {rid!r}", lines["when"]))
-            rewards.append(
-                RewardRule(
-                    id=rid,
-                    points=_parse_int(need(kv, "points", lineno), "points", lines["points"]),
-                    once=_parse_bool(kv.get("once", "yes"), lineno),
-                    trigger=trigger,
-                )
-            )
-        elif name == "victory":
-            for _, value, entry_line in entry_list:
-                pred = tuple(value.lower().split())
-                victory.append(pred)
-                predicates.append((pred, VICTORY, "[victory]", entry_line))
-        else:  # vocab
-            declared_vocab = [
-                w.strip().lower()
-                for w in kv.get("words", "").replace(",", " ").split()
-                if w.strip()
-            ]
-
-    if "start" not in meta:
-        raise GameParseError(0, "missing [meta] start room")
-    start = meta["start"]
-    if start not in rooms:
-        raise GameReferenceError(f"start room {start!r} is not declared")
-    for (src, direction), dst in exits.items():
-        if src not in rooms:
-            raise GameReferenceError(f"exit from undeclared room {src!r}")
-        if dst not in rooms:
-            raise GameReferenceError(f"exit to undeclared room {dst!r}")
-    for obj in objects.values():
-        loc = obj.location
-        if loc.startswith("in "):
-            target = loc[3:].strip()
-            if target not in objects:
-                raise GameReferenceError(
-                    f"object {obj.id!r} placed in undeclared container {target!r}"
-                )
-        elif loc != INVENTORY and loc != "inventory" and loc not in rooms:
-            raise GameReferenceError(
-                f"object {obj.id!r} placed in undeclared room {loc!r}"
-            )
-        if obj.key is not None and obj.key not in objects:
-            raise GameReferenceError(
-                f"object {obj.id!r} keyed by undeclared object {obj.key!r}"
-            )
-    for pred, table, where, when_line in predicates:
-        _check_predicate(pred, table, rooms, objects, where, when_line)
-
-    nouns: set[str] = set()
-    adjectives: set[str] = set()
-    for room in rooms.values():
-        nouns.update(room.words)
-    for obj in objects.values():
-        for alias in (obj.name,) + obj.aliases:
-            words = alias.split()
-            if words:
-                nouns.add(words[-1])
-                adjectives.update(words[:-1])
-            if len(words) == 1:
-                nouns.add(words[0])
-    adjectives -= nouns
-
-    required: set[str] = set()
-    for t in templates:
-        required.update(t.words())
-    for obj in objects.values():
-        for alias in (obj.name,) + obj.aliases:
-            required.update(alias.split())
-    required.update(w for room in rooms.values() for w in room.words)
-
-    if declared_vocab is not None:
-        missing = required - set(declared_vocab)
-        if missing:
-            raise VocabularyError(
-                f"declared vocabulary is missing words: {sorted(missing)}"
-            )
-        vocabulary = tuple(sorted(set(declared_vocab)))
-    else:
-        vocabulary = tuple(sorted(required))
-
-    return GameSpec(
-        name=meta.get("name", "game"),
-        start=start,
-        max_score=meta_int("max-score", 0),
-        rooms=rooms,
-        exits=exits,
-        objects=objects,
-        templates=tuple(templates),
-        rewards=tuple(rewards),
-        victory=tuple(victory),
-        vocabulary=vocabulary,
-        nouns=frozenset(nouns),
-        adjectives=frozenset(adjectives),
-        valid_step_cap=meta_int("valid-step-cap", 100, minimum=1),
-        turn_cap=meta_int("turn-cap", 1000, minimum=1),
-    )
-
+# Predicates
 
 # Each predicate kind a section accepts -> (arity, test(state, *args)).  A
 # victory conjunction holds while all its tests hold; a reward fires on the
@@ -533,34 +285,254 @@ REWARDS: dict[str, Predicate] = {
 }
 
 
-def _check_predicate(pred: tuple[str, ...], table: dict[str, Predicate], rooms,
-                     objects, where: str, line: int) -> None:
-    """Refuse a ``when:`` predicate its section cannot test, by ``line``."""
+# ---------------------------------------------------------------------------
+# Game file loading
+#
+# The .game format.  A document is a list of sections, each a header line
+# ``[name]`` followed by ``key: value`` lines; ``#`` starts a comment, blank
+# lines are skipped, and names and keys are read in any case.  For each
+# section ``GAME_FORMAT`` gives every key it takes with the reader of its
+# value, the keys it requires, those it may repeat (one item per line; any
+# other is given at most once), the defaults of the rest, and whether it may
+# appear only once per document.  Each reader's docstring names its kind of
+# value; ``str`` reads text as written and ``str.lower`` lowercases it, and
+# the lambdas read lowercased lists: [object] aliases are phrases separated by
+# commas, [vocab] words are separated by commas or spaces.  A document needs a
+# [meta] start; ids, and exits' rooms and directions, may not repeat.
+
+
+def _integer(value: str, minimum: int | None = None) -> int:
+    """A whole number, at least ``minimum`` when one is given."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"must be at least {minimum}, got {number}")
+    return number
+
+
+def _flag(value: str) -> bool:
+    """A yes/no flag: yes, true or 1; no, false or 0; in any case."""
+    if value.lower() not in ("yes", "true", "1", "no", "false", "0"):
+        raise ValueError(f"expected yes/no, got {value!r}")
+    return value.lower() in ("yes", "true", "1")
+
+
+def _direction(value: str) -> str:
+    """One of ``DIRECTIONS``, in any case."""
+    if value.lower() not in DIRECTIONS:
+        raise ValueError(f"{value.lower()!r} is not one of {', '.join(DIRECTIONS)}")
+    return value.lower()
+
+
+def _place(value: str) -> str:
+    """A room id, ``inventory`` (read as ``INVENTORY``) or ``in <object id>``."""
+    if value == "inventory":
+        return INVENTORY
+    return "in " + value[3:].strip() if value.startswith("in ") else value
+
+
+def _when(value: str, table: dict[str, Predicate]) -> tuple[str, ...]:
+    """A predicate ``kind arg...`` of ``table`` with its arity, whose ids
+    ``load_game`` checks once every room and object is declared."""
+    pred = tuple(value.lower().split())
     if not pred or pred[0] not in table:
-        raise GameParseError(
-            line, f"{where}: unknown predicate {' '.join(pred)!r}, expected one "
-            f"of {', '.join(table)}")
+        raise ValueError(f"unknown predicate {' '.join(pred)!r}, expected one of "
+                         f"{', '.join(table)}")
     kind, *args = pred
-    arity = table[kind][0]
-    if len(args) != arity:
-        raise GameParseError(line, f"{where}: predicate {kind!r} takes "
-                             f"{arity} argument(s)")
+    if len(args) != table[kind][0]:
+        raise ValueError(f"predicate {kind!r} takes {table[kind][0]} argument(s)")
     if kind == "score":
+        _integer(args[0])
+    return pred
+
+
+@dataclass(frozen=True)
+class SectionFormat:
+    """What one section of a .game document takes (see the comment above)."""
+    readers: dict[str, Callable[[str], object]]
+    required: tuple[str, ...] = ()
+    repeatable: tuple[str, ...] = ()
+    defaults: dict[str, object] = field(default_factory=dict)
+    once: bool = False
+
+
+_OBJECT_FLAGS = ("takeable", "openable", "lockable", "readable", "container", "open", "locked")
+
+GAME_FORMAT: dict[str, SectionFormat] = {
+    "meta": SectionFormat(
+        {"name": str, "start": str, "max-score": _integer,
+         **dict.fromkeys(("valid-step-cap", "turn-cap"), partial(_integer, minimum=1))},
+        defaults={"name": "game", "start": None, "max-score": 0,
+                  "valid-step-cap": 100, "turn-cap": 1000},
+        once=True),
+    "room": SectionFormat({"id": str, "name": str, "desc": str},
+                          required=("id", "name", "desc")),
+    "exit": SectionFormat({"from": str, "dir": _direction, "to": str},
+                          required=("from", "dir", "to")),
+    "object": SectionFormat(
+        {"id": str, "name": str.lower, "loc": _place, "key": str, "text": str, "desc": str,
+         "aliases": lambda v: tuple(a.strip().lower() for a in v.split(",") if a.strip()),
+         **dict.fromkeys(_OBJECT_FLAGS, _flag)},
+        required=("id", "name", "loc"),
+        defaults={"aliases": (), "key": None, "text": "", "desc": "",
+                  **dict.fromkeys(_OBJECT_FLAGS, False)}),
+    "template": SectionFormat({"pattern": parse_template}, repeatable=("pattern",)),
+    "reward": SectionFormat(
+        {"id": str, "when": partial(_when, table=REWARDS), "points": _integer, "once": _flag},
+        required=("id", "when", "points"), defaults={"once": True}),
+    "victory": SectionFormat({"when": partial(_when, table=VICTORY)}, repeatable=("when",)),
+    "vocab": SectionFormat({"words": lambda v: tuple(v.replace(",", " ").lower().split())},
+                           defaults={"words": ()}, once=True),
+}
+
+
+def _read_sections(text: str) -> list[tuple[str, int, list[tuple[str, object, int]]]]:
+    """Each section of a .game document as (name, header line, entries), an
+    entry being (key, the value as its reader gave it, line)."""
+    sections: list[tuple[str, int, list[tuple[str, object, int]]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in GAME_FORMAT:
+                raise GameParseError(lineno, f"unknown section [{name}]")
+            if GAME_FORMAT[name].once and any(s[0] == name for s in sections):
+                raise GameParseError(lineno, f"a second [{name}] section; it may "
+                                     "appear once")
+            sections.append((name, lineno, []))
+            continue
+        if not sections:
+            raise GameParseError(lineno, f"content before any section: {line.strip()!r}")
+        if ":" not in line:
+            raise GameParseError(lineno, f"expected 'key: value', got {line.strip()!r}")
+        name, _, entries = sections[-1]
+        form = GAME_FORMAT[name]
+        key, value = line.split(":", 1)
+        key = key.strip().lower()
+        if key not in form.readers:
+            raise GameParseError(lineno, f"[{name}] takes no key {key!r}, expected one of "
+                                 f"{', '.join(sorted(form.readers))}")
+        if key not in form.repeatable and any(k == key for k, _, _ in entries):
+            raise GameParseError(lineno, f"[{name}]: {key!r} given twice")
         try:
-            int(args[0])
-        except ValueError:
-            raise GameParseError(
-                line, f"{where}: score takes an integer, got {args[0]!r}") from None
-        return
-    ids = set(rooms) | set(objects)
-    for a in args:
-        if a not in ids:
-            raise GameReferenceError(f"line {line}: {where}: unknown room/object {a!r}")
+            entries.append((key, form.readers[key](value.strip()), lineno))
+        except ValueError as exc:
+            raise GameParseError(lineno, f"[{name}] {key}: {exc}") from exc
+    if not sections:
+        raise GameParseError(0, "empty game definition")
+    return sections
+
+
+def load_game(text: str) -> GameSpec:
+    """Parse and validate a game-definition document (see ``GAME_FORMAT``)."""
+    sections = _read_sections(text)
+    meta = GAME_FORMAT["meta"].defaults
+    rooms: dict[str, RoomDef] = {}
+    exits: dict[tuple[str, str], str] = {}
+    objects: dict[str, ObjectDef] = {}
+    templates: list[Template] = []
+    rewards: dict[str, RewardRule] = {}
+    victory: list[tuple[str, ...]] = []
+    vocab: tuple[str, ...] | None = None
+    for name, header, entries in sections:
+        form = GAME_FORMAT[name]
+        kv = {**form.defaults, **{key: value for key, value, _ in entries}}
+        for key in form.required:
+            if key not in kv:
+                raise GameParseError(header, f"missing required key {key!r}")
+        declared = {"room": rooms, "object": objects, "reward": rewards}.get(name, ())
+        if "id" in kv and kv["id"] in declared:
+            raise GameParseError(header, f"duplicate {name} id {kv['id']!r}")
+        if name == "meta":
+            meta = kv
+        elif name == "room":
+            rooms[kv["id"]] = RoomDef(id=kv["id"], name=kv["name"], desc=kv["desc"])
+        elif name == "exit":
+            if (kv["from"], kv["dir"]) in exits:
+                raise GameParseError(header, f"duplicate exit {kv['dir']} from {kv['from']!r}")
+            exits[(kv["from"], kv["dir"])] = kv["to"]
+        elif name == "object":
+            objects[kv["id"]] = ObjectDef(
+                id=kv["id"], name=kv["name"], aliases=kv["aliases"], location=kv["loc"],
+                takeable=kv["takeable"], openable=kv["openable"], lockable=kv["lockable"],
+                readable=kv["readable"], container=kv["container"] or kv["openable"],
+                is_open=kv["open"], locked=kv["locked"], key=kv["key"], text=kv["text"],
+                desc=kv["desc"])
+        elif name == "template":
+            templates.extend(value for _, value, _ in entries)
+        elif name == "reward":
+            rewards[kv["id"]] = RewardRule(id=kv["id"], points=kv["points"], once=kv["once"],
+                                           trigger=kv["when"])
+        elif name == "victory":
+            victory.extend(value for _, value, _ in entries)
+        else:  # vocab
+            vocab = kv["words"]
+
+    if meta["start"] is None:
+        raise GameParseError(0, "missing [meta] start room")
+    if meta["start"] not in rooms:
+        raise GameReferenceError(f"start room {meta['start']!r} is not declared")
+    for (src, _), dst in exits.items():
+        if src not in rooms:
+            raise GameReferenceError(f"exit from undeclared room {src!r}")
+        if dst not in rooms:
+            raise GameReferenceError(f"exit to undeclared room {dst!r}")
+    places = {INVENTORY, *rooms, *(f"in {oid}" for oid in objects)}
+    for obj in objects.values():
+        if obj.location not in places:
+            raise GameReferenceError(f"object {obj.id!r} placed in undeclared room or "
+                                     f"container {obj.location!r}")
+        if obj.key is not None and obj.key not in objects:
+            raise GameReferenceError(f"object {obj.id!r} keyed by undeclared object "
+                                     f"{obj.key!r}")
+    for name, _, entries in sections:
+        for key, pred, line in entries:
+            for arg in pred[1:] if key == "when" and pred[0] != "score" else ():
+                if arg not in rooms and arg not in objects:
+                    raise GameReferenceError(
+                        f"line {line}: [{name}] when: unknown room/object {arg!r}")
+
+    # A noun is the last word of a name or alias, or any word of a room; an
+    # adjective is another word of a name or alias that is no noun.
+    nouns = set().union(*(room.words for room in rooms.values()))
+    adjectives: set[str] = set()
+    required = nouns | {word for t in templates for word in t.words()}
+    for obj in objects.values():
+        for alias in (obj.name, *obj.aliases):
+            words = alias.split()
+            required.update(words)
+            nouns.update(words[-1:])
+            adjectives.update(words[:-1])
+    if vocab is not None and not required <= set(vocab):
+        raise VocabularyError(
+            f"declared vocabulary is missing words: {sorted(required - set(vocab))}")
+
+    return GameSpec(
+        name=meta["name"],
+        start=meta["start"],
+        max_score=meta["max-score"],
+        rooms=rooms,
+        exits=exits,
+        objects=objects,
+        templates=tuple(templates),
+        rewards=tuple(rewards.values()),
+        victory=tuple(victory),
+        vocabulary=tuple(sorted(required if vocab is None else set(vocab))),
+        nouns=frozenset(nouns),
+        adjectives=frozenset(adjectives - nouns),
+        valid_step_cap=meta["valid-step-cap"],
+        turn_cap=meta["turn-cap"],
+    )
 
 
 def load_game_file(path) -> GameSpec:
     with open(path, encoding="utf-8") as fh:
         return load_game(fh.read())
+
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +541,7 @@ def load_game_file(path) -> GameSpec:
 
 def reset(spec: GameSpec) -> tuple[WorldState, Observation]:
     """The game's one initial state and its observation."""
-    locations = {o.id: _normalize_loc(o.location) for o in spec.objects.values()}
+    locations = {o.id: o.location for o in spec.objects.values()}
     flags = [f"visited:{spec.start}"]
     for o in spec.objects.values():
         if o.is_open:
@@ -593,14 +565,6 @@ def observation(state: WorldState, spec: GameSpec, o_game: str | None = None,
         a_prev=a_prev,
         score=state.score,
     )
-
-
-def _normalize_loc(loc: str) -> str:
-    if loc == "inventory" or loc == INVENTORY:
-        return INVENTORY
-    if loc.startswith("in "):
-        return "in " + loc[3:].strip()
-    return loc
 
 
 def objects_in_scope(state: WorldState, spec: GameSpec) -> tuple[ObjectDef, ...]:

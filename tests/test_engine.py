@@ -109,11 +109,15 @@ class TestLoadGame:
         ("pattern: north", "pattern: north\n\n[reward]\nid: r\nwhen: take pebble\n"
                            "points: ten"),
         ("dir: north", "dir: sideways"),
+        ("takeable: yes", "takeable: maybe"),
+        ("pattern: north", "pattern: north\n\n[reward]\nid: r\nwhen: take pebble\n"
+                           "points: 1\nonce: often"),
     ], ids=["max-score", "valid-step-cap", "turn-cap", "zero-valid-step-cap",
-            "negative-turn-cap", "points", "exit-direction"])
+            "negative-turn-cap", "points", "exit-direction", "object-flag", "reward-once"])
     def test_a_malformed_value_is_refused_by_its_line(self, old, new):
-        """A number that is not an integer, a cap below 1, or an exit in no
-        direction a command can name is refused with the line and key."""
+        """A number that is not an integer, a cap below 1, an exit in no
+        direction a command can name, or a flag that is neither yes nor no is
+        refused with the line and key."""
         text = TINY_GAME.replace(old, new, 1)
         bad = new.splitlines()[-1]
         key = bad.split(":")[0]
@@ -177,6 +181,18 @@ class TestLoadGame:
             load_game(text)
         assert err.value.line == text.splitlines().index(bad) + 1
 
+    @pytest.mark.parametrize("header, text", [
+        ("[meta]", TINY_GAME + "\n[meta]\nstart: hall\nturn-cap: 5\n"),
+        ("[vocab]", TINY_GAME + 2 * "\n[vocab]\nwords: cell drop get hall north pebble take\n"),
+    ], ids=["meta", "vocab"])
+    def test_a_second_meta_or_vocab_section_is_refused_by_its_header(self, header, text):
+        """A second [meta] would silently override the first one's keys, and
+        a second [vocab] would replace the first one's words."""
+        headers = [i for i, line in enumerate(text.splitlines(), start=1) if line == header]
+        with pytest.raises(GameParseError, match=re.escape(header)) as err:
+            load_game(text)
+        assert err.value.line == headers[1]
+
     def test_patterns_and_victory_conditions_may_repeat_in_a_section(self):
         spec = load_game(TINY_GAME.replace("pattern: north", "pattern: north\npattern: wait")
                          + "\n[victory]\nwhen: at hall\nwhen: has pebble\n")
@@ -195,6 +211,27 @@ class TestLoadGame:
         bad = TINY_GAME + "\n[vocab]\nwords: north, take\n"
         with pytest.raises(VocabularyError):
             load_game(bad)
+
+    def test_lexicon_follows_its_rule(self, microzork):
+        """Nouns are the last word of each object name and alias, every
+        single-word alias and every room word (the words of its id and its
+        name); adjectives are the other name and alias words that are not
+        nouns.  The vocabulary is the template, alias and room words, or the
+        [vocab] words when the game declares them."""
+        phrases = [p for obj in microzork.objects.values() for p in (obj.name, *obj.aliases)]
+        alias_words = {w for p in phrases for w in p.split()}
+        room_words = {w for room in microzork.rooms.values()
+                      for w in room.id.lower().split("-") + room.name.lower().split()}
+        nouns = {p.split()[-1] for p in phrases} | {p for p in phrases if " " not in p}
+        nouns |= room_words
+        assert microzork.nouns == nouns
+        assert microzork.adjectives == alias_words - nouns
+        template_words = {w for t in microzork.templates for w in t.words()}
+        assert "[vocab]" not in bundled_game_text("microzork")
+        assert microzork.vocabulary == tuple(sorted(template_words | alias_words | room_words))
+        declared = [*microzork.vocabulary, "zebra"]
+        text = f"{bundled_game_text('microzork')}\n[vocab]\nwords: {' '.join(declared)}\n"
+        assert load_game(text).vocabulary == tuple(sorted(declared))
 
     def test_vocabulary_covers_templates_and_objects(self, microzork):
         vocab = set(microzork.vocabulary)
@@ -391,6 +428,10 @@ class TestParse:
         spec = load_game(PARSE_GAME)
         readings = engine.parse(tuple(command.split()), spec)
         assert (readings[0] if readings else None) == first
+
+    def test_a_template_whose_verb_aliases_share_a_first_word_reads_once(self):
+        spec = load_game(PARSE_GAME)
+        assert engine.parse(("pick", "up", "pebble"), spec) == ((None, ("pebble",)),)
 
     def test_a_two_blank_reading_comes_before_its_one_blank_fallback(self):
         spec = load_game(PARSE_GAME)
